@@ -11,13 +11,13 @@ one representative per conjugacy class and weighted by the class size.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .modgroup import (
     class_representatives,
     conj_profile,
-    mat_inv,
     sl2_enumerate,
     sl2_order,
 )
@@ -71,27 +71,29 @@ def char_sum(p, method=None):
             if n2 is not None and modulus >= 16
             else "full-enumeration"
         )
+    # sum the integer parts of |Tr|^2 = n * scale^2 per scale
+    totals = defaultdict(int)
     if method == "census-representatives":
         if n2 is None or modulus > 64:
             raise ValueError("census mode needs a 2-power modulus up to 64")
         reps = class_representatives(n2)
-        total = Fraction(0)
         for rep in reps:
-            total += rep.size * engine.trace_abs_sq(rep.matrix)
-        value = total / sl2_order(modulus)
+            n, scale = engine.trace_abs_sq_parts(rep.matrix)
+            totals[scale] += rep.size * n
+        order = sl2_order(modulus)
         count = len(reps)
     elif method == "full-enumeration":
         if modulus > 32:
             raise ValueError("full enumeration bounded at modulus 32")
-        total = Fraction(0)
         order = 0
         for M in sl2_enumerate(modulus):
-            total += engine.trace_abs_sq(M)
+            n, scale = engine.trace_abs_sq_parts(M)
+            totals[scale] += n
             order += 1
-        value = total / order
         count = None
     else:
         raise ValueError(f"unknown method {method!r}")
+    value = sum(n * scale * scale for scale, n in totals.items()) / order
     return CharSumReport(p, modulus, value, expected_char_sum(p), method, count)
 
 
@@ -162,7 +164,6 @@ def expected_trace_sq(n, l, x_class, s):
 
 
 def _diag_permutation(rep, a):
-    arr_rows = []
     one = rep.field.coerce(1)
     zero = rep.field.zero()
     mat = [[zero for _ in range(rep.dim)] for _ in range(rep.dim)]

@@ -233,11 +233,9 @@ def build_parser():
         p.add_argument("--level", type=int, default=3)
         p.add_argument("--genus", type=int, default=1)
         p.add_argument("--n", type=int, default=None)
-        p.add_argument("--delta", type=int, default=None)
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default="json")
         p.add_argument("--out", default=None)
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--max-level", dest="max_level", type=int, default=9)
 
     p_gauss = sub.add_parser("gauss", help="print one Gauss sum")

@@ -21,6 +21,7 @@ from functools import lru_cache
 from math import gcd
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cyclo import field_for_level
 from .cycmat import CycMat
@@ -415,14 +416,58 @@ def lift_genus1(p, M, rng=None):
 
 # -- fast exact traces -----------------------------------------------------
 
+_INT64_MAX = 2**63 - 1
+
+
+def _check_int64(bound, what):
+    """Raise before an int64 kernel whose exact bound could wrap."""
+    if bound > _INT64_MAX:
+        raise OverflowError("%s may exceed int64 (bound %d)" % (what, bound))
+
+
+def _max_abs(arr):
+    return max(int(arr.max()), -int(arr.min()))
+
+
+def _windows(rows):
+    """View W with W[..., s, t] = rows[..., (s + t) mod m]."""
+    m = rows.shape[-1]
+    doubled = np.concatenate([rows, rows], axis=-1)
+    return sliding_window_view(doubled, m, axis=-1)[..., :m, :]
+
+
+def _normalise(arr):
+    """(arr', g) with every entry vector of arr equal to g times that of arr'
+    in the field.
+
+    Sum_t A^t = 0, so subtracting each vector's median changes no field
+    value; the common integer content of what is left moves into g.
+    """
+    _check_int64(int(arr.max()) - int(arr.min()), "median shift")
+    out = arr - np.sort(arr, axis=-1)[..., arr.shape[-1] // 2, None]
+    g = int(np.gcd.reduce(out, axis=None))
+    if g > 1:
+        out //= g
+    return out, max(g, 1)
+
+
 class _TraceEngine:
     """Exact |Tr|^2 of the genus-one lift via the Bruhat decomposition.
 
     For M = (a, b, c, d) with c a unit, M = T^(a/c) S^{-1} D_c T^(d/c) and
-    the trace is a sum of p rolled integer vectors; non-unit c inserts one
-    extra S-factor, costing p^2 rolled vectors.  All per-unit data (the
-    diagonal-matrix images D_c, obtained by evaluating their S,T-word) is
-    cached and verified to be monomial only implicitly through use.
+    the trace is a sum of p gathered integer vectors; non-unit c inserts one
+    extra S-factor, costing p^2 gathered vectors.  D_c, the lift of
+    diag(c, 1/c) evaluated once from its S,T-word, is checked to be
+    monomial (one field-nonzero entry d_i in each row and column) when it
+    is cached.  S^{-1}[i, j] is the Gauss vector g0 rolled by 2ij, so
+    S^{-1} D_c needs one batched convolution g0 * d_i and one gather, and
+    S^{-1} S^{-1} D_c the same with g0 * g0.
+
+    Every entry vector is kept normalised (median subtracted, content moved
+    into the Fraction scale), every int64 kernel is preceded by an exact
+    bound that raises OverflowError before anything could wrap, and
+    |Tr|^2 is the integer autocorrelation of the trace vector mapped to
+    field coordinates.  No field arithmetic happens per element.
     """
 
     def __init__(self, p):
@@ -432,64 +477,72 @@ class _TraceEngine:
         self.eps = img["eps"]
         self.field = field_for_level(p)
         m = self.m
-        # Sinv[i, j] as integer vectors: (1/m) sum_u A^(u^2 + 2ij), beta 3*eps
-        arr = np.zeros((p, p, m), dtype=np.int64)
-        for i in range(p):
-            for j in range(p):
-                for u in range(m):
-                    arr[i, j, (u * u + 2 * i * j) % m] += 1
-        self.sinv_arr = arr
-        self.sinv_scale = Fraction(1, m)
+        t = np.arange(m)
+        self._diff = (t[None, :] - t[:, None]) % m   # [u, v] = (v - u) mod m
+        self._shift = (t[None, :] + t[:, None]) % m  # [s, t] = (t + s) mod m
+        self._rows = np.arange(p * p)
+        L = self.field.level
+        # P[k] = field coordinates of A^k
+        self._powers = np.array(
+            [self.field.power_rows[k * (L // m)] for k in range(m)], dtype=np.int64)
+        self._powers_l1 = int(np.abs(self._powers).sum(axis=0).max())
+        # S^{-1}[i, j] = (1/m) beta^(3 eps) sum_u A^(u^2 + 2ij) = roll(g0, 2ij)
+        self._sq = t[:p] * t[:p] % m
+        self._gauss, g = _normalise(np.bincount(t * t % m, minlength=m))
+        self._gauss_scale = Fraction(g, m)
+        self._gauss_sq, g = _normalise(
+            self._convolve(self._gauss, self._gauss[None, :])[0])
+        self._gauss_sq_scale = self._gauss_scale ** 2 * g
         self.sinv_beta = 3 * self.eps
         self._dcache = {}
         self._kcache = {}
         self._gcache = {}
 
+    def _convolve(self, a, rows):
+        """Cyclic convolution of the vector a with every row of rows."""
+        _check_int64(int(np.abs(a).sum()) * _max_abs(rows), "convolution")
+        return rows @ a[self._diff]
+
     def _dmat(self, c):
+        """(perm, d, scale, beta): D_c[perm[i], i] = scale beta-root d[i],
+        every other entry zero in the field."""
         if c not in self._dcache:
-            self._dcache[c] = lift_genus1_cyc(
-                self.p, (c % self.m, 0, 0, pow(c, -1, self.m)))
+            p = self.p
+            D = lift_genus1_cyc(p, (c % self.m, 0, 0, pow(c, -1, self.m)))
+            arr, g = _normalise(D.arr)
+            _check_int64(_max_abs(arr) * self._powers_l1, "field coordinates")
+            support = (arr @ self._powers).any(axis=-1)
+            if not ((support.sum(axis=0) == 1).all() and (support.sum(axis=1) == 1).all()):
+                raise ValueError("lift of diag(%d, 1/%d) is not monomial" % (c, c))
+            perm = support.argmax(axis=0)
+            d, h = _normalise(arr[perm, np.arange(p)])
+            self._dcache[c] = (perm, d, D.scale * g * h, D.beta)
         return self._dcache[c]
 
-    @staticmethod
-    def _conv(u, v):
-        """Cyclic convolution of two length-m integer vectors."""
-        m = len(u)
-        out = np.zeros(m, dtype=np.int64)
-        for k in np.nonzero(u)[0]:
-            out += u[k] * np.roll(v, k)
-        return out
-
     def _kvec(self, c):
-        """K_c[i] = sum_k Sinv[i,k] * D_c[k,i] (convolutions)."""
+        """K_c[i] = (S^{-1} D_c)[i, i] = roll(g0 * d_i, 2 i perm[i])."""
         if c not in self._kcache:
-            D = self._dmat(c)
-            p, m = self.p, self.m
-            K = np.zeros((p, m), dtype=np.int64)
-            for i in range(p):
-                for k in range(p):
-                    dv = D.arr[k, i]
-                    if dv.any():
-                        K[i] += self._conv(self.sinv_arr[i, k], dv)
-            self._kcache[c] = (K, D.scale, D.beta)
+            perm, d, scale, beta = self._dmat(c)
+            k, g = _normalise(self._convolve(self._gauss, d))
+            i = self._rows[:self.p]
+            K = _windows(k)[i, -2 * i * perm % self.m]
+            _check_int64(self.p * _max_abs(K), "trace vector")
+            self._kcache[c] = (_windows(K), self._gauss_scale * scale * g,
+                               self.sinv_beta + beta)
         return self._kcache[c]
 
     def _gmat(self, u):
-        """G_u[i,j] = Sinv[i,j] * (sum_k Sinv[j,k] * D_(-u)[k,i])."""
+        """G_u[i, j] = S^{-1}[i, j] (S^{-1} D_(-u))[j, i]
+        = roll(g0 * g0 * d_i, 2 j (i + perm[i]))."""
         if u not in self._gcache:
-            D = self._dmat((-u) % self.m)
-            p, m = self.p, self.m
-            G = np.zeros((p, p, m), dtype=np.int64)
-            for j in range(p):
-                for i in range(p):
-                    e = np.zeros(m, dtype=np.int64)
-                    for k in range(p):
-                        dv = D.arr[k, i]
-                        if dv.any():
-                            e += self._conv(self.sinv_arr[j, k], dv)
-                    if e.any():
-                        G[i, j] = self._conv(self.sinv_arr[i, j], e)
-            self._gcache[u] = (G, D.scale, D.beta)
+            perm, d, scale, beta = self._dmat((-u) % self.m)
+            h, g = _normalise(self._convolve(self._gauss_sq, d))
+            i = self._rows[:self.p]
+            shifts = 2 * i[None, :] * (i + perm)[:, None]
+            G = _windows(h)[i[:, None], -shifts % self.m].reshape(-1, self.m)
+            _check_int64(len(G) * _max_abs(G), "trace vector")
+            self._gcache[u] = (_windows(G), self._gauss_sq_scale * scale * g,
+                               2 * self.sinv_beta + beta)
         return self._gcache[u]
 
     def trace_vector(self, M):
@@ -498,42 +551,42 @@ class _TraceEngine:
         a, b, c, d = (v % m for v in M)
         if det(M, m) != 1:
             raise ValueError("matrix %r is not in SL2(Z/%d)" % (M, m))
-        sq = np.array([(i * i) % m for i in range(p)], dtype=np.int64)
-        t = np.arange(m)
+        sq = self._sq
         if gcd(c, m) == 1:
             cinv = pow(c, -1, m)
             alpha, delta = (a * cinv) % m, (d * cinv) % m
-            K, dscale, dbeta = self._kvec(c)
-            e = (alpha + delta) * sq % m
-            idx = (t[None, :] + e[:, None]) % m
-            vec = np.take_along_axis(K, idx, axis=1).sum(axis=0)
-            scale = self.sinv_scale * dscale
-            beta = (-self.eps * (alpha + delta) + self.sinv_beta + dbeta) % 24
-            return vec, scale, beta
-        x = 0
-        while gcd(a + x * c, m) != 1:
-            x += 1
-        u = (a + x * c) % m
-        uinv = pow(u, -1, m)
-        alpha = (-c * uinv) % m           # mid = (c, d, -u, -(b+xd))
-        delta = ((b + x * d) * uinv) % m
-        G, dscale, dbeta = self._gmat(u)
-        e = ((x - delta) * sq[:, None] - alpha * sq[None, :]) % m
-        idx = (t[None, None, :] + e[:, :, None]) % m
-        vec = np.take_along_axis(G, idx, axis=2).sum(axis=(0, 1))
-        scale = self.sinv_scale * self.sinv_scale * dscale
-        beta = (self.eps * (x - alpha - delta) + 2 * self.sinv_beta + dbeta) % 24
-        return vec, scale, beta
+            K, scale, kbeta = self._kvec(c)
+            vec = K[self._rows[:p], (alpha + delta) * sq % m].sum(axis=0)
+            beta = (kbeta - self.eps * (alpha + delta)) % 24
+        else:
+            x = 0
+            while gcd(a + x * c, m) != 1:
+                x += 1
+            u = (a + x * c) % m
+            uinv = pow(u, -1, m)
+            alpha = (-c * uinv) % m           # mid = (c, d, -u, -(b+xd))
+            delta = ((b + x * d) * uinv) % m
+            G, scale, gbeta = self._gmat(u)
+            e = ((x - delta) * sq[:, None] - alpha * sq[None, :]) % m
+            vec = G[self._rows, e.ravel()].sum(axis=0)
+            beta = (gbeta + self.eps * (x - alpha - delta)) % 24
+        vec, g = _normalise(vec)
+        return vec, scale * g, beta
 
-    def trace_elt(self, M):
-        vec, scale, beta = self.trace_vector(M)
-        field = self.field
-        step = field.level // self.m
-        elt = CycMat._vec_to_elt(field, vec, step)
-        return elt * field.root_of_unity((field.level // 24) * beta) * scale
+    def trace_abs_sq_parts(self, M):
+        """(n, scale) with |Tr|^2 = n * scale^2 and n = sum_s r[s] A^s, where
+        r[s] = sum_t v[t] v[t + s] is the autocorrelation of the trace
+        vector; n must be a rational integer."""
+        vec, scale, _beta = self.trace_vector(M)
+        _check_int64(self.m * _max_abs(vec) ** 2 * self._powers_l1, "|Tr|^2")
+        coords = (vec[self._shift] @ vec) @ self._powers
+        if coords[1:].any():
+            raise ValueError("|Tr|^2 of %r is not rational" % (M,))
+        return int(coords[0]), scale
 
     def trace_abs_sq(self, M):
-        return self.trace_elt(M).norm_sq().as_fraction()
+        n, scale = self.trace_abs_sq_parts(M)
+        return n * scale * scale
 
 
 @lru_cache(maxsize=None)

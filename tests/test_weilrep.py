@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from weildec.cyclo import field_for_level
@@ -167,3 +168,45 @@ def test_genus2_generators_unitary(p, g):
     for tag in rep.tags():
         U = rep.generator_cyc(tag)
         assert _cyc_equal(U @ U.dagger(), ident, rep.field)
+
+
+def _fixed_vectors(M, N):
+    a, b, c, d = M
+    return sum(1 for x in range(N) for y in range(N)
+               if ((a - 1) * x + b * y) % N == 0 and (c * x + (d - 1) * y) % N == 0)
+
+
+def _random_sl2(rng, N):
+    while True:
+        M = tuple(rng.randrange(N) for _ in range(4))
+        if (M[0] * M[3] - M[1] * M[2]) % N == 1:
+            return M
+
+
+@pytest.mark.parametrize("N,count", [(3, 8), (5, 8), (7, 8), (9, 8), (15, 8),
+                                     (21, 8), (25, 8), (27, 8), (31, 3)])
+def test_trace_matches_fixed_point_count(N, count):
+    # odd level: |Tr pi(M)|^2 = #{v in (Z/N)^2 : Mv = v}
+    rng = random.Random(41 + N)
+    for _ in range(count):
+        M = _random_sl2(rng, N)
+        assert trace_abs_sq(N, M) == _fixed_vectors(M, N)
+
+
+def test_trace_at_level_32_matches_word_evaluation():
+    # all three share the engine's cached lift of diag(-1, -1)
+    assert trace_abs_sq(32, (1, 0, 0, 1)) == 1024
+    for M in [(1, 0, 63, 1), (1, 0, 4, 1)]:  # unit c, then non-unit c
+        direct = lift_genus1(32, M).trace()
+        assert trace_abs_sq(32, M) == (direct * direct.conj()).as_fraction()
+
+
+def test_trace_overflow_guard_raises(monkeypatch):
+    engine = trace_engine(5)
+    big = np.full(engine.m, 2**31, dtype=np.int64)
+    big[0] = 0
+    monkeypatch.setattr(engine, "trace_vector", lambda M: (big, Fraction(1), 0))
+    with pytest.raises(OverflowError):
+        engine.trace_abs_sq((1, 0, 0, 1))
+    with pytest.raises(OverflowError):
+        engine._convolve(engine._gauss, np.full((3, engine.m), 2**62, dtype=np.int64))
