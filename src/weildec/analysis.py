@@ -15,15 +15,17 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .modgroup import (
     class_representatives,
     conj_profile,
     sl2_enumerate,
     sl2_order,
 )
-from .weilrep import WeilRep, lift_genus1, trace_engine
+from .cycmat import CycMat
+from .weilrep import WeilRep, lift_genus1_cyc, projective_key, trace_engine
 from .decompose import _prime_factorization
-from .ringmat import RingMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -163,26 +165,19 @@ def expected_trace_sq(n, l, x_class, s):
     return None
 
 
-def _diag_permutation(rep, a):
-    one = rep.field.coerce(1)
-    zero = rep.field.zero()
-    mat = [[zero for _ in range(rep.dim)] for _ in range(rep.dim)]
-    for i in range(rep.dim):
-        mat[i][(a * i) % rep.p] = one
-    return RingMatrix(rep.field, mat)
-
-
 def lemma_diag_check(n):
     """The level-2^(n-1) lift of diag(a, 1/a) is a unit scalar times the
-    permutation sending index i to a*i, for every odd a mod 2^n."""
+    permutation matrix with entry (i, a*i) equal to 1, for every odd a
+    mod 2^n."""
     p = 2 ** (n - 1)
     rep = WeilRep(p, 1)
     modulus = 2**n
+    i = np.arange(p)
     for a in range(1, modulus, 2):
-        ainv = pow(a, -1, modulus)
-        lifted = lift_genus1(p, (a, 0, 0, ainv))
-        lam = lifted.equal_up_to_scalar(_diag_permutation(rep, a))
-        if lam is None or lam * lam.conj() != rep.field.coerce(1):
+        lifted = lift_genus1_cyc(p, (a, 0, 0, pow(a, -1, modulus)))
+        perm = CycMat.zero(rep.m, p, p)
+        perm.arr[i, a * i % p, 0] = 1
+        if projective_key(lifted, rep.field) != projective_key(perm, rep.field):
             return False
     return True
 
@@ -250,13 +245,11 @@ def kernel_check(p):
     """Pairwise projective distinctness of the lift across SL2(Z/pZ)."""
     if p not in (3, 5, 7):
         raise ValueError("bounded to levels 3, 5, 7")
-    from .weilrep import lift_genus1_cyc, projective_key
-
     field = WeilRep(p, 1).field
     keys = set()
     order = 0
     for M in sl2_enumerate(p):
-        keys.add(projective_key(lift_genus1_cyc(p, M).to_ring(field)))
+        keys.add(projective_key(lift_genus1_cyc(p, M), field))
         order += 1
     return FaithfulnessReport(p, order, len(keys))
 

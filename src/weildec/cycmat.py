@@ -14,7 +14,37 @@ from fractions import Fraction
 
 import numpy as np
 
+from .cyclo import CycloElt
 from .ringmat import RingMatrix
+
+_INT64_MAX = 2**63 - 1
+_ZERO = Fraction(0)
+
+
+def _check_int64(bound, what):
+    """Raise before an int64 kernel whose exact bound could wrap."""
+    if bound > _INT64_MAX:
+        raise OverflowError("%s may exceed int64 (bound %d)" % (what, bound))
+
+
+def _max_abs(arr):
+    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
+
+
+def _l1(powers):
+    """Largest column sum of |powers|: the factor a vector's max-abs grows by
+    when it is mapped to field coordinates."""
+    return int(np.abs(powers).sum(axis=0).max())
+
+
+def power_matrix(field, m, beta=0):
+    """P with P[k] = field coordinates of beta-root * A^k, A = zeta_L^(L/m),
+    so that vec @ P are the coordinates of beta-root * sum_k vec[k] A^k."""
+    L = field.level
+    if L % m:
+        raise ValueError("field level %d does not contain order-%d root" % (L, m))
+    exps = (np.arange(m) * (L // m) + beta * (L // 24)) % L
+    return np.array([field.power_rows[k] for k in exps], dtype=np.int64)
 
 
 class CycMat:
@@ -132,24 +162,23 @@ class CycMat:
 
     # -- conversion to canonical field elements ---------------------------
     def to_ring(self, field):
-        """RingMatrix over `field` (which must contain A = zeta^(L/m))."""
-        L = field.level
-        if L % self.m:
-            raise ValueError("field level %d does not contain order-%d root" % (L, self.m))
-        step = L // self.m
-        beta_elt = field.root_of_unity((L // 24) * self.beta)
-        factor = beta_elt * self.scale
-        rows = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(self.ncols):
-                row.append(self._vec_to_elt(field, self.arr[i, j], step) * factor)
-            rows.append(row)
-        return RingMatrix(field, rows)
+        """RingMatrix over `field` (which must contain A = zeta^(L/m)).
+
+        All field coordinates come from one integer product arr @ P_beta,
+        in int64 when an exact bound allows it and in Python ints
+        otherwise; the scale multiplies each coordinate once.
+        """
+        P = power_matrix(field, self.m, self.beta)
+        if _max_abs(self.arr) * _l1(P) > _INT64_MAX:
+            coords = self.arr.astype(object) @ P.astype(object)
+        else:
+            coords = self.arr @ P
+        s = self.scale
+        return RingMatrix(field, [[CycloElt(field, [s * x if x else _ZERO for x in vec])
+                                   for vec in row] for row in coords.tolist()])
 
     @staticmethod
     def _vec_to_elt(field, vec, step):
-        from .cyclo import CycloElt
         L = field.level
         acc = [0] * field.degree
         for k in range(len(vec)):

@@ -136,25 +136,12 @@ class RingMatrix:
         """If self == lam * other for a scalar lam, return lam, else None."""
         if self.nrows != other.nrows or self.ncols != other.ncols:
             return None
-        lam = None
-        for ra, rb in zip(self.rows, other.rows):
-            for a, b in zip(ra, rb):
-                if b.is_zero():
-                    if not a.is_zero():
-                        return None
-                    continue
-                cand = a / b
-                if lam is None:
-                    lam = cand
-                elif lam != cand:
-                    return None
-        if lam is None:  # both matrices are zero
-            lam = self.field.one()
-        # re-verify against zero pattern of self
-        for ra, rb in zip(self.rows, other.rows):
-            for a, b in zip(ra, rb):
-                if a != lam * b:
-                    return None
+        pairs = [(a, b) for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)]
+        # one inverse: lam from the first entry where other is nonzero
+        lam = next((a / b for a, b in pairs if not b.is_zero()), self.field.one())
+        for a, b in pairs:
+            if a != (0 if b.is_zero() else lam * b):
+                return None
         return lam
 
 

@@ -24,8 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cyclo import field_for_level
-from .cycmat import CycMat
-from .ringmat import RingMatrix
+from .cycmat import CycMat, _check_int64, _l1, _max_abs, power_matrix
 from .modgroup import det, word_decompose
 
 
@@ -371,63 +370,7 @@ def egorov_map(rep, tag):
     return EgorovReport(tag, phi, scalars, additive, preserves)
 
 
-# -- genus-one lift --------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _lift_images(p):
-    """Cached images of S, S^{-1} and T-powers for the genus-one lift."""
-    m = _heisenberg_modulus(p)
-    eps = 1 if p % 2 == 0 else 0
-    arr = np.zeros((p, p, m), dtype=np.int64)
-    for i in range(p):
-        for j in range(p):
-            for k in range(m):
-                arr[i, j, (-k * k - 2 * i * j) % m] += 1
-    s_img = CycMat(m, arr, Fraction(1, m), beta=-3 * eps)
-    return {"m": m, "eps": eps, "S": s_img, "Sinv": s_img.dagger()}
-
-
-def _lift_t_power(p, k):
-    img = _lift_images(p)
-    m, eps = img["m"], img["eps"]
-    return CycMat.monomial_diag(m, [(-k * i * i) % m for i in range(p)],
-                                beta=-k * eps)
-
-
-def lift_genus1_cyc(p, M, rng=None):
-    """Evaluate the lift of M in SL2(Z/NZ), N = p (odd) or 2p (even)."""
-    img = _lift_images(p)
-    m = img["m"]
-    if det(M, m) != 1:
-        raise ValueError("matrix %r is not in SL2(Z/%d)" % (M, m))
-    word = word_decompose(tuple(v % m for v in M), m, rng=rng)
-    out = CycMat.identity(m, p)
-    for kind, val in word:
-        if kind == "S":
-            out = out @ (img["S"] if val == 1 else img["Sinv"])
-        else:
-            out = out @ _lift_t_power(p, val)
-    return out
-
-
-def lift_genus1(p, M, rng=None):
-    return lift_genus1_cyc(p, M, rng).to_ring(field_for_level(p))
-
-
-# -- fast exact traces -----------------------------------------------------
-
-_INT64_MAX = 2**63 - 1
-
-
-def _check_int64(bound, what):
-    """Raise before an int64 kernel whose exact bound could wrap."""
-    if bound > _INT64_MAX:
-        raise OverflowError("%s may exceed int64 (bound %d)" % (what, bound))
-
-
-def _max_abs(arr):
-    return max(int(arr.max()), -int(arr.min()))
-
+# -- integer kernels -------------------------------------------------------
 
 def _windows(rows):
     """View W with W[..., s, t] = rows[..., (s + t) mod m]."""
@@ -451,15 +394,82 @@ def _normalise(arr):
     return out, max(g, 1)
 
 
+def _convolve(a, rows):
+    """Cyclic convolution of the vector a with every row of rows."""
+    _check_int64(int(np.abs(a).sum()) * _max_abs(rows), "convolution")
+    t = np.arange(len(a))
+    return rows @ a[(t[None, :] - t[:, None]) % len(a)]  # a[(v - u) mod m]
+
+
+# -- genus-one lift --------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _lift_images(p):
+    """m, eps and the normalised Gauss vectors of the genus-one lift.
+
+    S^{+-1}[k, j] = (1/m) beta-root^(-+3 eps) A^(-+2kj) gamma_+-, with
+    gamma_+ = sum_u A^(-u^2) and gamma_- = sum_u A^(u^2); "gauss"[+-1]
+    holds (gamma_+-', g) with gamma_+- = g gamma_+-' in the field.
+    """
+    m = _heisenberg_modulus(p)
+    eps = 1 if p % 2 == 0 else 0
+    t = np.arange(m)
+    gauss = {sign: _normalise(np.bincount(-sign * t * t % m, minlength=m))
+             for sign in (1, -1)}
+    return {"m": m, "eps": eps, "gauss": gauss}
+
+
+def lift_genus1_cyc(p, M, rng=None):
+    """Evaluate the lift of M in SL2(Z/NZ), N = p (odd) or 2p (even).
+
+    Each factor of the S,T-word acts on the int64 entry array directly.
+    T^k = diag(A^(-k j^2)) rolls column j.  out @ S^{+-1} is the
+    gather-sum W[i, j] = sum_k A^(-+2kj) out[i, k] followed by one batched
+    convolution with gamma_+-; the sum runs over k so that no p^3 m array
+    is formed.  Each S-factor ends with `_normalise`, which keeps the
+    entries small, and every kernel is preceded by an exact int64 bound.
+    """
+    img = _lift_images(p)
+    m, eps = img["m"], img["eps"]
+    if det(M, m) != 1:
+        raise ValueError("matrix %r is not in SL2(Z/%d)" % (M, m))
+    word = word_decompose(tuple(v % m for v in M), m, rng=rng)
+    t = np.arange(m)
+    j = t[:p, None]
+    out = CycMat.identity(m, p).arr
+    scale, beta = Fraction(1), 0
+    for kind, val in word:
+        if kind == "T":
+            # a roll only permutes each entry vector, so it stays normalised
+            out = out[:, j, (t + val * j * j) % m]
+            beta -= val * eps
+        else:
+            gauss, g = img["gauss"][val]
+            _check_int64(p * _max_abs(out), "lift gather")
+            W = np.zeros_like(out)
+            for k in range(p):
+                W += out[:, k, (t + 2 * val * k * j) % m]
+            out, h = _normalise(_convolve(gauss, W.reshape(-1, m)).reshape(p, p, m))
+            scale *= Fraction(g * h, m)
+            beta -= 3 * val * eps
+    return CycMat(m, out, scale, beta)
+
+
+def lift_genus1(p, M, rng=None):
+    return lift_genus1_cyc(p, M, rng).to_ring(field_for_level(p))
+
+
+# -- fast exact traces -----------------------------------------------------
+
 class _TraceEngine:
     """Exact |Tr|^2 of the genus-one lift via the Bruhat decomposition.
 
     For M = (a, b, c, d) with c a unit, M = T^(a/c) S^{-1} D_c T^(d/c) and
     the trace is a sum of p gathered integer vectors; non-unit c inserts one
     extra S-factor, costing p^2 gathered vectors.  D_c, the lift of
-    diag(c, 1/c) evaluated once from its S,T-word, is checked to be
-    monomial (one field-nonzero entry d_i in each row and column) when it
-    is cached.  S^{-1}[i, j] is the Gauss vector g0 rolled by 2ij, so
+    diag(c, 1/c), comes from `lift_genus1_cyc` once per c and is checked to
+    be monomial (one field-nonzero entry d_i in each row and column) when
+    it is cached.  S^{-1}[i, j] is the Gauss vector g0 rolled by 2ij, so
     S^{-1} D_c needs one batched convolution g0 * d_i and one gather, and
     S^{-1} S^{-1} D_c the same with g0 * g0.
 
@@ -478,30 +488,21 @@ class _TraceEngine:
         self.field = field_for_level(p)
         m = self.m
         t = np.arange(m)
-        self._diff = (t[None, :] - t[:, None]) % m   # [u, v] = (v - u) mod m
         self._shift = (t[None, :] + t[:, None]) % m  # [s, t] = (t + s) mod m
         self._rows = np.arange(p * p)
-        L = self.field.level
-        # P[k] = field coordinates of A^k
-        self._powers = np.array(
-            [self.field.power_rows[k * (L // m)] for k in range(m)], dtype=np.int64)
-        self._powers_l1 = int(np.abs(self._powers).sum(axis=0).max())
+        self._powers = power_matrix(self.field, m)
+        self._powers_l1 = _l1(self._powers)
         # S^{-1}[i, j] = (1/m) beta^(3 eps) sum_u A^(u^2 + 2ij) = roll(g0, 2ij)
         self._sq = t[:p] * t[:p] % m
-        self._gauss, g = _normalise(np.bincount(t * t % m, minlength=m))
+        self._gauss, g = img["gauss"][-1]
         self._gauss_scale = Fraction(g, m)
         self._gauss_sq, g = _normalise(
-            self._convolve(self._gauss, self._gauss[None, :])[0])
+            _convolve(self._gauss, self._gauss[None, :])[0])
         self._gauss_sq_scale = self._gauss_scale ** 2 * g
         self.sinv_beta = 3 * self.eps
         self._dcache = {}
         self._kcache = {}
         self._gcache = {}
-
-    def _convolve(self, a, rows):
-        """Cyclic convolution of the vector a with every row of rows."""
-        _check_int64(int(np.abs(a).sum()) * _max_abs(rows), "convolution")
-        return rows @ a[self._diff]
 
     def _dmat(self, c):
         """(perm, d, scale, beta): D_c[perm[i], i] = scale beta-root d[i],
@@ -523,7 +524,7 @@ class _TraceEngine:
         """K_c[i] = (S^{-1} D_c)[i, i] = roll(g0 * d_i, 2 i perm[i])."""
         if c not in self._kcache:
             perm, d, scale, beta = self._dmat(c)
-            k, g = _normalise(self._convolve(self._gauss, d))
+            k, g = _normalise(_convolve(self._gauss, d))
             i = self._rows[:self.p]
             K = _windows(k)[i, -2 * i * perm % self.m]
             _check_int64(self.p * _max_abs(K), "trace vector")
@@ -536,7 +537,7 @@ class _TraceEngine:
         = roll(g0 * g0 * d_i, 2 j (i + perm[i]))."""
         if u not in self._gcache:
             perm, d, scale, beta = self._dmat((-u) % self.m)
-            h, g = _normalise(self._convolve(self._gauss_sq, d))
+            h, g = _normalise(_convolve(self._gauss_sq, d))
             i = self._rows[:self.p]
             shifts = 2 * i[None, :] * (i + perm)[:, None]
             G = _windows(h)[i[:, None], -shifts % self.m].reshape(-1, self.m)
@@ -601,17 +602,27 @@ def trace_abs_sq(p, M):
 
 # -- projective comparison keys --------------------------------------------
 
-def projective_key(mat):
-    """Hashable key identifying a RingMatrix up to a scalar factor."""
-    lead = None
-    for row in mat.rows:
-        for a in row:
-            if not a.is_zero():
-                lead = a
-                break
-        if lead is not None:
-            break
-    if lead is None:
+def projective_key(mat, field):
+    """Hashable key of a CycMat up to a scalar of absolute value one.
+
+    The key is the canonical form of conj(lead) * mat, where lead is the
+    first entry that is nonzero in `field`: one batched convolution, mapped
+    to field coordinates, with their integer content moved into the scale.
+    The root beta cancels and the scale enters squared.  Keys of U and V
+    agree exactly when U = lam V with lam conj(lam) = 1, because at the lead
+    entry conj(a) a = conj(b) b.  No field inverse is taken.
+    """
+    m = mat.m
+    P = power_matrix(field, m)
+    l1 = _l1(P)
+    arr = mat.arr.reshape(-1, m)
+    _check_int64(_max_abs(arr) * l1, "field coordinates")
+    nonzero = (arr @ P).any(axis=1)
+    if not mat.scale or not nonzero.any():
         return ("zero", mat.nrows, mat.ncols)
-    inv = lead.inverse()
-    return tuple(tuple((inv * a).coeffs for a in row) for row in mat.rows)
+    lead = arr[nonzero.argmax()]
+    prod = _convolve(lead[-np.arange(m) % m], arr)
+    _check_int64(_max_abs(prod) * l1, "field coordinates")
+    coords = prod @ P
+    g = int(np.gcd.reduce(coords, axis=None))
+    return (mat.scale ** 2 * g, mat.nrows, mat.ncols, (coords // g).tobytes())

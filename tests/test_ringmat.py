@@ -73,6 +73,21 @@ def test_equal_up_to_scalar():
     assert not m.equal_up_to_scalar(other)
 
 
+def test_equal_up_to_scalar_edge_cases():
+    z = FIELD.root_of_unity(1)
+    one, zero = FIELD.one(), FIELD.zero()
+    m = RingMatrix(FIELD, [[one, zero], [zero, z]])
+    lam = z ** 3 + 2
+    assert m.scale(lam).equal_up_to_scalar(m) == lam
+    # zero patterns differ after the first nonzero entry, either way round
+    head = RingMatrix(FIELD, [[one, zero], [zero, zero]])
+    assert m.equal_up_to_scalar(head) is None
+    assert head.equal_up_to_scalar(m) is None
+    # proportional at the first entry, but the ratio changes
+    skew = RingMatrix(FIELD, [[one, zero], [zero, z * 2]])
+    assert m.equal_up_to_scalar(skew) is None
+
+
 def test_nullspace_dimension():
     one = FIELD.one()
     zero = FIELD.zero()
@@ -100,6 +115,15 @@ def test_cycmat_roundtrip_to_ring():
     ring = mat.to_ring(FIELD)
     expect = RingMatrix.identity(FIELD, 3).scale(FIELD.root_of_unity(5))
     assert ring == expect
+
+
+def test_cycmat_to_ring_does_not_wrap():
+    import numpy as np
+
+    # 2^62 * (1 - A^4) = 2^63 at m = 8 exceeds int64
+    arr = np.zeros((1, 1, 8), dtype=np.int64)
+    arr[0, 0, 0], arr[0, 0, 4] = 2**62, -(2**62)
+    assert CycMat(8, arr).to_ring(FIELD)[0, 0] == FIELD.coerce(2**63)
 
 
 def test_cycmat_matmul_matches_ring():

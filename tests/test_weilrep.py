@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from weildec.cyclo import field_for_level
-from weildec.cycmat import CycMat
+from weildec.cycmat import CycMat, _max_abs
 from weildec.decompose import _cyc_equal
-from weildec.modgroup import mat_mul, sl2_enumerate
+from weildec.modgroup import mat_mul, sl2_enumerate, word_decompose
 from weildec.weilrep import (
     WeilRep,
+    _convolve,
     gauss_sum,
     lift_genus1,
     lift_genus1_cyc,
@@ -115,9 +116,43 @@ def test_lift_is_projective_homomorphism(p):
 def test_lift_word_independent_up_to_scalar(p):
     N = p if p % 2 else 2 * p
     M = (1, 1, 1, 2 % N)
-    a = lift_genus1(p, M, rng=random.Random(4))
-    b = lift_genus1(p, M, rng=random.Random(5))
-    assert projective_key(a) == projective_key(b)
+    field = field_for_level(p)
+    a = lift_genus1_cyc(p, M, rng=random.Random(4))
+    b = lift_genus1_cyc(p, M, rng=random.Random(5))
+    assert projective_key(a, field) == projective_key(b, field)
+
+
+def _permutation(m, p, a, transpose=False):
+    """The 0/1 matrix with entry (i, a*i mod p), or (a*i mod p, i), equal to 1."""
+    i = np.arange(p)
+    mat = CycMat.zero(m, p, p)
+    if transpose:
+        mat.arr[a * i % p, i, 0] = 1
+    else:
+        mat.arr[i, a * i % p, 0] = 1
+    return mat
+
+
+def test_projective_key_ignores_unit_scalars_only():
+    p = 5
+    field = field_for_level(p)
+    L = lift_genus1_cyc(p, (2, 1, 1, 1))
+    key = projective_key(L, field)
+    assert projective_key(L.mul_root(3), field) == key
+    assert projective_key(L.scaled(-1), field) == key
+    assert projective_key(CycMat(L.m, L.arr, L.scale, L.beta + 5), field) == key
+    assert projective_key(L.scaled(2), field) != key  # |2| != 1
+    assert projective_key(L.scaled(0), field) == ("zero", p, p)
+
+
+def test_projective_key_tells_permutation_from_transpose():
+    # i -> 3i mod 16 is not an involution, so the two orientations differ
+    p, a = 16, 3
+    field = field_for_level(p)
+    L = lift_genus1_cyc(p, (a, 0, 0, pow(a, -1, 2 * p)))
+    key = projective_key(L, field)
+    assert key == projective_key(_permutation(L.m, p, a), field)
+    assert key != projective_key(_permutation(L.m, p, a, transpose=True), field)
 
 
 @pytest.mark.parametrize("p", [3, 4, 5, 6])
@@ -209,4 +244,68 @@ def test_trace_overflow_guard_raises(monkeypatch):
     with pytest.raises(OverflowError):
         engine.trace_abs_sq((1, 0, 0, 1))
     with pytest.raises(OverflowError):
-        engine._convolve(engine._gauss, np.full((3, engine.m), 2**62, dtype=np.int64))
+        _convolve(engine._gauss, np.full((3, engine.m), 2**62, dtype=np.int64))
+
+
+def _dense_lift(p, M, rng=None):
+    """The lift multiplied out factor by factor with CycMat.__matmul__:
+    S[i, j] = (1/m) beta-root^(-3 eps) sum_k A^(-k^2 - 2ij), S^{-1} its
+    dagger and T^t = diag(A^(-t i^2)) with beta-root^(-t eps)."""
+    m = p if p % 2 else 2 * p
+    eps = 1 - p % 2
+    arr = np.zeros((p, p, m), dtype=np.int64)
+    for i in range(p):
+        for j in range(p):
+            for k in range(m):
+                arr[i, j, (-k * k - 2 * i * j) % m] += 1
+    S = CycMat(m, arr, Fraction(1, m), beta=-3 * eps)
+    out = CycMat.identity(m, p)
+    for kind, val in word_decompose(tuple(v % m for v in M), m, rng=rng):
+        if kind == "S":
+            out = out @ (S if val == 1 else S.dagger())
+        else:
+            out = out @ CycMat.monomial_diag(m, [-val * i * i for i in range(p)],
+                                             beta=-val * eps)
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6, 7, 8, 9, 12, 16])
+def test_structured_lift_matches_dense_products(p):
+    N = p if p % 2 else 2 * p
+    field = field_for_level(p)
+    rng = random.Random(43 + p)
+    for _ in range(4):
+        M = _random_sl2(rng, N)
+        for word_seed in (None, rng.randrange(2**32)):
+            structured, dense = (
+                lift(p, M, rng=None if word_seed is None else random.Random(word_seed))
+                for lift in (lift_genus1_cyc, _dense_lift))
+            assert _cyc_equal(structured, dense, field)
+
+
+def test_lift_overflow_guard_raises(monkeypatch):
+    def huge_identity(cls, m, n):
+        return cls(m, np.full((n, n, m), 2**62, dtype=np.int64))
+
+    monkeypatch.setattr(CycMat, "identity", classmethod(huge_identity))
+    with pytest.raises(OverflowError):
+        lift_genus1_cyc(5, (0, 4, 1, 0))  # the word of S has an S-factor
+
+
+def _worst_lift(p):
+    """Among the seeded elements whose word has 8 S-factors, the lift with
+    the largest entries."""
+    N = p if p % 2 else 2 * p
+    rng = random.Random(p)
+    sample = [_random_sl2(rng, N) for _ in range(200)]
+    worst = [M for M in sample if sum(kind == "S" for kind, _ in word_decompose(M, N)) == 8]
+    return max((lift_genus1_cyc(p, M) for M in worst), key=lambda L: _max_abs(L.arr))
+
+
+@pytest.mark.parametrize("p", [21, 27, 29, 31, 32])
+def test_long_word_lift_is_unitary(p):
+    # word lifts used to grow to 58-62 bits here, and L L^+ then wrapped in
+    # int64 and compared unequal to I although L is unitary
+    L = _worst_lift(p)
+    assert _max_abs(L.arr).bit_length() < 32
+    assert _cyc_equal(L @ L.dagger(), CycMat.identity(L.m, p), field_for_level(p))
