@@ -10,10 +10,6 @@ from .weilrep import (
     WeilRep,
     HeisenbergElt,
     gauss_sum,
-    generator_matrix,
-    hopf_matrix,
-    schrodinger,
-    egorov_map,
     lift_genus1,
     trace_abs_sq,
 )
@@ -47,10 +43,6 @@ __all__ = [
     "WeilRep",
     "HeisenbergElt",
     "gauss_sum",
-    "generator_matrix",
-    "hopf_matrix",
-    "schrodinger",
-    "egorov_map",
     "lift_genus1",
     "trace_abs_sq",
     "parity_bases",

@@ -20,12 +20,12 @@ import numpy as np
 from .modgroup import (
     class_representatives,
     conj_profile,
+    prime_factorization,
     sl2_enumerate,
     sl2_order,
 )
 from .cycmat import CycMat
 from .weilrep import WeilRep, lift_genus1_cyc, projective_key, trace_engine
-from .decompose import _prime_factorization
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +49,7 @@ class CharSumReport:
 def expected_char_sum(p):
     """Irreducible-summand count: factors as n+1 per odd r^n, n per 2^n."""
     total = 1
-    for r, n in _prime_factorization(p):
+    for r, n in prime_factorization(p):
         total *= n if r == 2 else n + 1
     return total
 

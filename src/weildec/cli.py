@@ -85,9 +85,7 @@ def cmd_decompose(args):
     if args.level ** (2 * args.genus) <= 256:
         try:
             dim = decompose.commutant_dimension(args.level, args.genus)
-        except ValueError as exc:
-            if "bound" in str(exc):
-                return EXIT_USAGE
+        except ValueError:
             return EXIT_MISMATCH
         if dim != tree.factor_count:
             return EXIT_MISMATCH

@@ -183,8 +183,7 @@ class CycloField:
         self.power_rows = rows
         # reduction rows for X^(d+j), j = 0..d-2, used in _mul
         red = []
-        cur = list(rows[d]) if level > d else None
-        # recompute directly: X^d mod Phi = -phi[:d]
+        # X^d mod Phi = -phi[:d]
         cur = [-phi[j] for j in range(d)]
         for _j in range(d - 1):
             red.append(tuple(cur))
@@ -319,7 +318,6 @@ class CycloField:
         out = [Fraction(0)] * d
         for i, v in enumerate(s1):
             if v:
-                row = self.power_rows[i] if i < d else None
                 if i < d:
                     out[i] += v / c
                 else:  # can only happen transiently; reduce via power rows

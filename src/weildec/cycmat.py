@@ -47,6 +47,16 @@ def power_matrix(field, m, beta=0):
     return np.array([field.power_rows[k] for k in exps], dtype=np.int64)
 
 
+def field_coords(arr, field, m, beta=0):
+    """Field coordinates of beta-root * sum_k arr[..., k] A^k for every
+    entry vector of arr: one product arr @ P_beta, in int64 when an exact
+    bound allows it and in Python ints otherwise."""
+    P = power_matrix(field, m, beta)
+    if _max_abs(arr) * _l1(P) > _INT64_MAX:
+        return arr.astype(object) @ P.astype(object)
+    return arr.astype(np.int64, copy=False) @ P
+
+
 class CycMat:
     __slots__ = ("m", "arr", "scale", "beta")
 
@@ -164,39 +174,17 @@ class CycMat:
     def to_ring(self, field):
         """RingMatrix over `field` (which must contain A = zeta^(L/m)).
 
-        All field coordinates come from one integer product arr @ P_beta,
-        in int64 when an exact bound allows it and in Python ints
-        otherwise; the scale multiplies each coordinate once.
+        All field coordinates come from one `field_coords` product; the
+        scale multiplies each coordinate once.
         """
-        P = power_matrix(field, self.m, self.beta)
-        if _max_abs(self.arr) * _l1(P) > _INT64_MAX:
-            coords = self.arr.astype(object) @ P.astype(object)
-        else:
-            coords = self.arr @ P
-        s = self.scale
-        return RingMatrix(field, [[CycloElt(field, [s * x if x else _ZERO for x in vec])
-                                   for vec in row] for row in coords.tolist()])
-
-    @staticmethod
-    def _vec_to_elt(field, vec, step):
-        L = field.level
-        acc = [0] * field.degree
-        for k in range(len(vec)):
-            v = int(vec[k])
-            if v:
-                prow = field.power_rows[(k * step) % L]
-                for t in range(field.degree):
-                    if prow[t]:
-                        acc[t] += v * prow[t]
-        return CycloElt(field, [Fraction(x) for x in acc])
-
-    def entry(self, field, i, j):
-        """Canonical field element at position (i, j)."""
-        step = field.level // self.m
-        elt = self._vec_to_elt(field, self.arr[i, j], step)
-        return elt * field.root_of_unity((field.level // 24) * self.beta) * self.scale
+        coords = field_coords(self.arr, field, self.m, self.beta)
+        return RingMatrix(field, [[self._elt(field, vec) for vec in row]
+                                  for row in coords.tolist()])
 
     def trace_elt(self, field):
-        step = field.level // self.m
-        elt = self._vec_to_elt(field, self.trace_vector(), step)
-        return elt * field.root_of_unity((field.level // 24) * self.beta) * self.scale
+        coords = field_coords(self.trace_vector(), field, self.m, self.beta)
+        return self._elt(field, coords.tolist())
+
+    def _elt(self, field, coords):
+        s = self.scale
+        return CycloElt(field, [s * x if x else _ZERO for x in coords])

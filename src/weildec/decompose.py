@@ -15,53 +15,32 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
 
-from .cycmat import CycMat
-from .cyclo import field_for_level
-from .modgroup import divisors, sigma0, sp_generators, sp_apply, _mat_inv_general
-from .weilrep import WeilRep
-
-
-def _heis_modulus(p):
-    return p if p % 2 else 2 * p
+from .cycmat import CycMat, field_coords
+from .cyclo import CycloElt, field_for_level
+from .modgroup import (
+    divisors,
+    is_prime,
+    prime_factorization,
+    sigma0,
+    symplectic_form,
+)
+from .weilrep import WeilRep, _heisenberg_modulus
 
 
 # ---------------------------------------------------------------------------
 # exact comparison helpers on exponent arrays
 # ---------------------------------------------------------------------------
 
-_REDUCTION_TABLES = {}
-
-
-def _reduction_table(field, m):
-    """Integer matrix sending exponent vectors of the order-m root to
-    coordinates in the field's power basis."""
-    key = (field.level, m)
-    cached = _REDUCTION_TABLES.get(key)
-    if cached is None:
-        step = field.level // m
-        rows = []
-        for k in range(m):
-            coeffs = field.power_rows[(step * k) % field.level]
-            rows.append([int(c) for c in coeffs])
-        cached = np.array(rows, dtype=object)
-        _REDUCTION_TABLES[key] = cached
-    return cached
-
-
 def _array_is_zero(field, m, arr):
     """True when every entry (a length-m exponent vector) vanishes in field."""
     arr = np.asarray(arr)
-    if not arr.any():
-        return True
-    table = _reduction_table(field, m)
-    coords = arr.astype(object) @ table
-    return not coords.any()
+    return not arr.any() or not field_coords(arr, field, m).any()
 
 
 def _cyc_equal(x, y, field):
@@ -303,7 +282,7 @@ def crt_check(a, b, g=1):
         raise ValueError("need coprime levels with b odd, both at least 2")
     u, v, f_table, psi, coef_a, coef_b = _crt_maps(a, b, g)
     data = CrtData(a, b, g, u, v, f_table, psi)
-    m_ab = _heis_modulus(a * b)
+    m_ab = _heisenberg_modulus(a * b)
     # A_a corresponds to A_ab^{vb} and A_b to A_ab^{au} (odd a) or
     # A_ab^{2au} (even a); the Bezout identity fixes the orders.
     mult_a = (v * b) % m_ab
@@ -511,26 +490,9 @@ def _prime_power_leaves(r, n, g):
     ] + _prime_power_leaves(r, n - 2, g)
 
 
-def _prime_factorization(p):
-    out = []
-    t = p
-    d = 2
-    while d * d <= t:
-        if t % d == 0:
-            n = 0
-            while t % d == 0:
-                t //= d
-                n += 1
-            out.append((d, n))
-        d += 1
-    if t > 1:
-        out.append((t, 1))
-    return out
-
-
 def decomposition_tree(p, g=1):
     """Bookkeeping tree of irreducible factors of the level-p module."""
-    parts = _prime_factorization(p)
+    parts = prime_factorization(p)
     leaf_lists = [_prime_power_leaves(r, n, g) for r, n in parts]
     factors = tuple(tuple(combo) for combo in itertools.product(*leaf_lists))
     tree = DecompositionTree(p, g, factors)
@@ -544,22 +506,11 @@ def decomposition_tree(p, g=1):
 # modular rank certificates
 # ---------------------------------------------------------------------------
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _modular_primes(m, count=2, start=1_000_000):
     out = []
     q = start + (m - start % m) + 1
     while len(out) < count:
-        if _is_prime(q):
+        if is_prime(q):
             out.append(q)
         q += m
     return out
@@ -569,7 +520,7 @@ def _root_mod(q, m):
     """An element of exact multiplicative order m in GF(q)."""
     for gcand in range(2, q):
         w = pow(gcand, (q - 1) // m, q)
-        ok = all(pow(w, m // r, q) != 1 for r, _ in _prime_factorization(m))
+        ok = all(pow(w, m // r, q) != 1 for r, _ in prime_factorization(m))
         if w != 1 and ok:
             return w
     raise ValueError("no root found")
@@ -658,7 +609,7 @@ def isotypic_projectors(p, g=1):
     eye = np.eye(d, dtype=object)
     if p == 1:
         return [(eye, 1)]
-    parts = _prime_factorization(p)
+    parts = prime_factorization(p)
     if len(parts) > 1:
         r0, n0 = parts[0]
         a = r0**n0
@@ -797,25 +748,6 @@ def schrodinger_commutant_dimension(p, g=1):
 # orbit-sum operators
 # ---------------------------------------------------------------------------
 
-def lattice_orbit(start, p, g=1):
-    """Orbit of a lattice vector under the symplectic transvections."""
-    gens = sp_generators(g, p)
-    gens = gens + [
-        tuple(tuple(r) for r in _mat_inv_general(M, p)) for M in gens
-    ]
-    start = tuple(x % p for x in start)
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        u = frontier.pop()
-        for M in gens:
-            w = sp_apply(M, u, p)
-            if w not in orbit:
-                orbit.add(w)
-                frontier.append(w)
-    return sorted(orbit)
-
-
 def _conjugation_rules(tags, p, g):
     """Action of generator conjugation on (lattice vector, phase).
 
@@ -824,7 +756,7 @@ def _conjugation_rules(tags, p, g):
     are exact (slot 2i holds the shift, slot 2i+1 the modulation of
     handle i, phases live modulo the order of A).
     """
-    m = _heis_modulus(p)
+    m = _heisenberg_modulus(p)
 
     def conj_x(i, sign):
         def rule(vec, z):
@@ -1030,14 +962,9 @@ def egorov_verify(p, g=1, tags=None):
                 )
                 if rule(summed, 0)[0] != target:
                     additive = False
-        def omega(u, v):
-            return sum(
-                u[2 * i] * v[2 * i + 1] - u[2 * i + 1] * v[2 * i]
-                for i in range(g)
-            ) % p
-
         preserves = all(
-            omega(images[i], images[j]) == omega(basis[i], basis[j])
+            symplectic_form(images[i], images[j], g, p)
+            == symplectic_form(basis[i], basis[j], g, p)
             for i in range(dim2)
             for j in range(dim2)
         )
@@ -1057,7 +984,7 @@ def omega_embedding_scalar(delta, p, g=1):
     element, returned here; a defect error is raised when the action is
     not scalar.
     """
-    parts = _prime_factorization(p)
+    parts = prime_factorization(p)
     if len(parts) != 1:
         raise ValueError("level must be a prime power")
     r, n = parts[0]
@@ -1092,7 +1019,8 @@ def omega_embedding_scalar(delta, p, g=1):
     )
     if not _array_is_zero(rep.field, rep.m, residual):
         raise ValueError("orbit sum does not act as a scalar on the embedding")
-    return CycMat._vec_to_elt(rep.field, c_vec, rep.field.level // rep.m)
+    coords = field_coords(c_vec, rep.field, rep.m)
+    return CycloElt(rep.field, [Fraction(x) for x in coords.tolist()])
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import csv
 import io
-import random
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 # ---------------------------------------------------------------------------
 # basic SL2 arithmetic on (a, b, c, d) tuples
@@ -50,16 +49,8 @@ def det(M, N):
 
 def sl2_order(N):
     out = N ** 3
-    m = N
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out = out - out // (p * p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out = out - out // (m * m)
+    for p, _ in prime_factorization(N):
+        out -= out // (p * p)
     return out
 
 
@@ -550,56 +541,6 @@ def sp_apply(M, v, N):
     return tuple(sum(M[i][j] * v[j] for j in range(dim)) % N for i in range(dim))
 
 
-def sp_closure(g, N, bound=2000):
-    """BFS closure of the generator set; returns the group size."""
-    gens = sp_generators(g, N)
-    gens = gens + [tuple(tuple(r) for r in _mat_inv_general(M, N)) for M in gens]
-    ident = tuple(tuple(1 if i == j else 0 for j in range(2 * g)) for i in range(2 * g))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for X in frontier:
-            for Gm in gens:
-                Y = tuple(tuple(sum(Gm[i][k] * X[k][j] for k in range(2 * g)) % N
-                                for j in range(2 * g)) for i in range(2 * g))
-                if Y not in seen:
-                    seen.add(Y)
-                    nxt.append(Y)
-        frontier = nxt
-        if len(seen) > 10 ** 7:
-            raise RuntimeError("closure too large")
-    return len(seen)
-
-
-def _mat_inv_general(M, N):
-    """Inverse of a small integer matrix mod N (via adjugate over Z)."""
-    import numpy as np
-    from fractions import Fraction
-    dim = len(M)
-    arr = [[Fraction(M[i][j]) for j in range(dim)] for i in range(dim)]
-    aug = [row + [Fraction(1) if i == j else Fraction(0) for j in range(dim)]
-           for i, row in enumerate(arr)]
-    # fraction Gauss-Jordan, then reduce mod N (denominators are units mod N)
-    for col in range(dim):
-        piv = next(r for r in range(col, dim) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(dim):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            q = aug[i][j + dim]
-            row.append((q.numerator * pow(q.denominator, -1, N)) % N)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def divisors(N):
     return [d for d in range(1, N + 1) if N % d == 0]
 
@@ -607,6 +548,28 @@ def divisors(N):
 def sigma0(N):
     """Number of divisors of N."""
     return len(divisors(N))
+
+
+def prime_factorization(N):
+    """[(r, n), ...] with N = prod r^n, primes increasing."""
+    out = []
+    t = N
+    d = 2
+    while d * d <= t:
+        if t % d == 0:
+            n = 0
+            while t % d == 0:
+                t //= d
+                n += 1
+            out.append((d, n))
+        d += 1
+    if t > 1:
+        out.append((t, 1))
+    return out
+
+
+def is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def orbit_census(N, g):
@@ -617,8 +580,8 @@ def orbit_census(N, g):
     """
     if N ** (2 * g) > 10 ** 6:
         raise ValueError("lattice too large")
+    # the group is finite, so closure under the generators is closed under inverses
     gens = sp_generators(g, N)
-    gens = gens + [_mat_inv_general(M, N) for M in gens]
     seen = set()
     orbits = []
     for first in range(N ** (2 * g)):

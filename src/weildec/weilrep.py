@@ -1,9 +1,9 @@
 """Construction of the finite Weil representation data at level p, genus g.
 
 Provides Gauss sums, the symplectic generator matrices, the Hopf pairing,
-the finite Heisenberg group with its Schrodinger representation, the Egorov
-lattice maps induced by generators, and the explicit genus-one lift of
-SL2(Z/NZ) together with a fast exact trace evaluator.
+the finite Heisenberg group with its Schrodinger representation, and the
+explicit genus-one lift of SL2(Z/NZ) together with a fast exact trace
+evaluator.
 
 Conventions.  At level p the phase root A has order p (p odd) or 2p (p even);
 the working cyclotomic field also contains the 24th root used by the lift.
@@ -74,18 +74,13 @@ class HeisenbergElt:
             acc += self.X[2 * i + 1] * other.X[2 * i] - self.X[2 * i] * other.X[2 * i + 1]
         return acc % self.modulus
 
-    def compose(self, other):
-        """Group law (X, z) * (X', z') = (X + X', z + z' + omega(X, X'))."""
-        X = tuple(a + b for a, b in zip(self.X, other.X))
-        return HeisenbergElt(X, self.z + other.z + self.omega(other), self.modulus)
-
 
 class WeilRep:
     """Weil representation data at level p >= 2 and genus g >= 1.
 
-    Immutable; generator matrices are cached on first use.  Heavy matrix
-    work happens on integer group-ring matrices (CycMat); `*_matrix`
-    accessors convert to exact cyclotomic-field matrices.
+    Immutable; generator matrices are cached on first use.  All matrices
+    are integer group-ring matrices (CycMat); `CycMat.to_ring` converts
+    them to exact cyclotomic-field matrices.
     """
 
     def __init__(self, p, g=1):
@@ -93,15 +88,10 @@ class WeilRep:
             raise ValueError("need level p >= 2 and genus g >= 1")
         self.p = p
         self.g = g
-        self.even = p % 2 == 0
         self.m = _heisenberg_modulus(p)
         self.dim = p ** g
         self.field = field_for_level(p)
-        L = self.field.level
-        self.A = self.field.root_of_unity(L // self.m)
-        self.beta = self.field.root_of_unity(L // 24)
         self._cyc_cache = {}
-        self._ring_cache = {}
 
     # -- generator tags ----------------------------------------------------
     def tags(self):
@@ -112,25 +102,6 @@ class WeilRep:
             for j in range(i + 1, self.g + 1):
                 out.append(("Z", i, j))
         return out
-
-    def tag_vector(self, tag):
-        """Homology vector of the twist curve behind a generator tag.
-
-        Coordinates (m1, n1, ..., mg, ng) with m the shift and n the
-        modulation exponent: the meridian x_i sits in the modulation slot,
-        the longitude y_i in the shift slot, and Z_ij is x_i - x_j.
-        """
-        v = [0] * (2 * self.g)
-        if tag[0] == "X":
-            v[2 * (tag[1] - 1) + 1] = 1
-        elif tag[0] == "Y":
-            v[2 * (tag[1] - 1)] = 1
-        elif tag[0] == "Z":
-            v[2 * (tag[1] - 1) + 1] = 1
-            v[2 * (tag[2] - 1) + 1] = -1 % self.m
-        else:
-            raise ValueError("unknown tag %r" % (tag,))
-        return tuple(v)
 
     def _check_index(self, i):
         if not 1 <= i <= self.g:
@@ -190,12 +161,6 @@ class WeilRep:
         self._cyc_cache[key] = mat
         return mat
 
-    def generator_matrix(self, tag, doubled=False):
-        key = (tag, doubled)
-        if key not in self._ring_cache:
-            self._ring_cache[key] = self.generator_cyc(tag, doubled).to_ring(self.field)
-        return self._ring_cache[key]
-
     # -- Hopf pairing ------------------------------------------------------
     def hopf_cyc(self):
         exps = [[-2 * sum(x * y for x, y in zip(a, b)) for b in self._multi_indices()]
@@ -231,143 +196,6 @@ class WeilRep:
             one = CycMat(self.m, arr)
             mat = one if mat is None else mat.kron(one)
         return mat.mul_root(h.z)
-
-    def schrodinger(self, h):
-        return self.schrodinger_cyc(h).to_ring(self.field)
-
-    def add_basis(self):
-        """Heisenberg elements over the lattice unit vectors."""
-        out = []
-        for k in range(2 * self.g):
-            v = [0] * (2 * self.g)
-            v[k] = 1
-            out.append(self.heisenberg(v))
-        return out
-
-    def homology_basis(self):
-        """Heisenberg elements for the curves x1, y1, ..., xg, yg."""
-        out = []
-        for i in range(1, self.g + 1):
-            out.append(self.heisenberg(self.tag_vector(("X", i))))
-            out.append(self.heisenberg(self.tag_vector(("Y", i))))
-        return out
-
-
-# -- spec-level convenience wrappers ---------------------------------------
-
-def generator_matrix(rep, tag, doubled=False):
-    return rep.generator_matrix(tag, doubled)
-
-
-def hopf_matrix(p, g=1):
-    return WeilRep(p, g).hopf_cyc().to_ring(field_for_level(p))
-
-
-def schrodinger(rep, h):
-    return rep.schrodinger(h)
-
-
-# -- Egorov maps -----------------------------------------------------------
-
-@dataclass
-class EgorovReport:
-    tag: tuple
-    matrix: tuple          # induced lattice map, columns = images of basis
-    scalars: list          # unit-norm witnesses, one per basis vector
-    additive: bool
-    preserves_omega: bool
-
-    @property
-    def ok(self):
-        return self.additive and self.preserves_omega
-
-
-def _decode_add(rep, C):
-    """Read off (h', scalar) with C = scalar * Add(h', 0), or raise."""
-    field = rep.field
-    p, g = rep.p, rep.g
-    support = [r for r in range(rep.dim) if not C.entry(field, r, 0).is_zero()]
-    if len(support) != 1:
-        raise ValueError("conjugate is not an Add operator (column support %r)"
-                         % (support,))
-    r0 = support[0]
-    # shift offsets are the base-p digits of r0, handle 1 most significant
-    shifts = []
-    for h in range(g - 1, -1, -1):
-        shifts.append((r0 // p ** h) % p)
-    base = C.entry(field, r0, 0)
-    mods = []
-    for i in range(g):
-        a_idx = p ** (g - 1 - i)  # basis vector with a_i = 1
-        digits = [0] * g
-        digits[i] = 1
-        r = sum(((digits[t] + shifts[t]) % p) * p ** (g - 1 - t) for t in range(g))
-        ratio = C.entry(field, r, a_idx) / base
-        for n in range(p):
-            if ratio == rep.A ** (2 * n):
-                mods.append(n)
-                break
-        else:
-            raise ValueError("modulation phase is not a power of A^2")
-    X = []
-    for i in range(g):
-        X.extend([shifts[i], mods[i]])
-    hprime = rep.heisenberg(X)
-    expected = rep.schrodinger(hprime)
-    lam = C.to_ring(field).equal_up_to_scalar(expected)
-    if lam is None:
-        raise ValueError("conjugate does not match decoded Add element")
-    if lam * lam.conj() != 1:
-        raise ValueError("witness scalar is not unit-norm")
-    return hprime, lam
-
-
-def egorov_map(rep, tag):
-    """Lattice automorphism induced by conjugation with a generator.
-
-    For each basis vector h, finds h' with
-    pi(gen) Add(h,0) pi(gen)^{-1} = scalar * Add(h',0) (unit-norm scalar),
-    then checks the map extends additively and preserves the symplectic
-    pairing mod p.
-    """
-    U = rep.generator_cyc(tag)
-    Ud = U.dagger()
-    basis = rep.add_basis()
-    images = []
-    scalars = []
-    for h in basis:
-        C = U @ rep.schrodinger_cyc(h) @ Ud
-        hp, lam = _decode_add(rep, C)
-        images.append(hp)
-        scalars.append(lam)
-    dim = 2 * rep.g
-    phi = tuple(tuple(images[j].X[i] % rep.p for j in range(dim)) for i in range(dim))
-
-    def apply_phi(v):
-        return tuple(sum(phi[i][j] * v[j] for j in range(dim)) % rep.p for i in range(dim))
-
-    additive = True
-    for a in range(dim):
-        for b in range(a, dim):
-            v = [0] * dim
-            v[a] += 1
-            v[b] += 1
-            C = U @ rep.schrodinger_cyc(rep.heisenberg(v)) @ Ud
-            hp, _lam = _decode_add(rep, C)
-            if tuple(x % rep.p for x in hp.X) != apply_phi(v):
-                additive = False
-    preserves = True
-    for a in range(dim):
-        for b in range(dim):
-            va = [0] * dim
-            va[a] = 1
-            vb = [0] * dim
-            vb[b] = 1
-            w1 = rep.heisenberg(va).omega(rep.heisenberg(vb))
-            w2 = rep.heisenberg(apply_phi(va)).omega(rep.heisenberg(apply_phi(vb)))
-            if (w1 - w2) % rep.p:
-                preserves = False
-    return EgorovReport(tag, phi, scalars, additive, preserves)
 
 
 # -- integer kernels -------------------------------------------------------

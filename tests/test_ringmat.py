@@ -5,7 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from weildec.cyclo import make_field
 from weildec.cycmat import CycMat
-from weildec.ringmat import RingMatrix, nullspace_dimension, solve_commutant
+from weildec.decompose import (
+    _array_is_zero,
+    _commutant_nullity_mod,
+    _modular_primes,
+    _rank_mod,
+    _root_mod,
+)
+from weildec.ringmat import RingMatrix
 
 
 FIELD = make_field(8)
@@ -88,26 +95,25 @@ def test_equal_up_to_scalar_edge_cases():
     assert m.equal_up_to_scalar(skew) is None
 
 
-def test_nullspace_dimension():
-    one = FIELD.one()
-    zero = FIELD.zero()
-    rows = [[one, one, zero], [one, one, zero]]
-    assert nullspace_dimension(rows, 3) == 2
-    assert nullspace_dimension([], 3) == 3
+def _prime_and_root(m):
+    q = _modular_primes(m, 1)[0]
+    return q, _root_mod(q, m)
 
 
-def test_solve_commutant_of_identity_is_full():
-    ident = RingMatrix.identity(FIELD, 2)
-    dim, unknowns = solve_commutant(FIELD, [ident])
-    assert dim == 4
-    assert len(unknowns) == 4
+def test_rank_mod():
+    q, _ = _prime_and_root(8)
+    assert _rank_mod([[1, 1, 0], [1, 1, 0]], q) == 1
+    assert _rank_mod([[0, 0, 0]], q) == 0
 
 
-def test_solve_commutant_of_generic_diagonal():
-    m = RingMatrix.diagonal(FIELD, [FIELD.coerce(1), FIELD.coerce(2)])
-    dim, unknowns = solve_commutant(FIELD, [m])
-    assert dim == 2
-    assert unknowns == [(0, 0), (1, 1)]
+def test_commutant_nullity_mod_of_identity_is_full():
+    q, omega = _prime_and_root(8)
+    assert _commutant_nullity_mod([CycMat.identity(8, 2)], q, omega) == 4
+
+
+def test_commutant_nullity_mod_of_generic_diagonal():
+    q, omega = _prime_and_root(8)
+    assert _commutant_nullity_mod([CycMat.monomial_diag(8, [0, 1])], q, omega) == 2
 
 
 def test_cycmat_roundtrip_to_ring():
@@ -124,6 +130,15 @@ def test_cycmat_to_ring_does_not_wrap():
     arr = np.zeros((1, 1, 8), dtype=np.int64)
     arr[0, 0, 0], arr[0, 0, 4] = 2**62, -(2**62)
     assert CycMat(8, arr).to_ring(FIELD)[0, 0] == FIELD.coerce(2**63)
+    # the same coordinate map decides exact zero tests: A^4 = -1 at m = 8
+    assert not _array_is_zero(FIELD, 8, arr)
+    arr[0, 0, 4] = 2**62
+    assert _array_is_zero(FIELD, 8, arr)
+    # trace_elt applies beta and scale as to_ring does (24 | L for beta)
+    field = make_field(24)
+    rng = np.random.default_rng(5)
+    mat = CycMat(8, rng.integers(-3, 4, size=(3, 3, 8)), Fraction(5, 3), beta=7)
+    assert mat.trace_elt(field) == mat.to_ring(field).trace()
 
 
 def test_cycmat_matmul_matches_ring():
