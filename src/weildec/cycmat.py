@@ -11,6 +11,7 @@ All arithmetic here is integer numpy work; nothing is approximated.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -37,12 +38,68 @@ def _l1(powers):
     return int(np.abs(powers).sum(axis=0).max())
 
 
+def _int_einsum(spec, a, b):
+    """Exact integer np.einsum(spec, a, b) of two operands.
+
+    One int64 einsum when k * max|a| * max|b| fits, k the number of
+    products summed into each entry.  Otherwise a is cut into base-2^w
+    limbs whose einsums each fit that bound, and the partial results are
+    summed in Python ints (an object array); when no limb width fits, the
+    einsum itself runs on Python ints.
+    """
+    inputs, out = spec.split("->")
+    sizes = {}
+    for labels, arr in zip(inputs.split(","), (a, b)):
+        sizes.update(zip(labels, arr.shape))
+    factor = max(prod(sizes[c] for c in sizes if c not in out), 1) * max(_max_abs(b), 1)
+    if factor * _max_abs(a) <= _INT64_MAX:
+        return np.einsum(spec, a.astype(np.int64, copy=False), b.astype(np.int64, copy=False))
+    width = (_INT64_MAX // factor).bit_length() - 1  # factor * 2^width fits
+    if width < 1 or _max_abs(a) > _INT64_MAX:
+        return np.einsum(spec, a.astype(object), b.astype(object))
+    rest, b = a.astype(np.int64), b.astype(np.int64, copy=False)
+    total, shift = 0, 0
+    while rest.any():
+        if factor * _max_abs(rest) <= _INT64_MAX:
+            limb, rest = rest, np.zeros_like(rest)
+        else:
+            limb, rest = rest & ((1 << width) - 1), rest >> width
+        total = total + np.einsum(spec, limb, b).astype(object) * (1 << shift)
+        shift += width
+    return total
+
+
+def _fit_int64(arr, what):
+    """An exact product of entry vectors (last axis, length m) as int64.
+
+    When it exceeds int64, each entry vector is first rewritten with the
+    relations of the order-m root A, which change no field value: at even
+    m, A^(m/2) = -1 folds the upper half onto the lower one; at odd m > 1,
+    sum_t A^t = 0 lets each vector drop its median.  OverflowError if the
+    result still does not fit.
+    """
+    if arr.dtype != object:
+        return arr
+    m = arr.shape[-1]
+    if _max_abs(arr) > _INT64_MAX and m > 1:
+        if m % 2 == 0:
+            half = m // 2
+            arr = np.concatenate([arr[..., :half] - arr[..., half:],
+                                  np.zeros_like(arr[..., half:])], axis=-1)
+        else:
+            arr = arr - np.sort(arr, axis=-1)[..., m // 2, None]
+    _check_int64(_max_abs(arr), what)
+    return arr.astype(np.int64)
+
+
 def power_matrix(field, m, beta=0):
     """P with P[k] = field coordinates of beta-root * A^k, A = zeta_L^(L/m),
     so that vec @ P are the coordinates of beta-root * sum_k vec[k] A^k."""
     L = field.level
     if L % m:
         raise ValueError("field level %d does not contain order-%d root" % (L, m))
+    if beta % 24 and L % 24:
+        raise ValueError("field level %d does not contain the 24th-root phase" % L)
     exps = (np.arange(m) * (L // m) + beta * (L // 24)) % L
     return np.array([field.power_rows[k] for k in exps], dtype=np.int64)
 
@@ -114,7 +171,7 @@ class CycMat:
             raise ValueError("mixed group-ring orders")
         idx = self._conv_index()
         bsh = other.arr[:, :, idx]  # (k, j, u, v)
-        arr = np.einsum("iku,kjuv->ijv", self.arr, bsh)
+        arr = _fit_int64(_int_einsum("iku,kjuv->ijv", self.arr, bsh), "CycMat product")
         return CycMat(self.m, arr, self.scale * other.scale, self.beta + other.beta)
 
     def __add__(self, other):
@@ -164,7 +221,8 @@ class CycMat:
             raise ValueError("mixed group-ring orders")
         idx = self._conv_index()
         bsh = other.arr[:, :, idx]  # (k, l, u, v)
-        arr = np.einsum("iju,kluv->ikjlv", self.arr, bsh)
+        arr = _fit_int64(_int_einsum("iju,kluv->ikjlv", self.arr, bsh),
+                         "CycMat Kronecker product")
         r = self.nrows * other.nrows
         c = self.ncols * other.ncols
         return CycMat(self.m, arr.reshape(r, c, self.m),

@@ -21,7 +21,7 @@ from math import gcd
 
 import numpy as np
 
-from .cycmat import CycMat, field_coords
+from .cycmat import _INT64_MAX, CycMat, _int_einsum, _max_abs, field_coords
 from .cyclo import CycloElt, field_for_level
 from .modgroup import (
     divisors,
@@ -53,6 +53,14 @@ def _cyc_equal(x, y, field):
         r2.numerator * r1.denominator
     ) * y.arr.astype(object)
     return _array_is_zero(field, x.m, diff)
+
+
+def _int_sub(x, y):
+    """Exact x - y of two integer arrays: in int64 when max|x| + max|y|
+    fits, and in Python ints otherwise."""
+    if _max_abs(x) + _max_abs(y) > _INT64_MAX:
+        return x.astype(object) - y.astype(object)
+    return x - y
 
 
 def _exponent_remap(mat, new_modulus, multiplier):
@@ -95,11 +103,16 @@ def _fraction_inverse(mat):
 
 
 def _dual_basis(vectors):
-    """Left inverse of an integer full-column-rank matrix: (num, den)."""
+    """Left inverse num/den of an integer full-column-rank matrix V, and
+    res = den*I - V num, which maps w to zero exactly when w is in the
+    span of V: (num, den, res)."""
     V = np.asarray(vectors, dtype=object)
     gram = V.T @ V
     inv_num, den = _fraction_inverse(gram.tolist())
-    return inv_num @ V.T, den
+    num = inv_num @ V.T
+    res = -_int_einsum("is,sj->ij", V, num).astype(object)
+    res[np.diag_indices(V.shape[0])] += den
+    return num, den, res
 
 
 def span_restrict(gen, vectors, dual=None):
@@ -107,20 +120,18 @@ def span_restrict(gen, vectors, dual=None):
 
     Returns the coordinate matrix as a CycMat, or None when the span is
     not invariant (checked exactly, with cyclotomic fallback for nonzero
-    integer residuals).
+    integer residuals).  Every product goes through `_int_einsum`.
     """
     V = np.asarray(vectors, dtype=np.int64)
     if dual is None:
         dual = _dual_basis(V)
-    dnum, dden = dual
-    image = np.einsum("itk,tj->ijk", gen.arr, V.astype(np.int64))
-    coords = np.einsum("si,ijk->sjk", dnum, image.astype(object))
-    residual = dden * image.astype(object) - np.einsum(
-        "is,sjk->ijk", V.astype(object), coords
-    )
+    dnum, dden, dres = dual
+    image = _int_einsum("itk,tj->ijk", gen.arr, V)
+    residual = _int_einsum("is,sjk->ijk", dres, image)
     field = field_for_level(gen.m if gen.m % 2 else gen.m // 2)
     if not _array_is_zero(field, gen.m, residual):
         return None
+    coords = _int_einsum("si,ijk->sjk", dnum, image)
     return CycMat(
         gen.m,
         coords.astype(np.int64),
@@ -497,8 +508,12 @@ def decomposition_tree(p, g=1):
     factors = tuple(tuple(combo) for combo in itertools.product(*leaf_lists))
     tree = DecompositionTree(p, g, factors)
     expected = sigma0(p) if p % 2 else sigma0(p // 2)
-    assert tree.factor_count == expected
-    assert sum(tree.dims()) == p**g
+    if tree.factor_count != expected:
+        raise ValueError(
+            f"tree has {tree.factor_count} leaves, sigma0 gives {expected}"
+        )
+    if sum(tree.dims()) != p**g:
+        raise ValueError(f"leaf dimensions sum to {sum(tree.dims())}, not {p**g}")
     return tree
 
 
@@ -660,7 +675,7 @@ def _verify_projector_family(projs, gens, field, m):
         if not ni.any():
             raise ValueError("zero idempotent in family")
         for j, (nj, dj) in enumerate(projs):
-            prod = ni @ nj
+            prod = _int_einsum("it,tj->ij", ni, nj)
             target = dj * ni if i == j else np.zeros_like(prod)
             if not np.array_equal(prod, target):
                 raise ValueError("family is not orthogonal-idempotent")
@@ -676,9 +691,8 @@ def _verify_projector_family(projs, gens, field, m):
         raise ValueError("idempotents do not resolve the identity")
     for gen in gens:
         for nk, _ in projs:
-            comm = np.einsum("it,tjk->ijk", nk, gen.arr.astype(object)) - np.einsum(
-                "itk,tj->ijk", gen.arr.astype(object), nk
-            )
+            comm = _int_sub(_int_einsum("it,tjk->ijk", nk, gen.arr),
+                            _int_einsum("itk,tj->ijk", gen.arr, nk))
             if not _array_is_zero(field, m, comm):
                 raise ValueError("idempotent does not commute with a generator")
 

@@ -14,6 +14,8 @@ import io
 from dataclasses import dataclass
 from math import gcd, isqrt
 
+import numpy as np
+
 # ---------------------------------------------------------------------------
 # basic SL2 arithmetic on (a, b, c, d) tuples
 # ---------------------------------------------------------------------------
@@ -413,21 +415,56 @@ def census_expected(n, l, x_class, s):
     return None
 
 
+def _profile_counts(n):
+    """Number of elements of SL2(Z/2^nZ) with each profile (l, x, s).
+
+    The same invariants as `conj_profile`, computed elementwise on int64
+    arrays one row value a at a time.  For odd a the chunk is every
+    (b, c) with d = a^-1 (1 + bc); for even a, b is odd and the chunk is
+    every (b, d) with c = b^-1 (ad - 1).  Every intermediate is below
+    2^(3n) <= 2^24, and reductions mod 2^k are masks, which are exact on
+    negative int64 values too.
+    """
+    N = 2 ** n
+    mask = N - 1
+    v2 = np.array([n] + [(t & -t).bit_length() - 1 for t in range(1, N)],
+                  dtype=np.int64)  # v2[0] = n: the cap on l and s
+    inv = np.zeros(N, dtype=np.int64)
+    inv[1::2] = [pow(u, -1, N) for u in range(1, N, 2)]
+    rows, cols = np.divmod(np.arange(N * N, dtype=np.int64), N)  # every (b, c)
+    half = N * N // 2
+    odd_rows, odd_cols = 2 * rows[:half] + 1, cols[:half]  # every (b odd, d)
+    shape = (n + 1, N, 2 * n + 1)
+    counts = np.zeros(np.prod(shape), dtype=np.int64)
+    for a in range(N):
+        if a % 2:
+            b, c = rows, cols
+            d = (inv[a] * (1 + b * c)) & mask
+        else:
+            b, d = odd_rows, odd_cols
+            c = (inv[b] * (a * d - 1)) & mask
+        l = np.minimum(np.minimum(v2[b], v2[c]), v2[(a - d) & mask])
+        x = a & ((1 << l) - 1)
+        u0, u1, u2, u3 = (a - x) >> l, b >> l, c >> l, (d - x) >> l
+        tau = (u0 * u3 - u1 * u2) & ((1 << (n - l)) - 1)
+        s = np.where(tau == 0, l + n, 2 * l + v2[tau])
+        s = np.where(l == 0, v2[(a + d) & mask], s)  # at l = 0, tau is the trace
+        counts += np.bincount(np.ravel_multi_index((l, x, s), shape),
+                              minlength=counts.size)
+    counts = counts.reshape(shape)
+    return {tuple(map(int, key)): int(counts[key]) for key in zip(*np.nonzero(counts))}
+
+
 def census(n):
     """Group all of SL2(Z/2^nZ) by (l, x-class, s) and compare counts."""
-    if not 2 <= n <= 6:
-        raise ValueError("census supports 2 <= n <= 6")
-    N = 2 ** n
+    if not 2 <= n <= 8:
+        raise ValueError("census supports 2 <= n <= 8")
     tallies = {}
-    for M in sl2_enumerate(N):
-        pr = conj_profile(M, n)
-        if pr.l == n:
-            key = (pr.l, x_class_label(n, pr.x, n), None)
-        elif pr.l == 0 or pr.x_class == "1":
-            key = (pr.l, pr.x_class, pr.s)
-        else:
-            key = (pr.l, pr.x_class, None)  # corollary aggregates over s here
-        tallies[key] = tallies.get(key, 0) + 1
+    for (l, x, s), count in _profile_counts(n).items():
+        xc = x_class_label(l, x, n)
+        # the corollary aggregates over s for scalars and for x-class != 1
+        key = (l, xc, s if l < n and (l == 0 or xc == "1") else None)
+        tallies[key] = tallies.get(key, 0) + count
     rows = []
     for (l, xc, s) in sorted(tallies, key=lambda k: (k[0], k[1], -1 if k[2] is None else k[2])):
         expected = census_expected(n, l, xc, s) if (s is not None or l == n or xc in ("-1", "h+1", "h-1")) else None

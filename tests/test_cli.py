@@ -30,6 +30,13 @@ def test_census(capsys):
     assert len(lines) > 1
 
 
+def test_census_n7(capsys):
+    assert main(["census", "--n", "7"]) == EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) > 1
+    assert all(line.endswith(",yes") for line in lines[1:])
+
+
 def test_orbits(capsys):
     assert main(["orbits", "--level", "6"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()

@@ -1,7 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
+from weildec import decompose
+from weildec.cycmat import CycMat
 from weildec.decompose import (
     commutant_dimension,
     crt_check,
@@ -13,10 +16,12 @@ from weildec.decompose import (
     omega_projector,
     parity_bases,
     schrodinger_commutant_dimension,
+    span_restrict,
     su2_so3_labels,
     tower_check,
 )
 from weildec.modgroup import sigma0
+from weildec.weilrep import WeilRep
 
 
 @pytest.mark.parametrize(
@@ -68,6 +73,43 @@ def test_tree_leaf_count(p, count):
 def test_tree_dims_sum_to_rank(p):
     tree = decomposition_tree(p)
     assert sum(tree.dims()) == p
+
+
+def test_tree_self_check_survives_optimisation(monkeypatch):
+    # an explicit raise, not an assert: python -O keeps it
+    monkeypatch.setattr(decompose, "sigma0", lambda n: 99)
+    with pytest.raises(ValueError):
+        decomposition_tree(12)
+
+
+def test_span_restrict_python_int_path_matches_int64_path(monkeypatch):
+    bases = parity_bases(8)
+    gen = WeilRep(8).generator_cyc(("Y", 1))
+    small = span_restrict(gen, bases.minus)
+    dtypes = []
+    real = decompose._int_einsum
+
+    def spy(spec, a, b):
+        out = real(spec, a, b)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(decompose, "_int_einsum", spy)
+    # 2^58 puts the image product past the int64 bound
+    scaled = CycMat(gen.m, gen.arr * 2**58, gen.scale, gen.beta)
+    big = span_restrict(scaled, bases.minus)
+    assert object in dtypes
+    assert np.array_equal(big.arr, small.arr * 2**58)
+    assert big.scale == small.scale and big.beta == small.beta
+
+
+def test_span_restrict_rejects_non_invariant_span():
+    gen = WeilRep(5).generator_cyc(("Y", 1))
+    e0 = np.zeros((5, 1), dtype=np.int64)
+    e0[0, 0] = 1
+    assert span_restrict(gen, e0) is None
+    scaled = CycMat(gen.m, gen.arr * 2**60, gen.scale, gen.beta)
+    assert span_restrict(scaled, e0) is None
 
 
 def test_tree_json_shape():

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weildec.modgroup import (
+    _profile_counts,
     census,
     class_representatives,
     class_size_bruteforce,
@@ -78,6 +80,46 @@ def test_conj_profile_is_invariant():
 def test_census_rows_match(n):
     for row in census(n):
         assert row.match
+
+
+def _census_by_elements(n):
+    """The census tallies from conj_profile over every element."""
+    tallies = Counter()
+    for M in sl2_enumerate(2**n):
+        pr = conj_profile(M, n)
+        if pr.l == n:
+            key = (pr.l, pr.x_class, None)
+        elif pr.l == 0 or pr.x_class == "1":
+            key = (pr.l, pr.x_class, pr.s)
+        else:
+            key = (pr.l, pr.x_class, None)
+        tallies[key] += 1
+    return tallies
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_census_matches_per_element_oracle(n):
+    profiles = Counter()
+    for M in sl2_enumerate(2**n):
+        pr = conj_profile(M, n)
+        profiles[(pr.l, pr.x, pr.s)] += 1
+    assert _profile_counts(n) == profiles
+    rows = census(n)
+    assert {(r.l, r.x_class, r.s): r.count for r in rows} == _census_by_elements(n)
+    assert len(rows) == len(_census_by_elements(n))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_census_large_rows_match(n):
+    rows = census(n)
+    assert all(row.match for row in rows)
+    assert sum(row.count for row in rows) == 3 * 2 ** (3 * n - 2)
+
+
+@pytest.mark.parametrize("n", [1, 9])
+def test_census_range_is_checked(n):
+    with pytest.raises(ValueError):
+        census(n)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -167,3 +168,75 @@ def test_cycmat_kron_matches_ring():
     a = CycMat(8, rng.integers(0, 2, size=(2, 2, 8)))
     b = CycMat(8, rng.integers(0, 2, size=(2, 2, 8)))
     assert a.kron(b).to_ring(FIELD) == a.to_ring(FIELD).kron(b.to_ring(FIELD))
+
+
+def _product_reference(a, b, pairs):
+    """Python-int reference of an entrywise group-ring product: out[key]
+    gathers a[i, k, u] * b[k', j, w] at exponent u + w for each index
+    tuple (key, a index, b index) in `pairs`."""
+    m = a.shape[-1]
+    out = {}
+    for key, ia, ib in pairs:
+        vec = out.setdefault(key, [0] * m)
+        for u in range(m):
+            for w in range(m):
+                vec[(u + w) % m] += int(a[ia + (u,)]) * int(b[ib + (w,)])
+    return out
+
+
+def test_cycmat_products_raise_instead_of_wrapping():
+    big = CycMat.identity(8, 2)
+    big.arr[0, 0, 0] = 2**62
+    with pytest.raises(OverflowError):
+        big @ big
+    with pytest.raises(OverflowError):
+        big.kron(big)
+
+
+def test_cycmat_product_past_the_bound_is_exact():
+    rng = np.random.default_rng(19)
+    a = rng.integers(-3, 3, size=(2, 2, 8), endpoint=True)
+    b = rng.integers(-3, 3, size=(2, 2, 8), endpoint=True)
+    a[0, 0, 0] = 2**59  # bound 2 * 8 * 2^59 * 3 > 2^63: limb products
+    ref = _product_reference(a, b, [((i, j), (i, k), (k, j))
+                                    for i in range(2) for j in range(2)
+                                    for k in range(2)])
+    got = (CycMat(8, a) @ CycMat(8, b)).arr
+    assert all(got[key].tolist() == vec for key, vec in ref.items())
+    # 2^62 (1 + A^4) at m = 8 and 2^62 (1 + A + ... + A^4) at m = 5 are
+    # zero; doubled, they fit int64 only after the fold A^4 = -1 and the
+    # median shift, which change no field value
+    for m, support in ((8, [0, 4]), (5, list(range(5)))):
+        a = np.zeros((1, 1, m), dtype=np.int64)
+        a[0, 0, support] = 2**62
+        two = CycMat.identity(m, 1)
+        two.arr[0, 0, 0] = 2
+        assert not (CycMat(m, a) @ two).arr.any()
+
+
+def test_cycmat_products_near_the_bound_are_exact():
+    rng = np.random.default_rng(17)
+    # matmul bound: 2 * 8 * 2^28 * 2^30 = 2^62
+    a = rng.integers(-(2**28), 2**28, size=(2, 2, 8), endpoint=True)
+    b = rng.integers(-(2**30), 2**30, size=(2, 2, 8), endpoint=True)
+    a[0, 0, 0], b[0, 0, 0] = 2**28, 2**30
+    ref = _product_reference(a, b, [((i, j), (i, k), (k, j))
+                                    for i in range(2) for j in range(2)
+                                    for k in range(2)])
+    got = (CycMat(8, a) @ CycMat(8, b)).arr
+    assert all(got[key].tolist() == vec for key, vec in ref.items())
+    # kron bound: 8 * 2^29 * 2^30 = 2^62
+    a = rng.integers(-(2**29), 2**29, size=(2, 2, 8), endpoint=True)
+    a[0, 0, 0] = 2**29
+    ref = _product_reference(a, b, [((2 * i + k, 2 * j + l), (i, j), (k, l))
+                                    for i in range(2) for j in range(2)
+                                    for k in range(2) for l in range(2)])
+    got = CycMat(8, a).kron(CycMat(8, b)).arr
+    assert all(got[key].tolist() == vec for key, vec in ref.items())
+
+
+def test_beta_phase_needs_a_24th_root():
+    with pytest.raises(ValueError):
+        CycMat(8, CycMat.identity(8, 1).arr, beta=6).to_ring(make_field(8))
+    ring = CycMat(8, CycMat.identity(8, 1).arr, beta=6).to_ring(make_field(24))
+    assert ring[0, 0] == make_field(24).root_of_unity(6)
