@@ -42,10 +42,8 @@ def _int_einsum(spec, a, b):
     """Exact integer np.einsum(spec, a, b) of two operands.
 
     One int64 einsum when k * max|a| * max|b| fits, k the number of
-    products summed into each entry.  Otherwise a is cut into base-2^w
-    limbs whose einsums each fit that bound, and the partial results are
-    summed in Python ints (an object array); when no limb width fits, the
-    einsum itself runs on Python ints.
+    products summed into each entry; otherwise the einsum runs on Python
+    ints and returns an object array.
     """
     inputs, out = spec.split("->")
     sizes = {}
@@ -54,19 +52,7 @@ def _int_einsum(spec, a, b):
     factor = max(prod(sizes[c] for c in sizes if c not in out), 1) * max(_max_abs(b), 1)
     if factor * _max_abs(a) <= _INT64_MAX:
         return np.einsum(spec, a.astype(np.int64, copy=False), b.astype(np.int64, copy=False))
-    width = (_INT64_MAX // factor).bit_length() - 1  # factor * 2^width fits
-    if width < 1 or _max_abs(a) > _INT64_MAX:
-        return np.einsum(spec, a.astype(object), b.astype(object))
-    rest, b = a.astype(np.int64), b.astype(np.int64, copy=False)
-    total, shift = 0, 0
-    while rest.any():
-        if factor * _max_abs(rest) <= _INT64_MAX:
-            limb, rest = rest, np.zeros_like(rest)
-        else:
-            limb, rest = rest & ((1 << width) - 1), rest >> width
-        total = total + np.einsum(spec, limb, b).astype(object) * (1 << shift)
-        shift += width
-    return total
+    return np.einsum(spec, a.astype(object), b.astype(object))
 
 
 def _fit_int64(arr, what):

@@ -197,7 +197,7 @@ def test_cycmat_product_past_the_bound_is_exact():
     rng = np.random.default_rng(19)
     a = rng.integers(-3, 3, size=(2, 2, 8), endpoint=True)
     b = rng.integers(-3, 3, size=(2, 2, 8), endpoint=True)
-    a[0, 0, 0] = 2**59  # bound 2 * 8 * 2^59 * 3 > 2^63: limb products
+    a[0, 0, 0] = 2**59  # bound 2 * 8 * 2^59 * 3 > 2^63: Python-int products
     ref = _product_reference(a, b, [((i, j), (i, k), (k, j))
                                     for i in range(2) for j in range(2)
                                     for k in range(2)])
