@@ -55,6 +55,71 @@ def _int_einsum(spec, a, b):
     return np.einsum(spec, a.astype(object), b.astype(object))
 
 
+def _int_combo(a, x, b, y):
+    """Exact a*x + b*y of two integer arrays with integer coefficients:
+    in int64 when |a| max|x| + |b| max|y| fits, and in Python ints
+    (an object array) otherwise."""
+    bound = abs(a) * max(_max_abs(x), 1) + abs(b) * max(_max_abs(y), 1)
+    if bound > _INT64_MAX:
+        return a * x.astype(object) + b * y.astype(object)
+    return a * x + b * y
+
+
+def _conv_index(m):
+    """idx[u, v] = (v - u) mod m: b[..., idx] turns the cyclic convolution
+    of entry vectors into one contraction over u."""
+    u = np.arange(m)
+    return (u[None, :] - u[:, None]) % m
+
+
+def _unit_monomial(arr):
+    """(cols, exps) when arr is a square matrix with one nonzero entry in
+    each row and each column, every such entry a single power A^e with
+    coefficient 1: row i holds A^exps[i] in column cols[i].  None
+    otherwise."""
+    n = arr.shape[0]
+    if arr.shape[1] != n or np.count_nonzero(arr) != n:
+        return None
+    rows, cols, exps = np.nonzero(arr)
+    if (not np.array_equal(rows, np.arange(n))
+            or np.count_nonzero(np.bincount(cols, minlength=n)) != n
+            or (arr[rows, cols, exps] != 1).any()):
+        return None
+    return cols, exps
+
+
+def _index_map_product(a, b):
+    """a @ b as a gather plus a per-row (or per-column) roll of the entry
+    vectors, when a or b is a unit monomial (see `_unit_monomial`); None
+    otherwise.  The other operand's entries are only moved, never
+    multiplied or added, so the result is exact and already int64."""
+    m = a.shape[-1]
+    u = np.arange(m)
+    mono = _unit_monomial(a)
+    if mono is not None:
+        # (a @ b)[i] = A^exps[i] * b[cols[i]]
+        cols, exps = mono
+        shift = (u[None, :] - exps[:, None]) % m
+        return b[cols[:, None, None], np.arange(b.shape[1])[None, :, None],
+                 shift[:, None, :]]
+    mono = _unit_monomial(b)
+    if mono is not None:
+        # column cols[k] of a @ b is A^exps[k] * a[:, k]
+        cols, exps = mono
+        src = np.argsort(cols)
+        shift = (u[None, :] - exps[src][:, None]) % m
+        return a[np.arange(a.shape[0])[:, None, None], src[None, :, None],
+                 shift[None, :, :]]
+    return None
+
+
+def _dense_product(a, b):
+    """a @ b of two entry-vector arrays by one exact contraction with the
+    cyclic convolution index, fitted to int64 by `_fit_int64`."""
+    bsh = b[:, :, _conv_index(a.shape[-1])]  # (k, j, u, v)
+    return _fit_int64(_int_einsum("iku,kjuv->ijv", a, bsh), "CycMat product")
+
+
 def _fit_int64(arr, what):
     """An exact product of entry vectors (last axis, length m) as int64.
 
@@ -148,27 +213,30 @@ class CycMat:
         return self.arr.shape[1]
 
     # -- arithmetic -------------------------------------------------------
-    def _conv_index(self):
-        u = np.arange(self.m)
-        return (u[None, :] - u[:, None]) % self.m  # idx[u, v] = (v - u) mod m
-
     def __matmul__(self, other):
+        """Exact product.  When either operand is a unit monomial (a
+        permutation whose entries are roots of unity, such as a translation
+        operator or a diagonal generator) the product is an index map;
+        otherwise it is one dense contraction."""
         if self.m != other.m:
             raise ValueError("mixed group-ring orders")
-        idx = self._conv_index()
-        bsh = other.arr[:, :, idx]  # (k, j, u, v)
-        arr = _fit_int64(_int_einsum("iku,kjuv->ijv", self.arr, bsh), "CycMat product")
+        if self.ncols != other.nrows:
+            raise ValueError("shape mismatch in CycMat product")
+        arr = _index_map_product(self.arr, other.arr)
+        if arr is None:
+            arr = _dense_product(self.arr, other.arr)
         return CycMat(self.m, arr, self.scale * other.scale, self.beta + other.beta)
 
     def __add__(self, other):
-        a, b = self._common_scale(other)
-        num_a, num_b, scale = a
-        return CycMat(self.m, num_a * self.arr + num_b * other.arr, scale, b)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        a, b = self._common_scale(other)
-        num_a, num_b, scale = a
-        return CycMat(self.m, num_a * self.arr - num_b * other.arr, scale, b)
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        (num_a, num_b, scale), beta = self._common_scale(other)
+        arr = _int_combo(num_a, self.arr, sign * num_b, other.arr)
+        return CycMat(self.m, _fit_int64(arr, "CycMat sum"), scale, beta)
 
     def _common_scale(self, other):
         if self.m != other.m or self.beta != other.beta:
@@ -205,8 +273,7 @@ class CycMat:
     def kron(self, other):
         if self.m != other.m:
             raise ValueError("mixed group-ring orders")
-        idx = self._conv_index()
-        bsh = other.arr[:, :, idx]  # (k, l, u, v)
+        bsh = other.arr[:, :, _conv_index(self.m)]  # (k, l, u, v)
         arr = _fit_int64(_int_einsum("iju,kluv->ikjlv", self.arr, bsh),
                          "CycMat Kronecker product")
         r = self.nrows * other.nrows

@@ -21,7 +21,7 @@ from math import gcd
 
 import numpy as np
 
-from .cycmat import _INT64_MAX, CycMat, _int_einsum, _max_abs, field_coords
+from .cycmat import CycMat, _int_combo, _int_einsum, field_coords
 from .cyclo import CycloElt, field_for_level
 from .modgroup import (
     divisors,
@@ -49,18 +49,9 @@ def _cyc_equal(x, y, field):
         return False
     r1 = x.scale
     r2 = y.scale
-    diff = (r1.numerator * r2.denominator) * x.arr.astype(object) - (
-        r2.numerator * r1.denominator
-    ) * y.arr.astype(object)
+    diff = _int_combo(r1.numerator * r2.denominator, x.arr,
+                      -r2.numerator * r1.denominator, y.arr)
     return _array_is_zero(field, x.m, diff)
-
-
-def _int_sub(x, y):
-    """Exact x - y of two integer arrays: in int64 when max|x| + max|y|
-    fits, and in Python ints otherwise."""
-    if _max_abs(x) + _max_abs(y) > _INT64_MAX:
-        return x.astype(object) - y.astype(object)
-    return x - y
 
 
 def _exponent_remap(mat, new_modulus, multiplier):
@@ -577,15 +568,31 @@ def _rank_mod(rows, q):
 
 
 def _commutant_nullity_mod(gens, q, omega):
+    """Nullity over GF(q) of T -> (A T - T A for each generator A).
+
+    A generator that evaluates to a diagonal diag(lam) contributes only
+    (lam_a - lam_b) T[a, b] = 0, so it restricts T to the support where
+    lam_a = lam_b.  The other generators' equations, restricted to that
+    support, go to one rank computation; the nullity is exactly that of
+    the full d^2-column system.
+    """
     d = gens[0].arr.shape[0]
-    rows = []
-    eye = np.eye(d, dtype=np.int64)
+    support = np.ones((d, d), dtype=bool)
+    dense = []
     for gen in gens:
         A = _eval_mod(gen, q, omega).astype(np.int64)
-        block = (np.kron(A, eye) - np.kron(eye, A.T)) % q
-        rows.append(block)
-    M = np.concatenate(rows, axis=0)
-    return d * d - _rank_mod(M, q)
+        lam = np.diagonal(A)
+        if np.count_nonzero(A) == np.count_nonzero(lam):
+            support &= lam[:, None] == lam[None, :]
+        else:
+            dense.append(A)
+    cols = np.flatnonzero(support)
+    if not dense:
+        return cols.size
+    eye = np.eye(d, dtype=np.int64)
+    M = np.concatenate([np.kron(A, eye) - np.kron(eye, A.T) for A in dense])
+    M = M[:, cols] % q
+    return cols.size - _rank_mod(M[M.any(axis=1)], q)
 
 
 # ---------------------------------------------------------------------------
@@ -691,8 +698,8 @@ def _verify_projector_family(projs, gens, field, m):
         raise ValueError("idempotents do not resolve the identity")
     for gen in gens:
         for nk, _ in projs:
-            comm = _int_sub(_int_einsum("it,tjk->ijk", nk, gen.arr),
-                            _int_einsum("itk,tj->ijk", gen.arr, nk))
+            comm = _int_combo(1, _int_einsum("it,tjk->ijk", nk, gen.arr),
+                              -1, _int_einsum("itk,tj->ijk", gen.arr, nk))
             if not _array_is_zero(field, m, comm):
                 raise ValueError("idempotent does not commute with a generator")
 

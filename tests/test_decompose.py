@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from weildec import decompose
+from weildec.analysis import char_sum
 from weildec.cycmat import CycMat
 from weildec.decompose import (
     commutant_dimension,
@@ -122,6 +123,13 @@ def test_tree_json_shape():
 def test_commutant_certificate_genus1(p):
     expect = sigma0(p if p % 2 else p // 2)
     assert commutant_dimension(p) == expect
+
+
+@pytest.mark.parametrize("p", [3, 5, 8, 9, 12, 15, 16])
+def test_commutant_dimension_matches_schur_character_sum(p):
+    # Schur: the average of |Tr|^2 over the group is the commutant dimension;
+    # char_sum reaches it through the trace engine, not the mod-q certificate
+    assert commutant_dimension(p, 1) == char_sum(p).value
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])

@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weildec import cycmat
 from weildec.cyclo import make_field
-from weildec.cycmat import CycMat
+from weildec.cycmat import CycMat, _dense_product, _index_map_product, _int_combo
 from weildec.decompose import (
     _array_is_zero,
     _commutant_nullity_mod,
+    _cyc_equal,
+    _eval_mod,
     _modular_primes,
     _rank_mod,
     _root_mod,
 )
 from weildec.ringmat import RingMatrix
+from weildec.weilrep import WeilRep
 
 
 FIELD = make_field(8)
@@ -115,6 +119,36 @@ def test_commutant_nullity_mod_of_identity_is_full():
 def test_commutant_nullity_mod_of_generic_diagonal():
     q, omega = _prime_and_root(8)
     assert _commutant_nullity_mod([CycMat.monomial_diag(8, [0, 1])], q, omega) == 2
+
+
+def _full_nullity(gens, q, omega):
+    """Nullity of the whole d^2-column commutation system over GF(q)."""
+    d = gens[0].nrows
+    eye = np.eye(d, dtype=np.int64)
+    blocks = []
+    for gen in gens:
+        A = _eval_mod(gen, q, omega).astype(np.int64)
+        blocks.append((np.kron(A, eye) - np.kron(eye, A.T)) % q)
+    return d * d - _rank_mod(np.concatenate(blocks), q)
+
+
+@pytest.mark.parametrize("p,g", [(p, 1) for p in range(2, 17)]
+                         + [(2, 2), (3, 2), (4, 2)])
+def test_reduced_nullity_matches_full_system(p, g):
+    rep = WeilRep(p, g)
+    gens = [rep.generator_cyc(tag) for tag in rep.tags()]
+    for q in _modular_primes(rep.m, count=2):
+        omega = _root_mod(q, rep.m)
+        assert _commutant_nullity_mod(gens, q, omega) == _full_nullity(gens, q, omega)
+
+
+def test_reduced_nullity_without_diagonal_generators():
+    q, omega = _prime_and_root(8)
+    dense = CycMat.from_exponent_matrix(8, [[0, 3], [3, 0]])
+    swap = CycMat(8, np.array([[[0] * 8, [1] + [0] * 7],
+                               [[1] + [0] * 7, [0] * 8]]))
+    for gens in ([dense], [swap], [swap, CycMat.monomial_diag(8, [0, 1])]):
+        assert _commutant_nullity_mod(gens, q, omega) == _full_nullity(gens, q, omega)
 
 
 def test_cycmat_roundtrip_to_ring():
@@ -240,3 +274,98 @@ def test_beta_phase_needs_a_24th_root():
         CycMat(8, CycMat.identity(8, 1).arr, beta=6).to_ring(make_field(8))
     ring = CycMat(8, CycMat.identity(8, 1).arr, beta=6).to_ring(make_field(24))
     assert ring[0, 0] == make_field(24).root_of_unity(6)
+
+
+def test_cycmat_sums_raise_instead_of_wrapping():
+    big = CycMat.identity(8, 1)
+    big.arr[0, 0, 0] = 2**62
+    with pytest.raises(OverflowError):
+        big + big
+    assert not (big - big).arr.any()
+    assert (big + big.scaled(-1)).arr.dtype == np.int64
+    # 2^62 (1 + A^4) is zero at m = 8; doubled it fits only after the fold
+    zero = CycMat.identity(8, 1)
+    zero.arr[0, 0, [0, 4]] = 2**62
+    total = zero + zero
+    assert total.arr.dtype == np.int64 and not total.arr.any()
+    # at the bound the sum stays in int64 and is exact
+    near = CycMat.identity(8, 1)
+    near.arr[0, 0, 0] = 2**62 - 1
+    assert (near + big).arr[0, 0, 0] == 2**63 - 1
+
+
+def test_cyc_equal_is_exact_on_both_paths():
+    field = make_field(3)
+
+    def mat(vec, scale=1):
+        return CycMat(3, np.array([[vec]], dtype=np.int64), Fraction(scale))
+
+    # 1 + A + A^2 = 0, so 2^62 + 2^61 (A + A^2) = 2^61
+    x = mat([2**62, 2**61, 2**61])
+    # bound 2^62 + 2^61 fits: int64 difference
+    assert _int_combo(1, x.arr, -1, mat([2**61, 0, 0]).arr).dtype == np.int64
+    assert _cyc_equal(x, mat([2**61, 0, 0]), field)
+    assert not _cyc_equal(x, mat([2**61 - 1, 0, 0]), field)
+    # bound 2^62 + 2^62 does not: Python-int difference
+    y = mat([2**62, 0, 0])
+    assert _int_combo(1, y.arr, -1, y.arr).dtype == object
+    assert _cyc_equal(y, mat([2**62, 0, 0]), field)
+    assert _cyc_equal(y, mat([2**61, 0, 0], 2), field)
+    assert not _cyc_equal(y, mat([2**62, 1, 1]), field)
+
+
+def _unit_monomials(rep):
+    """Every generator, plus translation operators with nonzero phases."""
+    gens = [rep.generator_cyc(tag) for tag in rep.tags()]
+    dim2 = 2 * rep.g
+    vectors = [tuple(int(i == k) for k in range(dim2)) for i in range(dim2)]
+    vectors.append(tuple(range(1, dim2 + 1)))
+    ops = [rep.schrodinger_cyc(rep.heisenberg(v, z))
+           for v, z in zip(vectors, range(1, dim2 + 2))]
+    return gens, ops
+
+
+@pytest.mark.parametrize("p,g", [(5, 1), (4, 2), (6, 2)])
+def test_index_map_product_matches_dense(p, g):
+    rep = WeilRep(p, g)
+    gens, ops = _unit_monomials(rep)
+    pairs = [(a, b) for gen in gens for op in ops for a, b in ((gen, op), (op, gen))]
+    pairs += [(a, b) for a in ops for b in ops]
+    # (U Add(v)) U^dagger, as in the Egorov check: dense for Y generators
+    pairs += [(gen @ op, gen.dagger()) for gen, tag in zip(gens, rep.tags())
+              for op in ops if tag[0] != "Y"]
+    for a, b in pairs:
+        got = _index_map_product(a.arr, b.arr)
+        assert got is not None
+        want = _dense_product(a.arr, b.arr)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert np.array_equal((a @ b).arr, want)
+
+
+def test_non_unit_monomials_take_the_dense_path(monkeypatch):
+    calls = []
+
+    def spy(a, b):
+        calls.append(1)
+        return _dense_product(a, b)
+
+    monkeypatch.setattr(cycmat, "_dense_product", spy)
+    rng = np.random.default_rng(23)
+    dense = CycMat(8, rng.integers(-3, 4, size=(3, 3, 8)))
+    unit = CycMat.zero(8, 3, 3)
+    unit.arr[[0, 1, 2], [1, 2, 0], [5, 2, 7]] = 1  # A^5, A^2, A^7 in a 3-cycle
+    assert _index_map_product(unit.arr, dense.arr) is not None
+    doubled = CycMat(8, 2 * unit.arr)
+    two_in_a_row = CycMat(8, unit.arr.copy())
+    two_in_a_row.arr[0, 0, 3] = 1
+    for op in (doubled, two_in_a_row):
+        assert _index_map_product(op.arr, dense.arr) is None
+        for a, b in ((op, dense), (dense, op)):
+            calls.clear()
+            assert np.array_equal((a @ b).arr, _dense_product(a.arr, b.arr))
+            assert calls == [1]
+    calls.clear()
+    unit @ dense
+    dense @ unit
+    assert calls == []
