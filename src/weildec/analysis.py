@@ -4,8 +4,10 @@ faithfulness checks, and semiclassical trace limits.
 The character sum of a level counts irreducible summands: averaging
 |Tr|^2 over the finite matrix group gives an integer whenever the module
 is multiplicity-free, and the expected values factor over coprime
-levels.  Even moduli admit a census shortcut: traces are evaluated on
-one representative per conjugacy class and weighted by the class size.
+levels.  Full enumeration sweeps the group one lower-left entry c at a
+time through the trace engine's batched rows.  Even moduli admit a census
+shortcut: traces are evaluated on one representative per conjugacy class
+and weighted by the class size.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -88,10 +91,10 @@ def char_sum(p, method=None):
         if modulus > 32:
             raise ValueError("full enumeration bounded at modulus 32")
         order = 0
-        for M in sl2_enumerate(modulus):
-            n, scale = engine.trace_abs_sq_parts(M)
-            totals[scale] += n
-            order += 1
+        for c in range(modulus):
+            for n, scale, weight in engine.column_abs_sq(c):
+                totals[scale] += sum(map(mul, n.tolist(), weight.tolist()))
+                order += int(weight.sum())
         count = None
     else:
         raise ValueError(f"unknown method {method!r}")

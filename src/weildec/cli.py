@@ -69,7 +69,7 @@ def cmd_rep_show(args):
 def cmd_decompose(args):
     try:
         tree = decompose.decomposition_tree(args.level, args.genus)
-    except (ValueError, AssertionError):
+    except ValueError:
         return EXIT_USAGE
     text = tree.to_json() + "\n"
     if args.format == "text":

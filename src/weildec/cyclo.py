@@ -36,7 +36,8 @@ def cyclotomic_poly(n):
     for d in range(1, n):
         if n % d == 0:
             poly, rem = _poly_divmod_int(poly, cyclotomic_poly(d))
-            assert rem == [0] or rem == []
+            if any(rem):
+                raise RuntimeError("Phi_%d does not divide X^%d - 1" % (d, n))
     return tuple(poly)
 
 

@@ -240,21 +240,25 @@ def _crt_maps(a, b, g):
     even = a % 2 == 0
     if even:
         u, v = _bezout(2 * a, b)
-        assert 2 * a * u + b * v == 1
+        if 2 * a * u + b * v != 1:
+            raise RuntimeError("no Bezout pair for (%d, %d)" % (2 * a, b))
         coef_b = (2 * a * u) % (a * b)
     else:
         u, v = _bezout(a, b)
-        assert a * u + b * v == 1
+        if a * u + b * v != 1:
+            raise RuntimeError("no Bezout pair for (%d, %d)" % (a, b))
         coef_b = (a * u) % (a * b)
     coef_a = (v * b) % (a * b)
     f_table = tuple(
         (x * coef_a + y * coef_b) % (a * b) for x in range(a) for y in range(b)
     )
-    assert len(set(f_table)) == a * b
+    if len(set(f_table)) != a * b:
+        raise RuntimeError("residue pairing is not injective")
     for x in range(a):
         for y in range(b):
             val = f_table[x * b + y]
-            assert val % a == x % a and val % b == y % b
+            if val % a != x or val % b != y:
+                raise RuntimeError("residue pairing misses (%d, %d)" % (x, y))
     dim_a, dim_b = a**g, b**g
     psi = [0] * (dim_a * dim_b)
     for ia in range(dim_a):

@@ -84,6 +84,24 @@ def sl2_enumerate(N, bound=64):
                         yield (a, b, c, d0 + k * Ng)
 
 
+def sl2_column(N, c):
+    """int64 columns (a, b, d) of every element of SL2(Z/NZ) with lower-left
+    entry c, in O(N^2) memory.
+
+    bc = ad - 1 is solvable exactly when g = gcd(c, N) divides ad - 1, and
+    then b = b0 + k N/g for k < g.  Every intermediate is below N^3.
+    """
+    g = gcd(c, N)
+    Ng = N // g
+    a, d = np.divmod(np.arange(N * N, dtype=np.int64), N)  # every (a, d)
+    r = (a * d - 1) % N
+    keep = r % g == 0
+    a, d = a[keep], d[keep]
+    b0 = (r[keep] // g) * pow(c // g, -1, Ng) % Ng
+    b = (b0[:, None] + Ng * np.arange(g)).ravel()
+    return np.repeat(a, g), b, np.repeat(d, g)
+
+
 # ---------------------------------------------------------------------------
 # words in the generators
 # ---------------------------------------------------------------------------
@@ -163,7 +181,8 @@ def word_decompose(M, N, rng=None):
     if cur[1] % N != 0:
         word.append(("T", cur[1] % N))
         cur = mat_mul(mat_inv(t_power(cur[1], N), N), cur, N)
-    assert cur == IDENTITY, (M, cur, word)
+    if cur != IDENTITY:
+        raise RuntimeError("word %r leaves %r of %r" % (word, cur, M))
     return word
 
 

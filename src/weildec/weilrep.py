@@ -21,11 +21,10 @@ from functools import lru_cache
 from math import gcd
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .cyclo import field_for_level
 from .cycmat import CycMat, _check_int64, _l1, _max_abs, power_matrix
-from .modgroup import det, word_decompose
+from .modgroup import det, sl2_column, word_decompose
 
 
 def _heisenberg_modulus(p):
@@ -138,12 +137,11 @@ class WeilRep:
             mat = self._embed_handle(one, tag[1])
         elif kind == "Y":
             self._check_index(tag[1])
-            arr = np.zeros((self.p, self.p, self.m), dtype=np.int64)
-            for i in range(self.p):
-                for j in range(self.p):
-                    d = i - j
-                    for k in range(self.m):
-                        arr[i, j, (k * k - d * d) % self.m] += 1
+            # arr[i, j, t] = #{k : k^2 - (i - j)^2 = t} = q[t + (i - j)^2]
+            t = np.arange(self.m)
+            q = np.bincount(t * t % self.m, minlength=self.m)
+            d = t[:self.p, None] - t[:self.p]
+            arr = q[(t + d[..., None] ** 2) % self.m]
             one = CycMat(self.m, arr, Fraction(1, self.m))
             mat = self._embed_handle(one, tag[1])
         elif kind == "Z":
@@ -201,10 +199,19 @@ class WeilRep:
 # -- integer kernels -------------------------------------------------------
 
 def _windows(rows):
-    """View W with W[..., s, t] = rows[..., (s + t) mod m]."""
+    """View W with W[..., s, t] = rows[..., (s + t) mod m]: both s and t
+    step one entry through the doubled rows, so nothing is copied."""
     m = rows.shape[-1]
     doubled = np.concatenate([rows, rows], axis=-1)
-    return sliding_window_view(doubled, m, axis=-1)[..., :m, :]
+    strides = doubled.strides[:-1] + doubled.strides[-1:] * 2
+    return np.ndarray(rows.shape + (m,), doubled.dtype, doubled, 0, strides)
+
+
+def _median_shift(arr):
+    """arr with each entry vector's median subtracted: the same field
+    values, since Sum_t A^t = 0."""
+    _check_int64(int(arr.max()) - int(arr.min()), "median shift")
+    return arr - np.sort(arr, axis=-1)[..., arr.shape[-1] // 2, None]
 
 
 def _normalise(arr):
@@ -214,8 +221,7 @@ def _normalise(arr):
     Sum_t A^t = 0, so subtracting each vector's median changes no field
     value; the common integer content of what is left moves into g.
     """
-    _check_int64(int(arr.max()) - int(arr.min()), "median shift")
-    out = arr - np.sort(arr, axis=-1)[..., arr.shape[-1] // 2, None]
+    out = _median_shift(arr)
     g = int(np.gcd.reduce(out, axis=None))
     if g > 1:
         out //= g
@@ -306,6 +312,11 @@ class _TraceEngine:
     bound that raises OverflowError before anything could wrap, and
     |Tr|^2 is the integer autocorrelation of the trace vector mapped to
     field coordinates.  No field arithmetic happens per element.
+
+    `column_abs_sq` sweeps SL2(Z/m) one lower-left entry c at a time: the
+    trace vectors of a whole column come out as at most m rows per cached
+    K_c or G_u, and `abs_sq_rows` takes |Tr|^2 of all rows at once.
+    `trace_vector` and `trace_abs_sq_parts` stay the per-element oracle.
     """
 
     def __init__(self, p):
@@ -316,7 +327,6 @@ class _TraceEngine:
         self.field = field_for_level(p)
         m = self.m
         t = np.arange(m)
-        self._shift = (t[None, :] + t[:, None]) % m  # [s, t] = (t + s) mod m
         self._rows = np.arange(p * p)
         self._powers = power_matrix(self.field, m)
         self._powers_l1 = _l1(self._powers)
@@ -328,6 +338,8 @@ class _TraceEngine:
             _convolve(self._gauss, self._gauss[None, :])[0])
         self._gauss_sq_scale = self._gauss_scale ** 2 * g
         self.sinv_beta = 3 * self.eps
+        self._inv = np.array([pow(v, -1, m) if gcd(v, m) == 1 else 0
+                              for v in range(m)])  # 0 marks a non-unit
         self._dcache = {}
         self._kcache = {}
         self._gcache = {}
@@ -402,16 +414,82 @@ class _TraceEngine:
         vec, g = _normalise(vec)
         return vec, scale * g, beta
 
+    def abs_sq_rows(self, rows):
+        """n with n[k] = |sum_t rows[k, t] A^t|^2 for every row of trace
+        vectors: n[k] = sum_s r[s] A^s, where r[s] = sum_t v[t] v[t + s] is
+        the autocorrelation of the median-shifted row v.  Raises ValueError
+        unless every n[k] is a rational integer."""
+        rows = _median_shift(rows)
+        _check_int64(self.m * _max_abs(rows) ** 2 * self._powers_l1, "|Tr|^2")
+        coords = np.einsum("nst,nt->ns", _windows(rows), rows) @ self._powers
+        irrational = coords[:, 1:].any(axis=1)
+        if irrational.any():
+            raise ValueError("|Tr|^2 of row %d is not rational" % irrational.argmax())
+        return coords[:, 0]
+
     def trace_abs_sq_parts(self, M):
-        """(n, scale) with |Tr|^2 = n * scale^2 and n = sum_s r[s] A^s, where
-        r[s] = sum_t v[t] v[t + s] is the autocorrelation of the trace
-        vector; n must be a rational integer."""
+        """(n, scale) with |Tr|^2 = n * scale^2, by `abs_sq_rows` on the
+        trace vector of M."""
         vec, scale, _beta = self.trace_vector(M)
-        _check_int64(self.m * _max_abs(vec) ** 2 * self._powers_l1, "|Tr|^2")
-        coords = (vec[self._shift] @ vec) @ self._powers
-        if coords[1:].any():
-            raise ValueError("|Tr|^2 of %r is not rational" % (M,))
-        return int(coords[0]), scale
+        try:
+            n = self.abs_sq_rows(vec[None, :])[0]
+        except ValueError as err:
+            raise ValueError("|Tr|^2 of %r is not rational" % (M,)) from err
+        return int(n), scale
+
+    # -- batched sweep of SL2(Z/m), one lower-left entry c at a time --------
+
+    def _sweep_rows(self, W):
+        """rows[s, t] = sum_i W[i, s sq_i, t] for every s mod m, W the
+        windows of a (p, m) table.  The sums are the ones `trace_vector`
+        forms, so the bounds `_kvec` and `_gmat` check cover them."""
+        s = np.arange(self.m)
+        return W[self._rows[:self.p], s[:, None] * self._sq % self.m].sum(axis=1)
+
+    def _column_keys(self, c):
+        """(a, b, d, u, X) over the elements (a, b, c, d), c not a unit:
+        `trace_vector` writes each with u = a + x c for the least x that makes
+        it a unit, and X = x - (b + x d) / u."""
+        m = self.m
+        a, b, d = sl2_column(m, c)
+        t = np.arange(m)
+        x = (self._inv[(t[:, None] + t * c) % m] > 0).argmax(axis=1)[a]
+        u = (a + x * c) % m
+        return a, b, d, u, (x - (b + x * d) * self._inv[u]) % m
+
+    def _nonunit_rows(self, c, u):
+        """(rows, scale): rows[X] is the trace vector, up to scale and phase,
+        of every element of column c with keys (u, X).  With alpha = -c / u
+        it is sum_ij G_u[i, j, X sq_i - alpha sq_j + t] = sum_i
+        H[i, X sq_i + t], H[i, t] = sum_j G_u[i, j, t - alpha sq_j]."""
+        G, scale, _beta = self._gmat(u)
+        p, m = self.p, self.m
+        alpha = -c * self._inv[u] % m
+        H = G[self._rows, -alpha * self._sq[self._rows % p] % m]
+        return self._sweep_rows(_windows(H.reshape(p, p, m).sum(axis=1))), scale
+
+    def column_abs_sq(self, c):
+        """Blocks (n, scale, count) over the elements of SL2(Z/m) with
+        lower-left entry c: count[k] of them have |Tr|^2 = n[k] scale^2.
+
+        For a unit c the trace vector depends only on s = (a + d) / c, and
+        each s is hit by m elements: one block, row s = sum_i K_c[i, s sq_i].
+        Otherwise there is one block per u, row X of `_nonunit_rows`, and the
+        counts come from `_column_keys`.  Every row goes through
+        `abs_sq_rows`, so no row escapes the bound or the rationality check.
+        """
+        m = self.m
+        c %= m
+        if self._inv[c]:
+            K, scale, _beta = self._kvec(c)
+            return [(self.abs_sq_rows(self._sweep_rows(K)), scale, np.full(m, m))]
+        _a, _b, _d, u, X = self._column_keys(c)
+        counts = np.bincount(u * m + X, minlength=m * m).reshape(m, m)
+        blocks = []
+        for v in np.flatnonzero(counts.any(axis=1)):
+            rows, scale = self._nonunit_rows(c, int(v))
+            blocks.append((self.abs_sq_rows(rows), scale, counts[v]))
+        return blocks
 
     def trace_abs_sq(self, M):
         n, scale = self.trace_abs_sq_parts(M)

@@ -31,7 +31,7 @@ def test_char_sum_matches_expected(p):
     assert report.value == Fraction(expected_char_sum(p))
 
 
-@pytest.mark.parametrize("p", [2, 4])
+@pytest.mark.parametrize("p", [2, 4, 8, 16])
 def test_char_sum_methods_agree(p):
     full = char_sum(p, method="full-enumeration")
     cen = char_sum(p, method="census-representatives")

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +20,7 @@ from weildec.modgroup import (
     mat_mul,
     orbit_census,
     sigma0,
+    sl2_column,
     sl2_enumerate,
     sl2_order,
     sp_apply,
@@ -31,6 +33,17 @@ from weildec.modgroup import (
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 8, 9, 12])
 def test_group_order_formula_matches_enumeration(N):
     assert sum(1 for _ in sl2_enumerate(N)) == sl2_order(N)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 8, 9, 12, 16])
+def test_sl2_column_matches_enumeration(N):
+    swept = []
+    for c in range(N):
+        a, b, d = sl2_column(N, c)
+        assert a.dtype == b.dtype == d.dtype == np.int64
+        swept += [(A, B, c, D) for A, B, D in zip(a.tolist(), b.tolist(), d.tolist())]
+    assert len(swept) == sl2_order(N)
+    assert sorted(swept) == sorted(sl2_enumerate(N))
 
 
 def test_enumeration_has_no_duplicates():

@@ -1,10 +1,13 @@
-"""The benchmark harness must find every function it traces."""
+"""Repository rules: the benchmark harness finds every function it traces,
+and the library states its checks as explicit raises."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -24,3 +27,13 @@ def test_tracer_targets_resolve():
         if not callable(obj):
             missing.append((name, module_name, path))
     assert not missing
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so every check in the library
+    # must be an explicit raise
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "weildec").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found

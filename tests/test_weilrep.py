@@ -1,5 +1,7 @@
 import random
+from collections import defaultdict
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from weildec.cyclo import field_for_level
 from weildec.cycmat import CycMat, _max_abs
 from weildec.decompose import _cyc_equal
-from weildec.modgroup import mat_mul, sl2_enumerate, word_decompose
+from weildec.modgroup import mat_mul, sl2_column, sl2_enumerate, word_decompose
 from weildec.weilrep import (
     WeilRep,
     _convolve,
@@ -245,6 +247,79 @@ def test_trace_overflow_guard_raises(monkeypatch):
         engine.trace_abs_sq((1, 0, 0, 1))
     with pytest.raises(OverflowError):
         _convolve(engine._gauss, np.full((3, engine.m), 2**62, dtype=np.int64))
+
+
+def _column_values(engine, c):
+    """|Tr|^2 of every element of column c, read off the batched rows."""
+    m = engine.m
+    if gcd(c, m) == 1:
+        # one row per s = (a + d) / c, shared by the m elements that have it
+        K, scale, _beta = engine._kvec(c)
+        n = engine.abs_sq_rows(engine._sweep_rows(K))
+        cinv = pow(c, -1, m)
+        return {(a, b, c, d): int(n[(a + d) * cinv % m]) * scale**2
+                for a, b, d in zip(*(col.tolist() for col in sl2_column(m, c)))}
+    a, b, d, u, X = (col.tolist() for col in engine._column_keys(c))
+    rows = {v: engine._nonunit_rows(c, v) for v in set(u)}
+    n = {v: (engine.abs_sq_rows(r), scale) for v, (r, scale) in rows.items()}
+    return {(A, B, c, D): int(n[U][0][x]) * n[U][1] ** 2
+            for A, B, D, U, x in zip(a, b, d, u, X)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7, 8, 9, 12])
+def test_batched_abs_sq_matches_per_element(p):
+    engine = trace_engine(p)
+    m = engine.m
+    columns = defaultdict(dict)
+    for M in sl2_enumerate(m):
+        columns[M[2]][M] = engine.trace_abs_sq(M)
+    for c, want in columns.items():
+        assert _column_values(engine, c) == want
+        # the blocks char_sum adds up cover the column with the same total
+        blocks = engine.column_abs_sq(c)
+        assert sum(int(w.sum()) for _n, _s, w in blocks) == len(want)
+        assert sum(int(x) * int(w) * scale**2 for n, scale, weight in blocks
+                   for x, w in zip(n, weight)) == sum(want.values())
+
+
+def test_abs_sq_rows_bound_raises():
+    engine = trace_engine(5)
+    rows = np.zeros((3, engine.m), dtype=np.int64)
+    rows[1, 1:] = 2**31
+    with pytest.raises(OverflowError):
+        engine.abs_sq_rows(rows)
+
+
+def test_abs_sq_rows_rejects_irrational_row():
+    engine = trace_engine(5)
+    rows = np.zeros((2, engine.m), dtype=np.int64)
+    rows[:, 0] = 1
+    rows[1, 1] = 1  # |1 + A|^2 = 2 + A + A^-1, not rational for A of order 5
+    assert engine.abs_sq_rows(rows[:1]).tolist() == [1]
+    with pytest.raises(ValueError, match="row 1"):
+        engine.abs_sq_rows(rows)
+
+
+def _loop_y_block(p, m):
+    """The Y generator's block entry by entry: sum_k A^(k^2 - (i - j)^2)."""
+    arr = np.zeros((p, p, m), dtype=np.int64)
+    for i in range(p):
+        for j in range(p):
+            for k in range(m):
+                arr[i, j, (k * k - (i - j) ** 2) % m] += 1
+    return arr
+
+
+@pytest.mark.parametrize("p,g", [(3, 1), (4, 1), (6, 1), (3, 2), (4, 2)])
+def test_y_generator_gather_matches_loop(p, g):
+    rep = WeilRep(p, g)
+    one = CycMat(rep.m, _loop_y_block(p, rep.m), Fraction(1, rep.m))
+    for i in range(1, g + 1):
+        got = rep.generator_cyc(("Y", i))
+        want = rep._embed_handle(one, i)
+        assert got.arr.dtype == want.arr.dtype
+        assert np.array_equal(got.arr, want.arr)
+        assert (got.scale, got.beta) == (want.scale, want.beta)
 
 
 def _dense_lift(p, M, rng=None):
