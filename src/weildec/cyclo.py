@@ -13,31 +13,48 @@ from functools import lru_cache
 import math
 
 
-def _poly_divmod_int(num, den):
-    """Divide integer polynomials (lowest degree first), den monic."""
+def _mobius(n):
+    out = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+def _divide_by_xd_minus_1(num, d):
+    """num / (X^d - 1) by synthetic division (lowest degree first);
+    RuntimeError when the remainder is nonzero."""
     num = list(num)
-    d = len(den) - 1
-    q = [0] * max(1, len(num) - d)
+    quo = [0] * (len(num) - d)
     for i in range(len(num) - 1, d - 1, -1):
-        c = num[i]
-        if c:
-            q[i - d] = c
-            for j, dj in enumerate(den):
-                num[i - d + j] -= c * dj
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
+        quo[i - d] = num[i]
+        num[i - d] += num[i]
+    if any(num[:d]):
+        raise RuntimeError("X^%d - 1 does not divide the product" % d)
+    return quo
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n):
-    """Integer coefficients of Phi_n, lowest degree first."""
-    poly = [-1] + [0] * (n - 1) + [1]  # X^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = _poly_divmod_int(poly, cyclotomic_poly(d))
-            if any(rem):
-                raise RuntimeError("Phi_%d does not divide X^%d - 1" % (d, n))
+    """Integer coefficients of Phi_n, lowest degree first.
+
+    Phi_n = prod_{d | n} (X^d - 1)^mu(n/d): the factors with mu = 1 are
+    multiplied in first (a shift and a subtraction each), then the factors
+    with mu = -1 are divided out exactly.
+    """
+    divs = [d for d in range(1, n + 1) if n % d == 0]
+    poly = [1]
+    for d in divs:
+        if _mobius(n // d) == 1:
+            poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+    for d in divs:
+        if _mobius(n // d) == -1:
+            poly = _divide_by_xd_minus_1(poly, d)
     return tuple(poly)
 
 

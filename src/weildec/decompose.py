@@ -21,7 +21,15 @@ from math import gcd
 
 import numpy as np
 
-from .cycmat import CycMat, _int_combo, _int_einsum, field_coords
+from .cycmat import (
+    _INT64_MAX,
+    CycMat,
+    _int_combo,
+    _int_einsum,
+    _max_abs,
+    field_coords,
+    handle_product,
+)
 from .cyclo import CycloElt, field_for_level
 from .modgroup import (
     divisors,
@@ -106,18 +114,39 @@ def _dual_basis(vectors):
     return num, den, res
 
 
-def span_restrict(gen, vectors, dual=None):
+def _generator_product(rep, tag, operand, side):
+    """gen @ operand (side "left") or operand @ gen (side "right") for the
+    generator `tag` of rep and an integer matrix operand, as an exact
+    integer array with an entry axis; the generator's scale is left out.
+    Y_i acts as its p x p block on handle i (`handle_product`); the
+    diagonal X_i and Z_ij put each operand entry at the power of A of its
+    row (left) or column (right), with no arithmetic."""
+    if tag[0] == "Y":
+        return handle_product(operand, rep.y_block().arr, tag[1], rep.p, rep.g, side)
+    exps = rep.diagonal_exponents(tag) % rep.m
+    rows, cols = np.ix_(*map(np.arange, operand.shape))
+    big = _max_abs(operand) > _INT64_MAX
+    out = np.zeros(operand.shape + (rep.m,), dtype=object if big else np.int64)
+    out[rows, cols, exps[rows if side == "left" else cols]] = operand
+    return out
+
+
+def span_restrict(gen, vectors, dual=None, image=None):
     """Restrict a CycMat operator to an invariant integer span.
 
     Returns the coordinate matrix as a CycMat, or None when the span is
     not invariant (checked exactly, with cyclotomic fallback for nonzero
-    integer residuals).  Every product goes through `_int_einsum`.
+    integer residuals).  `image` is gen.arr @ vectors as an integer array
+    with an entry axis, when the caller has it (see `_generator_product`);
+    otherwise it is computed here.  Every other product goes through
+    `_int_einsum`.
     """
     V = np.asarray(vectors, dtype=np.int64)
     if dual is None:
         dual = _dual_basis(V)
     dnum, dden, dres = dual
-    image = _int_einsum("itk,tj->ijk", gen.arr, V)
+    if image is None:
+        image = _int_einsum("itk,tj->ijk", gen.arr, V)
     residual = _int_einsum("is,sjk->ijk", dres, image)
     field = field_for_level(gen.m if gen.m % 2 else gen.m // 2)
     if not _array_is_zero(field, gen.m, residual):
@@ -184,10 +213,10 @@ def parity_bases(p, g=1):
     )
     for tag in rep.tags():
         gen = rep.generator_cyc(tag)
-        if span_restrict(gen, plus) is None:
-            raise ValueError(f"even span not invariant under {tag}")
-        if minus.shape[1] and span_restrict(gen, minus) is None:
-            raise ValueError(f"odd span not invariant under {tag}")
+        for name, span in (("even", plus), ("odd", minus)):
+            if span.shape[1] and span_restrict(
+                    gen, span, image=_generator_product(rep, tag, span, "left")) is None:
+                raise ValueError(f"{name} span not invariant under {tag}")
     return ParityBases(p, g, plus, minus)
 
 
@@ -397,7 +426,8 @@ def tower_check(r, n, g=1):
     failures = []
     for tag in rep.tags():
         gen = rep.generator_cyc(tag)
-        coords = span_restrict(gen, span_u, dual_u)
+        coords = span_restrict(
+            gen, span_u, dual_u, image=_generator_product(rep, tag, span_u, "left"))
         if coords is None:
             failures.append((tag, "embedding not stable"))
             continue
@@ -409,7 +439,8 @@ def tower_check(r, n, g=1):
             )
         if not _cyc_equal(coords, expected, rep.field):
             failures.append((tag, "restriction mismatch"))
-        if dual_w is not None and span_restrict(gen, span_w, dual_w) is None:
+        if dual_w is not None and span_restrict(
+                gen, span_w, dual_w, image=_generator_product(rep, tag, span_w, "left")) is None:
             failures.append((tag, "complement not stable"))
     return TowerReport(data, not failures, tuple(failures))
 
@@ -681,7 +712,7 @@ def isotypic_projectors(p, g=1):
     return out
 
 
-def _verify_projector_family(projs, gens, field, m):
+def _verify_projector_family(projs, rep):
     for i, (ni, di) in enumerate(projs):
         if not ni.any():
             raise ValueError("zero idempotent in family")
@@ -700,11 +731,11 @@ def _verify_projector_family(projs, gens, field, m):
         acc += (den_lcm // dk) * nk
     if not np.array_equal(acc, den_lcm * np.eye(d, dtype=object)):
         raise ValueError("idempotents do not resolve the identity")
-    for gen in gens:
+    for tag in rep.tags():
         for nk, _ in projs:
-            comm = _int_combo(1, _int_einsum("it,tjk->ijk", nk, gen.arr),
-                              -1, _int_einsum("itk,tj->ijk", gen.arr, nk))
-            if not _array_is_zero(field, m, comm):
+            comm = _int_combo(1, _generator_product(rep, tag, nk, "right"),
+                              -1, _generator_product(rep, tag, nk, "left"))
+            if not _array_is_zero(rep.field, rep.m, comm):
                 raise ValueError("idempotent does not commute with a generator")
 
 
@@ -726,7 +757,7 @@ def commutant_dimension(p, g=1):
         nullity = _commutant_nullity_mod(gens, q, omega)
         upper = nullity if upper is None else min(upper, nullity)
     projs = isotypic_projectors(p, g)
-    _verify_projector_family(projs, gens, rep.field, rep.m)
+    _verify_projector_family(projs, rep)
     lower = len(projs)
     if lower != upper:
         raise ValueError(
@@ -967,10 +998,16 @@ def egorov_verify(p, g=1, tags=None):
     for tag in tags:
         rule = rule_of[tag]
         U = rep.generator_cyc(tag)
-        Ud = U.dagger()
+        # Y_i^dagger acts as the daggered block on handle i alone
+        Ud = rep.y_block().dagger() if tag[0] == "Y" else U.dagger()
         exact = True
         for vec in basis:
-            conj = (U @ rep.schrodinger_cyc(rep.heisenberg(vec, 0))) @ Ud
+            left = U @ rep.schrodinger_cyc(rep.heisenberg(vec, 0))
+            if tag[0] == "Y":
+                arr = handle_product(left.arr, Ud.arr, tag[1], p, g, "right")
+                conj = CycMat(rep.m, arr, left.scale * Ud.scale, left.beta + Ud.beta)
+            else:
+                conj = left @ Ud
             w, z = rule(vec, 0)
             pred = rep.schrodinger_cyc(rep.heisenberg(w, z))
             if not _cyc_equal(conj, pred, rep.field):
@@ -1031,7 +1068,7 @@ def omega_embedding_scalar(delta, p, g=1):
     span = emb
     for _ in range(g - 1):
         span = np.kron(span, emb)
-    image = np.einsum("itk,tj->ijk", cyc.arr, span)
+    image = _int_einsum("itk,tj->ijk", cyc.arr, span)
     i0, j0 = next(
         (i, j)
         for j in range(span.shape[1])

@@ -115,36 +115,24 @@ class WeilRep:
             out = out.kron(CycMat.identity(self.m, self.p ** (self.g - i)))
         return out
 
+    def _index_array(self):
+        """a[h, t] = a_(h+1) of the tensor index t = (a1, ..., ag), a1 most
+        significant."""
+        return np.indices((self.p,) * self.g).reshape(self.g, -1)
+
     def _multi_indices(self):
         """Tensor indices (a1, ..., ag), a1 most significant."""
-        idx = []
-        for t in range(self.dim):
-            a = []
-            for h in range(self.g - 1, -1, -1):
-                a.append((t // self.p ** h) % self.p)
-            idx.append(tuple(a))
-        return idx
+        return [tuple(a) for a in self._index_array().T.tolist()]
 
-    def generator_cyc(self, tag, doubled=False):
-        key = (tag, doubled)
-        if key in self._cyc_cache:
-            return self._cyc_cache[key]
-        kind = tag[0]
-        if kind == "X":
+    def diagonal_exponents(self, tag, doubled=False):
+        """exps with generator = diag(A^exps[t]) over the tensor indices t:
+        X_i has A^(c a_i^2) (c = 2 when doubled, else 1) and Z_ij has
+        A^((a_i - a_j)^2)."""
+        a = self._index_array()
+        if tag[0] == "X":
             self._check_index(tag[1])
-            c = 2 if doubled else 1
-            one = CycMat.monomial_diag(self.m, [c * i * i for i in range(self.p)])
-            mat = self._embed_handle(one, tag[1])
-        elif kind == "Y":
-            self._check_index(tag[1])
-            # arr[i, j, t] = #{k : k^2 - (i - j)^2 = t} = q[t + (i - j)^2]
-            t = np.arange(self.m)
-            q = np.bincount(t * t % self.m, minlength=self.m)
-            d = t[:self.p, None] - t[:self.p]
-            arr = q[(t + d[..., None] ** 2) % self.m]
-            one = CycMat(self.m, arr, Fraction(1, self.m))
-            mat = self._embed_handle(one, tag[1])
-        elif kind == "Z":
+            return (2 if doubled else 1) * a[tag[1] - 1] ** 2
+        if tag[0] == "Z":
             if self.g < 2:
                 raise ValueError("Z generators need genus >= 2")
             i, j = tag[1], tag[2]
@@ -152,8 +140,30 @@ class WeilRep:
             self._check_index(j)
             if i == j:
                 raise ValueError("Z indices must differ")
-            exps = [(a[i - 1] - a[j - 1]) ** 2 for a in self._multi_indices()]
-            mat = CycMat.monomial_diag(self.m, exps)
+            return (a[i - 1] - a[j - 1]) ** 2
+        raise ValueError("%r is not a diagonal generator tag" % (tag,))
+
+    def y_block(self):
+        """The p x p block S of Y_i = 1 (x) S (x) 1, scale 1/m: entry (i, j)
+        is sum_k A^(k^2 - (i - j)^2)."""
+        if "Y block" not in self._cyc_cache:
+            # arr[i, j, t] = #{k : k^2 - (i - j)^2 = t} = q[t + (i - j)^2]
+            t = np.arange(self.m)
+            q = np.bincount(t * t % self.m, minlength=self.m)
+            d = t[:self.p, None] - t[:self.p]
+            arr = q[(t + d[..., None] ** 2) % self.m]
+            self._cyc_cache["Y block"] = CycMat(self.m, arr, Fraction(1, self.m))
+        return self._cyc_cache["Y block"]
+
+    def generator_cyc(self, tag, doubled=False):
+        key = (tag, doubled)
+        if key in self._cyc_cache:
+            return self._cyc_cache[key]
+        if tag[0] == "Y":
+            self._check_index(tag[1])
+            mat = self._embed_handle(self.y_block(), tag[1])
+        elif tag[0] in ("X", "Z"):
+            mat = CycMat.monomial_diag(self.m, self.diagonal_exponents(tag, doubled))
         else:
             raise ValueError("unknown tag %r" % (tag,))
         self._cyc_cache[key] = mat
@@ -185,15 +195,15 @@ class WeilRep:
         """
         if isinstance(h, (tuple, list)):
             h = self.heisenberg(h)
-        mat = None
-        for i in range(self.g):
-            mi, ni = h.X[2 * i], h.X[2 * i + 1]
-            arr = np.zeros((self.p, self.p, self.m), dtype=np.int64)
-            for a in range(self.p):
-                arr[(a + mi) % self.p, a, (2 * ni * a) % self.m] = 1
-            one = CycMat(self.m, arr)
-            mat = one if mat is None else mat.kron(one)
-        return mat.mul_root(h.z)
+        # column a = (a_1, ..., a_g) goes to row a + (m_1, ..., m_g) with
+        # A^(2 sum n_h a_h + z)
+        a = self._index_array()
+        X = np.array(h.X, dtype=np.int64).reshape(self.g, 2)
+        rows = np.ravel_multi_index((a + X[:, :1]) % self.p, (self.p,) * self.g)
+        exps = (2 * (X[:, 1:] * a).sum(axis=0) + h.z) % self.m
+        arr = np.zeros((self.dim, self.dim, self.m), dtype=np.int64)
+        arr[rows, np.arange(self.dim), exps] = 1
+        return CycMat(self.m, arr)
 
 
 # -- integer kernels -------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weildec.cyclo import cyclotomic_poly, make_field, totient
+from weildec.cyclo import _divide_by_xd_minus_1, cyclotomic_poly, make_field, totient
 
 
 LEVELS = [3, 4, 8, 12, 24, 40]
@@ -15,6 +15,45 @@ def test_cyclotomic_poly_degree(n):
     poly = cyclotomic_poly(n)
     assert len(poly) - 1 == totient(n)
     assert poly[-1] == 1
+
+
+def _divmod_by_monic(num, den):
+    """Long division of integer polynomials (lowest degree first), den monic."""
+    num = list(num)
+    d = len(den) - 1
+    q = [0] * max(1, len(num) - d)
+    for i in range(len(num) - 1, d - 1, -1):
+        c = num[i]
+        if c:
+            q[i - d] = c
+            for j, dj in enumerate(den):
+                num[i - d + j] -= c * dj
+    return q, num[:d]
+
+
+def _recursive_cyclotomic_polys(limit):
+    """Phi_n for n <= limit as (X^n - 1) divided by every Phi_d, d | n, d < n."""
+    phis = {}
+    for n in range(1, limit + 1):
+        poly = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                poly, rem = _divmod_by_monic(poly, phis[d])
+                assert not any(rem)
+        phis[n] = tuple(poly)
+    return phis
+
+
+def test_cyclotomic_poly_matches_division_recursion():
+    for n, phi in _recursive_cyclotomic_polys(400).items():
+        assert cyclotomic_poly(n) == phi, n
+
+
+def test_inexact_division_raises():
+    # (X^2 + 1) / (X - 1) leaves the remainder 2
+    with pytest.raises(RuntimeError):
+        _divide_by_xd_minus_1([1, 0, 1], 1)
+    assert _divide_by_xd_minus_1([-1, 0, 0, 0, 1], 2) == [1, 0, 1]
 
 
 @pytest.mark.parametrize("level", LEVELS)

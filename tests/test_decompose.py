@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from weildec import decompose
+from weildec import cycmat, decompose
 from weildec.analysis import char_sum
 from weildec.cycmat import CycMat
 from weildec.decompose import (
@@ -198,3 +198,58 @@ def test_odd_label_audit(p):
     report = su2_so3_labels(p)
     assert report.match
     assert report.total_dim == (p - 1) // 2
+
+
+def test_genus2_certificates_take_the_handle_local_path(monkeypatch):
+    # Y_i acts as its p x p block on one tensor axis: no dense group-ring
+    # product in the Egorov check, and no dense 64 x 64 generator operand in
+    # the level-8 tower's span restrictions
+    dense_calls = []
+    operands = []
+    real_dense, real_einsum = cycmat._dense_product, cycmat._int_einsum
+
+    def dense_spy(a, b):
+        dense_calls.append((a.shape, b.shape))
+        return real_dense(a, b)
+
+    def einsum_spy(spec, a, b):
+        operands.extend((a.shape, b.shape))
+        return real_einsum(spec, a, b)
+
+    monkeypatch.setattr(cycmat, "_dense_product", dense_spy)
+    for module in (cycmat, decompose):
+        monkeypatch.setattr(module, "_int_einsum", einsum_spy)
+    assert all(report.ok for report in egorov_verify(5, 2))
+    assert dense_calls == []
+    assert tower_check(2, 1, 2).passed
+    assert operands and (64, 64, 16) not in operands
+
+
+@pytest.mark.parametrize("delta,p,g,value", [(2, 8, 1, 0), (3, 9, 1, 8), (2, 4, 2, 3)])
+def test_omega_embedding_scalar_is_exact(monkeypatch, delta, p, g, value):
+    scalar = omega_embedding_scalar(delta, p, g)
+    assert scalar == scalar.field.coerce(value)
+    # orbit-sum entries times 2^60 put the image product past the int64
+    # bound, where a raw int64 contraction would wrap
+    real = decompose.omega_cyc
+
+    def scaled(*args):
+        cyc, size, consistent = real(*args)
+        return CycMat(cyc.m, cyc.arr * 2**60, cyc.scale, cyc.beta), size, consistent
+
+    monkeypatch.setattr(decompose, "omega_cyc", scaled)
+    big = omega_embedding_scalar(delta, p, g)
+    assert big == big.field.coerce(value * 2**60)
+
+
+@pytest.mark.parametrize("p,g", [(4, 1), (3, 2), (4, 2)])
+def test_generator_product_matches_dense_contraction(p, g):
+    rep = WeilRep(p, g)
+    rng = np.random.default_rng(7 * p + g)
+    N = rng.integers(-3, 4, size=(rep.dim, rep.dim)).astype(object)
+    for tag in rep.tags():
+        gen = rep.generator_cyc(tag).arr
+        assert np.array_equal(decompose._generator_product(rep, tag, N, "left"),
+                              cycmat._int_einsum("itk,tj->ijk", gen, N))
+        assert np.array_equal(decompose._generator_product(rep, tag, N, "right"),
+                              cycmat._int_einsum("it,tjk->ijk", N, gen))

@@ -6,7 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from weildec import cycmat
 from weildec.cyclo import make_field
-from weildec.cycmat import CycMat, _dense_product, _index_map_product, _int_combo
+from weildec.cycmat import (
+    CycMat,
+    _dense_product,
+    _index_map_product,
+    _int_combo,
+    _int_einsum,
+    _max_abs,
+    handle_product,
+)
 from weildec.decompose import (
     _array_is_zero,
     _commutant_nullity_mod,
@@ -369,3 +377,52 @@ def test_non_unit_monomials_take_the_dense_path(monkeypatch):
     unit @ dense
     dense @ unit
     assert calls == []
+
+
+@pytest.mark.parametrize("p,g", [(3, 1), (4, 2), (5, 2), (6, 2), (2, 3), (3, 3)])
+def test_handle_product_matches_dense_generator(p, g):
+    rep = WeilRep(p, g)
+    block = rep.y_block().arr
+    rng = np.random.default_rng(29 * p + g)
+    d, m = rep.dim, rep.m
+    for i in range(1, g + 1):
+        Y = rep.generator_cyc(("Y", i))
+        M = rng.integers(-3, 4, size=(d, 4, m))
+        got = handle_product(M, block, i, p, g, "left")
+        assert got.dtype == np.int64
+        assert np.array_equal(got, (Y @ CycMat(m, M)).arr)
+        M = rng.integers(-3, 4, size=(4, d, m))
+        assert np.array_equal(handle_product(M, block, i, p, g, "right"),
+                              (CycMat(m, M) @ Y).arr)
+        # an integer operand (a span matrix) has no entry axis
+        V = rng.integers(-3, 4, size=(d, 5))
+        assert np.array_equal(handle_product(V, block, i, p, g, "left"),
+                              _int_einsum("itk,tj->ijk", Y.arr, V))
+        assert np.array_equal(handle_product(V.T, block, i, p, g, "right"),
+                              _int_einsum("it,tjk->ijk", V.T, Y.arr))
+
+
+def test_handle_product_past_the_bound_is_exact(monkeypatch):
+    dtypes = []
+    real = cycmat._fit_int64
+
+    def spy(arr, what):
+        dtypes.append(arr.dtype)
+        return real(arr, what)
+
+    monkeypatch.setattr(cycmat, "_fit_int64", spy)
+    # ring operand at p = 4: bound 4 * 8 * (4 * 2^58) = 2^65 > 2^63;
+    # integer operand at p = 8: bound 8 * (4 * 2^58) = 2^63
+    for p, op in ((4, WeilRep(4, 2).schrodinger_cyc((1, 2, 3, 1)).arr),
+                  (8, np.eye(64, 3, k=-5, dtype=np.int64))):
+        block = WeilRep(p, 2).y_block().arr
+        assert _max_abs(block) == 4
+        for i in (1, 2):
+            for side in ("left", "right"):
+                operand = op if side == "left" else op.swapaxes(0, 1)
+                small = handle_product(operand, block, i, p, 2, side)
+                dtypes.clear()
+                big = handle_product(operand, block * 2**58, i, p, 2, side)
+                assert dtypes == [object]
+                assert big.dtype == np.int64
+                assert np.array_equal(big, small * 2**58)

@@ -384,3 +384,55 @@ def test_long_word_lift_is_unitary(p):
     L = _worst_lift(p)
     assert _max_abs(L.arr).bit_length() < 32
     assert _cyc_equal(L @ L.dagger(), CycMat.identity(L.m, p), field_for_level(p))
+
+
+def _kron_schrodinger(rep, h):
+    """Add(h) as the Kronecker product of its one-handle factors
+    Sh^m Mod^n (e_a -> A^(2 n a) e_(a+m)), times A^z."""
+    mat = None
+    for i in range(rep.g):
+        mi, ni = h.X[2 * i], h.X[2 * i + 1]
+        arr = np.zeros((rep.p, rep.p, rep.m), dtype=np.int64)
+        for a in range(rep.p):
+            arr[(a + mi) % rep.p, a, (2 * ni * a) % rep.m] = 1
+        one = CycMat(rep.m, arr)
+        mat = one if mat is None else mat.kron(one)
+    return mat.mul_root(h.z)
+
+
+@pytest.mark.parametrize("p,g", [(2, 1), (3, 2), (4, 2), (6, 2), (5, 3)])
+def test_schrodinger_matches_kron_oracle(p, g):
+    rep = WeilRep(p, g)
+    rng = random.Random(59 * p + g)
+    for _ in range(6):
+        h = rep.heisenberg([rng.randrange(rep.m) for _ in range(2 * g)],
+                           rng.randrange(rep.m))
+        got, want = rep.schrodinger_cyc(h), _kron_schrodinger(rep, h)
+        assert got.arr.dtype == want.arr.dtype
+        assert np.array_equal(got.arr, want.arr)
+        assert (got.scale, got.beta) == (want.scale, want.beta)
+
+
+def _loop_diag(m, exps):
+    arr = np.zeros((len(exps), len(exps), m), dtype=np.int64)
+    for i, e in enumerate(exps):
+        arr[i, i, e % m] = 1
+    return arr
+
+
+@pytest.mark.parametrize("p,g", [(3, 1), (4, 2), (3, 3)])
+def test_diagonal_generators_match_kron_oracle(p, g):
+    rep = WeilRep(p, g)
+    for doubled in (False, True):
+        c = 2 if doubled else 1
+        one = CycMat(rep.m, _loop_diag(rep.m, [c * a * a for a in range(p)]))
+        for i in range(1, g + 1):
+            got = rep.generator_cyc(("X", i), doubled)
+            assert np.array_equal(got.arr, rep._embed_handle(one, i).arr)
+    for i in range(1, g + 1):
+        for j in range(i + 1, g + 1):
+            exps = [(a[i - 1] - a[j - 1]) ** 2 for a in rep._multi_indices()]
+            got = rep.generator_cyc(("Z", i, j))
+            assert np.array_equal(got.arr, _loop_diag(rep.m, exps))
+    with pytest.raises(ValueError):
+        rep.diagonal_exponents(("Y", 1))
