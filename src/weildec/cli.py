@@ -227,20 +227,24 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command")
 
+    def output(p):
+        p.add_argument("--format", choices=("json", "csv", "text"),
+                       default="json")
+        p.add_argument("--out", default=None)
+
     def common(p):
         p.add_argument("--level", type=int, default=3)
         p.add_argument("--genus", type=int, default=1)
         p.add_argument("--n", type=int, default=None)
-        p.add_argument("--format", choices=("json", "csv", "text"),
-                       default="json")
-        p.add_argument("--out", default=None)
+        output(p)
         p.add_argument("--max-level", dest="max_level", type=int, default=9)
 
+    # the level is positional here; a --level option would overwrite it
     p_gauss = sub.add_parser("gauss", help="print one Gauss sum")
     p_gauss.add_argument("a", type=int)
     p_gauss.add_argument("b", type=int)
     p_gauss.add_argument("level", type=int)
-    common(p_gauss)
+    output(p_gauss)
     p_gauss.set_defaults(func=cmd_gauss)
 
     p_rep = sub.add_parser("rep", help="representation inspection")

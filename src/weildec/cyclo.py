@@ -214,15 +214,18 @@ class CycloField:
         self.reduction_rows = red
         # conjugation: image of basis vector zeta^i is zeta^(L-i)
         self.conj_rows = [rows[(-i) % level] for i in range(d)]
-        self._one = CycloElt(self, [Fraction(1)] + [Fraction(0)] * (d - 1))
-        self._zero = CycloElt(self, [Fraction(0)] * d)
+        # coefficient tuples, not elements: an element points back at its
+        # field, and that cycle would keep a dropped field alive until a
+        # full cyclic collection
+        self._one = (Fraction(1),) + (Fraction(0),) * (d - 1)
+        self._zero = (Fraction(0),) * d
 
     # -- constructors -----------------------------------------------------
     def zero(self):
-        return self._zero
+        return CycloElt(self, self._zero)
 
     def one(self):
-        return self._one
+        return CycloElt(self, self._one)
 
     def from_rational(self, q):
         c = [Fraction(0)] * self.degree

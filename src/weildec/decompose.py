@@ -17,7 +17,8 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import reduce
+from math import gcd, lcm
 
 import numpy as np
 
@@ -75,45 +76,6 @@ def _exponent_remap(mat, new_modulus, multiplier):
 # rational span restriction
 # ---------------------------------------------------------------------------
 
-def _fraction_inverse(mat):
-    """Exact inverse of a square integer matrix; returns (num, den)."""
-    n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [
-        Fraction(1 if j == i else 0) for j in range(n)
-    ] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    inv_rows = [row[n:] for row in aug]
-    den = 1
-    for row in inv_rows:
-        for v in row:
-            den = den * v.denominator // gcd(den, v.denominator)
-    num = np.array(
-        [[int(v * den) for v in row] for row in inv_rows], dtype=object
-    )
-    return num, den
-
-
-def _dual_basis(vectors):
-    """Left inverse num/den of an integer full-column-rank matrix V, and
-    res = den*I - V num, which maps w to zero exactly when w is in the
-    span of V: (num, den, res)."""
-    V = np.asarray(vectors, dtype=object)
-    gram = V.T @ V
-    inv_num, den = _fraction_inverse(gram.tolist())
-    num = inv_num @ V.T
-    res = -_int_einsum("is,sj->ij", V, num).astype(object)
-    res[np.diag_indices(V.shape[0])] += den
-    return num, den, res
-
-
 def _generator_product(rep, tag, operand, side):
     """gen @ operand (side "left") or operand @ gen (side "right") for the
     generator `tag` of rep and an integer matrix operand, as an exact
@@ -131,31 +93,39 @@ def _generator_product(rep, tag, operand, side):
     return out
 
 
-def span_restrict(gen, vectors, dual=None, image=None):
-    """Restrict a CycMat operator to an invariant integer span.
+def span_restrict(gen, vectors, image=None):
+    """Restrict a CycMat operator to an invariant span of orthogonal
+    integer columns V.
 
-    Returns the coordinate matrix as a CycMat, or None when the span is
-    not invariant (checked exactly, with cyclotomic fallback for nonzero
-    integer residuals).  `image` is gen.arr @ vectors as an integer array
-    with an entry axis, when the caller has it (see `_generator_product`);
-    otherwise it is computed here.  Every other product goes through
-    `_int_einsum`.
+    The Gram matrix V^T V is diagonal, diag(n_i), so with l = lcm(n_i) the
+    coordinates of the image are num @ image / l, num = diag(l / n_i) V^T,
+    and the span is invariant exactly when l * image = V @ num @ image
+    (checked exactly, with cyclotomic fallback for nonzero integer
+    residuals).  Returns the coordinate matrix as a CycMat, or None when
+    the span is not invariant; ValueError when the columns are not
+    nonzero and pairwise orthogonal.  `image` is gen.arr @ vectors as an
+    integer array with an entry axis, when the caller has it (see
+    `_generator_product`); otherwise it is computed here.  Every product
+    goes through `_int_einsum`.
     """
     V = np.asarray(vectors, dtype=np.int64)
-    if dual is None:
-        dual = _dual_basis(V)
-    dnum, dden, dres = dual
+    gram = _int_einsum("ti,tj->ij", V, V)
+    norms = np.diagonal(gram).tolist()
+    if not all(norms) or np.count_nonzero(gram) != len(norms):
+        raise ValueError("span columns must be nonzero and pairwise orthogonal")
+    den = lcm(*norms)
+    num = np.array([den // n for n in norms], dtype=object)[:, None] * V.T
     if image is None:
         image = _int_einsum("itk,tj->ijk", gen.arr, V)
-    residual = _int_einsum("is,sjk->ijk", dres, image)
+    coords = _int_einsum("si,ijk->sjk", num, image)
+    residual = _int_combo(den, image, -1, _int_einsum("is,sjk->ijk", V, coords))
     field = field_for_level(gen.m if gen.m % 2 else gen.m // 2)
     if not _array_is_zero(field, gen.m, residual):
         return None
-    coords = _int_einsum("si,ijk->sjk", dnum, image)
     return CycMat(
         gen.m,
         coords.astype(np.int64),
-        scale=gen.scale / dden,
+        scale=gen.scale / den,
         beta=gen.beta,
     )
 
@@ -176,17 +146,35 @@ class ParityBases:
         return (self.plus.shape[1], self.minus.shape[1])
 
 
-def _flip_permutation(rep):
-    """Index map of the global flip a -> -a on multi-indices."""
-    indices = rep._multi_indices()
-    pos = {a: i for i, a in enumerate(indices)}
-    return [pos[tuple((-x) % rep.p for x in a)] for a in indices]
+def _flip_permutation(p, g):
+    """Index map of the global flip a -> -a on multi-indices (a1 most
+    significant); an involution, so J = eye[flip] is symmetric."""
+    flip = np.zeros(1, dtype=np.int64)
+    for _ in range(g):
+        flip = (flip[:, None] * p + (-np.arange(p)) % p).ravel()
+    return flip
+
+
+def _commutes(rep, tag, mat):
+    """Exact check that the integer matrix mat commutes with generator tag."""
+    comm = _int_combo(1, _generator_product(rep, tag, mat, "right"),
+                      -1, _generator_product(rep, tag, mat, "left"))
+    return _array_is_zero(rep.field, rep.m, comm)
 
 
 def parity_bases(p, g=1):
-    """Even/odd bases under the flip, verified invariant per generator."""
+    """Even/odd bases under the flip J, with one column per flip orbit.
+
+    The two spans are the +1 and -1 eigenspaces of J, so both are stable
+    under a generator exactly when it commutes with J; that is verified
+    exactly for every generator.
+    """
     rep = WeilRep(p, g)
-    flip = _flip_permutation(rep)
+    flip = _flip_permutation(p, g).tolist()
+    J = np.eye(rep.dim, dtype=np.int64)[flip]
+    for tag in rep.tags():
+        if not _commutes(rep, tag, J):
+            raise ValueError(f"parity spans not invariant under {tag}")
     dim = rep.dim
     plus_cols = []
     minus_cols = []
@@ -211,12 +199,6 @@ def parity_bases(p, g=1):
         if minus_cols
         else np.zeros((dim, 0), dtype=np.int64)
     )
-    for tag in rep.tags():
-        gen = rep.generator_cyc(tag)
-        for name, span in (("even", plus), ("odd", minus)):
-            if span.shape[1] and span_restrict(
-                    gen, span, image=_generator_product(rep, tag, span, "left")) is None:
-                raise ValueError(f"{name} span not invariant under {tag}")
     return ParityBases(p, g, plus, minus)
 
 
@@ -349,7 +331,6 @@ class TowerData:
     n: int
     g: int
     gvecs: np.ndarray
-    wbasis: np.ndarray
 
 
 @dataclass
@@ -359,75 +340,45 @@ class TowerReport:
     failures: tuple
 
 
-def _tower_handle_bases(r, n):
-    """Per-handle embedding columns and complement columns inside U_{r^{n+2}}."""
-    big = r ** (n + 2)
+def _tower_handle_basis(r, n):
+    """Per-handle embedding columns of U_{r^n} inside U_{r^(n+2)}: column i
+    has ones at r (i + k r^n), 0 <= k < r."""
     small = r**n
-    emb = np.zeros((big, small), dtype=np.int64)
-    for i in range(small):
-        for k in range(r):
-            emb[r * (i + k * small), i] = 1
-    comp_cols = []
-    for j in range(big):
-        if j % r:
-            col = np.zeros(big, dtype=np.int64)
-            col[j] = 1
-            comp_cols.append(col)
-    for i in range(small):
-        for k in range(1, r):
-            col = np.zeros(big, dtype=np.int64)
-            col[r * (i + k * small)] = 1
-            col[r * i] = -1
-            comp_cols.append(col)
-    comp = np.stack(comp_cols, axis=1)
-    return emb, comp
+    emb = np.zeros((r ** (n + 2), small), dtype=np.int64)
+    i = np.arange(small)
+    for k in range(r):
+        emb[r * (i + k * small), i] = 1
+    return emb
 
 
-def _tensor_spans(emb, comp, g):
-    """Genus-g embedding span and its complement span (pure/mixed tensors)."""
-    big, small = emb.shape
-    full = np.concatenate([emb, comp], axis=1)
-    span_u = emb
-    span_rest = None
-    for _ in range(g - 1):
-        span_u = np.kron(span_u, emb)
-    cols_u = []
-    cols_w = []
-    for choice in itertools.product(range(big), repeat=g):
-        col = np.ones(1, dtype=np.int64)
-        for c in choice:
-            col = np.kron(col, full[:, c])
-        if all(c < small for c in choice):
-            cols_u.append(col)
-        else:
-            cols_w.append(col)
-    span_u = np.stack(cols_u, axis=1)
-    span_w = (
-        np.stack(cols_w, axis=1)
-        if cols_w
-        else np.zeros((big**g, 0), dtype=np.int64)
-    )
-    return span_u, span_w
+def _tower_span(r, n, g):
+    """Genus-g embedding span E, the g-fold Kronecker power of the handle
+    columns.  The columns have disjoint supports of r^g ones each, so
+    E^T E = r^g I: the projector onto the embedding along its orthogonal
+    complement W = ker(E^T) is E E^T / r^g."""
+    return reduce(np.kron, [_tower_handle_basis(r, n)] * g)
 
 
 def tower_check(r, n, g=1):
-    """Verify the embedded copy of U_{r^n} inside U_{r^(n+2)} and its complement."""
+    """Verify the embedded copy of U_{r^n} inside U_{r^(n+2)} and its
+    orthogonal complement W = ker(E^T).
+
+    G W lies in W exactly when G^T E lies in span E, so the complement is
+    checked by restricting G^T to the embedding (no W basis is formed).
+    """
     if n < 0 or (r == 2 and n < 1):
         raise ValueError("exponent out of range for the tower")
     big = r ** (n + 2)
     small = r**n
     rep = WeilRep(big, g)
-    emb, comp = _tower_handle_bases(r, n)
-    span_u, span_w = _tensor_spans(emb, comp, g)
-    data = TowerData(r, n, g, span_u, span_w)
-    dual_u = _dual_basis(span_u)
-    dual_w = _dual_basis(span_w) if span_w.shape[1] else None
+    span_u = _tower_span(r, n, g)
+    data = TowerData(r, n, g, span_u)
     rep_small = WeilRep(small, g) if small > 1 else None
     failures = []
     for tag in rep.tags():
         gen = rep.generator_cyc(tag)
         coords = span_restrict(
-            gen, span_u, dual_u, image=_generator_product(rep, tag, span_u, "left"))
+            gen, span_u, image=_generator_product(rep, tag, span_u, "left"))
         if coords is None:
             failures.append((tag, "embedding not stable"))
             continue
@@ -439,8 +390,8 @@ def tower_check(r, n, g=1):
             )
         if not _cyc_equal(coords, expected, rep.field):
             failures.append((tag, "restriction mismatch"))
-        if dual_w is not None and span_restrict(
-                gen, span_w, dual_w, image=_generator_product(rep, tag, span_w, "left")) is None:
+        transposed = _generator_product(rep, tag, span_u.T, "right").transpose(1, 0, 2)
+        if span_restrict(gen, span_u, image=transposed) is None:
             failures.append((tag, "complement not stable"))
     return TowerReport(data, not failures, tuple(failures))
 
@@ -650,16 +601,6 @@ def _proj_mul(p1, p2):
     return num, den
 
 
-def _flip_matrix(p, g):
-    rep_indices = list(itertools.product(range(p), repeat=g))
-    pos = {a: i for i, a in enumerate(rep_indices)}
-    d = p**g
-    J = np.zeros((d, d), dtype=object)
-    for i, a in enumerate(rep_indices):
-        J[pos[tuple((-x) % p for x in a)], i] = 1
-    return J
-
-
 def isotypic_projectors(p, g=1):
     """Orthogonal idempotents onto the irreducible blocks, as (num, den)."""
     d = p**g
@@ -686,25 +627,19 @@ def isotypic_projectors(p, g=1):
     if r == 2 and n == 1:
         return [(eye, 1)]
     if n == 1 or (r == 2 and n == 2):
-        J = _flip_matrix(p, g)
+        J = eye[_flip_permutation(p, g)]
         projs = [(eye + J, 2)]
         if (p**g - (1 if p % 2 else 2) ** g) // 2:
             projs.append((eye - J, 2))
         return projs
-    small = r ** (n - 2)
-    emb, comp = _tower_handle_bases(r, n - 2)
-    span_u, span_w = _tensor_spans(emb, comp, g)
-    full = np.concatenate([span_u, span_w], axis=1).astype(object)
-    inv_num, inv_den = _fraction_inverse(full.tolist())
-    k = span_u.shape[1]
-    dual_num = inv_num[:k]
-    E = span_u.astype(object)
-    p_u = (E @ dual_num, inv_den)
-    out = []
-    for snum, sden in isotypic_projectors(small, g):
-        out.append(((E @ snum) @ dual_num, sden * inv_den))
-    J = _flip_matrix(p, g)
-    rest = (inv_den * eye - p_u[0], inv_den)
+    # U_{r^(n-2)} + W: a block projector P of the embedded copy lifts to
+    # E P E^T / r^g, and W, the range of r^g I - E E^T, splits by parity
+    E = _tower_span(r, n - 2, g).astype(object)
+    scale = r**g
+    out = [(E @ snum @ E.T, sden * scale)
+           for snum, sden in isotypic_projectors(r ** (n - 2), g)]
+    J = eye[_flip_permutation(p, g)]
+    rest = (scale * eye - E @ E.T, scale)
     out.append(_proj_mul(rest, (eye + J, 2)))
     minus = _proj_mul(rest, (eye - J, 2))
     if minus[0].any():
@@ -721,10 +656,7 @@ def _verify_projector_family(projs, rep):
             target = dj * ni if i == j else np.zeros_like(prod)
             if not np.array_equal(prod, target):
                 raise ValueError("family is not orthogonal-idempotent")
-    total_num = None
-    den_lcm = 1
-    for _, dk in projs:
-        den_lcm = den_lcm * dk // gcd(den_lcm, dk)
+    den_lcm = lcm(*(dk for _, dk in projs))
     d = projs[0][0].shape[0]
     acc = np.zeros((d, d), dtype=object)
     for nk, dk in projs:
@@ -733,9 +665,7 @@ def _verify_projector_family(projs, rep):
         raise ValueError("idempotents do not resolve the identity")
     for tag in rep.tags():
         for nk, _ in projs:
-            comm = _int_combo(1, _generator_product(rep, tag, nk, "right"),
-                              -1, _generator_product(rep, tag, nk, "left"))
-            if not _array_is_zero(rep.field, rep.m, comm):
+            if not _commutes(rep, tag, nk):
                 raise ValueError("idempotent does not commute with a generator")
 
 
@@ -1060,14 +990,9 @@ def omega_embedding_scalar(delta, p, g=1):
     rep = WeilRep(p, g)
     cyc, _, _ = omega_cyc(delta, p, g, rep)
     emb = np.eye(r ** (n - 2 * k), dtype=np.int64)
-    mm = n - 2 * k
-    while mm < n:
-        step, _ = _tower_handle_bases(r, mm)
-        emb = step @ emb
-        mm += 2
-    span = emb
-    for _ in range(g - 1):
-        span = np.kron(span, emb)
+    for mm in range(n - 2 * k, n, 2):
+        emb = _tower_handle_basis(r, mm) @ emb
+    span = reduce(np.kron, [emb] * g)
     image = _int_einsum("itk,tj->ijk", cyc.arr, span)
     i0, j0 = next(
         (i, j)

@@ -12,6 +12,14 @@ def test_gauss_json(capsys):
     assert doc["norm_sq"] == "5/1"
 
 
+def test_gauss_has_no_level_option(capsys):
+    # the positional level is the only level: --level is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["gauss", "1", "0", "5", "--level", "7"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --level 7" in capsys.readouterr().err
+
+
 def test_decompose_reports_factors(capsys):
     assert main(["decompose", "--level", "9", "--format", "json"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)

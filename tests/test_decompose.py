@@ -1,4 +1,7 @@
+import itertools
 import json
+from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from weildec.decompose import (
     crt_check,
     decomposition_tree,
     egorov_verify,
+    isotypic_projectors,
     omega_cyc,
     omega_embedding_scalar,
     omega_family_report,
@@ -21,7 +25,7 @@ from weildec.decompose import (
     su2_so3_labels,
     tower_check,
 )
-from weildec.modgroup import sigma0
+from weildec.modgroup import prime_factorization, sigma0
 from weildec.weilrep import WeilRep
 
 
@@ -111,6 +115,110 @@ def test_span_restrict_rejects_non_invariant_span():
     assert span_restrict(gen, e0) is None
     scaled = CycMat(gen.m, gen.arr * 2**60, gen.scale, gen.beta)
     assert span_restrict(scaled, e0) is None
+
+
+def test_span_restrict_needs_orthogonal_columns():
+    gen = WeilRep(5).generator_cyc(("Y", 1))
+    V = np.zeros((5, 2), dtype=np.int64)
+    V[0] = 1
+    V[1, 1] = 1
+    with pytest.raises(ValueError):
+        span_restrict(gen, V)
+
+
+def test_tower_reports_unstable_complement(monkeypatch):
+    # one perturbed entry of E^T G leaves G^T E outside the embedding,
+    # while the embedding check (a left product) is untouched
+    real = decompose._generator_product
+
+    def perturbed(rep, tag, operand, side):
+        out = real(rep, tag, operand, side)
+        if side == "right":
+            out = out.copy()
+            out[0, 0, 0] += 1
+        return out
+
+    monkeypatch.setattr(decompose, "_generator_product", perturbed)
+    report = tower_check(3, 1)
+    assert not report.passed
+    assert {reason for _, reason in report.failures} == {"complement not stable"}
+
+
+def _fraction_inverse(mat):
+    """Exact inverse of a square integer matrix by Gauss-Jordan over
+    Fractions, as (num, den)."""
+    n = len(mat)
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    den = lcm(*(v.denominator for row in aug for v in row[n:]))
+    return np.array([[int(v * den) for v in row[n:]] for row in aug], dtype=object), den
+
+
+def _gauss_jordan_projectors(p, g):
+    """Isotypic projectors of a prime-power level built without orthogonality:
+    the tower projector is read off the inverse of the full basis of
+    embedding columns and the complement columns e_j (r does not divide j)
+    and e_{r(i + k r^n)} - e_{ri}, in pure and mixed tensors."""
+    d = p**g
+    eye = np.eye(d, dtype=object)
+    if p in (1, 2):
+        return [(eye, 1)]
+    indices = list(itertools.product(range(p), repeat=g))
+    pos = {a: i for i, a in enumerate(indices)}
+    J = np.zeros((d, d), dtype=object)
+    for i, a in enumerate(indices):
+        J[pos[tuple(-x % p for x in a)], i] = 1
+    ((r, n),) = prime_factorization(p)
+    if n == 1 or (r == 2 and n == 2):
+        fixed = 1 if p % 2 else 2
+        return [(eye + J, 2)] + ([(eye - J, 2)] if p**g > fixed**g else [])
+    small = r ** (n - 2)
+    handle = []
+    for i in range(small):
+        col = np.zeros(p, dtype=object)
+        col[[r * (i + k * small) for k in range(r)]] = 1
+        handle.append(col)
+    handle += [np.eye(p, dtype=object)[:, j] for j in range(p) if j % r]
+    for i in range(small):
+        for k in range(1, r):
+            col = np.zeros(p, dtype=object)
+            col[r * (i + k * small)] = 1
+            col[r * i] = -1
+            handle.append(col)
+    cols_u, cols_w = [], []
+    for choice in itertools.product(range(p), repeat=g):
+        col = np.ones(1, dtype=object)
+        for c in choice:
+            col = np.kron(col, handle[c])
+        (cols_u if max(choice) < small else cols_w).append(col)
+    E = np.stack(cols_u, axis=1)
+    inv_num, inv_den = _fraction_inverse(np.stack(cols_u + cols_w, axis=1).tolist())
+    dual = inv_num[:E.shape[1]]
+    out = [(E @ snum @ dual, sden * inv_den)
+           for snum, sden in _gauss_jordan_projectors(small, g)]
+    rest = inv_den * eye - E @ dual
+    out.append((rest @ (eye + J), 2 * inv_den))
+    minus = rest @ (eye - J)
+    if minus.any():
+        out.append((minus, 2 * inv_den))
+    return out
+
+
+@pytest.mark.parametrize("p,g", [(8, 1), (9, 1), (16, 1), (27, 1), (8, 2)])
+def test_isotypic_projectors_match_gauss_jordan_construction(p, g):
+    new = isotypic_projectors(p, g)
+    old = _gauss_jordan_projectors(p, g)
+    assert len(new) == len(old)
+    for (n1, d1), (n2, d2) in zip(new, old):
+        assert np.array_equal(n1 * d2, n2 * d1)
 
 
 def test_tree_json_shape():

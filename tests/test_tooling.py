@@ -2,8 +2,10 @@
 and the library states its checks as explicit raises."""
 
 import ast
+import gc
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,3 +39,37 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found
+
+
+def _clear_library_caches():
+    for name, module in list(sys.modules.items()):
+        if name == "weildec" or name.startswith("weildec."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def test_cold_certificates_leave_no_cyclic_garbage():
+    # a cache_clear must free the fields and matrices by reference counting
+    # alone: objects kept only by a reference cycle (a field holding
+    # elements that point back at it) wait for a full cyclic collection
+    from weildec.cycmat import CycMat
+    from weildec.cyclo import CycloElt, CycloField
+    from weildec.decompose import commutant_dimension, tower_check
+
+    _clear_library_caches()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        tower_check(3, 1)
+        commutant_dimension(9)
+        _clear_library_caches()
+        gc.collect()
+        cyclic = [type(obj).__name__ for obj in gc.garbage
+                  if isinstance(obj, (CycloField, CycloElt, CycMat))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not cyclic
