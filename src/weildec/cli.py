@@ -188,7 +188,7 @@ def _suite_semiclassical(checks, max_level):
 
 def _suite_faithful(checks, max_level):
     for p in (3, 5, 7):
-        if p <= max(max_level, 7):
+        if p <= max_level:
             checks.append(
                 (f"faithful level={p}", analysis.kernel_check(p).injective)
             )

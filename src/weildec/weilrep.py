@@ -23,7 +23,7 @@ from math import gcd
 import numpy as np
 
 from .cyclo import field_for_level
-from .cycmat import CycMat, _check_int64, _l1, _max_abs, power_matrix
+from .cycmat import _INT64_MAX, CycMat, _check_int64, _l1, _max_abs, power_matrix
 from .modgroup import det, sl2_column, word_decompose
 
 
@@ -212,7 +212,8 @@ def _windows(rows):
     """View W with W[..., s, t] = rows[..., (s + t) mod m]: both s and t
     step one entry through the doubled rows, so nothing is copied."""
     m = rows.shape[-1]
-    doubled = np.concatenate([rows, rows], axis=-1)
+    doubled = np.empty(rows.shape[:-1] + (2 * m,), rows.dtype)
+    doubled[..., :m] = doubled[..., m:] = rows
     strides = doubled.strides[:-1] + doubled.strides[-1:] * 2
     return np.ndarray(rows.shape + (m,), doubled.dtype, doubled, 0, strides)
 
@@ -240,38 +241,68 @@ def _normalise(arr):
 
 def _convolve(a, rows):
     """Cyclic convolution of the vector a with every row of rows."""
-    _check_int64(int(np.abs(a).sum()) * _max_abs(rows), "convolution")
+    # |a|_1 in Python ints: an int64 sum of large entries would wrap
+    _check_int64(sum(map(abs, a.tolist())) * _max_abs(rows), "convolution")
     t = np.arange(len(a))
     return rows @ a[(t[None, :] - t[:, None]) % len(a)]  # a[(v - u) mod m]
 
 
 # -- genus-one lift --------------------------------------------------------
 
+# k-slices gathered at once by an S-factor of the lift: the temporary is
+# this many times the p x p x m output.
+_GATHER_BLOCK = 4
+
+
 @lru_cache(maxsize=None)
 def _lift_images(p):
-    """m, eps and the normalised Gauss vectors of the genus-one lift.
+    """m, eps, the normalised Gauss vectors and |gamma|^2 of the genus-one lift.
 
     S^{+-1}[k, j] = (1/m) beta-root^(-+3 eps) A^(-+2kj) gamma_+-, with
     gamma_+ = sum_u A^(-u^2) and gamma_- = sum_u A^(u^2); "gauss"[+-1]
     holds (gamma_+-', g) with gamma_+- = g gamma_+-' in the field.
+    gamma_- is the conjugate of gamma_+, and gamma_+ gamma_- = "norm" is
+    m for odd p and 2m for even p, the |G|^2 of a quadratic Gauss sum
+    modulo an odd m or a multiple of 4.
     """
     m = _heisenberg_modulus(p)
     eps = 1 if p % 2 == 0 else 0
     t = np.arange(m)
     gauss = {sign: _normalise(np.bincount(-sign * t * t % m, minlength=m))
              for sign in (1, -1)}
-    return {"m": m, "eps": eps, "gauss": gauss}
+    return {"m": m, "eps": eps, "gauss": gauss, "norm": m * (1 + eps)}
+
+
+@lru_cache(maxsize=None)
+def _gauss_power(p, sign, count):
+    """(vec, g) with gamma_sign^count = g vec in the field, count >= 1: the
+    normalised gamma_sign convolved in count - 1 times, each product
+    normalised."""
+    vec, g = _lift_images(p)["gauss"][sign]
+    if count == 1:
+        return vec, g
+    prev, h = _gauss_power(p, sign, count - 1)
+    out, k = _normalise(_convolve(vec, prev[None, :])[0])
+    return out, g * h * k
 
 
 def lift_genus1_cyc(p, M, rng=None):
     """Evaluate the lift of M in SL2(Z/NZ), N = p (odd) or 2p (even).
 
-    Each factor of the S,T-word acts on the int64 entry array directly.
-    T^k = diag(A^(-k j^2)) rolls column j.  out @ S^{+-1} is the
-    gather-sum W[i, j] = sum_k A^(-+2kj) out[i, k] followed by one batched
-    convolution with gamma_+-; the sum runs over k so that no p^3 m array
-    is formed.  Each S-factor ends with `_normalise`, which keeps the
-    entries small, and every kernel is preceded by an exact int64 bound.
+    The S,T-word acts on the int64 entry array directly.  T^k =
+    diag(A^(-k j^2)) only rolls column j, so the T-powers met since the
+    last S-factor are carried as a shift and folded into the next gather.
+    S^{+-1} is (1/m) beta-root^(-+3 eps) gamma_+- F_+-, with F_+-[k, j] =
+    A^(-+2kj) and the Gauss sum gamma_+- a central scalar, so an S-factor
+    applies only F_+-: the gather-sum W[i, j] = sum_k A^(-+2kj) out[i, k],
+    taken over blocks of `_GATHER_BLOCK` k-slices so that no p^3 m array
+    is formed.  The Gauss sums wait until the end: with a factors S and b
+    factors S^{-1}, gamma_+^a gamma_-^b = |gamma|^(2 min(a, b))
+    gamma_+-^|a - b|, one convolution with the cached `_gauss_power`
+    vector.  `_normalise` runs only when the next gather's bound
+    p max|out| would no longer fit int64, and once more before that
+    convolution and after it, so the entries come out normalised.  Every
+    kernel is preceded by an exact int64 bound.
     """
     img = _lift_images(p)
     m, eps = img["m"], img["eps"]
@@ -279,24 +310,41 @@ def lift_genus1_cyc(p, M, rng=None):
         raise ValueError("matrix %r is not in SL2(Z/%d)" % (M, m))
     word = word_decompose(tuple(v % m for v in M), m, rng=rng)
     t = np.arange(m)
-    j = t[:p, None]
+    k = t[:p, None]
     out = CycMat.identity(m, p).arr
-    scale, beta = Fraction(1), 0
+    top = _max_abs(out)
+    content, roll, beta = 1, 0, 0
+    factors = {1: 0, -1: 0}
     for kind, val in word:
         if kind == "T":
-            # a roll only permutes each entry vector, so it stays normalised
-            out = out[:, j, (t + val * j * j) % m]
+            roll += val
             beta -= val * eps
-        else:
-            gauss, g = img["gauss"][val]
-            _check_int64(p * _max_abs(out), "lift gather")
-            W = np.zeros_like(out)
-            for k in range(p):
-                W += out[:, k, (t + 2 * val * k * j) % m]
-            out, h = _normalise(_convolve(gauss, W.reshape(-1, m)).reshape(p, p, m))
-            scale *= Fraction(g * h, m)
-            beta -= 3 * val * eps
-    return CycMat(m, out, scale, beta)
+            continue
+        _check_int64(p * top, "lift gather")
+        W = _windows(out)  # W[i, k, s] = out[i, k] rolled by s
+        shifts = (roll * k * k + 2 * val * k * t[:p]) % m
+        out = W[:, k[:_GATHER_BLOCK], shifts[:_GATHER_BLOCK]].sum(axis=1)
+        for lo in range(_GATHER_BLOCK, p, _GATHER_BLOCK):
+            block = k[lo:lo + _GATHER_BLOCK]
+            out += W[:, block, shifts[lo:lo + _GATHER_BLOCK]].sum(axis=1)
+        roll = 0
+        factors[val] += 1
+        beta -= 3 * val * eps
+        top = _max_abs(out)
+        if p * top > _INT64_MAX:
+            out, h = _normalise(out)
+            content *= h
+            top = _max_abs(out)
+    if roll:
+        out = out[:, k, (t + roll * k * k) % m]
+    out, h = _normalise(out)
+    content *= h * img["norm"] ** min(factors.values())
+    net = factors[1] - factors[-1]
+    if net:
+        gauss, g = _gauss_power(p, 1 if net > 0 else -1, abs(net))
+        out, h = _normalise(_convolve(gauss, out.reshape(-1, m)).reshape(p, p, m))
+        content *= g * h
+    return CycMat(m, out, Fraction(content, m ** (factors[1] + factors[-1])), beta)
 
 
 def lift_genus1(p, M, rng=None):
@@ -342,11 +390,10 @@ class _TraceEngine:
         self._powers_l1 = _l1(self._powers)
         # S^{-1}[i, j] = (1/m) beta^(3 eps) sum_u A^(u^2 + 2ij) = roll(g0, 2ij)
         self._sq = t[:p] * t[:p] % m
-        self._gauss, g = img["gauss"][-1]
+        self._gauss, g = _gauss_power(p, -1, 1)
         self._gauss_scale = Fraction(g, m)
-        self._gauss_sq, g = _normalise(
-            _convolve(self._gauss, self._gauss[None, :])[0])
-        self._gauss_sq_scale = self._gauss_scale ** 2 * g
+        self._gauss_sq, g = _gauss_power(p, -1, 2)
+        self._gauss_sq_scale = Fraction(g, m * m)
         self.sinv_beta = 3 * self.eps
         self._inv = np.array([pow(v, -1, m) if gcd(v, m) == 1 else 0
                               for v in range(m)])  # 0 marks a non-unit
@@ -360,14 +407,14 @@ class _TraceEngine:
         if c not in self._dcache:
             p = self.p
             D = lift_genus1_cyc(p, (c % self.m, 0, 0, pow(c, -1, self.m)))
-            arr, g = _normalise(D.arr)
+            arr = D.arr  # the lift's entries come out normalised
             _check_int64(_max_abs(arr) * self._powers_l1, "field coordinates")
             support = (arr @ self._powers).any(axis=-1)
             if not ((support.sum(axis=0) == 1).all() and (support.sum(axis=1) == 1).all()):
                 raise ValueError("lift of diag(%d, 1/%d) is not monomial" % (c, c))
             perm = support.argmax(axis=0)
             d, h = _normalise(arr[perm, np.arange(p)])
-            self._dcache[c] = (perm, d, D.scale * g * h, D.beta)
+            self._dcache[c] = (perm, d, D.scale * h, D.beta)
         return self._dcache[c]
 
     def _kvec(self, c):

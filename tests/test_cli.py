@@ -62,6 +62,12 @@ def test_verify_suite_ok(capsys):
     assert main(["verify", "crt", "--max-level", "6"]) == EXIT_OK
 
 
+def test_verify_faithful_respects_max_level(capsys):
+    assert main(["verify", "faithful", "--max-level", "5"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS faithful level=3", "PASS faithful level=5"]
+
+
 def test_verify_unknown_suite():
     assert main(["verify", "nonsense"]) == EXIT_USAGE
 

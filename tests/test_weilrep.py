@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 from math import gcd
@@ -6,6 +7,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from weildec import weilrep
 from weildec.cyclo import field_for_level
 from weildec.cycmat import CycMat, _max_abs
 from weildec.decompose import _cyc_equal
@@ -365,6 +367,78 @@ def test_lift_overflow_guard_raises(monkeypatch):
     monkeypatch.setattr(CycMat, "identity", classmethod(huge_identity))
     with pytest.raises(OverflowError):
         lift_genus1_cyc(5, (0, 4, 1, 0))  # the word of S has an S-factor
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_lift_matches_dense_products_on_every_element(p):
+    # scale and beta-root phase included: _cyc_equal compares both
+    N = p if p % 2 else 2 * p
+    field = field_for_level(p)
+    elements = list(sl2_enumerate(N))
+    for M in elements:
+        assert _cyc_equal(lift_genus1_cyc(p, M), _dense_lift(p, M), field)
+    rng = random.Random(61 + p)
+    for M in rng.sample(elements, 12):
+        word_seed = rng.randrange(2**32)
+        structured, dense = (lift(p, M, rng=random.Random(word_seed))
+                             for lift in (lift_genus1_cyc, _dense_lift))
+        assert _cyc_equal(structured, dense, field)
+
+
+@pytest.mark.parametrize("p", [4, 5, 9])
+def test_lift_normalised_between_gathers_is_unchanged(p, monkeypatch):
+    # a tiny threshold makes every gather's output take the on-demand _normalise
+    N = p if p % 2 else 2 * p
+    field = field_for_level(p)
+    rng = random.Random(67 + p)
+    elements = [_random_sl2(rng, N) for _ in range(6)]
+    monkeypatch.setattr(weilrep, "_INT64_MAX", p)
+    for M in elements:
+        assert _cyc_equal(lift_genus1_cyc(p, M), _dense_lift(p, M), field)
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 8, 9, 12, 16])
+def test_gauss_power_matches_field_powers(p):
+    field = field_for_level(p)
+    m = p if p % 2 else 2 * p
+    step = field.level // m
+    for sign in (1, -1):
+        gamma = gauss_sum(-sign, 0, p)
+        for count in range(1, 9):
+            vec, g = weilrep._gauss_power(p, sign, count)
+            spread = [0] * field.level
+            for t, v in enumerate(vec.tolist()):
+                spread[t * step] = v
+            assert field.from_int_vector(spread) * g == gamma ** count
+    norm = weilrep._lift_images(p)["norm"]
+    assert gauss_sum(-1, 0, p) * gauss_sum(1, 0, p) == field.from_rational(norm)
+
+
+def test_deferred_gauss_convolution_overflow_raises(monkeypatch):
+    def huge_power(p, sign, count):
+        m = p if p % 2 else 2 * p
+        return np.full(m, 2**62, dtype=np.int64) - np.arange(m), 1
+
+    monkeypatch.setattr(weilrep, "_gauss_power", huge_power)
+    with pytest.raises(OverflowError):
+        lift_genus1_cyc(5, (0, 4, 1, 0))  # the word of S has an S-factor
+
+
+def test_cold_level_32_lift_gathers_in_blocks():
+    # a gather of all p k-slices at once would hold a p^3 m array
+    p, m = 32, 64
+    rng = random.Random(71)
+    M = next(M for M in iter(lambda: _random_sl2(rng, m), None)
+             if sum(kind == "S" for kind, _ in word_decompose(M, m)) == 8)
+    weilrep._lift_images.cache_clear()
+    weilrep._gauss_power.cache_clear()
+    tracemalloc.start()
+    try:
+        lift_genus1_cyc(p, M)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * p * p * m * 8
 
 
 def _worst_lift(p):
