@@ -82,7 +82,7 @@ def cmd_decompose(args):
             + [f"  {name}  (dim {d})" for name, d in zip(names, tree.dims())]
         ) + "\n"
     _emit(text, args.out)
-    if args.level ** (2 * args.genus) <= 256:
+    if args.level**args.genus <= decompose.COMMUTANT_MAX_DIM:
         try:
             dim = decompose.commutant_dimension(args.level, args.genus)
         except ValueError:
@@ -138,8 +138,10 @@ def cmd_semiclassical(args):
 
 
 def _suite_census(checks, max_n):
+    # census(max_n) runs first, so an unsupported n fails before any sweep
+    last = modgroup.census(max_n)
     for n in range(2, max_n + 1):
-        rows = modgroup.census(n)
+        rows = last if n == max_n else modgroup.census(n)
         checks.append((f"census n={n}", all(row.match for row in rows)))
 
 
@@ -161,7 +163,7 @@ def _suite_crt(checks, max_level):
 
 def _suite_tower(checks, max_level):
     for r, n in ((2, 1), (3, 0), (3, 1)):
-        if r ** (n + 2) <= max(max_level, 9) * 3:
+        if r ** (n + 2) <= max_level * 3:
             checks.append((f"tower {r}^{n}", decompose.tower_check(r, n, 1).passed))
 
 
@@ -175,7 +177,7 @@ def _suite_egorov(checks, max_level):
 def _suite_semiclassical(checks, max_level):
     monomials = [(0, 0), (1, 1), (2, 1), (0, 3), (3, 0)]
     ok = True
-    for p in range(3, max(max_level, 9) + 1):
+    for p in range(3, max_level + 1):
         report = analysis.semiclassical_traces(p, 1, monomials)
         for row in report.rows:
             degree = sum(row.monomial[0])
@@ -196,7 +198,7 @@ def _suite_faithful(checks, max_level):
 
 def cmd_verify(args):
     suites = {
-        "census": lambda c: _suite_census(c, min(args.n or 3, 4)),
+        "census": lambda c: _suite_census(c, args.n),
         "charsum": lambda c: _suite_charsum(c, args.max_level),
         "crt": lambda c: _suite_crt(c, args.max_level),
         "tower": lambda c: _suite_tower(c, args.max_level),
@@ -235,9 +237,7 @@ def build_parser():
     def common(p):
         p.add_argument("--level", type=int, default=3)
         p.add_argument("--genus", type=int, default=1)
-        p.add_argument("--n", type=int, default=None)
         output(p)
-        p.add_argument("--max-level", dest="max_level", type=int, default=9)
 
     # the level is positional here; a --level option would overwrite it
     p_gauss = sub.add_parser("gauss", help="print one Gauss sum")
@@ -263,10 +263,14 @@ def build_parser():
         p_cmd = sub.add_parser(name)
         common(p_cmd)
         p_cmd.set_defaults(func=func)
+        if name == "census":
+            p_cmd.add_argument("--n", type=int, default=None)
 
     p_verify = sub.add_parser("verify")
     p_verify.add_argument("suite")
     common(p_verify)
+    p_verify.add_argument("--n", type=int, default=3)
+    p_verify.add_argument("--max-level", dest="max_level", type=int, default=9)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from weildec import analysis, decompose
 from weildec.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
@@ -66,6 +67,64 @@ def test_verify_faithful_respects_max_level(capsys):
     assert main(["verify", "faithful", "--max-level", "5"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines() == [
         "PASS faithful level=3", "PASS faithful level=5"]
+
+
+@pytest.mark.parametrize("argv,lines", [
+    (["tower", "--max-level", "3"], ["PASS tower 2^1", "PASS tower 3^0"]),
+    (["census", "--n", "6"], [f"PASS census n={n}" for n in range(2, 7)]),
+    (["census"], ["PASS census n=2", "PASS census n=3"]),
+])
+def test_verify_suite_lines(argv, lines, capsys):
+    assert main(["verify"] + argv) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_verify_semiclassical_respects_max_level(monkeypatch, capsys):
+    levels = []
+    real = analysis.semiclassical_traces
+
+    def spy(p, *args):
+        levels.append(p)
+        return real(p, *args)
+
+    monkeypatch.setattr(analysis, "semiclassical_traces", spy)
+    assert main(["verify", "semiclassical", "--max-level", "4"]) == EXIT_OK
+    assert levels == [3, 4]
+
+
+def test_verify_census_out_of_range_n_is_usage_error(capsys):
+    assert main(["verify", "census", "--n", "1"]) == EXIT_USAGE
+    assert main(["verify", "census", "--n", "9"]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["charsum", "--level", "4", "--max-level", "3"],
+    ["decompose", "--level", "4", "--n", "3"],
+    ["rep", "show", "--max-level", "3"],
+])
+def test_unread_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv,certified", [
+    (["--level", "20"], [(20, 1)]),
+    # rank 12^2 = 144 is past decompose.COMMUTANT_MAX_DIM
+    (["--level", "12", "--genus", "2"], []),
+])
+def test_decompose_certifies_up_to_the_cap(argv, certified, monkeypatch, capsys):
+    calls = []
+    real = decompose.commutant_dimension
+
+    def spy(p, g=1):
+        calls.append((p, g))
+        return real(p, g)
+
+    monkeypatch.setattr(decompose, "commutant_dimension", spy)
+    assert main(["decompose"] + argv) == EXIT_OK
+    assert calls == certified
 
 
 def test_verify_unknown_suite():

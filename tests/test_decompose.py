@@ -233,7 +233,7 @@ def test_commutant_certificate_genus1(p):
     assert commutant_dimension(p) == expect
 
 
-@pytest.mark.parametrize("p", [3, 5, 8, 9, 12, 15, 16])
+@pytest.mark.parametrize("p", [3, 5, 8, 9, 12, 15, 16, 17, 19, 21, 25, 27, 31, 32])
 def test_commutant_dimension_matches_schur_character_sum(p):
     # Schur: the average of |Tr|^2 over the group is the commutant dimension;
     # char_sum reaches it through the trace engine, not the mod-q certificate
@@ -245,6 +245,23 @@ def test_commutant_certificate_genus2(p):
     # the factor count is genus-independent: still one summand per divisor
     expect = sigma0(p if p % 2 else p // 2)
     assert commutant_dimension(p, g=2) == expect
+
+
+@pytest.mark.parametrize("p,g", [(64, 1), (9, 2), (5, 3)])
+def test_commutant_certificate_past_rank_16(p, g):
+    expect = sigma0(p if p % 2 else p // 2)
+    assert commutant_dimension(p, g) == expect
+    assert decomposition_tree(p, g).factor_count == expect
+
+
+def test_commutant_dimension_refuses_rank_past_the_cap(monkeypatch):
+    def no_rep(*args):
+        raise AssertionError("built a WeilRep")
+
+    monkeypatch.setattr(decompose, "WeilRep", no_rep)
+    assert 12**2 > decompose.COMMUTANT_MAX_DIM
+    with pytest.raises(ValueError):
+        commutant_dimension(12, 2)
 
 
 @pytest.mark.parametrize("p,g", [(2, 1), (3, 1), (4, 1), (5, 1), (3, 2)])

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -141,13 +142,60 @@ def _full_nullity(gens, q, omega):
 
 
 @pytest.mark.parametrize("p,g", [(p, 1) for p in range(2, 17)]
-                         + [(2, 2), (3, 2), (4, 2)])
+                         + [(2, 2), (3, 2), (4, 2)]
+                         + [(32, 1), (5, 2), (6, 2), (2, 3), (3, 3)])
 def test_reduced_nullity_matches_full_system(p, g):
     rep = WeilRep(p, g)
     gens = [rep.generator_cyc(tag) for tag in rep.tags()]
     for q in _modular_primes(rep.m, count=2):
         omega = _root_mod(q, rep.m)
         assert _commutant_nullity_mod(gens, q, omega) == _full_nullity(gens, q, omega)
+
+
+def test_nullity_build_stays_on_the_support_columns():
+    # the d^2 x d^2 system of one generator at d = 64 is 128 MiB of int64
+    rep = WeilRep(8, 2)
+    gens = [rep.generator_cyc(tag) for tag in rep.tags()]
+    q, omega = _prime_and_root(rep.m)
+    tracemalloc.start()
+    try:
+        _commutant_nullity_mod(gens, q, omega)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def _eval_mod_reference(cyc, q, omega):
+    """The evaluation in Python ints throughout."""
+    powers = np.array([pow(omega, k, q) for k in range(cyc.m)], dtype=object)
+    s = cyc.scale
+    factor = s.numerator * pow(s.denominator, -1, q)
+    return (cyc.arr.astype(object) @ powers * factor % q).astype(np.int64)
+
+
+@pytest.mark.parametrize("p,g", [(16, 1), (4, 2), (12, 1), (5, 3)])
+def test_eval_mod_matches_python_ints(p, g):
+    rep = WeilRep(p, g)
+    for tag in rep.tags():
+        gen = rep.generator_cyc(tag)
+        for q in _modular_primes(rep.m, count=2):
+            omega = _root_mod(q, rep.m)
+            got = _eval_mod(gen, q, omega)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _eval_mod_reference(gen, q, omega))
+
+
+def test_eval_mod_past_the_int64_bound():
+    # entries of 2^58 make the int64 einsum bound fail: the Python-int path
+    rep = WeilRep(4, 1)
+    gen = rep.generator_cyc(("Y", 1))
+    big = CycMat(rep.m, gen.arr * 2**58, scale=gen.scale, beta=gen.beta)
+    q, omega = _prime_and_root(rep.m)
+    got = _eval_mod(big, q, omega)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _eval_mod_reference(big, q, omega))
+    assert np.array_equal(got, _eval_mod(gen, q, omega) * pow(2, 58, q) % q)
 
 
 def test_reduced_nullity_without_diagonal_generators():
