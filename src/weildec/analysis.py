@@ -88,8 +88,8 @@ def char_sum(p, method=None):
         order = sl2_order(modulus)
         count = len(reps)
     elif method == "full-enumeration":
-        if modulus > 32:
-            raise ValueError("full enumeration bounded at modulus 32")
+        if modulus > 64:
+            raise ValueError("full enumeration bounded at modulus 64")
         order = 0
         for c in range(modulus):
             for n, scale, weight in engine.column_abs_sq(c):

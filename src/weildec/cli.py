@@ -234,9 +234,11 @@ def build_parser():
                        default="json")
         p.add_argument("--out", default=None)
 
-    def common(p):
+    def common(p, genus=True):
+        """--level, --genus where the command reads it, and the output flags."""
         p.add_argument("--level", type=int, default=3)
-        p.add_argument("--genus", type=int, default=1)
+        if genus:
+            p.add_argument("--genus", type=int, default=1)
         output(p)
 
     # the level is positional here; a --level option would overwrite it
@@ -253,22 +255,24 @@ def build_parser():
     common(p_show)
     p_show.set_defaults(func=cmd_rep_show)
 
-    for name, func in (
-        ("decompose", cmd_decompose),
-        ("charsum", cmd_charsum),
-        ("census", cmd_census),
-        ("orbits", cmd_orbits),
-        ("semiclassical", cmd_semiclassical),
+    for name, func, genus in (
+        ("decompose", cmd_decompose, True),
+        ("charsum", cmd_charsum, False),
+        ("orbits", cmd_orbits, True),
+        ("semiclassical", cmd_semiclassical, False),
     ):
         p_cmd = sub.add_parser(name)
-        common(p_cmd)
+        common(p_cmd, genus)
         p_cmd.set_defaults(func=func)
-        if name == "census":
-            p_cmd.add_argument("--n", type=int, default=None)
+
+    p_census = sub.add_parser("census")
+    p_census.add_argument("--n", type=int, default=None)
+    output(p_census)
+    p_census.set_defaults(func=cmd_census)
 
     p_verify = sub.add_parser("verify")
     p_verify.add_argument("suite")
-    common(p_verify)
+    output(p_verify)
     p_verify.add_argument("--n", type=int, default=3)
     p_verify.add_argument("--max-level", dest="max_level", type=int, default=9)
     p_verify.set_defaults(func=cmd_verify)

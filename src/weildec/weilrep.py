@@ -359,11 +359,12 @@ class _TraceEngine:
     For M = (a, b, c, d) with c a unit, M = T^(a/c) S^{-1} D_c T^(d/c) and
     the trace is a sum of p gathered integer vectors; non-unit c inserts one
     extra S-factor, costing p^2 gathered vectors.  D_c, the lift of
-    diag(c, 1/c), comes from `lift_genus1_cyc` once per c and is checked to
-    be monomial (one field-nonzero entry d_i in each row and column) when
-    it is cached.  S^{-1}[i, j] is the Gauss vector g0 rolled by 2ij, so
-    S^{-1} D_c needs one batched convolution g0 * d_i and one gather, and
-    S^{-1} S^{-1} D_c the same with g0 * g0.
+    diag(c, 1/c), is a unit scalar times the dilation e_i -> e_(i/c), and
+    the engine keeps only the dilation's index map: the scalar cancels in
+    |Tr|^2, the one quantity computed here.  S^{-1}[i, j] is the Gauss
+    vector g0 rolled by 2ij, so every entry of S^{-1} D_c is a roll of g0,
+    and every entry of S^{-1} S^{-1} D_c a roll of g0 * g0, both cached
+    normalised at construction.
 
     Every entry vector is kept normalised (median subtracted, content moved
     into the Fraction scale), every int64 kernel is preceded by an exact
@@ -381,7 +382,6 @@ class _TraceEngine:
         self.p = p
         img = _lift_images(p)
         self.m = img["m"]
-        self.eps = img["eps"]
         self.field = field_for_level(p)
         m = self.m
         t = np.arange(m)
@@ -394,7 +394,10 @@ class _TraceEngine:
         self._gauss_scale = Fraction(g, m)
         self._gauss_sq, g = _gauss_power(p, -1, 2)
         self._gauss_sq_scale = Fraction(g, m * m)
-        self.sinv_beta = 3 * self.eps
+        self._gauss_sq_rolls = _windows(self._gauss_sq)
+        # a trace vector sums p rolls of g0, or p^2 rolls of g0 * g0
+        _check_int64(p * _max_abs(self._gauss), "trace vector")
+        _check_int64(p * p * _max_abs(self._gauss_sq), "trace vector")
         self._inv = np.array([pow(v, -1, m) if gcd(v, m) == 1 else 0
                               for v in range(m)])  # 0 marks a non-unit
         self._dcache = {}
@@ -402,49 +405,43 @@ class _TraceEngine:
         self._gcache = {}
 
     def _dmat(self, c):
-        """(perm, d, scale, beta): D_c[perm[i], i] = scale beta-root d[i],
-        every other entry zero in the field."""
+        """perm with D_c e_i = lambda_c e_perm[i], perm[i] = i / c mod p.
+
+        In the Schrodinger model the lift of diag(c, 1/c) is a unit scalar
+        lambda_c times the dilation e_i -> e_(i/c); lambda_c cancels in
+        |Tr|^2, so D_c is kept as this index map alone."""
         if c not in self._dcache:
-            p = self.p
-            D = lift_genus1_cyc(p, (c % self.m, 0, 0, pow(c, -1, self.m)))
-            arr = D.arr  # the lift's entries come out normalised
-            _check_int64(_max_abs(arr) * self._powers_l1, "field coordinates")
-            support = (arr @ self._powers).any(axis=-1)
-            if not ((support.sum(axis=0) == 1).all() and (support.sum(axis=1) == 1).all()):
-                raise ValueError("lift of diag(%d, 1/%d) is not monomial" % (c, c))
-            perm = support.argmax(axis=0)
-            d, h = _normalise(arr[perm, np.arange(p)])
-            self._dcache[c] = (perm, d, D.scale * h, D.beta)
+            self._dcache[c] = pow(c, -1, self.m) * self._rows[:self.p] % self.p
         return self._dcache[c]
 
     def _kvec(self, c):
-        """K_c[i] = (S^{-1} D_c)[i, i] = roll(g0 * d_i, 2 i perm[i])."""
+        """Windows of K_c, K_c[i] = (S^{-1} D_c)[i, i] = roll(g0, 2 i perm[i])
+        up to lambda_c and the scale of g0."""
         if c not in self._kcache:
-            perm, d, scale, beta = self._dmat(c)
-            k, g = _normalise(_convolve(self._gauss, d))
             i = self._rows[:self.p]
-            K = _windows(k)[i, -2 * i * perm % self.m]
-            _check_int64(self.p * _max_abs(K), "trace vector")
-            self._kcache[c] = (_windows(K), self._gauss_scale * scale * g,
-                               self.sinv_beta + beta)
+            K = _windows(self._gauss)[-2 * i * self._dmat(c) % self.m]
+            self._kcache[c] = _windows(K)
         return self._kcache[c]
 
     def _gmat(self, u):
-        """G_u[i, j] = S^{-1}[i, j] (S^{-1} D_(-u))[j, i]
-        = roll(g0 * g0 * d_i, 2 j (i + perm[i]))."""
+        """off with G_u[i, j] = S^{-1}[i, j] (S^{-1} D_(-u))[j, i]
+        = roll(g0 * g0, 2 j (i + perm[i])) up to lambda_(-u) and the scale
+        of g0 * g0: entry (i, j) rolled back by e is
+        `_gauss_sq_rolls`[(e + off[i p + j]) mod m]."""
         if u not in self._gcache:
-            perm, d, scale, beta = self._dmat((-u) % self.m)
-            h, g = _normalise(_convolve(self._gauss_sq, d))
             i = self._rows[:self.p]
-            shifts = 2 * i[None, :] * (i + perm)[:, None]
-            G = _windows(h)[i[:, None], -shifts % self.m].reshape(-1, self.m)
-            _check_int64(len(G) * _max_abs(G), "trace vector")
-            self._gcache[u] = (_windows(G), self._gauss_sq_scale * scale * g,
-                               2 * self.sinv_beta + beta)
+            perm = self._dmat((-u) % self.m)
+            off = -2 * i[None, :] * (i + perm)[:, None] % self.m
+            self._gcache[u] = off.ravel()
         return self._gcache[u]
 
     def trace_vector(self, M):
-        """(vector, scale, beta) with Tr = scale * beta-root * sum_t v[t] A^t."""
+        """(vector, scale) with Tr = lam * scale * sum_t v[t] A^t for some
+        unit scalar lam that depends on M.
+
+        The engine drops the unit scalar of each D_c, so only |Tr|^2 is
+        fixed; Tr of a word lift is itself defined only up to such a
+        scalar, and |Tr|^2 alone is independent of the word."""
         m, p = self.m, self.p
         a, b, c, d = (v % m for v in M)
         if det(M, m) != 1:
@@ -453,9 +450,8 @@ class _TraceEngine:
         if gcd(c, m) == 1:
             cinv = pow(c, -1, m)
             alpha, delta = (a * cinv) % m, (d * cinv) % m
-            K, scale, kbeta = self._kvec(c)
-            vec = K[self._rows[:p], (alpha + delta) * sq % m].sum(axis=0)
-            beta = (kbeta - self.eps * (alpha + delta)) % 24
+            vec = self._kvec(c)[self._rows[:p], (alpha + delta) * sq % m].sum(axis=0)
+            scale = self._gauss_scale
         else:
             x = 0
             while gcd(a + x * c, m) != 1:
@@ -464,12 +460,11 @@ class _TraceEngine:
             uinv = pow(u, -1, m)
             alpha = (-c * uinv) % m           # mid = (c, d, -u, -(b+xd))
             delta = ((b + x * d) * uinv) % m
-            G, scale, gbeta = self._gmat(u)
-            e = ((x - delta) * sq[:, None] - alpha * sq[None, :]) % m
-            vec = G[self._rows, e.ravel()].sum(axis=0)
-            beta = (gbeta + self.eps * (x - alpha - delta)) % 24
+            e = (x - delta) * sq[:, None] - alpha * sq[None, :]
+            vec = self._gauss_sq_rolls[(e.ravel() + self._gmat(u)) % m].sum(axis=0)
+            scale = self._gauss_sq_scale
         vec, g = _normalise(vec)
-        return vec, scale * g, beta
+        return vec, scale * g
 
     def abs_sq_rows(self, rows):
         """n with n[k] = |sum_t rows[k, t] A^t|^2 for every row of trace
@@ -487,7 +482,7 @@ class _TraceEngine:
     def trace_abs_sq_parts(self, M):
         """(n, scale) with |Tr|^2 = n * scale^2, by `abs_sq_rows` on the
         trace vector of M."""
-        vec, scale, _beta = self.trace_vector(M)
+        vec, scale = self.trace_vector(M)
         try:
             n = self.abs_sq_rows(vec[None, :])[0]
         except ValueError as err:
@@ -499,7 +494,7 @@ class _TraceEngine:
     def _sweep_rows(self, W):
         """rows[s, t] = sum_i W[i, s sq_i, t] for every s mod m, W the
         windows of a (p, m) table.  The sums are the ones `trace_vector`
-        forms, so the bounds `_kvec` and `_gmat` check cover them."""
+        forms, so the bounds checked at construction cover them."""
         s = np.arange(self.m)
         return W[self._rows[:self.p], s[:, None] * self._sq % self.m].sum(axis=1)
 
@@ -515,15 +510,15 @@ class _TraceEngine:
         return a, b, d, u, (x - (b + x * d) * self._inv[u]) % m
 
     def _nonunit_rows(self, c, u):
-        """(rows, scale): rows[X] is the trace vector, up to scale and phase,
-        of every element of column c with keys (u, X).  With alpha = -c / u
-        it is sum_ij G_u[i, j, X sq_i - alpha sq_j + t] = sum_i
-        H[i, X sq_i + t], H[i, t] = sum_j G_u[i, j, t - alpha sq_j]."""
-        G, scale, _beta = self._gmat(u)
+        """rows[X] is the trace vector, up to the scale of g0 * g0 and a unit
+        scalar, of every element of column c with keys (u, X).  With
+        alpha = -c / u it is sum_ij G_u[i, j, X sq_i - alpha sq_j + t] =
+        sum_i H[i, X sq_i + t], H[i, t] = sum_j G_u[i, j, t - alpha sq_j]."""
         p, m = self.p, self.m
         alpha = -c * self._inv[u] % m
-        H = G[self._rows, -alpha * self._sq[self._rows % p] % m]
-        return self._sweep_rows(_windows(H.reshape(p, p, m).sum(axis=1))), scale
+        shifts = self._gmat(u) - alpha * self._sq[self._rows % p]
+        H = self._gauss_sq_rolls[shifts % m]
+        return self._sweep_rows(_windows(H.reshape(p, p, m).sum(axis=1)))
 
     def column_abs_sq(self, c):
         """Blocks (n, scale, count) over the elements of SL2(Z/m) with
@@ -538,14 +533,14 @@ class _TraceEngine:
         m = self.m
         c %= m
         if self._inv[c]:
-            K, scale, _beta = self._kvec(c)
-            return [(self.abs_sq_rows(self._sweep_rows(K)), scale, np.full(m, m))]
+            rows = self._sweep_rows(self._kvec(c))
+            return [(self.abs_sq_rows(rows), self._gauss_scale, np.full(m, m))]
         _a, _b, _d, u, X = self._column_keys(c)
         counts = np.bincount(u * m + X, minlength=m * m).reshape(m, m)
         blocks = []
         for v in np.flatnonzero(counts.any(axis=1)):
-            rows, scale = self._nonunit_rows(c, int(v))
-            blocks.append((self.abs_sq_rows(rows), scale, counts[v]))
+            rows = self._nonunit_rows(c, int(v))
+            blocks.append((self.abs_sq_rows(rows), self._gauss_sq_scale, counts[v]))
         return blocks
 
     def trace_abs_sq(self, M):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from weildec import analysis, modgroup, weilrep
 from weildec.analysis import (
     char_sum,
     char_sum_multiplicativity,
@@ -24,18 +25,38 @@ def test_expected_char_sum(p, value):
     assert expected_char_sum(p) == value
 
 
-@pytest.mark.parametrize("p", [2, 3, 4, 5, 7, 8])
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 7, 8, 17, 18, 33, 45])
 def test_char_sum_matches_expected(p):
     report = char_sum(p)
     assert report.match
     assert report.value == Fraction(expected_char_sum(p))
 
 
-@pytest.mark.parametrize("p", [2, 4, 8, 16])
+@pytest.mark.parametrize("p", [2, 4, 8, 16, 32])
 def test_char_sum_methods_agree(p):
     full = char_sum(p, method="full-enumeration")
     cen = char_sum(p, method="census-representatives")
     assert full.value == cen.value
+
+
+def test_full_enumeration_refuses_modulus_past_64():
+    with pytest.raises(ValueError):
+        char_sum(34, method="full-enumeration")  # modulus 68
+    with pytest.raises(ValueError):
+        char_sum(65)
+
+
+def test_char_sum_builds_no_word_lift(monkeypatch):
+    # the engine takes diag(c, 1/c) as a dilation: no S,T word is formed
+    def refuse(*args, **kwargs):
+        raise AssertionError("word lift built")
+
+    monkeypatch.setattr(weilrep, "lift_genus1_cyc", refuse)
+    monkeypatch.setattr(weilrep, "word_decompose", refuse)
+    monkeypatch.setattr(modgroup, "word_decompose", refuse)
+    monkeypatch.setattr(analysis, "trace_engine", weilrep._TraceEngine)  # cold
+    for p in (9, 12, 16, 21):
+        assert char_sum(p).match
 
 
 def test_char_sum_census_needs_2power():

@@ -102,6 +102,9 @@ def test_verify_census_out_of_range_n_is_usage_error(capsys):
     ["charsum", "--level", "4", "--max-level", "3"],
     ["decompose", "--level", "4", "--n", "3"],
     ["rep", "show", "--max-level", "3"],
+    ["census", "--n", "2", "--level", "99"],
+    ["charsum", "--level", "4", "--genus", "5"],
+    ["verify", "tower", "--genus", "7"],
 ])
 def test_unread_flags_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,7 @@ import pytest
 
 from weildec import weilrep
 from weildec.cyclo import field_for_level
-from weildec.cycmat import CycMat, _max_abs
+from weildec.cycmat import _INT64_MAX, CycMat, _l1, _max_abs, power_matrix
 from weildec.decompose import _cyc_equal
 from weildec.modgroup import mat_mul, sl2_column, sl2_enumerate, word_decompose
 from weildec.weilrep import (
@@ -223,7 +223,8 @@ def _random_sl2(rng, N):
 
 
 @pytest.mark.parametrize("N,count", [(3, 8), (5, 8), (7, 8), (9, 8), (15, 8),
-                                     (21, 8), (25, 8), (27, 8), (31, 3)])
+                                     (21, 8), (25, 8), (27, 8), (31, 3),
+                                     (33, 4), (45, 4), (63, 3)])
 def test_trace_matches_fixed_point_count(N, count):
     # odd level: |Tr pi(M)|^2 = #{v in (Z/N)^2 : Mv = v}
     rng = random.Random(41 + N)
@@ -232,8 +233,40 @@ def test_trace_matches_fixed_point_count(N, count):
         assert trace_abs_sq(N, M) == _fixed_vectors(M, N)
 
 
+def _dilation(engine, c):
+    """The 0/1 matrix of the engine's index map for diag(c, 1/c)."""
+    mat = CycMat.zero(engine.m, engine.p, engine.p)
+    mat.arr[engine._dmat(c), np.arange(engine.p), 0] = 1
+    return mat
+
+
+def _assert_diag_lift_is_dilation(p, c):
+    # the word lift of diag(c, 1/c) is monomial in the field, and a unit
+    # scalar times the dilation the trace engine uses in its place
+    engine = trace_engine(p)
+    L = lift_genus1_cyc(p, (c, 0, 0, pow(c, -1, engine.m)))
+    D = _dilation(engine, c)
+    P = power_matrix(engine.field, engine.m)
+    assert _max_abs(L.arr) * _l1(P) <= _INT64_MAX
+    assert np.array_equal((L.arr @ P).any(axis=-1), D.arr.any(axis=-1))
+    assert projective_key(L, engine.field) == projective_key(D, engine.field)
+
+
+@pytest.mark.parametrize("p", range(2, 17))
+def test_diag_lift_is_the_engine_dilation(p):
+    m = p if p % 2 else 2 * p
+    for c in range(1, m):
+        if gcd(c, m) == 1:
+            _assert_diag_lift_is_dilation(p, c)
+
+
+def test_diag_lift_is_the_engine_dilation_at_level_32():
+    for c in random.Random(73).sample(range(1, 64, 2), 4):
+        _assert_diag_lift_is_dilation(32, c)
+
+
 def test_trace_at_level_32_matches_word_evaluation():
-    # all three share the engine's cached lift of diag(-1, -1)
+    # all three share the engine's cached dilation for diag(-1, -1)
     assert trace_abs_sq(32, (1, 0, 0, 1)) == 1024
     for M in [(1, 0, 63, 1), (1, 0, 4, 1)]:  # unit c, then non-unit c
         direct = lift_genus1(32, M).trace()
@@ -244,7 +277,7 @@ def test_trace_overflow_guard_raises(monkeypatch):
     engine = trace_engine(5)
     big = np.full(engine.m, 2**31, dtype=np.int64)
     big[0] = 0
-    monkeypatch.setattr(engine, "trace_vector", lambda M: (big, Fraction(1), 0))
+    monkeypatch.setattr(engine, "trace_vector", lambda M: (big, Fraction(1)))
     with pytest.raises(OverflowError):
         engine.trace_abs_sq((1, 0, 0, 1))
     with pytest.raises(OverflowError):
@@ -256,15 +289,14 @@ def _column_values(engine, c):
     m = engine.m
     if gcd(c, m) == 1:
         # one row per s = (a + d) / c, shared by the m elements that have it
-        K, scale, _beta = engine._kvec(c)
-        n = engine.abs_sq_rows(engine._sweep_rows(K))
+        n = engine.abs_sq_rows(engine._sweep_rows(engine._kvec(c)))
+        scale = engine._gauss_scale
         cinv = pow(c, -1, m)
         return {(a, b, c, d): int(n[(a + d) * cinv % m]) * scale**2
                 for a, b, d in zip(*(col.tolist() for col in sl2_column(m, c)))}
     a, b, d, u, X = (col.tolist() for col in engine._column_keys(c))
-    rows = {v: engine._nonunit_rows(c, v) for v in set(u)}
-    n = {v: (engine.abs_sq_rows(r), scale) for v, (r, scale) in rows.items()}
-    return {(A, B, c, D): int(n[U][0][x]) * n[U][1] ** 2
+    n = {v: engine.abs_sq_rows(engine._nonunit_rows(c, v)) for v in set(u)}
+    return {(A, B, c, D): int(n[U][x]) * engine._gauss_sq_scale ** 2
             for A, B, D, U, x in zip(a, b, d, u, X)}
 
 
