@@ -1,5 +1,5 @@
 """Command-line front end: construction, decomposition, censuses, and
-the aggregated verification suites.
+the acceptance criteria of ``weildec.criteria``.
 
 Exit codes: 0 success, 1 mathematical mismatch, 2 usage or resource
 error.  All JSON output is deterministic (fixed key order, rationals as
@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import analysis, decompose, modgroup, weilrep
+from . import analysis, criteria, decompose, modgroup, weilrep
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -137,89 +137,21 @@ def cmd_semiclassical(args):
     return EXIT_OK
 
 
-def _suite_census(checks, max_n):
-    # census(max_n) runs first, so an unsupported n fails before any sweep
-    last = modgroup.census(max_n)
-    for n in range(2, max_n + 1):
-        rows = last if n == max_n else modgroup.census(n)
-        checks.append((f"census n={n}", all(row.match for row in rows)))
-
-
-def _suite_charsum(checks, max_level):
-    for level in (2, 4, 8):
-        if level <= max_level:
-            report = analysis.char_sum(level)
-            checks.append((f"charsum level={level}", report.match))
-    for level in (3, 5, 7):
-        if level <= max_level:
-            checks.append((f"charsum level={level}", analysis.char_sum(level).match))
-
-
-def _suite_crt(checks, max_level):
-    for a, b in ((2, 3), (3, 5), (4, 3)):
-        if a * b <= max_level * 3:
-            checks.append((f"crt {a}x{b}", decompose.crt_check(a, b, 1).passed))
-
-
-def _suite_tower(checks, max_level):
-    for r, n in ((2, 1), (3, 0), (3, 1)):
-        if r ** (n + 2) <= max_level * 3:
-            checks.append((f"tower {r}^{n}", decompose.tower_check(r, n, 1).passed))
-
-
-def _suite_egorov(checks, max_level):
-    for p in range(2, min(max_level, 7) + 1):
-        for g in (1, 2):
-            ok = all(r.ok for r in decompose.egorov_verify(p, g))
-            checks.append((f"egorov level={p} genus={g}", ok))
-
-
-def _suite_semiclassical(checks, max_level):
-    monomials = [(0, 0), (1, 1), (2, 1), (0, 3), (3, 0)]
-    ok = True
-    for p in range(3, max_level + 1):
-        report = analysis.semiclassical_traces(p, 1, monomials)
-        for row in report.rows:
-            degree = sum(row.monomial[0])
-            if degree == 0:
-                ok = ok and row.value == 1
-            elif p > degree:
-                ok = ok and row.value == 0
-    checks.append(("semiclassical vanishing", ok))
-
-
-def _suite_faithful(checks, max_level):
-    for p in (3, 5, 7):
-        if p <= max_level:
-            checks.append(
-                (f"faithful level={p}", analysis.kernel_check(p).injective)
-            )
-
-
 def cmd_verify(args):
-    suites = {
-        "census": lambda c: _suite_census(c, args.n),
-        "charsum": lambda c: _suite_charsum(c, args.max_level),
-        "crt": lambda c: _suite_crt(c, args.max_level),
-        "tower": lambda c: _suite_tower(c, args.max_level),
-        "egorov": lambda c: _suite_egorov(c, args.max_level),
-        "semiclassical": lambda c: _suite_semiclassical(c, args.max_level),
-        "faithful": lambda c: _suite_faithful(c, args.max_level),
-    }
-    if args.suite == "all":
-        selected = list(suites.values())
-    elif args.suite in suites:
-        selected = [suites[args.suite]]
+    if args.criterion == "all":
+        selected = criteria.REGISTRY
     else:
-        return EXIT_USAGE
-    checks = []
-    for run in selected:
-        run(checks)
-    lines = [
-        f"{'PASS' if ok else 'FAIL'} {name}" for name, ok in checks
-    ]
+        selected = [c for c in criteria.REGISTRY
+                    if str(c.number) == args.criterion]
+        if not selected:
+            return EXIT_USAGE
+    lines, passed = [], True
+    for criterion in selected:
+        ok, detail = criterion.check()
+        lines.append(criteria.line(criterion, ok, detail))
+        passed = passed and ok
     _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if all(ok for _, ok in checks) else EXIT_MISMATCH
+    return EXIT_OK if passed else EXIT_MISMATCH
 
 
 def build_parser():
@@ -229,40 +161,42 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command")
 
-    def output(p):
-        p.add_argument("--format", choices=("json", "csv", "text"),
-                       default="json")
+    def output(p, formats=False):
+        """--out, and --format where the command reads it."""
+        if formats:
+            p.add_argument("--format", choices=("json", "csv", "text"),
+                           default="json")
         p.add_argument("--out", default=None)
 
-    def common(p, genus=True):
+    def common(p, genus, formats):
         """--level, --genus where the command reads it, and the output flags."""
         p.add_argument("--level", type=int, default=3)
         if genus:
             p.add_argument("--genus", type=int, default=1)
-        output(p)
+        output(p, formats)
 
     # the level is positional here; a --level option would overwrite it
     p_gauss = sub.add_parser("gauss", help="print one Gauss sum")
     p_gauss.add_argument("a", type=int)
     p_gauss.add_argument("b", type=int)
     p_gauss.add_argument("level", type=int)
-    output(p_gauss)
+    output(p_gauss, formats=True)
     p_gauss.set_defaults(func=cmd_gauss)
 
     p_rep = sub.add_parser("rep", help="representation inspection")
     rep_sub = p_rep.add_subparsers(dest="rep_command")
     p_show = rep_sub.add_parser("show")
-    common(p_show)
+    common(p_show, genus=True, formats=False)
     p_show.set_defaults(func=cmd_rep_show)
 
-    for name, func, genus in (
-        ("decompose", cmd_decompose, True),
-        ("charsum", cmd_charsum, False),
-        ("orbits", cmd_orbits, True),
-        ("semiclassical", cmd_semiclassical, False),
+    for name, func, genus, formats in (
+        ("decompose", cmd_decompose, True, True),
+        ("charsum", cmd_charsum, False, True),
+        ("orbits", cmd_orbits, True, False),
+        ("semiclassical", cmd_semiclassical, False, False),
     ):
         p_cmd = sub.add_parser(name)
-        common(p_cmd, genus)
+        common(p_cmd, genus, formats)
         p_cmd.set_defaults(func=func)
 
     p_census = sub.add_parser("census")
@@ -270,11 +204,10 @@ def build_parser():
     output(p_census)
     p_census.set_defaults(func=cmd_census)
 
-    p_verify = sub.add_parser("verify")
-    p_verify.add_argument("suite")
+    p_verify = sub.add_parser("verify", help="run the acceptance criteria")
+    p_verify.add_argument("criterion",
+                          help="all, or a criterion number from 1 to 17")
     output(p_verify)
-    p_verify.add_argument("--n", type=int, default=3)
-    p_verify.add_argument("--max-level", dest="max_level", type=int, default=9)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

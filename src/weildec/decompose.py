@@ -204,8 +204,6 @@ def parity_bases(p, g=1):
 
 def _parity_dims(p, g):
     fixed = 1 if p % 2 else 2
-    if p == 1:
-        fixed = 1
     return ((p**g + fixed**g) // 2, (p**g - fixed**g) // 2)
 
 
@@ -214,22 +212,7 @@ def _parity_dims(p, g):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class CrtData:
-    a: int
-    b: int
-    g: int
-    u: int
-    v: int
-    f_table: tuple
-    psi: tuple
-
-    def f(self, x, y):
-        return self.f_table[(x % self.a) * self.b + (y % self.b)]
-
-
-@dataclass
 class CrtReport:
-    data: CrtData
     passed: bool
     failures: tuple
 
@@ -247,7 +230,8 @@ def _bezout(a, b):
 
 
 def _crt_maps(a, b, g):
-    """Residue pairing f and the genus-g basis permutation psi."""
+    """Bezout pair (u, v) and the genus-g basis permutation psi, built from
+    the residue pairing f."""
     even = a % 2 == 0
     if even:
         u, v = _bezout(2 * a, b)
@@ -290,15 +274,14 @@ def _crt_maps(a, b, g):
             for xi, yi in zip(xa, yb):
                 target = target * (a * b) + f_table[xi * b + yi]
             psi[ia * dim_b + ib] = target
-    return u, v, f_table, tuple(psi), coef_a, coef_b
+    return u, v, tuple(psi)
 
 
 def crt_check(a, b, g=1):
     """Verify the coprime tensor factorization exactly, generator by generator."""
     if gcd(a, b) != 1 or b % 2 == 0 or a < 2 or b < 2:
         raise ValueError("need coprime levels with b odd, both at least 2")
-    u, v, f_table, psi, coef_a, coef_b = _crt_maps(a, b, g)
-    data = CrtData(a, b, g, u, v, f_table, psi)
+    u, v, psi = _crt_maps(a, b, g)
     m_ab = _heisenberg_modulus(a * b)
     # A_a corresponds to A_ab^{vb} and A_b to A_ab^{au} (odd a) or
     # A_ab^{2au} (even a); the Bezout identity fixes the orders.
@@ -318,7 +301,7 @@ def crt_check(a, b, g=1):
         transported = CycMat(m_ab, moved, scale=gt.scale, beta=gt.beta)
         if not _cyc_equal(transported, rep_ab.generator_cyc(tag), rep_ab.field):
             failures.append(tag)
-    return CrtReport(data, not failures, tuple(failures))
+    return CrtReport(not failures, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -326,16 +309,7 @@ def crt_check(a, b, g=1):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class TowerData:
-    r: int
-    n: int
-    g: int
-    gvecs: np.ndarray
-
-
-@dataclass
 class TowerReport:
-    data: TowerData
     passed: bool
     failures: tuple
 
@@ -372,7 +346,6 @@ def tower_check(r, n, g=1):
     small = r**n
     rep = WeilRep(big, g)
     span_u = _tower_span(r, n, g)
-    data = TowerData(r, n, g, span_u)
     rep_small = WeilRep(small, g) if small > 1 else None
     failures = []
     for tag in rep.tags():
@@ -393,7 +366,7 @@ def tower_check(r, n, g=1):
         transposed = _generator_product(rep, tag, span_u.T, "right").transpose(1, 0, 2)
         if span_restrict(gen, span_u, image=transposed) is None:
             failures.append((tag, "complement not stable"))
-    return TowerReport(data, not failures, tuple(failures))
+    return TowerReport(not failures, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +601,7 @@ def isotypic_projectors(p, g=1):
         r0, n0 = parts[0]
         a = r0**n0
         b = p // a
-        _, _, _, psi, _, _ = _crt_maps(a, b, g)
+        _, _, psi = _crt_maps(a, b, g)
         perm = np.asarray(psi)
         pa = isotypic_projectors(a, g)
         pb = isotypic_projectors(b, g)

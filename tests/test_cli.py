@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from weildec import analysis, decompose
+from weildec import criteria, decompose
 from weildec.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
@@ -34,7 +34,7 @@ def test_charsum(capsys):
 
 
 def test_census(capsys):
-    assert main(["census", "--n", "2", "--format", "csv"]) == EXIT_OK
+    assert main(["census", "--n", "2"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) > 1
 
@@ -59,43 +59,44 @@ def test_semiclassical_csv(capsys):
     assert out.splitlines()[0].startswith("level")
 
 
-def test_verify_suite_ok(capsys):
-    assert main(["verify", "crt", "--max-level", "6"]) == EXIT_OK
-
-
-def test_verify_faithful_respects_max_level(capsys):
-    assert main(["verify", "faithful", "--max-level", "5"]) == EXIT_OK
-    assert capsys.readouterr().out.splitlines() == [
-        "PASS faithful level=3", "PASS faithful level=5"]
-
-
-@pytest.mark.parametrize("argv,lines", [
-    (["tower", "--max-level", "3"], ["PASS tower 2^1", "PASS tower 3^0"]),
-    (["census", "--n", "6"], [f"PASS census n={n}" for n in range(2, 7)]),
-    (["census"], ["PASS census n=2", "PASS census n=3"]),
-])
-def test_verify_suite_lines(argv, lines, capsys):
-    assert main(["verify"] + argv) == EXIT_OK
-    assert capsys.readouterr().out.splitlines() == lines
-
-
-def test_verify_semiclassical_respects_max_level(monkeypatch, capsys):
-    levels = []
-    real = analysis.semiclassical_traces
-
-    def spy(p, *args):
-        levels.append(p)
-        return real(p, *args)
-
-    monkeypatch.setattr(analysis, "semiclassical_traces", spy)
-    assert main(["verify", "semiclassical", "--max-level", "4"]) == EXIT_OK
-    assert levels == [3, 4]
-
-
-def test_verify_census_out_of_range_n_is_usage_error(capsys):
-    assert main(["verify", "census", "--n", "1"]) == EXIT_USAGE
-    assert main(["verify", "census", "--n", "9"]) == EXIT_USAGE
+def test_census_out_of_range_n_is_usage_error(capsys):
+    assert main(["census", "--n", "1"]) == EXIT_USAGE
+    assert main(["census", "--n", "9"]) == EXIT_USAGE
     assert capsys.readouterr().out == ""
+
+
+def test_verify_one_criterion_prints_its_registry_line(capsys):
+    assert main(["verify", "12"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "criterion 12: CRT and tower intertwiners: PASS\n")
+
+
+def test_verify_red_criterion_is_a_mismatch(capsys):
+    assert main(["verify", "14"]) == EXIT_MISMATCH
+    assert capsys.readouterr().out == (
+        "criterion 14: Omega generator family: FAIL  ([(4, [1]), (8, [1])])\n")
+
+
+@pytest.mark.parametrize("name", ["0", "18"])
+def test_verify_out_of_range_criterion_is_usage_error(name, capsys):
+    assert main(["verify", name]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_all_runs_every_entry_in_order(monkeypatch, capsys):
+    ran = []
+
+    def fake(number, ok):
+        def check():
+            ran.append(number)
+            return ok, f"detail {number}"
+        return criteria.Criterion(number, f"fake {number}", check)
+
+    monkeypatch.setattr(criteria, "REGISTRY", (fake(1, False), fake(2, True)))
+    assert main(["verify", "all"]) == EXIT_MISMATCH
+    assert ran == [1, 2]
+    assert capsys.readouterr().out.splitlines() == [
+        "criterion 1: fake 1: FAIL  (detail 1)", "criterion 2: fake 2: PASS"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -104,7 +105,12 @@ def test_verify_census_out_of_range_n_is_usage_error(capsys):
     ["rep", "show", "--max-level", "3"],
     ["census", "--n", "2", "--level", "99"],
     ["charsum", "--level", "4", "--genus", "5"],
-    ["verify", "tower", "--genus", "7"],
+    ["verify", "12", "--genus", "7"],
+    ["rep", "show", "--format", "json"],
+    ["census", "--n", "2", "--format", "json"],
+    ["orbits", "--level", "6", "--format", "json"],
+    ["semiclassical", "--level", "5", "--format", "json"],
+    ["verify", "12", "--format", "json"],
 ])
 def test_unread_flags_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -130,8 +136,9 @@ def test_decompose_certifies_up_to_the_cap(argv, certified, monkeypatch, capsys)
     assert calls == certified
 
 
-def test_verify_unknown_suite():
+def test_verify_unknown_suite(capsys):
     assert main(["verify", "nonsense"]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 def test_oversized_level_is_usage_error():
