@@ -164,7 +164,7 @@ def build_parser():
     def output(p, formats=False):
         """--out, and --format where the command reads it."""
         if formats:
-            p.add_argument("--format", choices=("json", "csv", "text"),
+            p.add_argument("--format", choices=("json", "text"),
                            default="json")
         p.add_argument("--out", default=None)
 

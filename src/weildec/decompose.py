@@ -31,7 +31,7 @@ from .cycmat import (
     field_coords,
     handle_product,
 )
-from .cyclo import CycloElt, field_for_level
+from .cyclo import CycloElt
 from .modgroup import (
     divisors,
     is_prime,
@@ -52,15 +52,20 @@ def _array_is_zero(field, m, arr):
     return not arr.any() or not field_coords(arr, field, m).any()
 
 
+def _scaled_equal(field, m, x, sx, y, sy):
+    """Exact sx * x == sy * y for integer entry-vector arrays x, y of one
+    shape (int64 or Python ints) and rational scales sx, sy."""
+    sx, sy = Fraction(sx), Fraction(sy)
+    diff = _int_combo(sx.numerator * sy.denominator, x,
+                      -sy.numerator * sx.denominator, y)
+    return _array_is_zero(field, m, diff)
+
+
 def _cyc_equal(x, y, field):
     """Exact equality of two CycMat values (beta phases must agree)."""
     if x.m != y.m or x.arr.shape != y.arr.shape or x.beta != y.beta:
         return False
-    r1 = x.scale
-    r2 = y.scale
-    diff = _int_combo(r1.numerator * r2.denominator, x.arr,
-                      -r2.numerator * r1.denominator, y.arr)
-    return _array_is_zero(field, x.m, diff)
+    return _scaled_equal(field, x.m, x.arr, x.scale, y.arr, y.scale)
 
 
 def _exponent_remap(mat, new_modulus, multiplier):
@@ -73,7 +78,7 @@ def _exponent_remap(mat, new_modulus, multiplier):
 
 
 # ---------------------------------------------------------------------------
-# rational span restriction
+# generator products
 # ---------------------------------------------------------------------------
 
 def _generator_product(rep, tag, operand, side):
@@ -91,43 +96,6 @@ def _generator_product(rep, tag, operand, side):
     out = np.zeros(operand.shape + (rep.m,), dtype=object if big else np.int64)
     out[rows, cols, exps[rows if side == "left" else cols]] = operand
     return out
-
-
-def span_restrict(gen, vectors, image=None):
-    """Restrict a CycMat operator to an invariant span of orthogonal
-    integer columns V.
-
-    The Gram matrix V^T V is diagonal, diag(n_i), so with l = lcm(n_i) the
-    coordinates of the image are num @ image / l, num = diag(l / n_i) V^T,
-    and the span is invariant exactly when l * image = V @ num @ image
-    (checked exactly, with cyclotomic fallback for nonzero integer
-    residuals).  Returns the coordinate matrix as a CycMat, or None when
-    the span is not invariant; ValueError when the columns are not
-    nonzero and pairwise orthogonal.  `image` is gen.arr @ vectors as an
-    integer array with an entry axis, when the caller has it (see
-    `_generator_product`); otherwise it is computed here.  Every product
-    goes through `_int_einsum`.
-    """
-    V = np.asarray(vectors, dtype=np.int64)
-    gram = _int_einsum("ti,tj->ij", V, V)
-    norms = np.diagonal(gram).tolist()
-    if not all(norms) or np.count_nonzero(gram) != len(norms):
-        raise ValueError("span columns must be nonzero and pairwise orthogonal")
-    den = lcm(*norms)
-    num = np.array([den // n for n in norms], dtype=object)[:, None] * V.T
-    if image is None:
-        image = _int_einsum("itk,tj->ijk", gen.arr, V)
-    coords = _int_einsum("si,ijk->sjk", num, image)
-    residual = _int_combo(den, image, -1, _int_einsum("is,sjk->ijk", V, coords))
-    field = field_for_level(gen.m if gen.m % 2 else gen.m // 2)
-    if not _array_is_zero(field, gen.m, residual):
-        return None
-    return CycMat(
-        gen.m,
-        coords.astype(np.int64),
-        scale=gen.scale / den,
-        beta=gen.beta,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +117,7 @@ class ParityBases:
 def _flip_permutation(p, g):
     """Index map of the global flip a -> -a on multi-indices (a1 most
     significant); an involution, so J = eye[flip] is symmetric."""
-    flip = np.zeros(1, dtype=np.int64)
-    for _ in range(g):
-        flip = (flip[:, None] * p + (-np.arange(p)) % p).ravel()
-    return flip
+    return np.ravel_multi_index(tuple(-np.indices((p,) * g) % p), (p,) * g).ravel()
 
 
 def _commutes(rep, tag, mat):
@@ -167,39 +132,19 @@ def parity_bases(p, g=1):
 
     The two spans are the +1 and -1 eigenspaces of J, so both are stable
     under a generator exactly when it commutes with J; that is verified
-    exactly for every generator.
+    exactly for every generator.  Column i of I + J is e_i + e_flip[i], so
+    the orbit {i, flip[i]} is read off at its least index i <= flip[i] (and
+    has a minus column only when i < flip[i]).
     """
     rep = WeilRep(p, g)
-    flip = _flip_permutation(p, g).tolist()
-    J = np.eye(rep.dim, dtype=np.int64)[flip]
+    flip = _flip_permutation(p, g)
+    eye = np.eye(rep.dim, dtype=np.int64)
+    J = eye[flip]
     for tag in rep.tags():
         if not _commutes(rep, tag, J):
             raise ValueError(f"parity spans not invariant under {tag}")
-    dim = rep.dim
-    plus_cols = []
-    minus_cols = []
-    seen = set()
-    for i in range(dim):
-        j = flip[i]
-        if i in seen:
-            continue
-        seen.update({i, j})
-        v = np.zeros(dim, dtype=np.int64)
-        v[i] += 1
-        v[j] += 1
-        plus_cols.append(v)
-        if i != j:
-            w = np.zeros(dim, dtype=np.int64)
-            w[i] = 1
-            w[j] = -1
-            minus_cols.append(w)
-    plus = np.stack(plus_cols, axis=1)
-    minus = (
-        np.stack(minus_cols, axis=1)
-        if minus_cols
-        else np.zeros((dim, 0), dtype=np.int64)
-    )
-    return ParityBases(p, g, plus, minus)
+    first = np.arange(rep.dim)
+    return ParityBases(p, g, (eye + J)[:, first <= flip], (eye - J)[:, first < flip])
 
 
 def _parity_dims(p, g):
@@ -230,51 +175,24 @@ def _bezout(a, b):
 
 
 def _crt_maps(a, b, g):
-    """Bezout pair (u, v) and the genus-g basis permutation psi, built from
-    the residue pairing f."""
-    even = a % 2 == 0
-    if even:
-        u, v = _bezout(2 * a, b)
-        if 2 * a * u + b * v != 1:
-            raise RuntimeError("no Bezout pair for (%d, %d)" % (2 * a, b))
-        coef_b = (2 * a * u) % (a * b)
-    else:
-        u, v = _bezout(a, b)
-        if a * u + b * v != 1:
-            raise RuntimeError("no Bezout pair for (%d, %d)" % (a, b))
-        coef_b = (a * u) % (a * b)
-    coef_a = (v * b) % (a * b)
-    f_table = tuple(
-        (x * coef_a + y * coef_b) % (a * b) for x in range(a) for y in range(b)
-    )
-    if len(set(f_table)) != a * b:
-        raise RuntimeError("residue pairing is not injective")
-    for x in range(a):
-        for y in range(b):
-            val = f_table[x * b + y]
-            if val % a != x or val % b != y:
-                raise RuntimeError("residue pairing misses (%d, %d)" % (x, y))
-    dim_a, dim_b = a**g, b**g
-    psi = [0] * (dim_a * dim_b)
-    for ia in range(dim_a):
-        xa = []
-        t = ia
-        for _ in range(g):
-            xa.append(t % a)
-            t //= a
-        xa.reverse()
-        for ib in range(dim_b):
-            yb = []
-            t = ib
-            for _ in range(g):
-                yb.append(t % b)
-                t //= b
-            yb.reverse()
-            target = 0
-            for xi, yi in zip(xa, yb):
-                target = target * (a * b) + f_table[xi * b + yi]
-            psi[ia * dim_b + ib] = target
-    return u, v, tuple(psi)
+    """Bezout pair (u, v) and the genus-g basis permutation psi.
+
+    The residue pairing f(x, y) = (x v b + y a' u) mod ab, a' = 2a for even
+    a and a otherwise, must be the CRT bijection: f(x, y) = x mod a and
+    y mod b.  psi sends the tensor index (x, y) of U_a (x) U_b, handle 1
+    most significant in x and in y, to the level-ab index whose handle h
+    holds f(x_h, y_h).
+    """
+    a2 = 2 * a if a % 2 == 0 else a
+    u, v = _bezout(a2, b)
+    if a2 * u + b * v != 1:
+        raise RuntimeError("no Bezout pair for (%d, %d)" % (a2, b))
+    x, y = np.indices((a, b))
+    f = (x * (v * b) + y * (a2 * u)) % (a * b)
+    if not (np.array_equal(f % a, x) and np.array_equal(f % b, y)):
+        raise RuntimeError("residue pairing is not the CRT bijection")
+    idx = np.indices((a,) * g + (b,) * g).reshape(2 * g, -1)
+    return u, v, np.ravel_multi_index(tuple(f[idx[:g], idx[g:]]), (a * b,) * g)
 
 
 def crt_check(a, b, g=1):
@@ -290,14 +208,13 @@ def crt_check(a, b, g=1):
     rep_ab = WeilRep(a * b, g)
     rep_a = WeilRep(a, g)
     rep_b = WeilRep(b, g)
-    perm = np.asarray(psi)
     failures = []
     for tag in rep_ab.tags():
         ga = _exponent_remap(rep_a.generator_cyc(tag), m_ab, mult_a)
         gb = _exponent_remap(rep_b.generator_cyc(tag), m_ab, mult_b)
         gt = ga.kron(gb)
         moved = np.zeros_like(gt.arr)
-        moved[perm[:, None], perm[None, :], :] = gt.arr
+        moved[psi[:, None], psi[None, :], :] = gt.arr
         transported = CycMat(m_ab, moved, scale=gt.scale, beta=gt.beta)
         if not _cyc_equal(transported, rep_ab.generator_cyc(tag), rep_ab.field):
             failures.append(tag)
@@ -320,8 +237,7 @@ def _tower_handle_basis(r, n):
     small = r**n
     emb = np.zeros((r ** (n + 2), small), dtype=np.int64)
     i = np.arange(small)
-    for k in range(r):
-        emb[r * (i + k * small), i] = 1
+    emb[r * (i + small * np.arange(r)[:, None]), i] = 1
     return emb
 
 
@@ -335,37 +251,36 @@ def _tower_span(r, n, g):
 
 def tower_check(r, n, g=1):
     """Verify the embedded copy of U_{r^n} inside U_{r^(n+2)} and its
-    orthogonal complement W = ker(E^T).
+    orthogonal complement W = ker(E^T), generator by generator.
 
-    G W lies in W exactly when G^T E lies in span E, so the complement is
-    checked by restricting G^T to the embedding (no W basis is formed).
+    With G_U the level-r^n generator under A -> A^(r^2) (1 when n = 0),
+    two exact identities are checked: G E = E G_U ("restriction mismatch"
+    otherwise) and G^T E = E G_U^T ("complement not stable").  Since
+    E^T E = r^g I, the second one is E^T G = G_U E^T, so G maps W into W.
+    Each side is one `_generator_product` or one contraction with E.
     """
     if n < 0 or (r == 2 and n < 1):
         raise ValueError("exponent out of range for the tower")
-    big = r ** (n + 2)
-    small = r**n
-    rep = WeilRep(big, g)
-    span_u = _tower_span(r, n, g)
-    rep_small = WeilRep(small, g) if small > 1 else None
+    rep = WeilRep(r ** (n + 2), g)
+    E = _tower_span(r, n, g)
+    rep_small = WeilRep(r**n, g) if n else None
     failures = []
     for tag in rep.tags():
-        gen = rep.generator_cyc(tag)
-        coords = span_restrict(
-            gen, span_u, image=_generator_product(rep, tag, span_u, "left"))
-        if coords is None:
-            failures.append((tag, "embedding not stable"))
-            continue
         if rep_small is None:
-            expected = CycMat.identity(rep.m, 1)
+            small = CycMat.identity(rep.m, 1)
         else:
-            expected = _exponent_remap(
-                rep_small.generator_cyc(tag), rep.m, r * r
-            )
-        if not _cyc_equal(coords, expected, rep.field):
-            failures.append((tag, "restriction mismatch"))
-        transposed = _generator_product(rep, tag, span_u.T, "right").transpose(1, 0, 2)
-        if span_restrict(gen, span_u, image=transposed) is None:
-            failures.append((tag, "complement not stable"))
+            small = _exponent_remap(rep_small.generator_cyc(tag), rep.m, r * r)
+        scale = rep.y_block().scale if tag[0] == "Y" else 1
+        for reason, left, right in (
+            ("restriction mismatch",
+             _generator_product(rep, tag, E, "left"), small.arr),
+            ("complement not stable",
+             _generator_product(rep, tag, E.T, "right").transpose(1, 0, 2),
+             small.arr.transpose(1, 0, 2)),
+        ):
+            right = _int_einsum("it,tjk->ijk", E, right)
+            if not _scaled_equal(rep.field, rep.m, left, scale, right, small.scale):
+                failures.append((tag, reason))
     return TowerReport(not failures, tuple(failures))
 
 
@@ -453,6 +368,8 @@ def _prime_power_leaves(r, n, g):
 
 def decomposition_tree(p, g=1):
     """Bookkeeping tree of irreducible factors of the level-p module."""
+    if p < 2 or g < 1:
+        raise ValueError("need level p >= 2 and genus g >= 1")
     parts = prime_factorization(p)
     leaf_lists = [_prime_power_leaves(r, n, g) for r, n in parts]
     factors = tuple(tuple(combo) for combo in itertools.product(*leaf_lists))
@@ -477,9 +394,10 @@ def decomposition_tree(p, g=1):
 COMMUTANT_MAX_DIM = 128
 
 
-def _modular_primes(m, count=2, start=1_000_000):
+def _modular_primes(m, count=2):
+    """The first `count` primes q = 1 mod m past 10^6."""
     out = []
-    q = start + (m - start % m) + 1
+    q = 1_000_000 + (m - 1_000_000 % m) + 1
     while len(out) < count:
         if is_prime(q):
             out.append(q)
@@ -602,14 +520,13 @@ def isotypic_projectors(p, g=1):
         a = r0**n0
         b = p // a
         _, _, psi = _crt_maps(a, b, g)
-        perm = np.asarray(psi)
         pa = isotypic_projectors(a, g)
         pb = isotypic_projectors(b, g)
         out = []
         for (na, da), (nb, db) in itertools.product(pa, pb):
             kr = np.kron(na, nb)
             moved = np.zeros_like(kr)
-            moved[perm[:, None], perm[None, :]] = kr
+            moved[psi[:, None], psi[None, :]] = kr
             out.append((moved, da * db))
         return out
     r, n = parts[0]
@@ -898,42 +815,31 @@ class EgorovLatticeReport:
         return self.conjugation_exact and self.additive and self.preserves_omega
 
 
-def egorov_verify(p, g=1, tags=None):
+def egorov_verify(p, g=1):
     """Induced lattice maps of the generators, certified exactly.
 
-    For each generator the conjugate of every basis translation operator
-    is matched entrywise against the predicted translation operator; the
-    induced map is then checked for additivity and preservation of the
-    symplectic pairing on basis pairs.
+    For each generator U and basis vector v the rule predicts (w, z) with
+    U Add(v) U^dagger = A^z Add(w).  U is unitary, so this is checked as
+    the exact identity U Add(v) = A^z Add(w) U, both sides index-map
+    products (Add is a unit monomial).  The induced map is then checked for
+    additivity and preservation of the symplectic pairing on basis pairs.
     """
     rep = WeilRep(p, g)
-    all_tags = rep.tags()
-    if tags is None:
-        tags = all_tags
-    rules = _conjugation_rules(all_tags, p, g)
-    rule_of = {tag: rules[2 * i] for i, tag in enumerate(all_tags)}
+    tags = rep.tags()
+    rules = _conjugation_rules(tags, p, g)[::2]  # the sign +1 rule of each tag
     dim2 = 2 * g
     basis = [
         tuple(1 if k == i else 0 for k in range(dim2)) for i in range(dim2)
     ]
     reports = []
-    for tag in tags:
-        rule = rule_of[tag]
+    for tag, rule in zip(tags, rules):
         U = rep.generator_cyc(tag)
-        # Y_i^dagger acts as the daggered block on handle i alone
-        Ud = rep.y_block().dagger() if tag[0] == "Y" else U.dagger()
-        exact = True
-        for vec in basis:
-            left = U @ rep.schrodinger_cyc(rep.heisenberg(vec, 0))
-            if tag[0] == "Y":
-                arr = handle_product(left.arr, Ud.arr, tag[1], p, g, "right")
-                conj = CycMat(rep.m, arr, left.scale * Ud.scale, left.beta + Ud.beta)
-            else:
-                conj = left @ Ud
-            w, z = rule(vec, 0)
-            pred = rep.schrodinger_cyc(rep.heisenberg(w, z))
-            if not _cyc_equal(conj, pred, rep.field):
-                exact = False
+        exact = all(
+            _cyc_equal(U @ rep.schrodinger_cyc(rep.heisenberg(vec, 0)),
+                       rep.schrodinger_cyc(rep.heisenberg(*rule(vec, 0))) @ U,
+                       rep.field)
+            for vec in basis
+        )
         images = [rule(vec, 0)[0] for vec in basis]
         additive = True
         for i in range(dim2):

@@ -56,10 +56,15 @@ def sl2_order(N):
     return out
 
 
-def sl2_enumerate(N, bound=64):
+# Largest modulus `sl2_enumerate` streams: SL2(Z/64Z) has 196608 elements.
+SL2_ENUMERATE_MAX = 64
+
+
+def sl2_enumerate(N):
     """Stream every element of SL2(Z/NZ) exactly once."""
-    if N > bound:
-        raise ValueError("modulus %d exceeds enumeration bound %d" % (N, bound))
+    if N > SL2_ENUMERATE_MAX:
+        raise ValueError("modulus %d exceeds enumeration bound %d"
+                         % (N, SL2_ENUMERATE_MAX))
     if N == 1:
         yield (0, 0, 0, 0)
         return
@@ -634,6 +639,8 @@ def orbit_census(N, g):
     Returns (count, orbits) where orbits is a list of (delta, size) with
     delta the divisor such that (0, delta, ..., 0, delta) lies in the orbit.
     """
+    if N < 2 or g < 1:
+        raise ValueError("need level N >= 2 and genus g >= 1")
     if N ** (2 * g) > 10 ** 6:
         raise ValueError("lattice too large")
     # the group is finite, so closure under the generators is closed under inverses

@@ -9,8 +9,6 @@ Conventions.  At level p the phase root A has order p (p odd) or 2p (p even);
 the working cyclotomic field also contains the 24th root used by the lift.
 The default X-generator is diag(A^{i^2}); this is the normalization under
 which Fourier duality S X S^{-1} reproduces the tabulated Y-matrix exactly.
-The variant diag(A^{2i^2}) is available via `doubled=True` and satisfies the
-same unitarity but a different duality twist.
 """
 
 from __future__ import annotations
@@ -124,14 +122,13 @@ class WeilRep:
         """Tensor indices (a1, ..., ag), a1 most significant."""
         return [tuple(a) for a in self._index_array().T.tolist()]
 
-    def diagonal_exponents(self, tag, doubled=False):
+    def diagonal_exponents(self, tag):
         """exps with generator = diag(A^exps[t]) over the tensor indices t:
-        X_i has A^(c a_i^2) (c = 2 when doubled, else 1) and Z_ij has
-        A^((a_i - a_j)^2)."""
+        X_i has A^(a_i^2) and Z_ij has A^((a_i - a_j)^2)."""
         a = self._index_array()
         if tag[0] == "X":
             self._check_index(tag[1])
-            return (2 if doubled else 1) * a[tag[1] - 1] ** 2
+            return a[tag[1] - 1] ** 2
         if tag[0] == "Z":
             if self.g < 2:
                 raise ValueError("Z generators need genus >= 2")
@@ -155,18 +152,17 @@ class WeilRep:
             self._cyc_cache["Y block"] = CycMat(self.m, arr, Fraction(1, self.m))
         return self._cyc_cache["Y block"]
 
-    def generator_cyc(self, tag, doubled=False):
-        key = (tag, doubled)
-        if key in self._cyc_cache:
-            return self._cyc_cache[key]
+    def generator_cyc(self, tag):
+        if tag in self._cyc_cache:
+            return self._cyc_cache[tag]
         if tag[0] == "Y":
             self._check_index(tag[1])
             mat = self._embed_handle(self.y_block(), tag[1])
         elif tag[0] in ("X", "Z"):
-            mat = CycMat.monomial_diag(self.m, self.diagonal_exponents(tag, doubled))
+            mat = CycMat.monomial_diag(self.m, self.diagonal_exponents(tag))
         else:
             raise ValueError("unknown tag %r" % (tag,))
-        self._cyc_cache[key] = mat
+        self._cyc_cache[tag] = mat
         return mat
 
     # -- Hopf pairing ------------------------------------------------------
@@ -379,6 +375,8 @@ class _TraceEngine:
     """
 
     def __init__(self, p):
+        if p < 2:
+            raise ValueError("need level p >= 2")
         self.p = p
         img = _lift_images(p)
         self.m = img["m"]

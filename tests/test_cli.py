@@ -111,11 +111,28 @@ def test_verify_all_runs_every_entry_in_order(monkeypatch, capsys):
     ["orbits", "--level", "6", "--format", "json"],
     ["semiclassical", "--level", "5", "--format", "json"],
     ["verify", "12", "--format", "json"],
+    ["gauss", "1", "0", "5", "--format", "csv"],
+    ["decompose", "--level", "3", "--format", "csv"],
+    ["charsum", "--level", "3", "--format", "csv"],
 ])
 def test_unread_flags_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--level", "1"],
+    ["decompose", "--level", "3", "--genus", "0"],
+    ["charsum", "--level", "1"],
+    ["orbits", "--level", "-3"],
+    ["orbits", "--level", "0"],
+    ["orbits", "--level", "1"],
+    ["orbits", "--level", "3", "--genus", "0"],
+])
+def test_degenerate_level_or_genus_is_usage_error(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv,certified", [

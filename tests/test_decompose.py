@@ -21,7 +21,6 @@ from weildec.decompose import (
     omega_projector,
     parity_bases,
     schrodinger_commutant_dimension,
-    span_restrict,
     su2_so3_labels,
     tower_check,
 )
@@ -87,45 +86,6 @@ def test_tree_self_check_survives_optimisation(monkeypatch):
         decomposition_tree(12)
 
 
-def test_span_restrict_python_int_path_matches_int64_path(monkeypatch):
-    bases = parity_bases(8)
-    gen = WeilRep(8).generator_cyc(("Y", 1))
-    small = span_restrict(gen, bases.minus)
-    dtypes = []
-    real = decompose._int_einsum
-
-    def spy(spec, a, b):
-        out = real(spec, a, b)
-        dtypes.append(out.dtype)
-        return out
-
-    monkeypatch.setattr(decompose, "_int_einsum", spy)
-    # 2^58 puts the image product past the int64 bound
-    scaled = CycMat(gen.m, gen.arr * 2**58, gen.scale, gen.beta)
-    big = span_restrict(scaled, bases.minus)
-    assert object in dtypes
-    assert np.array_equal(big.arr, small.arr * 2**58)
-    assert big.scale == small.scale and big.beta == small.beta
-
-
-def test_span_restrict_rejects_non_invariant_span():
-    gen = WeilRep(5).generator_cyc(("Y", 1))
-    e0 = np.zeros((5, 1), dtype=np.int64)
-    e0[0, 0] = 1
-    assert span_restrict(gen, e0) is None
-    scaled = CycMat(gen.m, gen.arr * 2**60, gen.scale, gen.beta)
-    assert span_restrict(scaled, e0) is None
-
-
-def test_span_restrict_needs_orthogonal_columns():
-    gen = WeilRep(5).generator_cyc(("Y", 1))
-    V = np.zeros((5, 2), dtype=np.int64)
-    V[0] = 1
-    V[1, 1] = 1
-    with pytest.raises(ValueError):
-        span_restrict(gen, V)
-
-
 def test_tower_reports_unstable_complement(monkeypatch):
     # one perturbed entry of E^T G leaves G^T E outside the embedding,
     # while the embedding check (a left product) is untouched
@@ -142,6 +102,117 @@ def test_tower_reports_unstable_complement(monkeypatch):
     report = tower_check(3, 1)
     assert not report.passed
     assert {reason for _, reason in report.failures} == {"complement not stable"}
+
+
+def test_tower_reports_restriction_mismatch(monkeypatch):
+    # one perturbed entry of G E breaks G E = E G_U, while the complement
+    # identity (a right product) is untouched
+    real = decompose._generator_product
+
+    def perturbed(rep, tag, operand, side):
+        out = real(rep, tag, operand, side)
+        if side == "left":
+            out = out.copy()
+            out[0, 0, 0] += 1
+        return out
+
+    monkeypatch.setattr(decompose, "_generator_product", perturbed)
+    report = tower_check(3, 1)
+    assert not report.passed
+    assert {reason for _, reason in report.failures} == {"restriction mismatch"}
+
+
+def test_tower_identities_are_exact_past_the_int64_bound(monkeypatch):
+    # 2^58 on both sides of each identity puts their scaled difference past
+    # the int64 bound: it is formed in Python ints, and one added unit is
+    # still seen
+    real_product, real_remap = decompose._generator_product, decompose._exponent_remap
+    real_combo = decompose._int_combo
+    dtypes = []
+    bump = []
+
+    def product(rep, tag, operand, side):
+        out = real_product(rep, tag, operand, side).astype(object) * 2**58
+        if bump and side == "left":
+            out[0, 0, 0] += 1
+        return out
+
+    def remap(*args):
+        small = real_remap(*args)
+        return CycMat(small.m, small.arr.astype(object) * 2**58, small.scale, small.beta)
+
+    def spy(*args):
+        out = real_combo(*args)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(decompose, "_generator_product", product)
+    monkeypatch.setattr(decompose, "_exponent_remap", remap)
+    monkeypatch.setattr(decompose, "_int_combo", spy)
+    report = tower_check(3, 1)
+    assert report.passed, report.failures
+    assert object in dtypes
+    bump.append(1)
+    assert {reason for _, reason in tower_check(3, 1).failures} == {"restriction mismatch"}
+
+
+def _loop_parity_bases(p, g):
+    """(plus, minus) by the loop construction: the flip built one handle at
+    a time, and one column per flip orbit {i, flip[i]} in order of i."""
+    flip = [0]
+    for _ in range(g):
+        flip = [f * p + (-a) % p for f in flip for a in range(p)]
+    dim = p**g
+    plus, minus, seen = [], [], set()
+    for i in range(dim):
+        j = flip[i]
+        if i in seen:
+            continue
+        seen.update({i, j})
+        v = np.zeros(dim, dtype=np.int64)
+        v[i] += 1
+        v[j] += 1
+        plus.append(v)
+        if i != j:
+            w = np.zeros(dim, dtype=np.int64)
+            w[i], w[j] = 1, -1
+            minus.append(w)
+    return (np.stack(plus, axis=1),
+            np.stack(minus, axis=1) if minus else np.zeros((dim, 0), dtype=np.int64))
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_parity_bases_match_the_loop_construction(g):
+    for p in range(2, 14):
+        bases = parity_bases(p, g)
+        plus, minus = _loop_parity_bases(p, g)
+        assert np.array_equal(bases.plus, plus) and np.array_equal(bases.minus, minus)
+
+
+def _loop_crt_maps(a, b, g):
+    """(u, v, psi) by the loop construction over the residue table f."""
+    a2 = 2 * a if a % 2 == 0 else a
+    u, v = decompose._bezout(a2, b)
+    f_table = [(x * v * b + y * a2 * u) % (a * b) for x in range(a) for y in range(b)]
+    assert all(f_table[x * b + y] % a == x and f_table[x * b + y] % b == y
+               for x in range(a) for y in range(b))
+    psi = []
+    for xa in itertools.product(range(a), repeat=g):
+        for yb in itertools.product(range(b), repeat=g):
+            target = 0
+            for xi, yi in zip(xa, yb):
+                target = target * (a * b) + f_table[xi * b + yi]
+            psi.append(target)
+    return u, v, psi
+
+
+@pytest.mark.parametrize("a,b", [(2, 3), (3, 5), (4, 3), (8, 3), (4, 5), (3, 7), (8, 9)])
+@pytest.mark.parametrize("g", [1, 2])
+def test_crt_maps_match_the_loop_construction(a, b, g):
+    u, v, psi = decompose._crt_maps(a, b, g)
+    lu, lv, lpsi = _loop_crt_maps(a, b, g)
+    assert (u, v) == (lu, lv)
+    assert psi.tolist() == lpsi
 
 
 def _fraction_inverse(mat):
@@ -275,6 +346,22 @@ def test_egorov_lattice_maps(p, g):
         assert report.ok, report
 
 
+def test_egorov_reports_a_shifted_phase(monkeypatch):
+    # A^(z + 1) Add(w) in place of A^z Add(w): no conjugation identity holds,
+    # while the lattice map, which ignores the phase, stays additive
+    real = decompose._conjugation_rules
+
+    def shifted(tags, p, g):
+        return [lambda vec, z, rule=rule: (rule(vec, z)[0], rule(vec, z)[1] + 1)
+                for rule in real(tags, p, g)]
+
+    monkeypatch.setattr(decompose, "_conjugation_rules", shifted)
+    for p, g in [(3, 1), (4, 1), (3, 2)]:
+        reports = egorov_verify(p, g)
+        assert reports and not any(report.conjugation_exact for report in reports)
+        assert all(report.additive and report.preserves_omega for report in reports)
+
+
 @pytest.mark.parametrize("p", [3, 5, 9])
 def test_omega_family_odd_levels(p):
     report = omega_family_report(p)
@@ -326,9 +413,9 @@ def test_odd_label_audit(p):
 
 
 def test_genus2_certificates_take_the_handle_local_path(monkeypatch):
-    # Y_i acts as its p x p block on one tensor axis: no dense group-ring
-    # product in the Egorov check, and no dense 64 x 64 generator operand in
-    # the level-8 tower's span restrictions
+    # the Egorov identities are index-map products, so no dense group-ring
+    # product; Y_i acts as its p x p block on one tensor axis, so no dense
+    # 64 x 64 generator operand in the level-8 tower's identities
     dense_calls = []
     operands = []
     real_dense, real_einsum = cycmat._dense_product, cycmat._int_einsum

@@ -41,6 +41,25 @@ def test_library_has_no_assert_statements():
     assert not found
 
 
+def test_library_imports_are_used():
+    # a name a module imports but never reads is a stale import, left
+    # behind when the code that used it was deleted
+    unused = []
+    for path in sorted((ROOT / "src" / "weildec").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused
+
+
 def _clear_library_caches():
     for name, module in list(sys.modules.items()):
         if name == "weildec" or name.startswith("weildec."):
