@@ -20,7 +20,6 @@ from .decompose import (
     decomposition_tree,
     commutant_dimension,
     schrodinger_commutant_dimension,
-    omega_projector,
     omega_family_report,
     su2_so3_labels,
     egorov_verify,
@@ -51,7 +50,6 @@ __all__ = [
     "decomposition_tree",
     "commutant_dimension",
     "schrodinger_commutant_dimension",
-    "omega_projector",
     "omega_family_report",
     "su2_so3_labels",
     "egorov_verify",

@@ -218,17 +218,6 @@ def trace_table(n):
     return TraceTableReport(n, tuple(rows), lemma_diag_check(n))
 
 
-def trace_csv(report):
-    lines = ["n,l,x_class,s,measured,expected,match"]
-    for row in report.rows:
-        expected = "" if row.expected is None else row.expected
-        lines.append(
-            f"{row.n},{row.l},{row.x_class},{row.s},{row.measured},"
-            f"{expected},{str(row.match).lower()}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # projective faithfulness at small odd levels
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def cmd_decompose(args):
             + [f"  {name}  (dim {d})" for name, d in zip(names, tree.dims())]
         ) + "\n"
     _emit(text, args.out)
-    if args.level**args.genus <= decompose.COMMUTANT_MAX_DIM:
+    if decompose.commutant_certifiable(args.level, args.genus):
         try:
             dim = decompose.commutant_dimension(args.level, args.genus)
         except ValueError:

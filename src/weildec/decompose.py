@@ -3,8 +3,13 @@
 Parity splitting under the index flip a -> -a, coprime tensor
 factorization through a residue pairing, prime-power towers with
 orthogonal complements, the bookkeeping tree of irreducible factors,
-commutant dimensions with exact certificates, orbit-sum operators, and
-the minus-parity label audit at genus one.
+the Egorov rules G W(v) G^-1 = A^z(v) W(Mv) of the generators on the
+Schrodinger operators W(v), orbit-sum operators, and the minus-parity
+label audit at genus one.  The commutant dimension is the number of
+holonomy-free orbits of the rules, certified by (a) the W(v) being a
+basis, (b) each rule holding for every v and (c) the orbit count, while
+the dense d x d x m generator array has at most COMMUTANT_MAX_ENTRIES
+entries.
 
 All heavy verification runs on integer exponent arrays (CycMat); when an
 integer residual is nonzero the comparison falls back to exact
@@ -18,7 +23,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd, prod
 
 import numpy as np
 
@@ -34,12 +39,11 @@ from .cycmat import (
 from .cyclo import CycloElt
 from .modgroup import (
     divisors,
-    is_prime,
+    lattice_orbits,
     prime_factorization,
     sigma0,
-    symplectic_form,
 )
-from .weilrep import WeilRep, _heisenberg_modulus
+from .weilrep import WeilRep, _heisenberg_modulus, _windows
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +318,7 @@ class DecompositionTree:
         return len(self.factors)
 
     def dims(self):
-        out = []
-        for tensor in self.factors:
-            d = 1
-            for label in tensor:
-                d *= label.dim
-            out.append(d)
-        return out
+        return [prod(label.dim for label in tensor) for tensor in self.factors]
 
     def to_json(self):
         payload = {
@@ -385,127 +383,15 @@ def decomposition_tree(p, g=1):
 
 
 # ---------------------------------------------------------------------------
-# modular rank certificates
-# ---------------------------------------------------------------------------
-
-# Largest rank d = p^g that `commutant_dimension` certifies.  The commutation
-# system has d^2 rows per non-diagonal generator; a cold certificate at
-# (128, 1) peaks at 537 MiB of RSS.
-COMMUTANT_MAX_DIM = 128
-
-
-def _modular_primes(m, count=2):
-    """The first `count` primes q = 1 mod m past 10^6."""
-    out = []
-    q = 1_000_000 + (m - 1_000_000 % m) + 1
-    while len(out) < count:
-        if is_prime(q):
-            out.append(q)
-        q += m
-    return out
-
-
-def _root_mod(q, m):
-    """An element of exact multiplicative order m in GF(q)."""
-    for gcand in range(2, q):
-        w = pow(gcand, (q - 1) // m, q)
-        ok = all(pow(w, m // r, q) != 1 for r, _ in prime_factorization(m))
-        if w != 1 and ok:
-            return w
-    raise ValueError("no root found")
-
-
-def _eval_mod(cyc, q, omega):
-    """cyc at A = omega, its scale included, as int64 residues mod q."""
-    if cyc.beta % 24:
-        raise ValueError("unexpected phase in modular evaluation")
-    if (q - 1) ** 2 > _INT64_MAX:
-        raise OverflowError("modulus too large for int64 residues")
-    powers = np.array([pow(omega, k, q) for k in range(cyc.m)], dtype=np.int64)
-    vals = (_int_einsum("ijk,k->ij", cyc.arr, powers) % q).astype(np.int64)
-    s = cyc.scale
-    factor = s.numerator % q * pow(s.denominator % q, q - 2, q) % q
-    return vals * factor % q
-
-
-def _rank_mod(rows, q):
-    M = np.array(rows, dtype=np.int64) % q
-    rank = 0
-    col = 0
-    nrows, ncols = M.shape
-    while rank < nrows and col < ncols:
-        piv = np.nonzero(M[rank:, col])[0]
-        if piv.size == 0:
-            col += 1
-            continue
-        r = rank + piv[0]
-        M[[rank, r]] = M[[r, rank]]
-        inv = pow(int(M[rank, col]), q - 2, q)
-        M[rank] = (M[rank] * inv) % q
-        mask = np.nonzero(M[:, col])[0]
-        mask = mask[mask != rank]
-        if mask.size:
-            M[mask] = (M[mask] - np.outer(M[mask, col], M[rank])) % q
-        rank += 1
-        col += 1
-    return rank
-
-
-def _commutant_nullity_mod(gens, q, omega):
-    """Nullity over GF(q) of T -> (A T - T A for each generator A).
-
-    A generator that evaluates to a diagonal diag(lam) contributes only
-    (lam_a - lam_b) T[a, b] = 0, so it restricts T to the support where
-    lam_a = lam_b.  Each other generator's equations are built on the
-    support columns alone: the unknown T[k, l] enters A T - T A as
-    A[:, k] in the rows (., l) and as -A[l, :] in the rows (k, .).  The
-    nonzero rows of all these blocks go to one rank computation; the
-    nullity is exactly that of the full d^2-column system.
-    """
-    d = gens[0].arr.shape[0]
-    support = np.ones((d, d), dtype=bool)
-    dense = []
-    for gen in gens:
-        A = _eval_mod(gen, q, omega)
-        lam = np.diagonal(A)
-        if np.count_nonzero(A) == np.count_nonzero(lam):
-            support &= lam[:, None] == lam[None, :]
-        else:
-            dense.append(A)
-    cols = np.flatnonzero(support)
-    if not dense:
-        return cols.size
-    k, l = np.divmod(cols, d)
-    at = np.arange(d)[:, None]
-    col = np.arange(cols.size)[None, :]
-    blocks = []
-    for A in dense:
-        M = np.zeros((d * d, cols.size), dtype=np.int64)
-        M[at * d + l, col] = A[:, k]
-        M[k * d + at, col] -= A[l, :].T
-        M %= q
-        blocks.append(M[M.any(axis=1)])
-    return cols.size - _rank_mod(np.concatenate(blocks), q)
-
-
-# ---------------------------------------------------------------------------
-# commutant dimension via orthogonal idempotent certificates
+# isotypic projectors
 # ---------------------------------------------------------------------------
 
 def _proj_mul(p1, p2):
-    n1, d1 = p1
-    n2, d2 = p2
-    num = n1 @ n2
-    den = d1 * d2
-    g = den
-    for v in num.flat:
-        g = gcd(g, int(v))
-        if g == 1:
-            break
-    if g > 1:
-        num = num // g
-        den //= g
-    return num, den
+    """The product of two (num, den) projectors, content reduced."""
+    (n1, d1), (n2, d2) = p1, p2
+    num, den = n1 @ n2, d1 * d2
+    g = gcd(den, *num.flat)
+    return num // g, den // g
 
 
 def isotypic_projectors(p, g=1):
@@ -553,56 +439,161 @@ def isotypic_projectors(p, g=1):
     return out
 
 
-def _verify_projector_family(projs, rep):
-    for i, (ni, di) in enumerate(projs):
-        if not ni.any():
-            raise ValueError("zero idempotent in family")
-        for j, (nj, dj) in enumerate(projs):
-            prod = _int_einsum("it,tj->ij", ni, nj)
-            target = dj * ni if i == j else np.zeros_like(prod)
-            if not np.array_equal(prod, target):
-                raise ValueError("family is not orthogonal-idempotent")
-    den_lcm = lcm(*(dk for _, dk in projs))
-    d = projs[0][0].shape[0]
-    acc = np.zeros((d, d), dtype=object)
-    for nk, dk in projs:
-        acc += (den_lcm // dk) * nk
-    if not np.array_equal(acc, den_lcm * np.eye(d, dtype=object)):
-        raise ValueError("idempotents do not resolve the identity")
-    for tag in rep.tags():
-        for nk, _ in projs:
-            if not _commutes(rep, tag, nk):
-                raise ValueError("idempotent does not commute with a generator")
+# ---------------------------------------------------------------------------
+# Egorov rules, and the commutant dimension as a count of lattice orbits
+# ---------------------------------------------------------------------------
+
+def _lattice(p, g):
+    """vec[:, v]: the lattice vector of index v in (Z/p)^(2g), slot 2i the
+    shift and 2i+1 the modulation of handle i, slot 0 most significant."""
+    return np.indices((p,) * (2 * g)).reshape(2 * g, -1)
+
+
+def _egorov_rules(tags, p, g):
+    """(img, z) with U W(v) U^-1 = A^z[k, v] W(img[k, v]) for the generator
+    U of tags[k], as integer arrays over every lattice index v.
+
+    X_i adds s_i to n_i with z = s_i^2; Y_i subtracts n_i from s_i with
+    z = -n_i^2; Z_ij adds d = s_i - s_j to n_i, subtracts it from n_j and
+    has z = d^2.  Each z depends on v mod p only: (x + p)^2 = x^2 mod m.
+    The rules are certified, not assumed: `_rule_exact` checks them at the
+    basis vectors and `_rule_additive` carries them to every v.
+    """
+    m = _heisenberg_modulus(p)
+    vec = _lattice(p, g)
+    imgs, phases = [], []
+    for tag in tags:
+        out = vec.copy()
+        i = tag[1] - 1
+        s, n = vec[2 * i], vec[2 * i + 1]
+        if tag[0] == "X":
+            out[2 * i + 1] += s
+            z = s * s
+        elif tag[0] == "Y":
+            out[2 * i] -= n
+            z = -n * n
+        else:
+            j = tag[2] - 1
+            d = s - vec[2 * j]
+            out[2 * i + 1] += d
+            out[2 * j + 1] -= d
+            z = d * d
+        imgs.append(np.ravel_multi_index(tuple(out % p), (p,) * (2 * g)))
+        phases.append(z % m)
+    return np.stack(imgs), np.stack(phases)
+
+
+def _basis_indices(p, g):
+    """Lattice indices of the basis vectors e_0, ..., e_(2g-1)."""
+    return p ** np.arange(2 * g - 1, -1, -1)
+
+
+def _rule_exact(rep, tag, img, z):
+    """The rule (img, z) of tag holds exactly at every basis vector v:
+    U W(v) = A^z(v) W(w) U for the generator U of tag, w = img[v].
+
+    W(v) e_a = A^e[a] e_r[a] (`WeilRep.schrodinger_map`), so the entry
+    U[i, j] moves to (i, a), r[a] = j, times A^e[a] on the left, and to
+    (r'[i], j) times A^(z + e'[i]) on the right: both sides are U's
+    nonzero entry vectors moved and rolled, with no product formed.  They
+    pass when the moved positions agree and the vectors at each position
+    agree exactly in the field (a sufficient test: a failure refuses, it
+    never passes a wrong rule).  A diagonal U enters only through its
+    exponents.
+    """
+    d, m = rep.dim, rep.m
+    if tag[0] == "Y":
+        U = rep.generator_cyc(tag).arr
+        i, j = np.nonzero(U.any(axis=2))
+        rolled = _windows(U[i, j])  # rolled[k, -e mod m] is A^e U[i[k], j[k]]
+    else:  # diag(A^x): no dense array
+        i = j = np.arange(d)
+        rolled = _windows(np.eye(m, dtype=np.int64)[rep.diagonal_exponents(tag) % m])
+    vec = _lattice(rep.p, rep.g)
+    for v in _basis_indices(rep.p, rep.g):
+        (r, rw), (e, ew) = rep.schrodinger_map(vec[:, [v, img[v]]])
+        a = np.argsort(r)[j]
+        sides = []
+        for key, roll in ((i * d + a, e[a]), (rw[i] * d + j, z[v] + ew[i])):
+            order = np.argsort(key)
+            sides.append((key[order], rolled[order, -roll[order] % m]))
+        (kl, vl), (kr, vr) = sides
+        if not (np.array_equal(kl, kr) and _array_is_zero(rep.field, m, vl - vr)):
+            return False
+    return True
+
+
+def _rule_additive(p, g, m, img, z):
+    """(lattice, phase) of each rule k: for every basis vector u and every
+    v, img[k][u + v] = img[k][u] + img[k][v], and z(u + v) = z(u) + z(v) +
+    beta(Mu, Mv) - beta(u, v) mod m, beta(u, v) = 2 sum_i n_i(u) s_i(v)
+    being the phase of W(u) W(v) = A^beta(u, v) W(u + v); also
+    img[k][0] = 0 and z(0) = 0."""
+    vec = _lattice(p, g).astype(np.int32)
+    idx = np.arange(vec.shape[1])
+    basis = _basis_indices(p, g)
+    plus = [idx + u - p * u * (vec[slot] == p - 1)  # the indices of u + v
+            for slot, u in enumerate(basis)]
+    lattice, phase = img[:, 0] == 0, z[:, 0] == 0
+    for k, zk in enumerate(z):
+        Mv = vec[:, img[k]]
+        for slot, u in enumerate(basis):
+            Mu = Mv[:, u, None]
+            total = Mv + Mu
+            total[total >= p] -= p
+            lattice[k] &= np.array_equal(Mv[:, plus[slot]], total)
+            beta = 2 * (Mu[1::2, 0] @ Mv[::2] - (vec[slot - 1] if slot % 2 else 0))
+            phase[k] &= not ((zk[plus[slot]] - zk[u] - zk - beta) % m).any()
+    return lattice, phase
+
+
+# Largest d^2 m (d = p^g) that `commutant_dimension` certifies: the entries
+# of the dense generator array it gathers from; (128, 1) and (8, 3) meet it.
+COMMUTANT_MAX_ENTRIES = 2**22
+
+
+def commutant_certifiable(p, g=1):
+    """Whether `commutant_dimension(p, g)` runs: d^2 m <= COMMUTANT_MAX_ENTRIES."""
+    return p ** (2 * g) * _heisenberg_modulus(p) <= COMMUTANT_MAX_ENTRIES
+
+
+def _check_basis(rep):
+    """Lemma (a): the p^(2g) operators W(v) are a basis of End(C^(p^g)).
+    W(s, n) e_a = A^(2 n.a) e_(a+s): different shifts have disjoint
+    supports, and one shift gives a permutation times the characters
+    a -> A^(2 n.a), distinct exactly when A^2 has order p (checked)."""
+    if rep.m // gcd(2, rep.m) != rep.p:
+        raise ValueError("A^2 does not have order p: the W(v) are no basis")
 
 
 def commutant_dimension(p, g=1):
-    """Exact commutant dimension of the level-p module at genus g.
+    """Exact commutant dimension of the level-p module at genus g: the
+    number of holonomy-free orbits of the Egorov rules.
 
-    Upper bound: nullity of the commutation system over two prime fields
-    containing an order-m root (specialization can only lower rank).
-    Lower bound: an explicitly verified family of orthogonal commuting
-    idempotents.  The two must meet, pinning the exact value.  Runs for
-    rank p^g up to COMMUTANT_MAX_DIM.
+    (a) The W(v) are a basis of End(C^(p^g)) (`_check_basis`).
+    (b) Each generator's rule U W(v) U^-1 = A^z(v) W(Mv) holds for every
+        v: exactly at the basis vectors (`_rule_exact`), then by induction
+        on v -> e_i + v through the product law (`_rule_additive`).
+    (c) T = sum c_v W(v) commutes with U exactly when c_(Mv) = A^z(v) c_v,
+        so c is one coefficient times the transported phase on each orbit,
+        and vanishes where that phase has nontrivial holonomy (A has order
+        m).  The count is `modgroup.lattice_orbits`'.
+
+    Raises ValueError when a check fails, or past d^2 m <=
+    COMMUTANT_MAX_ENTRIES (`commutant_certifiable`).
     """
-    if p**g > COMMUTANT_MAX_DIM:
-        raise ValueError(
-            f"commutant certificate bounded at rank {COMMUTANT_MAX_DIM}"
-        )
+    if not commutant_certifiable(p, g):
+        raise ValueError("commutant certificate bounded at d^2 m <= %d entries"
+                         % COMMUTANT_MAX_ENTRIES)
     rep = WeilRep(p, g)
-    gens = [rep.generator_cyc(tag) for tag in rep.tags()]
-    upper = None
-    for q in _modular_primes(rep.m, count=2):
-        omega = _root_mod(q, rep.m)
-        nullity = _commutant_nullity_mod(gens, q, omega)
-        upper = nullity if upper is None else min(upper, nullity)
-    projs = isotypic_projectors(p, g)
-    _verify_projector_family(projs, rep)
-    lower = len(projs)
-    if lower != upper:
-        raise ValueError(
-            f"commutant certificates disagree: {lower} vs {upper}"
-        )
-    return lower
+    _check_basis(rep)
+    tags = rep.tags()
+    img, z = _egorov_rules(tags, p, g)
+    lattice, phase = _rule_additive(p, g, rep.m, img, z)
+    for k, tag in enumerate(tags):
+        if not (lattice[k] and phase[k] and _rule_exact(rep, tag, img[k], z[k])):
+            raise ValueError(f"Egorov rule of {tag} does not hold")
+    return int(lattice_orbits(img, z, rep.m).free.sum())
 
 
 def schrodinger_commutant_dimension(p, g=1):
@@ -612,142 +603,50 @@ def schrodinger_commutant_dimension(p, g=1):
     eigenvalue tuples (verified exactly), so any commuting matrix is
     diagonal; the shift operators then force constancy along the orbit
     of index translations, and the commutant dimension is the number of
-    connected components of that translation graph.
+    orbits of the unit translations (`modgroup.lattice_orbits`).
     """
     rep = WeilRep(p, g)
-    indices = rep._multi_indices()
-    eig = [tuple((2 * x) % rep.m for x in a) for a in indices]
-    if len(set(eig)) != len(eig):
+    a = rep._index_array()
+    if np.unique(2 * a % rep.m, axis=1).shape[1] != rep.dim:
         raise ValueError("joint eigenvalues are not distinct")
-    parent = list(range(len(indices)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    pos = {a: i for i, a in enumerate(indices)}
-    for i, a in enumerate(indices):
-        for h in range(g):
-            b = list(a)
-            b[h] = (b[h] + 1) % p
-            j = pos[tuple(b)]
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    return len({find(i) for i in range(len(indices))})
+    steps = [np.ravel_multi_index(tuple((a + np.eye(g, dtype=np.int64)[:, [h]]) % p),
+                                  (p,) * g) for h in range(g)]
+    return int(lattice_orbits(steps).roots.size)
 
 
 # ---------------------------------------------------------------------------
 # orbit-sum operators
 # ---------------------------------------------------------------------------
 
-def _conjugation_rules(tags, p, g):
-    """Action of generator conjugation on (lattice vector, phase).
-
-    Conjugating a composite translation operator by a generator moves it
-    to another such operator times a power of A; the exponent rules below
-    are exact (slot 2i holds the shift, slot 2i+1 the modulation of
-    handle i, phases live modulo the order of A).
-    """
-    m = _heisenberg_modulus(p)
-
-    def conj_x(i, sign):
-        def rule(vec, z):
-            out = list(vec)
-            s = vec[2 * i]
-            out[2 * i + 1] = (out[2 * i + 1] + sign * s) % p
-            return tuple(out), (z + sign * s * s) % m
-
-        return rule
-
-    def conj_s(sign):
-        def rule(vec, z):
-            out = list(vec)
-            phase = 0
-            for i in range(g):
-                s, n = vec[2 * i], vec[2 * i + 1]
-                if sign > 0:
-                    out[2 * i], out[2 * i + 1] = n % p, (-s) % p
-                else:
-                    out[2 * i], out[2 * i + 1] = (-n) % p, s % p
-                phase -= 2 * s * n
-            return tuple(out), (z + phase) % m
-
-        return rule
-
-    def compose(*rules):
-        def rule(vec, z):
-            for r in rules:
-                vec, z = r(vec, z)
-            return vec, z
-
-        return rule
-
-    def conj_z(i, j, sign):
-        def rule(vec, z):
-            out = list(vec)
-            d = vec[2 * i] - vec[2 * j]
-            out[2 * i + 1] = (out[2 * i + 1] + sign * d) % p
-            out[2 * j + 1] = (out[2 * j + 1] - sign * d) % p
-            return tuple(out), (z + sign * d * d) % m
-
-        return rule
-
-    rules = []
-    for tag in tags:
-        for sign in (1, -1):
-            if tag[0] == "X":
-                rules.append(conj_x(tag[1] - 1, sign))
-            elif tag[0] == "Y":
-                rules.append(
-                    compose(conj_s(-1), conj_x(tag[1] - 1, sign), conj_s(1))
-                )
-            else:
-                rules.append(conj_z(tag[1] - 1, tag[2] - 1, sign))
-    return rules
+def _orbit_sum(rep, orbits, delta):
+    """(Omega_delta, orbit size, holonomy-free) for the orbit of the start
+    vector (0, delta, ..., 0, delta): the sum of A^pot(v) W(v) over the
+    orbit, the potentials anchored at the start vector with phase 0."""
+    p, g, m = rep.p, rep.g, rep.m
+    start = np.ravel_multi_index((0, delta % p) * g, (p,) * (2 * g))
+    k = orbits.labels[start]
+    members = np.flatnonzero(orbits.labels == k)
+    pot = orbits.potentials[members] - orbits.potentials[start]
+    rows, exps = rep.schrodinger_map(_lattice(p, g)[:, members])
+    arr = np.zeros((rep.dim, rep.dim, m), dtype=np.int64)
+    np.add.at(arr, (rows, np.arange(rep.dim), (exps + pot[:, None]) % m), 1)
+    return CycMat(m, arr), members.size, bool(orbits.free[k])
 
 
 def omega_cyc(delta, p, g=1, rep=None):
     """Phase-corrected orbit sum of lattice translation operators.
 
     Returns (matrix, orbit size, phases consistent).  The phase attached
-    to each orbit vector is transported along the conjugation action; on
-    some orbits at even levels the transport has nontrivial holonomy, in
-    which case first-visit phases are used and the flag is False.
+    to each orbit vector is its potential, transported along the Egorov
+    rules from the start vector (0, delta, ..., 0, delta); on some orbits
+    at even levels the transport has nontrivial holonomy, in which case
+    the potentials of a spanning forest are used and the flag is False.
     """
     if p % delta:
         raise ValueError("delta must divide the level")
     if rep is None:
         rep = WeilRep(p, g)
-    rules = _conjugation_rules(rep.tags(), p, g)
-    start = tuple(0 if i % 2 == 0 else delta % p for i in range(2 * g))
-    phases = {start: 0}
-    frontier = [start]
-    consistent = True
-    while frontier:
-        vec = frontier.pop()
-        z = phases[vec]
-        for rule in rules:
-            w, zw = rule(vec, z)
-            if w not in phases:
-                phases[w] = zw
-                frontier.append(w)
-            elif phases[w] != zw:
-                consistent = False
-    total = None
-    for vec, z in sorted(phases.items()):
-        term = rep.schrodinger_cyc(rep.heisenberg(vec, z))
-        total = term if total is None else total + term
-    return total, len(phases), consistent
-
-
-def omega_projector(delta, p, g=1):
-    """Orbit-sum operator as an exact cyclotomic matrix."""
-    rep = WeilRep(p, g)
-    cyc, _, _ = omega_cyc(delta, p, g, rep)
-    return cyc.to_ring(rep.field)
+    return _orbit_sum(rep, lattice_orbits(*_egorov_rules(rep.tags(), p, g), rep.m), delta)
 
 
 @dataclass
@@ -776,28 +675,25 @@ class OmegaFamilyReport:
 
 
 def omega_family_report(p, g=1):
-    """Commutation and independence audit of the orbit-sum family."""
+    """Commutation and independence audit of the orbit-sum family.
+
+    Each commutator with a generator is formed and tested exactly.  The
+    sums on distinct orbits have disjoint supports in the basis W(v)
+    (lemma (a) of `commutant_dimension`), so the family rank is the number
+    of distinct orbits that the start vectors land in.
+    """
     rep = WeilRep(p, g)
     gens = [rep.generator_cyc(tag) for tag in rep.tags()]
+    orbits = lattice_orbits(*_egorov_rules(rep.tags(), p, g), rep.m)
     rows = []
-    mats = []
     for delta in divisors(p):
-        cyc, size, consistent = omega_cyc(delta, p, g, rep)
-        mats.append(cyc)
-        commutes = True
-        for gen in gens:
-            comm = (gen @ cyc) - (cyc @ gen)
-            if not _array_is_zero(rep.field, rep.m, comm.arr):
-                commutes = False
-                break
+        cyc, size, consistent = _orbit_sum(rep, orbits, delta)
+        commutes = all(_array_is_zero(rep.field, rep.m, ((gen @ cyc) - (cyc @ gen)).arr)
+                       for gen in gens)
         rows.append(OmegaRow(delta, size, commutes, consistent))
-    q = _modular_primes(rep.m, count=1)[0]
-    omega = _root_mod(q, rep.m)
-    stacked = [
-        _eval_mod(cyc, q, omega).astype(np.int64).reshape(-1) for cyc in mats
-    ]
-    rank = _rank_mod(np.stack(stacked, axis=0), q)
-    return OmegaFamilyReport(p, g, tuple(rows), len(mats), rank)
+    landed = {int(orbits.labels[np.ravel_multi_index((0, delta % p) * g, (p,) * (2 * g))])
+              for delta in divisors(p)}
+    return OmegaFamilyReport(p, g, tuple(rows), len(rows), len(landed))
 
 
 @dataclass
@@ -820,49 +716,23 @@ def egorov_verify(p, g=1):
 
     For each generator U and basis vector v the rule predicts (w, z) with
     U Add(v) U^dagger = A^z Add(w).  U is unitary, so this is checked as
-    the exact identity U Add(v) = A^z Add(w) U, both sides index-map
-    products (Add is a unit monomial).  The induced map is then checked for
-    additivity and preservation of the symplectic pairing on basis pairs.
+    the exact identity U Add(v) = A^z Add(w) U (`_rule_exact`, shared with
+    `commutant_dimension`).  The induced map is then checked for
+    additivity on every pair (basis vector, lattice vector) and for
+    preservation of the symplectic pairing on basis pairs.
     """
     rep = WeilRep(p, g)
     tags = rep.tags()
-    rules = _conjugation_rules(tags, p, g)[::2]  # the sign +1 rule of each tag
-    dim2 = 2 * g
-    basis = [
-        tuple(1 if k == i else 0 for k in range(dim2)) for i in range(dim2)
-    ]
+    img, z = _egorov_rules(tags, p, g)
+    vec = _lattice(p, g)
+    form = np.kron(np.eye(g, dtype=np.int64), [[0, 1], [-1, 0]])  # omega(u, v) = u.form.v
+    additive = _rule_additive(p, g, rep.m, img, z)[0]
     reports = []
-    for tag, rule in zip(tags, rules):
-        U = rep.generator_cyc(tag)
-        exact = all(
-            _cyc_equal(U @ rep.schrodinger_cyc(rep.heisenberg(vec, 0)),
-                       rep.schrodinger_cyc(rep.heisenberg(*rule(vec, 0))) @ U,
-                       rep.field)
-            for vec in basis
-        )
-        images = [rule(vec, 0)[0] for vec in basis]
-        additive = True
-        for i in range(dim2):
-            for j in range(dim2):
-                summed = tuple(
-                    (basis[i][k] + basis[j][k]) % p for k in range(dim2)
-                )
-                target = tuple(
-                    (images[i][k] + images[j][k]) % p for k in range(dim2)
-                )
-                if rule(summed, 0)[0] != target:
-                    additive = False
-        preserves = all(
-            symplectic_form(images[i], images[j], g, p)
-            == symplectic_form(basis[i], basis[j], g, p)
-            for i in range(dim2)
-            for j in range(dim2)
-        )
-        reports.append(
-            EgorovLatticeReport(
-                p, g, tag, tuple(images), exact, additive, preserves
-            )
-        )
+    for k, tag in enumerate(tags):
+        M = vec[:, img[k][_basis_indices(p, g)]]  # column i is M e_i
+        reports.append(EgorovLatticeReport(
+            p, g, tag, tuple(map(tuple, M.T.tolist())), _rule_exact(rep, tag, img[k], z[k]),
+            bool(additive[k]), not ((M.T @ form @ M - form) % p).any()))
     return reports
 
 
@@ -892,13 +762,7 @@ def omega_embedding_scalar(delta, p, g=1):
         emb = _tower_handle_basis(r, mm) @ emb
     span = reduce(np.kron, [emb] * g)
     image = _int_einsum("itk,tj->ijk", cyc.arr, span)
-    i0, j0 = next(
-        (i, j)
-        for j in range(span.shape[1])
-        for i in range(span.shape[0])
-        if span[i, j]
-    )
-    c_vec = image[i0, j0].astype(object)
+    c_vec = image[np.flatnonzero(span[:, 0])[0], 0].astype(object)
     residual = image.astype(object) - np.einsum(
         "ij,k->ijk", span.astype(object), c_vec
     )
@@ -929,12 +793,7 @@ def su2_so3_labels(p):
     if p < 2:
         raise ValueError("level must be at least 2")
     tree = decomposition_tree(p, 1)
-    chosen = []
-    total = 0
-    for tensor in tree.factors:
-        minus_count = sum(1 for lab in tensor if lab.parity == "-")
-        if minus_count % 2 == 1:
-            chosen.append(tensor)
-            total += int(np.prod([lab.dim for lab in tensor]))
-    minus_dim = _parity_dims(p, 1)[1]
-    return LabelAuditReport(p, tuple(chosen), total, minus_dim)
+    chosen = [(tensor, dim) for tensor, dim in zip(tree.factors, tree.dims())
+              if sum(lab.parity == "-" for lab in tensor) % 2]
+    return LabelAuditReport(p, tuple(tensor for tensor, _ in chosen),
+                            sum(dim for _, dim in chosen), _parity_dims(p, 1)[1])

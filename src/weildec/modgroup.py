@@ -3,8 +3,9 @@
 SL2 enumeration and word decomposition into the S/T generators, the
 conjugacy-class machinery for SL2(Z/2^nZ) (profile invariants, explicit
 class representatives with their sizes, the (l, x, s) census), the two
-quadratic-congruence counting lemmas, lifting counts mod 2^(n+1), and the
-orbit census of (Z/NZ)^(2g) under the transvection generators.
+quadratic-congruence counting lemmas, lifting counts mod 2^(n+1), the one
+lattice-orbit engine (orbits, transported phases and holonomy of index
+maps), and the orbit census of (Z/NZ)^(2g) under the transvections.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 
 import numpy as np
 
@@ -629,48 +630,94 @@ def prime_factorization(N):
     return out
 
 
-def is_prime(n):
-    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+# ---------------------------------------------------------------------------
+# lattice orbits: one vectorised engine
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LatticeOrbits:
+    """Orbits of the index maps given to `lattice_orbits`.
+
+    roots[k] is the least index of orbit k, increasing, and labels[v] the
+    orbit of v.  potentials[v] is the phase transported to v from its
+    orbit's root, whose potential is 0, and free[k] says whether orbit k is
+    holonomy-free: every edge v -> images[r][v] of it carries
+    potentials[images[r][v]] = potentials[v] + phases[r][v] mod m.
+    Without phases every potential is 0 and every orbit is free.
+    """
+
+    labels: np.ndarray
+    roots: np.ndarray
+    potentials: np.ndarray
+    free: np.ndarray
+
+
+def lattice_orbits(images, phases=None, modulus=1):
+    """Orbits of the indices 0..n-1 under the maps images[r] (one length-n
+    index array per generator), with phases[r][v] mod `modulus` on the edge
+    v -> images[r][v] when given.
+
+    Label propagation with pointer jumping: each index v keeps a pointer
+    ptr[v] into its orbit and the phase off[v] transported from ptr[v] to
+    v.  In each round every edge whose ends reach different roots offers
+    to hook the larger root under the smaller; np.minimum.at over
+    lo * m + phase keeps one offer per root, so pointer and phase come
+    from one edge.  Pointer jumping, (ptr, off) <- (ptr[ptr], off +
+    off[ptr]), then makes every pointer a root.  Hooks only go down, so no
+    cycle forms, and when no edge joins two roots each orbit's root is its
+    least index.  Edges are walked one map at a time: work arrays have
+    length n.  The holonomy check runs over every edge.
+    """
+    images = np.asarray(images, dtype=np.int64)
+    n = images.shape[1]
+    m = modulus
+    phases = [0] * len(images) if phases is None else np.asarray(phases) % m
+    ptr, off = np.arange(n), np.zeros(n, np.int64)
+    while True:
+        best = np.full(n, n * m, np.int64)
+        for img, z in zip(images, phases):
+            rd = ptr[img]
+            live = ptr != rd
+            up = rd > ptr
+            gap = off + z - off[img]  # pot(rd) - pot(ptr)
+            np.minimum.at(best, np.where(up, rd, ptr)[live],
+                          (np.where(up, ptr, rd) * m + np.where(up, gap, -gap) % m)[live])
+        hooked = np.flatnonzero(best < n * m)
+        if not hooked.size:
+            break
+        ptr[hooked], off[hooked] = np.divmod(best[hooked], m)
+        while True:
+            nxt = ptr[ptr]
+            if np.array_equal(nxt, ptr):
+                break
+            off = (off + off[ptr]) % m
+            ptr = nxt
+    roots, labels = np.unique(ptr, return_inverse=True)
+    bad = np.zeros(n, dtype=bool)
+    for img, z in zip(images, phases):
+        bad |= (off + z - off[img]) % m != 0
+    free = np.bincount(labels[bad], minlength=roots.size) == 0
+    return LatticeOrbits(labels, roots, off, free)
 
 
 def orbit_census(N, g):
     """Orbits of (Z/NZ)^(2g) under the transvection generators.
 
     Returns (count, orbits) where orbits is a list of (delta, size) with
-    delta the divisor such that (0, delta, ..., 0, delta) lies in the orbit.
+    delta the divisor such that (0, delta, ..., 0, delta) lies in the orbit,
+    in the order of the orbits' least indices (coordinate 0 most
+    significant).
     """
     if N < 2 or g < 1:
         raise ValueError("need level N >= 2 and genus g >= 1")
     if N ** (2 * g) > 10 ** 6:
         raise ValueError("lattice too large")
-    # the group is finite, so closure under the generators is closed under inverses
-    gens = sp_generators(g, N)
-    seen = set()
-    orbits = []
-    for first in range(N ** (2 * g)):
-        v = []
-        t = first
-        for _ in range(2 * g):
-            v.append(t % N)
-            t //= N
-        v = tuple(v)
-        if v in seen:
-            continue
-        orbit = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for M in gens:
-                w = sp_apply(M, u, N)
-                if w not in orbit:
-                    orbit.add(w)
-                    stack.append(w)
-        seen |= orbit
-        delta = None
-        for d in divisors(N):
-            probe = tuple(0 if i % 2 == 0 else d % N for i in range(2 * g))
-            if probe in orbit:
-                delta = d
-                break
-        orbits.append((delta, len(orbit)))
-    return len(orbits), orbits
+    shape = (N,) * (2 * g)
+    vec = np.indices(shape).reshape(2 * g, -1)
+    orbits = lattice_orbits([np.ravel_multi_index(tuple(np.array(M) @ vec % N), shape)
+                             for M in sp_generators(g, N)])
+    deltas = [None] * orbits.roots.size
+    for d in reversed(divisors(N)):  # the least divisor of an orbit wins
+        probe = np.ravel_multi_index((0, d % N) * g, shape)
+        deltas[orbits.labels[probe]] = d
+    return len(deltas), list(zip(deltas, np.bincount(orbits.labels).tolist()))

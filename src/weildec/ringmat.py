@@ -99,21 +99,8 @@ class RingMatrix:
             return NotImplemented
         return self.rows == other.rows
 
-    def is_identity(self):
-        for i, r in enumerate(self.rows):
-            for j, a in enumerate(r):
-                if i == j:
-                    if a != 1:
-                        return False
-                elif not a.is_zero():
-                    return False
-        return True
-
     def is_zero(self):
         return all(a.is_zero() for r in self.rows for a in r)
-
-    def is_unitary(self):
-        return (self.dagger() @ self).is_identity()
 
     def equal_up_to_scalar(self, other):
         """If self == lam * other for a scalar lam, return lam, else None."""

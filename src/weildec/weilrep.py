@@ -31,6 +31,8 @@ def _heisenberg_modulus(p):
 
 def gauss_sum(a, b, p):
     """G(a, b, p) = sum of A^(a k^2 + b k), k mod p (p odd) or mod 2p (p even)."""
+    if p < 1:
+        raise ValueError("need level p >= 1")
     field = field_for_level(p)
     m = _heisenberg_modulus(p)
     step = field.level // m
@@ -183,6 +185,17 @@ class WeilRep:
                              % (len(X), 2 * self.g))
         return HeisenbergElt(tuple(X), z, self.m)
 
+    def schrodinger_map(self, vecs):
+        """(rows, exps) with Add(v) e_a = A^exps[k, a] e_rows[k, a] for each
+        column v = vecs[:, k] (slot 2i the shift m_i, slot 2i+1 the
+        modulation n_i): column a = (a_1, ..., a_g) goes to row
+        a + (m_1, ..., m_g) with A^(2 sum n_h a_h) mod m."""
+        a = self._index_array()
+        X = np.asarray(vecs, dtype=np.int64).reshape(self.g, 2, -1, 1)
+        rows = np.ravel_multi_index(tuple((a[:, None] + X[:, 0]) % self.p),
+                                    (self.p,) * self.g)
+        return rows, 2 * (X[:, 1] * a[:, None]).sum(axis=0) % self.m
+
     def schrodinger_cyc(self, h):
         """Add_p(h) = A^z * prod_i Shift_i^(m_i) Mod_i^(n_i).
 
@@ -191,14 +204,9 @@ class WeilRep:
         """
         if isinstance(h, (tuple, list)):
             h = self.heisenberg(h)
-        # column a = (a_1, ..., a_g) goes to row a + (m_1, ..., m_g) with
-        # A^(2 sum n_h a_h + z)
-        a = self._index_array()
-        X = np.array(h.X, dtype=np.int64).reshape(self.g, 2)
-        rows = np.ravel_multi_index((a + X[:, :1]) % self.p, (self.p,) * self.g)
-        exps = (2 * (X[:, 1:] * a).sum(axis=0) + h.z) % self.m
+        (rows,), (exps,) = self.schrodinger_map(np.array(h.X)[:, None])
         arr = np.zeros((self.dim, self.dim, self.m), dtype=np.int64)
-        arr[rows, np.arange(self.dim), exps] = 1
+        arr[rows, np.arange(self.dim), (exps + h.z) % self.m] = 1
         return CycMat(self.m, arr)
 
 

@@ -1,0 +1,175 @@
+"""Test oracles for the lattice-orbit commutant certificate.
+
+The former two-sided certificate: an upper bound from the nullity of the
+commutation system over two prime fields GF(q) holding an order-m root
+(specialisation can only lower a rank), and a lower bound from the
+verified family of orthogonal commuting idempotents of
+`decompose.isotypic_projectors`.  Both are independent of the orbit count
+that `decompose.commutant_dimension` certifies.  `walk_orbit` is the
+per-vector walk that `modgroup.lattice_orbits` replaces.
+"""
+
+from math import isqrt, lcm
+
+import numpy as np
+
+from weildec.cycmat import _INT64_MAX, _int_einsum
+from weildec.decompose import _commutes, isotypic_projectors
+from weildec.modgroup import prime_factorization
+from weildec.weilrep import WeilRep
+
+
+def is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def _modular_primes(m, count=2):
+    """The first `count` primes q = 1 mod m past 10^6."""
+    out = []
+    q = 1_000_000 + (m - 1_000_000 % m) + 1
+    while len(out) < count:
+        if is_prime(q):
+            out.append(q)
+        q += m
+    return out
+
+
+def _root_mod(q, m):
+    """An element of exact multiplicative order m in GF(q)."""
+    for gcand in range(2, q):
+        w = pow(gcand, (q - 1) // m, q)
+        ok = all(pow(w, m // r, q) != 1 for r, _ in prime_factorization(m))
+        if w != 1 and ok:
+            return w
+    raise ValueError("no root found")
+
+
+def _eval_mod(cyc, q, omega):
+    """cyc at A = omega, its scale included, as int64 residues mod q."""
+    if cyc.beta % 24:
+        raise ValueError("unexpected phase in modular evaluation")
+    if (q - 1) ** 2 > _INT64_MAX:
+        raise OverflowError("modulus too large for int64 residues")
+    powers = np.array([pow(omega, k, q) for k in range(cyc.m)], dtype=np.int64)
+    vals = (_int_einsum("ijk,k->ij", cyc.arr, powers) % q).astype(np.int64)
+    s = cyc.scale
+    factor = s.numerator % q * pow(s.denominator % q, q - 2, q) % q
+    return vals * factor % q
+
+
+def _rank_mod(rows, q):
+    M = np.array(rows, dtype=np.int64) % q
+    rank = 0
+    col = 0
+    nrows, ncols = M.shape
+    while rank < nrows and col < ncols:
+        piv = np.nonzero(M[rank:, col])[0]
+        if piv.size == 0:
+            col += 1
+            continue
+        r = rank + piv[0]
+        M[[rank, r]] = M[[r, rank]]
+        inv = pow(int(M[rank, col]), q - 2, q)
+        M[rank] = (M[rank] * inv) % q
+        mask = np.nonzero(M[:, col])[0]
+        mask = mask[mask != rank]
+        if mask.size:
+            M[mask] = (M[mask] - np.outer(M[mask, col], M[rank])) % q
+        rank += 1
+        col += 1
+    return rank
+
+
+def _commutant_nullity_mod(gens, q, omega):
+    """Nullity over GF(q) of T -> (A T - T A for each generator A).
+
+    A generator that evaluates to a diagonal diag(lam) contributes only
+    (lam_a - lam_b) T[a, b] = 0, so it restricts T to the support where
+    lam_a = lam_b.  Each other generator's equations are built on the
+    support columns alone: the unknown T[k, l] enters A T - T A as
+    A[:, k] in the rows (., l) and as -A[l, :] in the rows (k, .).  The
+    nonzero rows of all these blocks go to one rank computation; the
+    nullity is exactly that of the full d^2-column system.
+    """
+    d = gens[0].arr.shape[0]
+    support = np.ones((d, d), dtype=bool)
+    dense = []
+    for gen in gens:
+        A = _eval_mod(gen, q, omega)
+        lam = np.diagonal(A)
+        if np.count_nonzero(A) == np.count_nonzero(lam):
+            support &= lam[:, None] == lam[None, :]
+        else:
+            dense.append(A)
+    cols = np.flatnonzero(support)
+    if not dense:
+        return cols.size
+    k, l = np.divmod(cols, d)
+    at = np.arange(d)[:, None]
+    col = np.arange(cols.size)[None, :]
+    blocks = []
+    for A in dense:
+        M = np.zeros((d * d, cols.size), dtype=np.int64)
+        M[at * d + l, col] = A[:, k]
+        M[k * d + at, col] -= A[l, :].T
+        M %= q
+        blocks.append(M[M.any(axis=1)])
+    return cols.size - _rank_mod(np.concatenate(blocks), q)
+
+
+def _verify_projector_family(projs, rep):
+    for i, (ni, di) in enumerate(projs):
+        if not ni.any():
+            raise ValueError("zero idempotent in family")
+        for j, (nj, dj) in enumerate(projs):
+            prod = _int_einsum("it,tj->ij", ni, nj)
+            target = dj * ni if i == j else np.zeros_like(prod)
+            if not np.array_equal(prod, target):
+                raise ValueError("family is not orthogonal-idempotent")
+    den_lcm = lcm(*(dk for _, dk in projs))
+    d = projs[0][0].shape[0]
+    acc = np.zeros((d, d), dtype=object)
+    for nk, dk in projs:
+        acc += (den_lcm // dk) * nk
+    if not np.array_equal(acc, den_lcm * np.eye(d, dtype=object)):
+        raise ValueError("idempotents do not resolve the identity")
+    for tag in rep.tags():
+        for nk, _ in projs:
+            if not _commutes(rep, tag, nk):
+                raise ValueError("idempotent does not commute with a generator")
+
+
+def commutant_bounds(p, g=1):
+    """(upper, lower): the least nullity over two primes, and the size of
+    the verified idempotent family."""
+    rep = WeilRep(p, g)
+    gens = [rep.generator_cyc(tag) for tag in rep.tags()]
+    upper = min(_commutant_nullity_mod(gens, q, _root_mod(q, rep.m))
+                for q in _modular_primes(rep.m, count=2))
+    projs = isotypic_projectors(p, g)
+    _verify_projector_family(projs, rep)
+    return upper, len(projs)
+
+
+def walk_orbit(images, phases, m, start):
+    """(potentials, holonomy-free) of the orbit of `start` by a Python walk
+    over every edge v -> images[r][v] and its reverse, the potential of
+    `start` being 0: potentials maps each orbit member to its first-visit
+    phase, and an edge that disagrees makes the orbit holonomic.  The maps
+    must be permutations."""
+    inverses = [np.argsort(img) for img in images]
+    pot = {start: 0}
+    stack = [start]
+    free = True
+    while stack:
+        v = stack.pop()
+        for img, z, inv in zip(images, phases, inverses):
+            u = int(inv[v])
+            for w, step in ((int(img[v]), int(z[v])), (u, -int(z[u]))):
+                target = (pot[v] + step) % m
+                if w not in pot:
+                    pot[w] = target
+                    stack.append(w)
+                elif pot[w] != target:
+                    free = False
+    return pot, free

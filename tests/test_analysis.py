@@ -13,7 +13,6 @@ from weildec.analysis import (
     lemma_diag_check,
     semiclassical_csv,
     semiclassical_traces,
-    trace_csv,
     trace_table,
 )
 
@@ -113,9 +112,6 @@ def test_semiclassical_normalization_is_exact():
 
 
 def test_csv_and_json_emitters():
-    tab = trace_table(2)
-    text = trace_csv(tab)
-    assert text.splitlines()[0] == "n,l,x_class,s,measured,expected,match"
     cs = charsum_json(char_sum(3))
     assert '"level":3' in cs.replace(" ", "")
     sc = semiclassical_csv(semiclassical_traces(3, 1, [(0, 0)]))

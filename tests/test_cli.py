@@ -13,6 +13,12 @@ def test_gauss_json(capsys):
     assert doc["norm_sq"] == "5/1"
 
 
+@pytest.mark.parametrize("level", ["0", "-3"])
+def test_gauss_level_below_one_is_usage_error(level, capsys):
+    assert main(["gauss", "1", "0", level]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
 def test_gauss_has_no_level_option(capsys):
     # the positional level is the only level: --level is a usage error
     with pytest.raises(SystemExit) as exc:
@@ -137,8 +143,10 @@ def test_degenerate_level_or_genus_is_usage_error(argv, capsys):
 
 @pytest.mark.parametrize("argv,certified", [
     (["--level", "20"], [(20, 1)]),
-    # rank 12^2 = 144 is past decompose.COMMUTANT_MAX_DIM
-    (["--level", "12", "--genus", "2"], []),
+    (["--level", "12", "--genus", "2"], [(12, 2)]),
+    # d^2 m = 2^26 and 2^25, past decompose.COMMUTANT_MAX_ENTRIES
+    (["--level", "32", "--genus", "2"], []),
+    (["--level", "256"], []),
 ])
 def test_decompose_certifies_up_to_the_cap(argv, certified, monkeypatch, capsys):
     calls = []

@@ -1,5 +1,6 @@
 import itertools
 import json
+import types
 from fractions import Fraction
 from math import lcm
 
@@ -18,14 +19,23 @@ from weildec.decompose import (
     omega_cyc,
     omega_embedding_scalar,
     omega_family_report,
-    omega_projector,
     parity_bases,
     schrodinger_commutant_dimension,
     su2_so3_labels,
     tower_check,
 )
-from weildec.modgroup import prime_factorization, sigma0
+from weildec.modgroup import divisors, prime_factorization, sigma0
 from weildec.weilrep import WeilRep
+
+from commutant_oracle import (
+    _eval_mod,
+    _modular_primes,
+    _rank_mod,
+    _root_mod,
+    commutant_bounds,
+    walk_orbit,
+)
+from test_tooling import _clear_library_caches
 
 
 @pytest.mark.parametrize(
@@ -304,10 +314,10 @@ def test_commutant_certificate_genus1(p):
     assert commutant_dimension(p) == expect
 
 
-@pytest.mark.parametrize("p", [*range(2, 22), 25, 27, 31, 32, 33, 45])
+@pytest.mark.parametrize("p", [*range(2, 23), 24, 25, 27, 28, 30, 31, 32, 33, 35, 45, 49])
 def test_commutant_dimension_matches_schur_character_sum(p):
     # Schur: the average of |Tr|^2 over the group is the commutant dimension;
-    # char_sum reaches it through the trace engine, not the mod-q certificate
+    # char_sum reaches it through the trace engine, not the orbit count
     assert commutant_dimension(p, 1) == char_sum(p).value
 
 
@@ -325,14 +335,95 @@ def test_commutant_certificate_past_rank_16(p, g):
     assert decomposition_tree(p, g).factor_count == expect
 
 
+@pytest.mark.parametrize("p,g", [(128, 1), (16, 2), (7, 3)])
+def test_commutant_certificate_at_the_entry_bound(p, g):
+    # cold: no cached field, lift data or generator from an earlier test
+    _clear_library_caches()
+    expect = sigma0(p if p % 2 else p // 2)
+    assert commutant_dimension(p, g) == expect
+    assert decomposition_tree(p, g).factor_count == expect
+
+
 def test_commutant_dimension_refuses_rank_past_the_cap(monkeypatch):
     def no_rep(*args):
         raise AssertionError("built a WeilRep")
 
     monkeypatch.setattr(decompose, "WeilRep", no_rep)
-    assert 12**2 > decompose.COMMUTANT_MAX_DIM
+    # d^2 m: 128^2 * 256 and 8^6 * 16 are exactly 2^22; 256^2 * 512 and
+    # 32^4 * 64 are 2^25 and 2^26
+    assert decompose.commutant_certifiable(128, 1) and decompose.commutant_certifiable(8, 3)
+    for p, g in [(256, 1), (32, 2)]:
+        assert not decompose.commutant_certifiable(p, g)
+        with pytest.raises(ValueError):
+            commutant_dimension(p, g)
+
+
+@pytest.mark.parametrize("p,g", [(p, 1) for p in [*range(2, 17), 32, 64]]
+                         + [(p, 2) for p in range(2, 7)] + [(2, 3), (3, 3)])
+def test_orbit_count_meets_both_modular_bounds(p, g):
+    # the nullity mod two primes bounds dim End from above, the verified
+    # idempotent family from below; the orbit count must meet both
+    upper, lower = commutant_bounds(p, g)
+    assert upper == lower == commutant_dimension(p, g)
+
+
+@pytest.mark.parametrize("p,g", [(2, 1), (3, 1), (4, 1), (6, 1), (2, 2), (3, 2)])
+def test_schrodinger_operators_are_a_basis(p, g):
+    # lemma (a): distinct shifts have disjoint supports, and the p^(2g)
+    # operators W(v) are independent: full rank mod q
+    rep = WeilRep(p, g)
+    vecs = decompose._lattice(p, g)
+    rows, _ = rep.schrodinger_map(vecs)
+    shifts = np.ravel_multi_index(tuple(vecs[::2]), (p,) * g)
+    cells = rows * rep.dim + np.arange(rep.dim)
+    for s in range(rep.dim):
+        assert not np.isin(cells[shifts == s], cells[shifts != s]).any()
+    q = _modular_primes(rep.m, 1)[0]
+    omega = _root_mod(q, rep.m)
+    stacked = [_eval_mod(rep.schrodinger_cyc(tuple(v)), q, omega).ravel() for v in vecs.T]
+    assert _rank_mod(np.stack(stacked), q) == rep.dim**2
+
+
+def test_basis_lemma_needs_a_squared_of_order_p():
+    decompose._check_basis(WeilRep(6, 1))
     with pytest.raises(ValueError):
-        commutant_dimension(12, 2)
+        decompose._check_basis(types.SimpleNamespace(p=4, m=4))
+
+
+@pytest.mark.parametrize("p,g", [(2, 1), (3, 1), (4, 1), (6, 1), (8, 1), (9, 1), (2, 2), (3, 2)])
+def test_egorov_rule_holds_at_every_lattice_vector(p, g):
+    # the dense oracle of check (b): U W(v) = A^z(v) W(Mv) U for every v,
+    # not only the basis vectors
+    rep = WeilRep(p, g)
+    img, z = decompose._egorov_rules(rep.tags(), p, g)
+    vecs = decompose._lattice(p, g)
+    for k, tag in enumerate(rep.tags()):
+        U = rep.generator_cyc(tag)
+        for v in range(p ** (2 * g)):
+            left = U @ rep.schrodinger_cyc(tuple(vecs[:, v]))
+            right = rep.schrodinger_cyc(rep.heisenberg(tuple(vecs[:, img[k, v]]), z[k, v])) @ U
+            assert decompose._cyc_equal(left, right, rep.field), (tag, v)
+
+
+def test_rule_checks_see_a_defect_off_the_basis(monkeypatch):
+    # a wrong phase at one non-basis vector passes the basis identities, so
+    # only the additivity identities can see it
+    real = decompose._egorov_rules
+
+    def broken(tags, p, g):
+        img, z = real(tags, p, g)
+        z = z.copy()
+        z[0, 5] += 1  # index 5 of (Z/3)^2 is (1, 2), no basis vector
+        return img, z
+
+    rep = WeilRep(3, 1)
+    img, z = broken(rep.tags(), 3, 1)
+    assert decompose._rule_exact(rep, rep.tags()[0], img[0], z[0])
+    lattice, phase = decompose._rule_additive(3, 1, rep.m, img, z)
+    assert lattice.all() and not phase[0] and phase[1:].all()
+    monkeypatch.setattr(decompose, "_egorov_rules", broken)
+    with pytest.raises(ValueError):
+        commutant_dimension(3, 1)
 
 
 @pytest.mark.parametrize("p,g", [(2, 1), (3, 1), (4, 1), (5, 1), (3, 2)])
@@ -346,20 +437,33 @@ def test_egorov_lattice_maps(p, g):
         assert report.ok, report
 
 
-def test_egorov_reports_a_shifted_phase(monkeypatch):
-    # A^(z + 1) Add(w) in place of A^z Add(w): no conjugation identity holds,
-    # while the lattice map, which ignores the phase, stays additive
-    real = decompose._conjugation_rules
+def _shifted_rules(monkeypatch):
+    # A^(z + 1) Add(w) in place of A^z Add(w)
+    real = decompose._egorov_rules
 
     def shifted(tags, p, g):
-        return [lambda vec, z, rule=rule: (rule(vec, z)[0], rule(vec, z)[1] + 1)
-                for rule in real(tags, p, g)]
+        img, z = real(tags, p, g)
+        return img, z + 1
 
-    monkeypatch.setattr(decompose, "_conjugation_rules", shifted)
+    monkeypatch.setattr(decompose, "_egorov_rules", shifted)
+
+
+def test_egorov_reports_a_shifted_phase(monkeypatch):
+    # no conjugation identity holds, while the lattice map, which ignores
+    # the phase, stays additive
+    _shifted_rules(monkeypatch)
     for p, g in [(3, 1), (4, 1), (3, 2)]:
         reports = egorov_verify(p, g)
         assert reports and not any(report.conjugation_exact for report in reports)
         assert all(report.additive and report.preserves_omega for report in reports)
+
+
+def test_commutant_refuses_a_shifted_phase(monkeypatch):
+    # the same shifted rules give an orbit count, but no certified one
+    _shifted_rules(monkeypatch)
+    for p, g in [(3, 1), (4, 1), (3, 2)]:
+        with pytest.raises(ValueError):
+            commutant_dimension(p, g)
 
 
 @pytest.mark.parametrize("p", [3, 5, 9])
@@ -395,9 +499,22 @@ def test_omega_scalar_on_tower_image(r, n, value):
     assert scalar == scalar.field.coerce(value)
 
 
-def test_omega_projector_is_square():
-    proj = omega_projector(3, 9)
-    assert proj.nrows == proj.ncols == 9
+@pytest.mark.parametrize("p,g", [(4, 1), (6, 1), (8, 1), (9, 1), (3, 2), (4, 2)])
+def test_orbit_sums_match_the_walked_potentials(p, g):
+    # on a holonomy-free orbit the potentials anchored at the start vector
+    # are unique, so Omega_delta is the sum over the walked phases
+    rep = WeilRep(p, g)
+    img, z = decompose._egorov_rules(rep.tags(), p, g)
+    vecs = decompose._lattice(p, g)
+    for delta in divisors(p):
+        start = int(np.ravel_multi_index((0, delta % p) * g, (p,) * (2 * g)))
+        pot, free = walk_orbit(img, z, rep.m, start)
+        cyc, size, consistent = omega_cyc(delta, p, g)
+        assert (size, consistent) == (len(pot), free)
+        if free:
+            terms = [rep.schrodinger_cyc(rep.heisenberg(tuple(vecs[:, v]), phase))
+                     for v, phase in pot.items()]
+            assert np.array_equal(cyc.arr, sum(t.arr for t in terms))
 
 
 def test_omega_rejects_nondivisor():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -16,6 +17,7 @@ from weildec.modgroup import (
     eval_word,
     expected_quadratic_solutions,
     hensel_lift_count,
+    lattice_orbits,
     mat_inv,
     mat_mul,
     orbit_census,
@@ -28,6 +30,8 @@ from weildec.modgroup import (
     symplectic_form,
     word_decompose,
 )
+
+from commutant_oracle import walk_orbit
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 8, 9, 12])
@@ -197,3 +201,73 @@ def test_orbit_census_matches_divisor_count(N):
     assert count == sigma0(N)
     assert sorted(d for d, _ in orbits) == divisors(N)
     assert sum(size for _, size in orbits) == N ** 2
+
+
+def _walked_orbits(images, phases, m):
+    """(labels, potentials, free) by `walk_orbit` from each least index."""
+    n = len(images[0])
+    labels, pots, free = [-1] * n, [0] * n, []
+    for root in range(n):
+        if labels[root] < 0:
+            pot, ok = walk_orbit(images, phases, m, root)
+            for v, z in pot.items():
+                labels[v], pots[v] = len(free), z
+            free.append(ok)
+    return labels, pots, free
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lattice_orbits_match_the_walk(seed):
+    # random permutations, with phases that are random or come from a
+    # potential (so every orbit is free)
+    rng = np.random.default_rng(seed)
+    n, m = 40, 6
+    images = np.stack([rng.permutation(n) for _ in range(2)])
+    if seed % 2:
+        phases = rng.integers(0, m, size=images.shape)
+    else:
+        pot = rng.integers(0, m, size=n)
+        phases = (pot[images] - pot) % m
+    orbits = lattice_orbits(images, phases, m)
+    labels, pots, free = _walked_orbits(images, phases, m)
+    assert orbits.labels.tolist() == labels
+    assert orbits.free.tolist() == free
+    assert orbits.roots.tolist() == [labels.index(k) for k in range(len(free))]
+    for v in range(n):
+        if free[labels[v]]:
+            assert orbits.potentials[v] == pots[v]
+
+
+def test_lattice_orbits_without_phases_are_all_free():
+    images = [np.array([1, 0, 2, 4, 3]), np.array([0, 1, 2, 3, 4])]
+    orbits = lattice_orbits(images)
+    assert orbits.labels.tolist() == [0, 0, 1, 2, 2]
+    assert orbits.roots.tolist() == [0, 2, 3]
+    assert np.bincount(orbits.labels).tolist() == [2, 1, 2]
+    assert orbits.free.all() and not orbits.potentials.any()
+
+
+def _walked_census(N, g):
+    """orbit_census by a set walk over the generator images."""
+    gens = sp_generators(g, N)
+    seen, orbits = set(), []
+    for v in itertools.product(range(N), repeat=2 * g):
+        if v in seen:
+            continue
+        orbit, stack = {v}, [v]
+        while stack:
+            u = stack.pop()
+            for M in gens:
+                w = sp_apply(M, u, N)
+                if w not in orbit:
+                    orbit.add(w)
+                    stack.append(w)
+        seen |= orbit
+        delta = next(d for d in divisors(N) if (0, d % N) * g in orbit)
+        orbits.append((delta, len(orbit)))
+    return len(orbits), orbits
+
+
+@pytest.mark.parametrize("N,g", [(N, 1) for N in range(2, 10)] + [(2, 2), (3, 2), (4, 2)])
+def test_orbit_census_matches_the_set_walk(N, g):
+    assert orbit_census(N, g) == _walked_census(N, g)
