@@ -27,7 +27,8 @@ from .modgroup import (
     sl2_enumerate,
     sl2_order,
 )
-from .cycmat import CycMat
+from .cyclo import CycloElt
+from .cycmat import CycMat, field_coords
 from .weilrep import WeilRep, lift_genus1_cyc, projective_key, trace_engine
 
 
@@ -168,10 +169,27 @@ def expected_trace_sq(n, l, x_class, s):
     return None
 
 
+def _is_unit_scalar(mat, field):
+    """True when mat is lam * I in the field with lam conj(lam) = 1: one
+    `field_coords` product of the whole array, then one norm of the
+    diagonal entry (the beta-root has absolute value one)."""
+    coords = field_coords(mat.arr, field, mat.m)
+    lead = coords[0, 0].copy()
+    diag = np.arange(mat.nrows)
+    coords[diag, diag] -= lead
+    if coords.any():
+        return False
+    return CycloElt(field, [mat.scale * x for x in lead.tolist()]).norm_sq() == 1
+
+
 def lemma_diag_check(n):
     """The level-2^(n-1) lift of diag(a, 1/a) is a unit scalar times the
     permutation matrix with entry (i, a*i) equal to 1, for every odd a
-    mod 2^n."""
+    mod 2^n.
+
+    That holds exactly when lift @ perm^dagger, an index-map product that
+    only moves entries, is a scalar matrix whose scalar has absolute
+    value one."""
     p = 2 ** (n - 1)
     rep = WeilRep(p, 1)
     modulus = 2**n
@@ -180,7 +198,7 @@ def lemma_diag_check(n):
         lifted = lift_genus1_cyc(p, (a, 0, 0, pow(a, -1, modulus)))
         perm = CycMat.zero(rep.m, p, p)
         perm.arr[i, a * i % p, 0] = 1
-        if projective_key(lifted, rep.field) != projective_key(perm, rep.field):
+        if not _is_unit_scalar(lifted @ perm.dagger(), rep.field):
             return False
     return True
 

@@ -58,21 +58,6 @@ def cyclotomic_poly(n):
     return tuple(poly)
 
 
-def totient(n):
-    out = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return out
-
-
 class CycloElt:
     """An element of Q(zeta_L), immutable."""
 
@@ -157,16 +142,6 @@ class CycloElt:
 
     def __hash__(self):
         return hash((self.field.level, self.coeffs))
-
-    def embed_complex(self, prec=None):
-        """Numerical image under zeta_L -> exp(2*pi*i/L)."""
-        L = self.field.level
-        out = 0j
-        for k, c in enumerate(self.coeffs):
-            if c:
-                ang = 2.0 * math.pi * k / L
-                out += float(c) * complex(math.cos(ang), math.sin(ang))
-        return out
 
     def __repr__(self):
         terms = []

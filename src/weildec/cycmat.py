@@ -11,11 +11,11 @@ All arithmetic here is integer numpy work; nothing is approximated.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import numpy as np
 
-from .cyclo import CycloElt
+from .cyclo import CycloElt, make_field
 from .ringmat import RingMatrix
 
 _INT64_MAX = 2**63 - 1
@@ -197,6 +197,31 @@ def power_matrix(field, m, beta=0):
     return np.array([field.power_rows[k] for k in exps], dtype=np.int64)
 
 
+def _convolve(a, rows):
+    """Cyclic convolution of the vector a with every row of rows."""
+    # |a|_1 in Python ints: an int64 sum of large entries would wrap
+    _check_int64(sum(map(abs, a.tolist())) * _max_abs(rows), "convolution")
+    t = np.arange(len(a))
+    return rows @ a[(t[None, :] - t[:, None]) % len(a)]  # a[(v - u) mod m]
+
+
+def _lead_index(rows, P):
+    """Index of the first entry vector of rows that is nonzero in the field
+    (coordinates rows @ P, P a `power_matrix`), or None when all are zero."""
+    _check_int64(_max_abs(rows) * _l1(P), "field coordinates")
+    nonzero = (rows @ P).any(axis=1)
+    return int(nonzero.argmax()) if nonzero.any() else None
+
+
+def _lead_products(vec, rows, P):
+    """Field coordinates of vec * rows[k] for every entry vector rows[k]:
+    one batched cyclic convolution, then one product with P, each behind
+    an exact int64 bound."""
+    out = _convolve(vec, rows)
+    _check_int64(_max_abs(out) * _l1(P), "field coordinates")
+    return out @ P
+
+
 def field_coords(arr, field, m, beta=0):
     """Field coordinates of beta-root * sum_k arr[..., k] A^k for every
     entry vector of arr: one product arr @ P_beta, in int64 when an exact
@@ -322,6 +347,33 @@ class CycMat:
         return CycMat(self.m, arr.reshape(r, c, self.m),
                       self.scale * other.scale, self.beta + other.beta)
 
+    # -- comparison --------------------------------------------------------
+    def equal_up_to_scalar(self, other):
+        """lam with self == lam * other, or None; lam lies in Q(zeta_L),
+        L = lcm(m, 24), the field `field_for_level` picks.
+
+        With l the first entry of other that is nonzero in the field,
+        self == lam * other holds exactly when u_ij * v_l == u_l * v_ij for
+        every entry vector: one integer identity of convolved entry vectors,
+        compared in field coordinates.  The scales and beta-roots are common
+        factors, so they drop out; one field division at entry l gives lam.
+        """
+        if self.m != other.m or self.arr.shape != other.arr.shape:
+            return None
+        m = self.m
+        field = make_field(lcm(m, 24))
+        P = power_matrix(field, m)
+        U, V = self.arr.reshape(-1, m), other.arr.reshape(-1, m)
+        lead = _lead_index(V, P) if other.scale else None
+        if lead is None:  # other is zero
+            return field.one() if not self.scale or _lead_index(U, P) is None else None
+        if not self.scale:
+            return field.zero()
+        if not np.array_equal(_lead_products(V[lead], U, P),
+                              _lead_products(U[lead], V, P)):
+            return None
+        return self._entry(field, U[lead]) / other._entry(field, V[lead])
+
     # -- conversion to canonical field elements ---------------------------
     def to_ring(self, field):
         """RingMatrix over `field` (which must contain A = zeta^(L/m)).
@@ -334,8 +386,11 @@ class CycMat:
                                   for row in coords.tolist()])
 
     def trace_elt(self, field):
-        coords = field_coords(self.trace_vector(), field, self.m, self.beta)
-        return self._elt(field, coords.tolist())
+        return self._entry(field, self.trace_vector())
+
+    def _entry(self, field, vec):
+        """The field element scale * beta-root * sum_k vec[k] A^k."""
+        return self._elt(field, field_coords(vec, field, self.m, self.beta).tolist())
 
     def _elt(self, field, coords):
         s = self.scale

@@ -1,5 +1,7 @@
-"""Dense matrices over a cyclotomic field: the exact reference path, with
-unitarity checks and comparison up to a scalar.
+"""Dense matrices over a cyclotomic field, with comparison up to a scalar.
+
+`CycMat.to_ring` returns them and the tests use them as an exact oracle;
+no certificate builds one.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Construction of the finite Weil representation data at level p, genus g.
 
 Provides Gauss sums, the symplectic generator matrices, the Hopf pairing,
-the finite Heisenberg group with its Schrodinger representation, and the
-explicit genus-one lift of SL2(Z/NZ) together with a fast exact trace
-evaluator.
+the finite Heisenberg group with its Schrodinger representation, the
+explicit genus-one lift of SL2(Z/NZ) (an integer group-ring matrix,
+CycMat, whose word folds consecutive S-factors in pairs) together with a
+fast exact trace evaluator, and projective comparison keys.
 
 Conventions.  At level p the phase root A has order p (p odd) or 2p (p even);
 the working cyclotomic field also contains the 24th root used by the lift.
@@ -21,7 +22,17 @@ from math import gcd
 import numpy as np
 
 from .cyclo import field_for_level
-from .cycmat import _INT64_MAX, CycMat, _check_int64, _l1, _max_abs, power_matrix
+from .cycmat import (
+    _INT64_MAX,
+    CycMat,
+    _check_int64,
+    _convolve,
+    _l1,
+    _lead_index,
+    _lead_products,
+    _max_abs,
+    power_matrix,
+)
 from .modgroup import det, sl2_column, word_decompose
 
 
@@ -78,8 +89,9 @@ class WeilRep:
     """Weil representation data at level p >= 2 and genus g >= 1.
 
     Immutable; generator matrices are cached on first use.  All matrices
-    are integer group-ring matrices (CycMat); `CycMat.to_ring` converts
-    them to exact cyclotomic-field matrices.
+    are integer group-ring matrices (CycMat), as is the genus-one lift;
+    they are compared exactly in field coordinates, and `CycMat.to_ring`
+    converts one to a cyclotomic-field matrix when a test wants it.
     """
 
     def __init__(self, p, g=1):
@@ -243,14 +255,6 @@ def _normalise(arr):
     return out, max(g, 1)
 
 
-def _convolve(a, rows):
-    """Cyclic convolution of the vector a with every row of rows."""
-    # |a|_1 in Python ints: an int64 sum of large entries would wrap
-    _check_int64(sum(map(abs, a.tolist())) * _max_abs(rows), "convolution")
-    t = np.arange(len(a))
-    return rows @ a[(t[None, :] - t[:, None]) % len(a)]  # a[(v - u) mod m]
-
-
 # -- genus-one lift --------------------------------------------------------
 
 # k-slices gathered at once by an S-factor of the lift: the temporary is
@@ -303,10 +307,15 @@ def lift_genus1_cyc(p, M, rng=None):
     is formed.  The Gauss sums wait until the end: with a factors S and b
     factors S^{-1}, gamma_+^a gamma_-^b = |gamma|^(2 min(a, b))
     gamma_+-^|a - b|, one convolution with the cached `_gauss_power`
-    vector.  `_normalise` runs only when the next gather's bound
-    p max|out| would no longer fit int64, and once more before that
-    convolution and after it, so the entries come out normalised.  Every
-    kernel is preceded by an exact int64 bound.
+    vector.  Two consecutive S-factors need no gather: F_a F_b[k, j] =
+    sum_n A^(-2n(a k + b j)) is p where a k + b j = 0 mod p and 0 elsewhere,
+    since A^2 has order p, so F_+-F_+- = p J with J e_j = e_(-j) and
+    F_+-F_-+ = p I.  Such a pair is one column reversal, or nothing, and
+    the factor p joins the content; a pending T-roll carries across J
+    unchanged, because (-j)^2 = j^2.  `_normalise` runs only when the next
+    gather's bound p max|out| would no longer fit int64, and once more
+    before that convolution and after it, so the entries come out
+    normalised.  Every kernel is preceded by an exact int64 bound.
     """
     img = _lift_images(p)
     m, eps = img["m"], img["eps"]
@@ -317,12 +326,27 @@ def lift_genus1_cyc(p, M, rng=None):
     k = t[:p, None]
     out = CycMat.identity(m, p).arr
     top = _max_abs(out)
+    reverse = -k[:, 0] % p  # out @ J is out[:, reverse]
     content, roll, beta = 1, 0, 0
     factors = {1: 0, -1: 0}
-    for kind, val in word:
+    pos = 0
+    while pos < len(word):
+        kind, val = word[pos]
+        pos += 1
         if kind == "T":
             roll += val
             beta -= val * eps
+            continue
+        factors[val] += 1
+        beta -= 3 * val * eps
+        if pos < len(word) and word[pos][0] == "S":
+            pair = word[pos][1]
+            pos += 1
+            factors[pair] += 1
+            beta -= 3 * pair * eps
+            content *= p
+            if pair == val:
+                out = out[:, reverse]
             continue
         _check_int64(p * top, "lift gather")
         W = _windows(out)  # W[i, k, s] = out[i, k] rolled by s
@@ -332,8 +356,6 @@ def lift_genus1_cyc(p, M, rng=None):
             block = k[lo:lo + _GATHER_BLOCK]
             out += W[:, block, shifts[lo:lo + _GATHER_BLOCK]].sum(axis=1)
         roll = 0
-        factors[val] += 1
-        beta -= 3 * val * eps
         top = _max_abs(out)
         if p * top > _INT64_MAX:
             out, h = _normalise(out)
@@ -351,8 +373,9 @@ def lift_genus1_cyc(p, M, rng=None):
     return CycMat(m, out, Fraction(content, m ** (factors[1] + factors[-1])), beta)
 
 
-def lift_genus1(p, M, rng=None):
-    return lift_genus1_cyc(p, M, rng).to_ring(field_for_level(p))
+# the public name of the lift; the definition keeps its own name, which
+# the benchmark's tracer (perfbench/tracer.py) wraps
+lift_genus1 = lift_genus1_cyc
 
 
 # -- fast exact traces -----------------------------------------------------
@@ -578,15 +601,10 @@ def projective_key(mat, field):
     """
     m = mat.m
     P = power_matrix(field, m)
-    l1 = _l1(P)
     arr = mat.arr.reshape(-1, m)
-    _check_int64(_max_abs(arr) * l1, "field coordinates")
-    nonzero = (arr @ P).any(axis=1)
-    if not mat.scale or not nonzero.any():
+    lead = _lead_index(arr, P)
+    if not mat.scale or lead is None:
         return ("zero", mat.nrows, mat.ncols)
-    lead = arr[nonzero.argmax()]
-    prod = _convolve(lead[-np.arange(m) % m], arr)
-    _check_int64(_max_abs(prod) * l1, "field coordinates")
-    coords = prod @ P
+    coords = _lead_products(arr[lead][-np.arange(m) % m], arr, P)
     g = int(np.gcd.reduce(coords, axis=None))
     return (mat.scale ** 2 * g, mat.nrows, mat.ncols, (coords // g).tobytes())

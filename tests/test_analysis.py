@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from weildec.analysis import (
     semiclassical_traces,
     trace_table,
 )
+from weildec.ringmat import RingMatrix
 
 
 @pytest.mark.parametrize(
@@ -89,6 +91,40 @@ def test_lemma_diag():
     # n = 5 is the first level where i -> a*i is not always an involution
     for n in (2, 3, 4, 5):
         assert lemma_diag_check(n)
+
+
+def test_lemma_diag_check_rejects_wrong_lifts(monkeypatch):
+    lift = weilrep.lift_genus1_cyc
+
+    def shear(p, M, rng=None):  # (a, 1, 0, 1/a), not monomial
+        return lift(p, (M[0], 1, 0, M[3]), rng)
+
+    def inverse(p, M, rng=None):  # diag(1/a, a), the dilation i -> i/a
+        return lift(p, (M[3], 0, 0, M[0]), rng)
+
+    def doubled(p, M, rng=None):  # the right dilation, times |2| != 1
+        return lift(p, M, rng).scaled(2)
+
+    monkeypatch.setattr(analysis, "lift_genus1_cyc", shear)
+    assert not lemma_diag_check(5)
+    monkeypatch.setattr(analysis, "lift_genus1_cyc", doubled)
+    assert not lemma_diag_check(5)
+    monkeypatch.setattr(analysis, "lift_genus1_cyc", inverse)
+    assert lemma_diag_check(4)  # a = 1/a mod 8 for every odd a
+    assert not lemma_diag_check(5)  # 3 != 1/3 = 11 mod 16
+
+
+def test_faithfulness_path_builds_no_field_matrix(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("RingMatrix built")
+
+    monkeypatch.setattr(RingMatrix, "__init__", refuse)
+    assert kernel_check(3).injective
+    assert lemma_diag_check(3)
+    M = (2, 1, 1, 1)
+    lam = weilrep.lift_genus1(5, M).equal_up_to_scalar(
+        weilrep.lift_genus1(5, M, rng=random.Random(9)))
+    assert lam is not None and lam.norm_sq() == 1
 
 
 @pytest.mark.parametrize("p", [3, 5])

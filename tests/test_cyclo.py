@@ -1,10 +1,10 @@
-import cmath
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weildec.cyclo import _divide_by_xd_minus_1, cyclotomic_poly, make_field, totient
+from weildec.cyclo import _divide_by_xd_minus_1, cyclotomic_poly, make_field
 
 
 LEVELS = [3, 4, 8, 12, 24, 40]
@@ -13,7 +13,7 @@ LEVELS = [3, 4, 8, 12, 24, 40]
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 12, 24])
 def test_cyclotomic_poly_degree(n):
     poly = cyclotomic_poly(n)
-    assert len(poly) - 1 == totient(n)
+    assert len(poly) - 1 == sum(gcd(k, n) == 1 for k in range(1, n + 1))
     assert poly[-1] == 1
 
 
@@ -135,13 +135,20 @@ def test_rational_detection():
         z.as_fraction()
 
 
+def _prime_divisors(n):
+    return [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
+
+
 @pytest.mark.parametrize("level", [3, 4, 8, 24])
-def test_complex_embedding(level):
+def test_root_of_unity_order(level):
+    # zeta_L^k has order L / gcd(k, L): that power is 1, and no power
+    # order / q for a prime q dividing the order is
     field = make_field(level)
     for k in range(level):
-        got = field.root_of_unity(k).embed_complex()
-        want = cmath.exp(2j * cmath.pi * k / level)
-        assert abs(got - want) < 1e-9
+        z = field.root_of_unity(k)
+        order = level // gcd(k, level)
+        assert z ** order == 1
+        assert all(z ** (order // q) != 1 for q in _prime_divisors(order))
 
 
 def test_coerce_and_arithmetic_with_ints():

@@ -101,6 +101,47 @@ def test_equal_up_to_scalar_edge_cases():
     assert m.equal_up_to_scalar(skew) is None
 
 
+def test_cycmat_equal_up_to_scalar_edge_cases():
+    # the RingMatrix cases above on group-ring matrices, m = 8, compared in
+    # Q(zeta_24) with A = zeta_24^3
+    m, field = 8, make_field(24)
+    A = field.root_of_unity(3)
+    arr = np.zeros((2, 2, m), dtype=np.int64)
+    arr[0, 0, 0] = arr[1, 1, 1] = 1
+    mat = CycMat(m, arr)  # [[1, 0], [0, A]]
+    # a unit lam: -A^3 times the beta-root zeta_24^5
+    unit = CycMat(m, arr, Fraction(-1), beta=5).mul_root(3)
+    assert unit.equal_up_to_scalar(mat) == -(A ** 3) * field.root_of_unity(5)
+    # a non-unit lam = (3/2)(A^3 + 2), each entry vector convolved with it
+    vec = np.zeros(m, dtype=np.int64)
+    vec[[0, 3]] = 2, 1
+    scaled = CycMat(m, cycmat._convolve(vec, arr.reshape(-1, m)).reshape(arr.shape),
+                    Fraction(3, 2))
+    assert scaled.equal_up_to_scalar(mat) == (A ** 3 + 2) * Fraction(3, 2)
+    # zero patterns differ after the lead entry, either way round
+    head = CycMat(m, arr * (np.arange(2) == 0)[:, None, None])
+    assert mat.equal_up_to_scalar(head) is None
+    assert head.equal_up_to_scalar(mat) is None
+    # proportional at the lead entry, but the ratio changes
+    skew = CycMat(m, arr * np.array([1, 2])[:, None, None])
+    assert mat.equal_up_to_scalar(skew) is None
+    # the lead is the first entry nonzero in the field: sum_t A^t = 0
+    ghost = arr.copy()
+    ghost[0, 1] = 1
+    assert CycMat(m, ghost).equal_up_to_scalar(mat) == 1
+    assert mat.equal_up_to_scalar(CycMat(m, ghost).scaled(2)) == Fraction(1, 2)
+    # zero matrices, as zero arrays or as a zero scale
+    zero = CycMat.zero(m, 2, 2)
+    assert zero.equal_up_to_scalar(zero) == 1
+    assert zero.equal_up_to_scalar(mat) == 0
+    assert mat.scaled(0).equal_up_to_scalar(mat) == 0
+    assert mat.equal_up_to_scalar(zero) is None
+    assert mat.equal_up_to_scalar(mat.scaled(0)) is None
+    # a different group-ring order or shape
+    assert mat.equal_up_to_scalar(CycMat(4, arr[..., :4])) is None
+    assert mat.equal_up_to_scalar(CycMat.identity(m, 3)) is None
+
+
 def _prime_and_root(m):
     q = _modular_primes(m, 1)[0]
     return q, _root_mod(q, m)

@@ -1,3 +1,4 @@
+import copy
 import random
 import tracemalloc
 from collections import defaultdict
@@ -12,6 +13,7 @@ from weildec.cyclo import field_for_level
 from weildec.cycmat import _INT64_MAX, CycMat, _l1, _max_abs, power_matrix
 from weildec.decompose import _cyc_equal
 from weildec.modgroup import mat_mul, sl2_column, sl2_enumerate, word_decompose
+from weildec.ringmat import RingMatrix
 from weildec.weilrep import (
     WeilRep,
     _convolve,
@@ -168,7 +170,7 @@ def test_trace_engine_matches_word_evaluation(p):
     field = field_for_level(p)
     for _ in range(10):
         M = elts[rng.randrange(len(elts))]
-        direct = lift_genus1(p, M, rng=random.Random(6)).trace()
+        direct = lift_genus1(p, M, rng=random.Random(6)).trace_elt(field)
         want = (direct * direct.conj()).as_fraction()
         assert engine.trace_abs_sq(M) == want
 
@@ -191,13 +193,75 @@ def test_trace_is_class_function():
         assert trace_abs_sq(p, M) == trace_abs_sq(p, conj)
 
 
+def _textbook_lift(p, M, rng=None):
+    """The word of `word_decompose` multiplied out as field matrices, each
+    factor built from its formula: S = (1/m) beta-root^(-3 eps) gamma_+
+    (A^(-2kj)) and S^{-1} = (1/m) beta-root^(3 eps) gamma_- (A^(2kj)),
+    with the Gauss sums gamma_+ = G(-1, 0) and gamma_- = G(1, 0), and
+    T^t = beta-root^(-t eps) diag(A^(-t j^2))."""
+    field = field_for_level(p)
+    m = p if p % 2 else 2 * p
+    eps = 1 - p % 2
+    L = field.level
+
+    def root(e, order):
+        return field.root_of_unity(e * (L // order))
+
+    def S(s):
+        c = gauss_sum(-s, 0, p) * root(-3 * s * eps, 24) * Fraction(1, m)
+        return RingMatrix(field, [[c * root(-2 * s * k * j, m) for j in range(p)]
+                                  for k in range(p)])
+
+    def T(t):
+        return RingMatrix.diagonal(field, [root(-t * j * j, m) * root(-t * eps, 24)
+                                           for j in range(p)])
+
+    out = RingMatrix.identity(field, p)
+    for kind, val in word_decompose(tuple(v % m for v in M), m, rng=rng):
+        out = out @ (S(val) if kind == "S" else T(val))
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 8, 9])
+def test_cycmat_equal_up_to_scalar_agrees_with_field_matrices(p):
+    N = p if p % 2 else 2 * p
+    field = field_for_level(p)
+    rng = random.Random(83 + p)
+    for _ in range(3):
+        M, M2 = _random_sl2(rng, N), _random_sl2(rng, N)
+        L = lift_genus1(p, M)
+        others = [lift_genus1(p, M, rng=random.Random(rng.randrange(2**32))),
+                  lift_genus1(p, M2), L.mul_root(1).scaled(3)]
+        for other in others:
+            lam = L.equal_up_to_scalar(other)
+            assert lam == L.to_ring(field).equal_up_to_scalar(other.to_ring(field))
+            assert (lam is None) == (M2 != M and other is others[1])
+
+
+def _has_s_pair(M, N, rng):
+    word = word_decompose(M, N, rng=copy.deepcopy(rng))
+    return any(x[0] == y[0] == "S" for x, y in zip(word, word[1:]))
+
+
 def test_lift_cyc_agrees_with_ring_lift():
-    p = 5
-    rep = WeilRep(p, 1)
-    M = (2, 1, 1, 1)
-    cyc = lift_genus1_cyc(p, M, rng=random.Random(8))
-    ring = lift_genus1(p, M, rng=random.Random(8))
-    assert cyc.to_ring(rep.field) == ring
+    # the ring lift is the textbook word product; exact equality, scale and
+    # beta-root included.  Every word here has a run of S-factors, which
+    # the lift folds in pairs: -I is S S, diag(a, 1/a) ends in S S or
+    # S S S, and the seeded words are drawn until two have such a run
+    for p in (3, 4, 5, 8):
+        N = p if p % 2 else 2 * p
+        field = field_for_level(p)
+        a = 3 if p > 3 else 2
+        cases = [((N - 1, 0, 0, N - 1), None), ((a, 0, 0, pow(a, -1, N)), None)]
+        rng = random.Random(79 + p)
+        while len(cases) < 4:
+            case = (_random_sl2(rng, N), random.Random(rng.randrange(2**32)))
+            if _has_s_pair(case[0], N, case[1]):
+                cases.append(case)
+        for M, word_rng in cases:
+            assert _has_s_pair(M, N, word_rng)
+            got = lift_genus1(p, M, rng=copy.deepcopy(word_rng)).to_ring(field)
+            assert got == _textbook_lift(p, M, rng=word_rng)
 
 
 @pytest.mark.parametrize("p,g", [(3, 2), (4, 2)])
@@ -269,7 +333,7 @@ def test_trace_at_level_32_matches_word_evaluation():
     # all three share the engine's cached dilation for diag(-1, -1)
     assert trace_abs_sq(32, (1, 0, 0, 1)) == 1024
     for M in [(1, 0, 63, 1), (1, 0, 4, 1)]:  # unit c, then non-unit c
-        direct = lift_genus1(32, M).trace()
+        direct = lift_genus1(32, M).trace_elt(field_for_level(32))
         assert trace_abs_sq(32, M) == (direct * direct.conj()).as_fraction()
 
 
