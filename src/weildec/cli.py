@@ -59,9 +59,9 @@ def cmd_rep_show(args):
         f"root order {rep.m}  field order {rep.field.level}"
     ]
     for tag in rep.tags():
-        mat = rep.generator_cyc(tag)
-        lines.append(f"generator {tag}: scale {mat.scale}, "
-                     f"support {int((mat.arr != 0).any(axis=2).sum())} entries")
+        _, vecs, scale = rep.generator_entries(tag)
+        lines.append(f"generator {tag}: scale {scale}, "
+                     f"support {int(vecs.any(axis=2).sum())} entries")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

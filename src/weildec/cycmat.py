@@ -55,6 +55,15 @@ def _int_einsum(spec, a, b):
     return np.einsum(spec, a.astype(object), b.astype(object))
 
 
+def _int_matmul(a, b):
+    """Exact integer a @ b (np.matmul, batch axes first): int64 when
+    k * max|a| * max|b| fits, k = a.shape[-1], and Python ints (an object
+    array) otherwise."""
+    if a.shape[-1] * max(_max_abs(a), 1) * _max_abs(b) <= _INT64_MAX:
+        return np.matmul(a.astype(np.int64, copy=False), b.astype(np.int64, copy=False))
+    return np.matmul(a.astype(object), b.astype(object))
+
+
 def _int_combo(a, x, b, y):
     """Exact a*x + b*y of two integer arrays with integer coefficients:
     in int64 when |a| max|x| + |b| max|y| fits, and in Python ints
@@ -118,48 +127,6 @@ def _dense_product(a, b):
     cyclic convolution index, fitted to int64 by `_fit_int64`."""
     bsh = b[:, :, _conv_index(a.shape[-1])]  # (k, j, u, v)
     return _fit_int64(_int_einsum("iku,kjuv->ijv", a, bsh), "CycMat product")
-
-
-def handle_product(arr, block, i, p, g, side):
-    """arr @ (1 (x) block (x) 1) (side "right") or (1 (x) block (x) 1) @ arr
-    (side "left"), the p x p entry-vector block acting on tensor axis i
-    (1-based, handle 1 leading) of the p^g-dimensional space.
-
-    arr has an entry axis, shape (r, c, m), or is an integer matrix
-    (r, c), whose entries are then constants.  Its handle axis and entry
-    axis move to the end, so the product is one matmul with the block
-    (transposed first for side "left") folded into
-    B[(j, u), (t, v)] = block[j, t, (v - u) mod m] (p m terms per entry),
-    or into B[j, (t, v)] = block[j, t, v] for an integer arr (p terms).
-    int64 when an exact bound fits and Python ints past it, as in
-    `_int_einsum`; the result goes through `_fit_int64`.
-    """
-    if side == "left":
-        block = block.transpose(1, 0, 2)
-        axis = 0
-    elif side == "right":
-        axis = 1
-    else:
-        raise ValueError("side must be 'left' or 'right', not %r" % (side,))
-    m = block.shape[-1]
-    ring = arr.ndim == 3
-    shape = arr.shape
-    split = shape[:axis] + (p ** (i - 1), p, p ** (g - i)) + shape[axis + 1:]
-    x = np.moveaxis(arr.reshape(split), axis + 1, -2 if ring else -1)
-    lead = x.shape[:-2] if ring else x.shape[:-1]
-    if ring:
-        # (j, t, u, v) -> (j, u, t, v)
-        B = block[:, :, _conv_index(m)].transpose(0, 2, 1, 3).reshape(p * m, p * m)
-    else:
-        B = block.reshape(p, p * m)
-    k = B.shape[0]
-    x = x.reshape(-1, k)
-    if k * max(_max_abs(block), 1) * _max_abs(x) <= _INT64_MAX:
-        out = x.astype(np.int64, copy=False) @ B.astype(np.int64, copy=False)
-    else:
-        out = x.astype(object) @ B.astype(object)
-    out = np.moveaxis(out.reshape(lead + (p, m)), -2, axis + 1)
-    return _fit_int64(out.reshape(shape[:2] + (m,)), "handle product")
 
 
 def _fit_int64(arr, what):
@@ -253,14 +220,6 @@ class CycMat:
         return cls(m, arr)
 
     @classmethod
-    def monomial_diag(cls, m, exps, scale=Fraction(1), beta=0):
-        """diag(A^exps[0], ..., A^exps[n-1])."""
-        n = len(exps)
-        arr = np.zeros((n, n, m), dtype=np.int64)
-        arr[np.arange(n), np.arange(n), np.mod(exps, m)] = 1
-        return cls(m, arr, scale, beta)
-
-    @classmethod
     def from_exponent_matrix(cls, m, exps, scale=Fraction(1), beta=0):
         """Dense matrix with entry A^exps[i][j]."""
         exps = np.asarray(exps)
@@ -321,11 +280,6 @@ class CycMat:
 
     def scaled(self, c):
         return CycMat(self.m, self.arr, self.scale * Fraction(c), self.beta)
-
-    def mul_root(self, e):
-        """Multiply by A^e (cyclic roll of every entry)."""
-        idx = (np.arange(self.m) - e) % self.m
-        return CycMat(self.m, self.arr[:, :, idx], self.scale, self.beta)
 
     def dagger(self):
         idx = (-np.arange(self.m)) % self.m

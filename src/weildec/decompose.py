@@ -8,8 +8,9 @@ Schrodinger operators W(v), orbit-sum operators, and the minus-parity
 label audit at genus one.  The commutant dimension is the number of
 holonomy-free orbits of the rules, certified by (a) the W(v) being a
 basis, (b) each rule holding for every v and (c) the orbit count, while
-the dense d x d x m generator array has at most COMMUTANT_MAX_ENTRIES
-entries.
+p^(2g) m is at most COMMUTANT_MAX_ENTRIES.  Every certificate reads a
+generator as its row entries (`WeilRep.generator_entries`), at most p
+per row, and forms no dense d x d x m generator.
 
 All heavy verification runs on integer exponent arrays (CycMat); when an
 integer residual is nonzero the comparison falls back to exact
@@ -28,15 +29,13 @@ from math import gcd, prod
 import numpy as np
 
 from .cycmat import (
-    _INT64_MAX,
     CycMat,
+    _conv_index,
     _int_combo,
     _int_einsum,
-    _max_abs,
+    _int_matmul,
     field_coords,
-    handle_product,
 )
-from .cyclo import CycloElt
 from .modgroup import (
     divisors,
     lattice_orbits,
@@ -87,19 +86,23 @@ def _exponent_remap(mat, new_modulus, multiplier):
 
 def _generator_product(rep, tag, operand, side):
     """gen @ operand (side "left") or operand @ gen (side "right") for the
-    generator `tag` of rep and an integer matrix operand, as an exact
-    integer array with an entry axis; the generator's scale is left out.
-    Y_i acts as its p x p block on handle i (`handle_product`); the
-    diagonal X_i and Z_ij put each operand entry at the power of A of its
-    row (left) or column (right), with no arithmetic."""
-    if tag[0] == "Y":
-        return handle_product(operand, rep.y_block().arr, tag[1], rep.p, rep.g, side)
-    exps = rep.diagonal_exponents(tag) % rep.m
-    rows, cols = np.ix_(*map(np.arange, operand.shape))
-    big = _max_abs(operand) > _INT64_MAX
-    out = np.zeros(operand.shape + (rep.m,), dtype=object if big else np.int64)
-    out[rows, cols, exps[rows if side == "left" else cols]] = operand
-    return out
+    generator `tag` of rep, as an exact integer array with an entry axis;
+    the generator's scale is left out.  The operand is an integer matrix,
+    or has an entry axis of length m.
+
+    Row r of gen @ operand is sum_j vecs[r, j] * operand[cols[r, j]] over
+    the k entries of `generator_entries`, a convolution of entry vectors:
+    one batched `_int_matmul` over the rows r (int64 behind its exact
+    bound, Python ints past it).  Every generator is symmetric, so
+    operand @ gen is (gen @ operand^T)^T."""
+    cols, vecs, _ = rep.generator_entries(tag)
+    op = operand if side == "left" else operand.swapaxes(0, 1)
+    op = op.reshape(op.shape[:2] + (-1,))  # an integer matrix: entry axis 1
+    (d, k, m), (n, mo) = vecs.shape, op.shape[1:]
+    # conv[r, (j, x), w] = vecs[r, j, (w - x) mod m], the terms of op[..., x]
+    conv = vecs if mo == 1 else vecs[..., _conv_index(m)].reshape(d, k * m, m)
+    out = _int_matmul(op[cols].transpose(0, 2, 1, 3).reshape(d, n, k * mo), conv)
+    return out if side == "left" else out.swapaxes(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +128,8 @@ def _flip_permutation(p, g):
 
 
 def _commutes(rep, tag, mat):
-    """Exact check that the integer matrix mat commutes with generator tag."""
+    """Exact check that mat (an integer matrix, or one with an entry axis)
+    commutes with generator tag."""
     comm = _int_combo(1, _generator_product(rep, tag, mat, "right"),
                       -1, _generator_product(rep, tag, mat, "left"))
     return _array_is_zero(rep.field, rep.m, comm)
@@ -199,8 +203,24 @@ def _crt_maps(a, b, g):
     return u, v, np.ravel_multi_index(tuple(f[idx[:g], idx[g:]]), (a * b,) * g)
 
 
+def _sorted_rows(cols, vecs):
+    """Entries with the columns of each row in increasing order."""
+    rows, order = np.arange(len(cols))[:, None], np.argsort(cols, axis=1)
+    return cols[rows, order], vecs[rows, order]
+
+
 def crt_check(a, b, g=1):
-    """Verify the coprime tensor factorization exactly, generator by generator."""
+    """Verify the coprime tensor factorization exactly, generator by generator.
+
+    Row (x, y) of G_a (x) G_b holds the entries va[x, j] * vb[y, l] at the
+    columns (cols_a[x, j], cols_b[y, l]) (`generator_entries`).  A_a is
+    A_ab^mult_a and A_b is A_ab^mult_b, of coprime orders m_a m_b = m_ab,
+    so A_a^s A_b^t = A_ab^idx[s, t] with idx a bijection (checked), and
+    each product of entry vectors is one outer product scattered by idx.
+    psi moves rows and columns to level ab; the columns of each row are
+    then sorted and compared with the level-ab entries, where a differing
+    support refuses the tag.
+    """
     if gcd(a, b) != 1 or b % 2 == 0 or a < 2 or b < 2:
         raise ValueError("need coprime levels with b odd, both at least 2")
     u, v, psi = _crt_maps(a, b, g)
@@ -212,15 +232,24 @@ def crt_check(a, b, g=1):
     rep_ab = WeilRep(a * b, g)
     rep_a = WeilRep(a, g)
     rep_b = WeilRep(b, g)
+    idx = (np.arange(rep_a.m)[:, None] * mult_a + np.arange(rep_b.m) * mult_b) % m_ab
+    if not (np.bincount(idx.ravel(), minlength=m_ab) == 1).all():
+        raise RuntimeError("A_a and A_b do not generate the level-%d roots" % (a * b))
+    inv = np.argsort(psi)  # the tensor row moved to each level-ab row
     failures = []
     for tag in rep_ab.tags():
-        ga = _exponent_remap(rep_a.generator_cyc(tag), m_ab, mult_a)
-        gb = _exponent_remap(rep_b.generator_cyc(tag), m_ab, mult_b)
-        gt = ga.kron(gb)
-        moved = np.zeros_like(gt.arr)
-        moved[psi[:, None], psi[None, :], :] = gt.arr
-        transported = CycMat(m_ab, moved, scale=gt.scale, beta=gt.beta)
-        if not _cyc_equal(transported, rep_ab.generator_cyc(tag), rep_ab.field):
+        cols_a, va, sa = rep_a.generator_entries(tag)
+        cols_b, vb, sb = rep_b.generator_entries(tag)
+        outer = _int_einsum("xjs,ylt->xyjlst", va, vb)
+        vt = np.zeros(outer.shape[:4] + (m_ab,), dtype=outer.dtype)
+        vt[..., idx] = outer
+        d_b, k = cols_b.shape[0], cols_a.shape[1] * cols_b.shape[1]
+        ct = cols_a[:, None, :, None] * d_b + cols_b[None, :, None, :]
+        ct, vt = _sorted_rows(psi[ct.reshape(-1, k)][inv], vt.reshape(-1, k, m_ab)[inv])
+        cols_ab, v_ab, s_ab = rep_ab.generator_entries(tag)
+        cols_ab, v_ab = _sorted_rows(cols_ab, v_ab)
+        if not (np.array_equal(ct, cols_ab)  # the same support, then the same entries
+                and _scaled_equal(rep_ab.field, m_ab, vt, sa * sb, v_ab, s_ab)):
             failures.append(tag)
     return CrtReport(not failures, tuple(failures))
 
@@ -274,7 +303,7 @@ def tower_check(r, n, g=1):
             small = CycMat.identity(rep.m, 1)
         else:
             small = _exponent_remap(rep_small.generator_cyc(tag), rep.m, r * r)
-        scale = rep.y_block().scale if tag[0] == "Y" else 1
+        scale = rep.generator_entries(tag)[2]
         for reason, left, right in (
             ("restriction mismatch",
              _generator_product(rep, tag, E, "left"), small.arr),
@@ -495,20 +524,15 @@ def _rule_exact(rep, tag, img, z):
     W(v) e_a = A^e[a] e_r[a] (`WeilRep.schrodinger_map`), so the entry
     U[i, j] moves to (i, a), r[a] = j, times A^e[a] on the left, and to
     (r'[i], j) times A^(z + e'[i]) on the right: both sides are U's
-    nonzero entry vectors moved and rolled, with no product formed.  They
-    pass when the moved positions agree and the vectors at each position
-    agree exactly in the field (a sufficient test: a failure refuses, it
-    never passes a wrong rule).  A diagonal U enters only through its
-    exponents.
+    entry vectors (`generator_entries`) moved and rolled, with no product
+    formed.  They pass when the moved positions agree and the vectors at
+    each position agree exactly in the field (a sufficient test: a failure
+    refuses, it never passes a wrong rule).
     """
     d, m = rep.dim, rep.m
-    if tag[0] == "Y":
-        U = rep.generator_cyc(tag).arr
-        i, j = np.nonzero(U.any(axis=2))
-        rolled = _windows(U[i, j])  # rolled[k, -e mod m] is A^e U[i[k], j[k]]
-    else:  # diag(A^x): no dense array
-        i = j = np.arange(d)
-        rolled = _windows(np.eye(m, dtype=np.int64)[rep.diagonal_exponents(tag) % m])
+    cols, vecs, _ = rep.generator_entries(tag)
+    i, j = np.repeat(np.arange(d), cols.shape[1]), cols.ravel()
+    rolled = _windows(vecs.reshape(-1, m))  # rolled[k, -e mod m] is A^e U[i[k], j[k]]
     vec = _lattice(rep.p, rep.g)
     for v in _basis_indices(rep.p, rep.g):
         (r, rw), (e, ew) = rep.schrodinger_map(vec[:, [v, img[v]]])
@@ -516,9 +540,13 @@ def _rule_exact(rep, tag, img, z):
         sides = []
         for key, roll in ((i * d + a, e[a]), (rw[i] * d + j, z[v] + ew[i])):
             order = np.argsort(key)
-            sides.append((key[order], rolled[order, -roll[order] % m]))
-        (kl, vl), (kr, vr) = sides
-        if not (np.array_equal(kl, kr) and _array_is_zero(rep.field, m, vl - vr)):
+            sides.append((key[order], (order, -roll[order] % m)))
+        (kl, left), (kr, right) = sides
+        if not np.array_equal(kl, kr):
+            return False
+        diff = rolled[left]  # the two sides' vectors, one array at a time
+        diff -= rolled[right]
+        if not _array_is_zero(rep.field, m, diff):
             return False
     return True
 
@@ -547,13 +575,14 @@ def _rule_additive(p, g, m, img, z):
     return lattice, phase
 
 
-# Largest d^2 m (d = p^g) that `commutant_dimension` certifies: the entries
-# of the dense generator array it gathers from; (128, 1) and (8, 3) meet it.
+# Largest p^(2g) m that `commutant_dimension` certifies.  It caps the Y
+# entry array at genus one (the p x p x m block) and the lattice arrays:
+# p^(2g) images and phases mod m per rule.  (128, 1) and (8, 3) meet it.
 COMMUTANT_MAX_ENTRIES = 2**22
 
 
 def commutant_certifiable(p, g=1):
-    """Whether `commutant_dimension(p, g)` runs: d^2 m <= COMMUTANT_MAX_ENTRIES."""
+    """Whether `commutant_dimension(p, g)` runs: p^(2g) m <= COMMUTANT_MAX_ENTRIES."""
     return p ** (2 * g) * _heisenberg_modulus(p) <= COMMUTANT_MAX_ENTRIES
 
 
@@ -579,7 +608,7 @@ def commutant_dimension(p, g=1):
         and vanishes where that phase has nontrivial holonomy (A has order
         m).  The count is `modgroup.lattice_orbits`'.
 
-    Raises ValueError when a check fails, or past d^2 m <=
+    Raises ValueError when a check fails, or past p^(2g) m <=
     COMMUTANT_MAX_ENTRIES (`commutant_certifiable`).
     """
     if not commutant_certifiable(p, g):
@@ -677,19 +706,17 @@ class OmegaFamilyReport:
 def omega_family_report(p, g=1):
     """Commutation and independence audit of the orbit-sum family.
 
-    Each commutator with a generator is formed and tested exactly.  The
+    Each commutator with a generator is tested exactly (`_commutes`).  The
     sums on distinct orbits have disjoint supports in the basis W(v)
     (lemma (a) of `commutant_dimension`), so the family rank is the number
     of distinct orbits that the start vectors land in.
     """
     rep = WeilRep(p, g)
-    gens = [rep.generator_cyc(tag) for tag in rep.tags()]
     orbits = lattice_orbits(*_egorov_rules(rep.tags(), p, g), rep.m)
     rows = []
     for delta in divisors(p):
         cyc, size, consistent = _orbit_sum(rep, orbits, delta)
-        commutes = all(_array_is_zero(rep.field, rep.m, ((gen @ cyc) - (cyc @ gen)).arr)
-                       for gen in gens)
+        commutes = all(_commutes(rep, tag, cyc.arr) for tag in rep.tags())
         rows.append(OmegaRow(delta, size, commutes, consistent))
     landed = {int(orbits.labels[np.ravel_multi_index((0, delta % p) * g, (p,) * (2 * g))])
               for delta in divisors(p)}
@@ -734,42 +761,6 @@ def egorov_verify(p, g=1):
             p, g, tag, tuple(map(tuple, M.T.tolist())), _rule_exact(rep, tag, img[k], z[k]),
             bool(additive[k]), not ((M.T @ form @ M - form) % p).any()))
     return reports
-
-
-def omega_embedding_scalar(delta, p, g=1):
-    """Exact scalar by which an orbit sum acts on the embedded tower copy.
-
-    For p = r^n and delta = r^k (k <= n/2) the orbit sum preserves the
-    iterated embedding of U_{r^(n-2k)} and acts on it by a single ring
-    element, returned here; a defect error is raised when the action is
-    not scalar.
-    """
-    parts = prime_factorization(p)
-    if len(parts) != 1:
-        raise ValueError("level must be a prime power")
-    r, n = parts[0]
-    k = 0
-    t = delta
-    while t % r == 0:
-        t //= r
-        k += 1
-    if t != 1 or 2 * k > n:
-        raise ValueError("divisor must be r^k with k <= n/2")
-    rep = WeilRep(p, g)
-    cyc, _, _ = omega_cyc(delta, p, g, rep)
-    emb = np.eye(r ** (n - 2 * k), dtype=np.int64)
-    for mm in range(n - 2 * k, n, 2):
-        emb = _tower_handle_basis(r, mm) @ emb
-    span = reduce(np.kron, [emb] * g)
-    image = _int_einsum("itk,tj->ijk", cyc.arr, span)
-    c_vec = image[np.flatnonzero(span[:, 0])[0], 0].astype(object)
-    residual = image.astype(object) - np.einsum(
-        "ij,k->ijk", span.astype(object), c_vec
-    )
-    if not _array_is_zero(rep.field, rep.m, residual):
-        raise ValueError("orbit sum does not act as a scalar on the embedding")
-    coords = field_coords(c_vec, rep.field, rep.m)
-    return CycloElt(rep.field, [Fraction(x) for x in coords.tolist()])
 
 
 # ---------------------------------------------------------------------------

@@ -598,11 +598,6 @@ def sp_generators(g, N):
     return [_transvection_matrix(gm, g, N) for gm in gammas]
 
 
-def sp_apply(M, v, N):
-    dim = len(v)
-    return tuple(sum(M[i][j] * v[j] for j in range(dim)) % N for i in range(dim))
-
-
 def divisors(N):
     return [d for d in range(1, N + 1) if N % d == 0]
 

@@ -88,8 +88,10 @@ class HeisenbergElt:
 class WeilRep:
     """Weil representation data at level p >= 2 and genus g >= 1.
 
-    Immutable; generator matrices are cached on first use.  All matrices
-    are integer group-ring matrices (CycMat), as is the genus-one lift;
+    Immutable; generators are cached on first use, as row entries
+    (`generator_entries`, the form every certificate reads) and as the
+    dense `generator_cyc`.  All matrices are integer group-ring matrices
+    (CycMat), as is the genus-one lift;
     they are compared exactly in field coordinates, and `CycMat.to_ring`
     converts one to a cyclotomic-field matrix when a test wants it.
     """
@@ -117,15 +119,6 @@ class WeilRep:
     def _check_index(self, i):
         if not 1 <= i <= self.g:
             raise ValueError("handle index %d outside genus %d" % (i, self.g))
-
-    def _embed_handle(self, one_handle, i):
-        """1^(i-1) (x) M (x) 1^(g-i) in the tensor basis (handle 1 leading)."""
-        out = one_handle
-        if i > 1:
-            out = CycMat.identity(self.m, self.p ** (i - 1)).kron(out)
-        if i < self.g:
-            out = out.kron(CycMat.identity(self.m, self.p ** (self.g - i)))
-        return out
 
     def _index_array(self):
         """a[h, t] = a_(h+1) of the tensor index t = (a1, ..., ag), a1 most
@@ -166,18 +159,41 @@ class WeilRep:
             self._cyc_cache["Y block"] = CycMat(self.m, arr, Fraction(1, self.m))
         return self._cyc_cache["Y block"]
 
+    def generator_entries(self, tag):
+        """(cols, vecs, scale): the generator grouped by row, G[r, cols[r, j]]
+        = scale * vecs[r, j], with k = cols.shape[1] entries in every row.
+
+        Y_i = 1 (x) S (x) 1 has k = p: row r meets the p columns that agree
+        with r off handle i, and its entries are row a_i(r) of `y_block`
+        (at genus one, the block itself).  X_i and Z_ij have k = 1: the
+        diagonal A^exps[r] of `diagonal_exponents`.  Every generator is
+        symmetric, G^T = G: S[i, j] depends on (i - j)^2 only.  Cached."""
+        key = ("entries", tag)
+        if key not in self._cyc_cache:
+            n = np.arange(self.dim)[:, None]
+            if tag[0] == "Y":
+                self._check_index(tag[1])
+                block, p, lo = self.y_block(), self.p, self.p ** (self.g - tag[1])
+                cols = n + (np.arange(p) - self._index_array()[tag[1] - 1, :, None]) * lo
+                # row r = (hi, a_i, lo) holds block[a_i]: a broadcast, copied
+                # only when g > 1
+                vecs = np.broadcast_to(block.arr[None, :, None],
+                                       (self.dim // (p * lo), p, lo, p, self.m))
+                entries = cols, vecs.reshape(self.dim, p, self.m), block.scale
+            else:
+                exps = self.diagonal_exponents(tag) % self.m
+                entries = n, np.eye(self.m, dtype=np.int64)[exps, None], Fraction(1)
+            self._cyc_cache[key] = entries
+        return self._cyc_cache[key]
+
     def generator_cyc(self, tag):
-        if tag in self._cyc_cache:
-            return self._cyc_cache[tag]
-        if tag[0] == "Y":
-            self._check_index(tag[1])
-            mat = self._embed_handle(self.y_block(), tag[1])
-        elif tag[0] in ("X", "Z"):
-            mat = CycMat.monomial_diag(self.m, self.diagonal_exponents(tag))
-        else:
-            raise ValueError("unknown tag %r" % (tag,))
-        self._cyc_cache[tag] = mat
-        return mat
+        """The dense d x d x m view of `generator_entries`, one scatter."""
+        if tag not in self._cyc_cache:
+            cols, vecs, scale = self.generator_entries(tag)
+            arr = np.zeros((self.dim, self.dim, self.m), dtype=np.int64)
+            arr[np.arange(self.dim)[:, None], cols] = vecs
+            self._cyc_cache[tag] = CycMat(self.m, arr, scale)
+        return self._cyc_cache[tag]
 
     # -- Hopf pairing ------------------------------------------------------
     def hopf_cyc(self):

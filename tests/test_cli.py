@@ -4,6 +4,7 @@ import pytest
 
 from weildec import criteria, decompose
 from weildec.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from weildec.weilrep import WeilRep
 
 
 def test_gauss_json(capsys):
@@ -187,3 +188,16 @@ def test_output_is_deterministic(capsys):
 
 def test_exit_codes_are_distinct():
     assert {EXIT_OK, EXIT_MISMATCH, EXIT_USAGE} == {0, 1, 2}
+
+
+@pytest.mark.parametrize("p,g", [(3, 1), (4, 2), (3, 3)])
+def test_rep_show_counts_match_the_dense_generators(p, g, capsys):
+    # rep show reads each generator's scale and support from its row
+    # entries; both must agree with the dense generator
+    assert main(["rep", "show", "--level", str(p), "--genus", str(g)]) == EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    rep = WeilRep(p, g)
+    want = [f"generator {tag}: scale {gen.scale}, "
+            f"support {int((gen.arr != 0).any(axis=2).sum())} entries"
+            for tag, gen in ((tag, rep.generator_cyc(tag)) for tag in rep.tags())]
+    assert lines[1:] == want

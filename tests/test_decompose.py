@@ -9,6 +9,7 @@ import pytest
 
 from weildec import cycmat, decompose
 from weildec.analysis import char_sum
+from weildec.cli import main
 from weildec.cycmat import CycMat
 from weildec.decompose import (
     commutant_dimension,
@@ -17,7 +18,6 @@ from weildec.decompose import (
     egorov_verify,
     isotypic_projectors,
     omega_cyc,
-    omega_embedding_scalar,
     omega_family_report,
     parity_bases,
     schrodinger_commutant_dimension,
@@ -94,6 +94,58 @@ def test_tree_self_check_survives_optimisation(monkeypatch):
     monkeypatch.setattr(decompose, "sigma0", lambda n: 99)
     with pytest.raises(ValueError):
         decomposition_tree(12)
+
+
+@pytest.mark.parametrize("part", ["vecs", "cols"])
+@pytest.mark.parametrize("a,b,g,tag", [(4, 3, 1, ("X", 1)), (2, 3, 1, ("Y", 1)),
+                                       (2, 3, 2, ("Y", 2)), (4, 3, 2, ("Z", 1, 2))])
+def test_crt_reports_exactly_a_perturbed_generator(monkeypatch, a, b, g, tag, part):
+    # one entry of one level-a generator moved by 1, in its value or in its
+    # column: the CRT identity must fail on that tag and on no other
+    real = WeilRep.generator_entries
+
+    def perturbed(self, key):
+        cols, vecs, scale = real(self, key)
+        if (self.p, key) == (a, tag):
+            cols, vecs = cols.copy(), vecs.copy()
+            if part == "vecs":
+                vecs[0, 0, 0] += 1
+            else:
+                cols[0, 0] = (cols[0, 0] + 1) % self.dim
+        return cols, vecs, scale
+
+    assert crt_check(a, b, g).passed
+    monkeypatch.setattr(WeilRep, "generator_entries", perturbed)
+    assert crt_check(a, b, g).failures == (tag,)
+
+
+def test_certificates_form_no_dense_generator(monkeypatch, capsys):
+    # every certificate reads the generators as row entries: with the dense
+    # view and CycMat.kron refusing, they still run; the tower may form the
+    # dense generator of its smaller level only
+    def refuse(*args):
+        raise AssertionError("formed a dense generator")
+
+    real = WeilRep.generator_cyc
+
+    def small_only(self, tag):
+        if self.p > 3:
+            raise AssertionError("formed a large-level dense generator")
+        return real(self, tag)
+
+    _clear_library_caches()
+    monkeypatch.setattr(CycMat, "kron", refuse)
+    monkeypatch.setattr(WeilRep, "generator_cyc", small_only)
+    assert tower_check(3, 1).passed and tower_check(3, 1, 2).passed
+    monkeypatch.setattr(WeilRep, "generator_cyc", refuse)
+    assert commutant_dimension(8, 2) == 3 and commutant_dimension(9) == 3
+    assert all(report.ok for report in egorov_verify(4, 2))
+    assert crt_check(4, 3).passed and crt_check(2, 3, 2).passed
+    assert parity_bases(5, 2).dims == (13, 12)
+    report = omega_family_report(9)
+    assert report.all_commute and report.independent
+    assert main(["rep", "show", "--level", "8", "--genus", "3"]) == 0
+    assert "support 4096 entries" in capsys.readouterr().out
 
 
 def test_tower_reports_unstable_complement(monkeypatch):
@@ -491,14 +543,6 @@ def test_omega_orbit_sizes_partition():
     assert total == p * p
 
 
-@pytest.mark.parametrize(
-    "r,n,value", [(2, 4, 1), (3, 9, 8), (4, 16, 4)]
-)
-def test_omega_scalar_on_tower_image(r, n, value):
-    scalar = omega_embedding_scalar(r, n)
-    assert scalar == scalar.field.coerce(value)
-
-
 @pytest.mark.parametrize("p,g", [(4, 1), (6, 1), (8, 1), (9, 1), (3, 2), (4, 2)])
 def test_orbit_sums_match_the_walked_potentials(p, g):
     # on a holonomy-free orbit the potentials anchored at the start vector
@@ -552,23 +596,6 @@ def test_genus2_certificates_take_the_handle_local_path(monkeypatch):
     assert dense_calls == []
     assert tower_check(2, 1, 2).passed
     assert operands and (64, 64, 16) not in operands
-
-
-@pytest.mark.parametrize("delta,p,g,value", [(2, 8, 1, 0), (3, 9, 1, 8), (2, 4, 2, 3)])
-def test_omega_embedding_scalar_is_exact(monkeypatch, delta, p, g, value):
-    scalar = omega_embedding_scalar(delta, p, g)
-    assert scalar == scalar.field.coerce(value)
-    # orbit-sum entries times 2^60 put the image product past the int64
-    # bound, where a raw int64 contraction would wrap
-    real = decompose.omega_cyc
-
-    def scaled(*args):
-        cyc, size, consistent = real(*args)
-        return CycMat(cyc.m, cyc.arr * 2**60, cyc.scale, cyc.beta), size, consistent
-
-    monkeypatch.setattr(decompose, "omega_cyc", scaled)
-    big = omega_embedding_scalar(delta, p, g)
-    assert big == big.field.coerce(value * 2**60)
 
 
 @pytest.mark.parametrize("p,g", [(4, 1), (3, 2), (4, 2)])

@@ -25,13 +25,17 @@ from weildec.modgroup import (
     sl2_column,
     sl2_enumerate,
     sl2_order,
-    sp_apply,
     sp_generators,
     symplectic_form,
     word_decompose,
 )
 
 from commutant_oracle import walk_orbit
+
+
+def sp_apply(M, v, N):
+    """M v mod N for a matrix M given as rows and a vector v."""
+    return tuple(sum(a * b for a, b in zip(row, v)) % N for row in M)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 8, 9, 12])

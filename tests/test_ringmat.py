@@ -14,9 +14,8 @@ from weildec.cycmat import (
     _int_combo,
     _int_einsum,
     _max_abs,
-    handle_product,
 )
-from weildec.decompose import _array_is_zero, _cyc_equal
+from weildec.decompose import _array_is_zero, _cyc_equal, _generator_product
 from weildec.ringmat import RingMatrix
 from weildec.weilrep import WeilRep
 
@@ -27,6 +26,7 @@ from commutant_oracle import (
     _rank_mod,
     _root_mod,
 )
+from test_weilrep import _loop_diag, _mul_root
 
 
 FIELD = make_field(8)
@@ -110,7 +110,7 @@ def test_cycmat_equal_up_to_scalar_edge_cases():
     arr[0, 0, 0] = arr[1, 1, 1] = 1
     mat = CycMat(m, arr)  # [[1, 0], [0, A]]
     # a unit lam: -A^3 times the beta-root zeta_24^5
-    unit = CycMat(m, arr, Fraction(-1), beta=5).mul_root(3)
+    unit = _mul_root(CycMat(m, arr, Fraction(-1), beta=5), 3)
     assert unit.equal_up_to_scalar(mat) == -(A ** 3) * field.root_of_unity(5)
     # a non-unit lam = (3/2)(A^3 + 2), each entry vector convolved with it
     vec = np.zeros(m, dtype=np.int64)
@@ -160,7 +160,7 @@ def test_commutant_nullity_mod_of_identity_is_full():
 
 def test_commutant_nullity_mod_of_generic_diagonal():
     q, omega = _prime_and_root(8)
-    assert _commutant_nullity_mod([CycMat.monomial_diag(8, [0, 1])], q, omega) == 2
+    assert _commutant_nullity_mod([CycMat(8, _loop_diag(8, [0, 1]))], q, omega) == 2
 
 
 def _full_nullity(gens, q, omega):
@@ -236,12 +236,12 @@ def test_reduced_nullity_without_diagonal_generators():
     dense = CycMat.from_exponent_matrix(8, [[0, 3], [3, 0]])
     swap = CycMat(8, np.array([[[0] * 8, [1] + [0] * 7],
                                [[1] + [0] * 7, [0] * 8]]))
-    for gens in ([dense], [swap], [swap, CycMat.monomial_diag(8, [0, 1])]):
+    for gens in ([dense], [swap], [swap, CycMat(8, _loop_diag(8, [0, 1]))]):
         assert _commutant_nullity_mod(gens, q, omega) == _full_nullity(gens, q, omega)
 
 
 def test_cycmat_roundtrip_to_ring():
-    mat = CycMat.identity(8, 3).mul_root(5)
+    mat = _mul_root(CycMat.identity(8, 3), 5)
     ring = mat.to_ring(FIELD)
     expect = RingMatrix.identity(FIELD, 3).scale(FIELD.root_of_unity(5))
     assert ring == expect
@@ -462,48 +462,52 @@ def test_non_unit_monomials_take_the_dense_path(monkeypatch):
 
 @pytest.mark.parametrize("p,g", [(3, 1), (4, 2), (5, 2), (6, 2), (2, 3), (3, 3)])
 def test_handle_product_matches_dense_generator(p, g):
+    # `_generator_product` reads each generator as its row entries; on an
+    # entry-axis operand it must match the dense CycMat product, and on an
+    # integer operand (a span matrix) the dense contraction
     rep = WeilRep(p, g)
-    block = rep.y_block().arr
     rng = np.random.default_rng(29 * p + g)
     d, m = rep.dim, rep.m
-    for i in range(1, g + 1):
-        Y = rep.generator_cyc(("Y", i))
+    for tag in rep.tags():
+        gen = rep.generator_cyc(tag)
         M = rng.integers(-3, 4, size=(d, 4, m))
-        got = handle_product(M, block, i, p, g, "left")
+        got = _generator_product(rep, tag, M, "left")
         assert got.dtype == np.int64
-        assert np.array_equal(got, (Y @ CycMat(m, M)).arr)
+        assert np.array_equal(got, (gen @ CycMat(m, M)).arr)
         M = rng.integers(-3, 4, size=(4, d, m))
-        assert np.array_equal(handle_product(M, block, i, p, g, "right"),
-                              (CycMat(m, M) @ Y).arr)
-        # an integer operand (a span matrix) has no entry axis
+        assert np.array_equal(_generator_product(rep, tag, M, "right"),
+                              (CycMat(m, M) @ gen).arr)
         V = rng.integers(-3, 4, size=(d, 5))
-        assert np.array_equal(handle_product(V, block, i, p, g, "left"),
-                              _int_einsum("itk,tj->ijk", Y.arr, V))
-        assert np.array_equal(handle_product(V.T, block, i, p, g, "right"),
-                              _int_einsum("it,tjk->ijk", V.T, Y.arr))
+        assert np.array_equal(_generator_product(rep, tag, V, "left"),
+                              _int_einsum("itk,tj->ijk", gen.arr, V))
+        assert np.array_equal(_generator_product(rep, tag, V.T, "right"),
+                              _int_einsum("it,tjk->ijk", V.T, gen.arr))
 
 
 def test_handle_product_past_the_bound_is_exact(monkeypatch):
-    dtypes = []
-    real = cycmat._fit_int64
-
-    def spy(arr, what):
-        dtypes.append(arr.dtype)
-        return real(arr, what)
-
-    monkeypatch.setattr(cycmat, "_fit_int64", spy)
-    # ring operand at p = 4: bound 4 * 8 * (4 * 2^58) = 2^65 > 2^63;
-    # integer operand at p = 8: bound 8 * (4 * 2^58) = 2^63
+    # Y entries times 2^58 put the generator product past the int64 bound:
+    # a ring operand at p = 4 gives 4 * 8 * (4 * 2^58) = 2^65 > 2^63, an
+    # integer operand at p = 8 gives 8 * (4 * 2^58) = 2^63; the product
+    # then runs on Python ints and stays exact
+    cases = []
     for p, op in ((4, WeilRep(4, 2).schrodinger_cyc((1, 2, 3, 1)).arr),
                   (8, np.eye(64, 3, k=-5, dtype=np.int64))):
-        block = WeilRep(p, 2).y_block().arr
-        assert _max_abs(block) == 4
+        rep = WeilRep(p, 2)
+        assert _max_abs(rep.y_block().arr) == 4
         for i in (1, 2):
             for side in ("left", "right"):
                 operand = op if side == "left" else op.swapaxes(0, 1)
-                small = handle_product(operand, block, i, p, 2, side)
-                dtypes.clear()
-                big = handle_product(operand, block * 2**58, i, p, 2, side)
-                assert dtypes == [object]
-                assert big.dtype == np.int64
-                assert np.array_equal(big, small * 2**58)
+                small = _generator_product(rep, ("Y", i), operand, side)
+                assert small.dtype == np.int64
+                cases.append((rep, ("Y", i), operand, side, small))
+    real = WeilRep.generator_entries
+
+    def scaled(self, tag):
+        cols, vecs, scale = real(self, tag)
+        return cols, vecs * 2**58, scale
+
+    monkeypatch.setattr(WeilRep, "generator_entries", scaled)
+    for rep, tag, operand, side, small in cases:
+        big = _generator_product(rep, tag, operand, side)
+        assert big.dtype == object
+        assert np.array_equal(big, small.astype(object) * 2**58)

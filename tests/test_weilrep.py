@@ -26,6 +26,30 @@ from weildec.weilrep import (
 )
 
 
+def _mul_root(mat, e):
+    """mat times A^e: every entry vector rolled by e."""
+    return CycMat(mat.m, np.roll(mat.arr, e, axis=2), mat.scale, mat.beta)
+
+
+def _loop_diag(m, exps):
+    arr = np.zeros((len(exps), len(exps), m), dtype=np.int64)
+    for i, e in enumerate(exps):
+        arr[i, i, e % m] = 1
+    return arr
+
+
+def _embed_handle(rep, one_handle, i):
+    """1^(i-1) (x) M (x) 1^(g-i) in the tensor basis (handle 1 leading), by
+    Kronecker products with identities: the dense oracle of a generator
+    that acts on handle i alone."""
+    out = one_handle
+    if i > 1:
+        out = CycMat.identity(rep.m, rep.p ** (i - 1)).kron(out)
+    if i < rep.g:
+        out = out.kron(CycMat.identity(rep.m, rep.p ** (rep.g - i)))
+    return out
+
+
 @pytest.mark.parametrize("p", [3, 4, 5, 7, 8])
 def test_gauss_sum_modulus(p):
     g = gauss_sum(1, 0, p)
@@ -70,9 +94,8 @@ def test_heisenberg_commutator_is_symplectic_phase(p, g):
         v = tuple(rng.randrange(p) for _ in range(2 * g))
         hu, hv = rep.heisenberg(u), rep.heisenberg(v)
         left = rep.schrodinger_cyc(hu) @ rep.schrodinger_cyc(hv)
-        right = (
-            rep.schrodinger_cyc(hv) @ rep.schrodinger_cyc(hu)
-        ).mul_root(2 * hu.omega(hv) % rep.m)
+        right = _mul_root(rep.schrodinger_cyc(hv) @ rep.schrodinger_cyc(hu),
+                          2 * hu.omega(hv) % rep.m)
         assert _cyc_equal(left, right, rep.field)
 
 
@@ -81,7 +104,7 @@ def test_schrodinger_center_is_scalar(p, g):
     rep = WeilRep(p, g)
     zero = (0,) * (2 * g)
     central = rep.schrodinger_cyc(rep.heisenberg(zero, 1))
-    expect = CycMat.identity(rep.m, p ** g).mul_root(1)
+    expect = _mul_root(CycMat.identity(rep.m, p ** g), 1)
     assert _cyc_equal(central, expect, rep.field)
 
 
@@ -144,7 +167,7 @@ def test_projective_key_ignores_unit_scalars_only():
     field = field_for_level(p)
     L = lift_genus1_cyc(p, (2, 1, 1, 1))
     key = projective_key(L, field)
-    assert projective_key(L.mul_root(3), field) == key
+    assert projective_key(_mul_root(L, 3), field) == key
     assert projective_key(L.scaled(-1), field) == key
     assert projective_key(CycMat(L.m, L.arr, L.scale, L.beta + 5), field) == key
     assert projective_key(L.scaled(2), field) != key  # |2| != 1
@@ -231,7 +254,7 @@ def test_cycmat_equal_up_to_scalar_agrees_with_field_matrices(p):
         M, M2 = _random_sl2(rng, N), _random_sl2(rng, N)
         L = lift_genus1(p, M)
         others = [lift_genus1(p, M, rng=random.Random(rng.randrange(2**32))),
-                  lift_genus1(p, M2), L.mul_root(1).scaled(3)]
+                  lift_genus1(p, M2), _mul_root(L, 1).scaled(3)]
         for other in others:
             lam = L.equal_up_to_scalar(other)
             assert lam == L.to_ring(field).equal_up_to_scalar(other.to_ring(field))
@@ -414,10 +437,29 @@ def test_y_generator_gather_matches_loop(p, g):
     one = CycMat(rep.m, _loop_y_block(p, rep.m), Fraction(1, rep.m))
     for i in range(1, g + 1):
         got = rep.generator_cyc(("Y", i))
-        want = rep._embed_handle(one, i)
+        want = _embed_handle(rep, one, i)
         assert got.arr.dtype == want.arr.dtype
         assert np.array_equal(got.arr, want.arr)
         assert (got.scale, got.beta) == (want.scale, want.beta)
+
+
+@pytest.mark.parametrize("p,g", [(3, 1), (4, 2), (6, 2), (3, 3)])
+def test_generators_are_symmetric(p, g):
+    # the generator product takes operand @ G as (G operand^T)^T
+    rep = WeilRep(p, g)
+    for tag in rep.tags():
+        arr = rep.generator_cyc(tag).arr
+        assert np.array_equal(arr, arr.transpose(1, 0, 2))
+
+
+def test_genus_one_y_entries_are_the_block():
+    # at genus one the Y entries are the p x p block itself, not a copy
+    rep = WeilRep(128, 1)
+    cols, vecs, scale = rep.generator_entries(("Y", 1))
+    assert np.may_share_memory(vecs, rep.y_block().arr)
+    assert np.array_equal(vecs, rep.y_block().arr)
+    assert np.array_equal(cols, np.tile(np.arange(128), (128, 1)))
+    assert scale == Fraction(1, 256)
 
 
 def _dense_lift(p, M, rng=None):
@@ -437,8 +479,8 @@ def _dense_lift(p, M, rng=None):
         if kind == "S":
             out = out @ (S if val == 1 else S.dagger())
         else:
-            out = out @ CycMat.monomial_diag(m, [-val * i * i for i in range(p)],
-                                             beta=-val * eps)
+            out = out @ CycMat(m, _loop_diag(m, [-val * i * i for i in range(p)]),
+                               beta=-val * eps)
     return out
 
 
@@ -567,7 +609,7 @@ def _kron_schrodinger(rep, h):
             arr[(a + mi) % rep.p, a, (2 * ni * a) % rep.m] = 1
         one = CycMat(rep.m, arr)
         mat = one if mat is None else mat.kron(one)
-    return mat.mul_root(h.z)
+    return _mul_root(mat, h.z)
 
 
 @pytest.mark.parametrize("p,g", [(2, 1), (3, 2), (4, 2), (6, 2), (5, 3)])
@@ -583,20 +625,13 @@ def test_schrodinger_matches_kron_oracle(p, g):
         assert (got.scale, got.beta) == (want.scale, want.beta)
 
 
-def _loop_diag(m, exps):
-    arr = np.zeros((len(exps), len(exps), m), dtype=np.int64)
-    for i, e in enumerate(exps):
-        arr[i, i, e % m] = 1
-    return arr
-
-
 @pytest.mark.parametrize("p,g", [(3, 1), (4, 2), (3, 3)])
 def test_diagonal_generators_match_kron_oracle(p, g):
     rep = WeilRep(p, g)
     one = CycMat(rep.m, _loop_diag(rep.m, [a * a for a in range(p)]))
     for i in range(1, g + 1):
         got = rep.generator_cyc(("X", i))
-        assert np.array_equal(got.arr, rep._embed_handle(one, i).arr)
+        assert np.array_equal(got.arr, _embed_handle(rep, one, i).arr)
     for i in range(1, g + 1):
         for j in range(i + 1, g + 1):
             exps = [(a[i - 1] - a[j - 1]) ** 2 for a in rep._multi_indices()]
