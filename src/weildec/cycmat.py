@@ -11,7 +11,7 @@ All arithmetic here is integer numpy work; nothing is approximated.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -267,7 +267,6 @@ class CycMat:
         if self.m != other.m or self.beta != other.beta:
             raise ValueError("cannot combine: different ring data")
         s, t = self.scale, other.scale
-        from math import gcd, lcm
         den = lcm(s.denominator, t.denominator)
         g = gcd(s.numerator * (den // s.denominator) if s else 0,
                 t.numerator * (den // t.denominator) if t else 0)

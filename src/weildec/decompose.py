@@ -3,12 +3,14 @@
 Parity splitting under the index flip a -> -a, coprime tensor
 factorization through a residue pairing, prime-power towers with
 orthogonal complements, the bookkeeping tree of irreducible factors,
-the Egorov rules G W(v) G^-1 = A^z(v) W(Mv) of the generators on the
-Schrodinger operators W(v), orbit-sum operators, and the minus-parity
-label audit at genus one.  The commutant dimension is the number of
-holonomy-free orbits of the rules, certified by (a) the W(v) being a
-basis, (b) each rule holding for every v and (c) the orbit count, while
-p^(2g) m is at most COMMUTANT_MAX_ENTRIES.  Every certificate reads a
+the Egorov rules G W(v) G^-1 = A^(v^T Q v) W(Mv) of the generators on
+the Schrodinger operators W(v) as integer matrices (M, Q), orbit-sum
+operators, and the minus-parity label audit at genus one.  The commutant
+dimension is the number of holonomy-free orbits of the rules, certified
+by (a) the W(v) being a basis, (b) each rule holding for every v, from
+2g x 2g identities on (M, Q), and (c) the orbit count over the p^(2g)
+lattice vectors, while p^(2g) m is at most COMMUTANT_MAX_ENTRIES.  Every
+certificate reads a
 generator as its row entries (`WeilRep.generator_entries`), at most p
 per row, and forms no dense d x d x m generator.
 
@@ -478,48 +480,71 @@ def _lattice(p, g):
     return np.indices((p,) * (2 * g)).reshape(2 * g, -1)
 
 
+def _rule_matrices(tag, g):
+    """(M, Q), 2g x 2g integer matrices, with U W(v) U^-1 = A^(v^T Q v)
+    W(Mv) for the generator U of tag: X_i adds s_i to n_i with z = s_i^2;
+    Y_i subtracts n_i from s_i with z = -n_i^2; Z_ij adds d = s_i - s_j to
+    n_i, subtracts it from n_j and has z = d^2.  Certified, not assumed, by
+    `_rule_exact` at the basis vectors and `_rule_cocycle` for every v.
+    """
+    M, Q = np.eye(2 * g, dtype=np.int64), np.zeros((2 * g, 2 * g), np.int64)
+    s, n = 2 * (tag[1] - 1), 2 * tag[1] - 1
+    if tag[0] == "X":
+        M[n, s] = Q[s, s] = 1
+    elif tag[0] == "Y":
+        M[s, n] = Q[n, n] = -1
+    else:
+        d = np.zeros(2 * g, np.int64)  # d = s_i - s_j as a row
+        d[s], d[2 * (tag[2] - 1)] = 1, -1
+        M[n] += d
+        M[2 * tag[2] - 1] -= d
+        Q = np.outer(d, d)
+    return M, Q
+
+
+def _beta_form(g):
+    """B with beta(u, v) = u^T B v = 2 sum_i n_i(u) s_i(v), the phase of the
+    product law W(u) W(v) = A^beta(u, v) W(u + v)."""
+    return np.kron(np.eye(g, dtype=np.int64), [[0, 0], [2, 0]])
+
+
+def _rule_cocycle(M, Q, m):
+    """The cocycle identity Q + Q^T = M^T B M - B (mod m) of the rule (M, Q).
+
+    If the rule holds at u and at v, the product law gives U W(u + v) U^-1
+    = A^(z(u) + z(v) + beta(Mu, Mv) - beta(u, v)) W(M(u + v)), and z(u + v)
+    - z(u) - z(v) = u^T (Q + Q^T) v: the identity carries the rule to
+    u + v, so from the basis vectors to every v.  W and beta depend on v
+    mod p only (m | 2p), and so does z for symmetric Q (m | 2p, m | p^2),
+    since `_check_basis` forces m in {p, 2p}: the rule holds on the classes.
+    """
+    B = _beta_form(len(M) // 2)
+    return not ((Q + Q.T - (M.T @ B @ M - B)) % m).any()
+
+
 def _egorov_rules(tags, p, g):
     """(img, z) with U W(v) U^-1 = A^z[k, v] W(img[k, v]) for the generator
-    U of tags[k], as integer arrays over every lattice index v.
-
-    X_i adds s_i to n_i with z = s_i^2; Y_i subtracts n_i from s_i with
-    z = -n_i^2; Z_ij adds d = s_i - s_j to n_i, subtracts it from n_j and
-    has z = d^2.  Each z depends on v mod p only: (x + p)^2 = x^2 mod m.
-    The rules are certified, not assumed: `_rule_exact` checks them at the
-    basis vectors and `_rule_additive` carries them to every v.
+    U of tags[k], over every lattice index v: the rules (M, Q) of
+    `_rule_matrices` evaluated, img[k, v] the index of Mv mod p and
+    z[k, v] = v^T Q v mod m.  A slot whose row of M is the unit row keeps
+    its digit of v, so img starts at v and only the moved slots change it.
     """
-    m = _heisenberg_modulus(p)
-    vec = _lattice(p, g)
-    imgs, phases = [], []
-    for tag in tags:
-        out = vec.copy()
-        i = tag[1] - 1
-        s, n = vec[2 * i], vec[2 * i + 1]
-        if tag[0] == "X":
-            out[2 * i + 1] += s
-            z = s * s
-        elif tag[0] == "Y":
-            out[2 * i] -= n
-            z = -n * n
-        else:
-            j = tag[2] - 1
-            d = s - vec[2 * j]
-            out[2 * i + 1] += d
-            out[2 * j + 1] -= d
-            z = d * d
-        imgs.append(np.ravel_multi_index(tuple(out % p), (p,) * (2 * g)))
-        phases.append(z % m)
-    return np.stack(imgs), np.stack(phases)
+    m, vec = _heisenberg_modulus(p), _lattice(p, g)
+    weights = p ** np.arange(2 * g - 1, -1, -1)
+    img = np.empty((len(tags), vec.shape[1]), np.int64)
+    z = np.empty_like(img)
+    for k, tag in enumerate(tags):
+        M, Q = _rule_matrices(tag, g)
+        img[k] = np.arange(vec.shape[1])
+        for slot in np.flatnonzero((M != np.eye(2 * g)).any(axis=1)):
+            img[k] += (M[slot] @ vec % p - vec[slot]) * weights[slot]
+        z[k] = sum(Q[i, j] * vec[i] * vec[j] for i, j in zip(*np.nonzero(Q))) % m
+    return img, z
 
 
-def _basis_indices(p, g):
-    """Lattice indices of the basis vectors e_0, ..., e_(2g-1)."""
-    return p ** np.arange(2 * g - 1, -1, -1)
-
-
-def _rule_exact(rep, tag, img, z):
-    """The rule (img, z) of tag holds exactly at every basis vector v:
-    U W(v) = A^z(v) W(w) U for the generator U of tag, w = img[v].
+def _rule_exact(rep, tag, M, Q):
+    """The rule (M, Q) of tag holds exactly at every basis vector v = e_i:
+    U W(v) = A^z W(w) U for the generator U of tag, w = M e_i, z = Q[i, i].
 
     W(v) e_a = A^e[a] e_r[a] (`WeilRep.schrodinger_map`), so the entry
     U[i, j] moves to (i, a), r[a] = j, times A^e[a] on the left, and to
@@ -533,12 +558,11 @@ def _rule_exact(rep, tag, img, z):
     cols, vecs, _ = rep.generator_entries(tag)
     i, j = np.repeat(np.arange(d), cols.shape[1]), cols.ravel()
     rolled = _windows(vecs.reshape(-1, m))  # rolled[k, -e mod m] is A^e U[i[k], j[k]]
-    vec = _lattice(rep.p, rep.g)
-    for v in _basis_indices(rep.p, rep.g):
-        (r, rw), (e, ew) = rep.schrodinger_map(vec[:, [v, img[v]]])
+    for v in range(len(M)):
+        (r, rw), (e, ew) = rep.schrodinger_map(np.column_stack((np.arange(len(M)) == v, M[:, v])))
         a = np.argsort(r)[j]
         sides = []
-        for key, roll in ((i * d + a, e[a]), (rw[i] * d + j, z[v] + ew[i])):
+        for key, roll in ((i * d + a, e[a]), (rw[i] * d + j, Q[v, v] + ew[i])):
             order = np.argsort(key)
             sides.append((key[order], (order, -roll[order] % m)))
         (kl, left), (kr, right) = sides
@@ -549,30 +573,6 @@ def _rule_exact(rep, tag, img, z):
         if not _array_is_zero(rep.field, m, diff):
             return False
     return True
-
-
-def _rule_additive(p, g, m, img, z):
-    """(lattice, phase) of each rule k: for every basis vector u and every
-    v, img[k][u + v] = img[k][u] + img[k][v], and z(u + v) = z(u) + z(v) +
-    beta(Mu, Mv) - beta(u, v) mod m, beta(u, v) = 2 sum_i n_i(u) s_i(v)
-    being the phase of W(u) W(v) = A^beta(u, v) W(u + v); also
-    img[k][0] = 0 and z(0) = 0."""
-    vec = _lattice(p, g).astype(np.int32)
-    idx = np.arange(vec.shape[1])
-    basis = _basis_indices(p, g)
-    plus = [idx + u - p * u * (vec[slot] == p - 1)  # the indices of u + v
-            for slot, u in enumerate(basis)]
-    lattice, phase = img[:, 0] == 0, z[:, 0] == 0
-    for k, zk in enumerate(z):
-        Mv = vec[:, img[k]]
-        for slot, u in enumerate(basis):
-            Mu = Mv[:, u, None]
-            total = Mv + Mu
-            total[total >= p] -= p
-            lattice[k] &= np.array_equal(Mv[:, plus[slot]], total)
-            beta = 2 * (Mu[1::2, 0] @ Mv[::2] - (vec[slot - 1] if slot % 2 else 0))
-            phase[k] &= not ((zk[plus[slot]] - zk[u] - zk - beta) % m).any()
-    return lattice, phase
 
 
 # Largest p^(2g) m that `commutant_dimension` certifies.  It caps the Y
@@ -600,13 +600,14 @@ def commutant_dimension(p, g=1):
     number of holonomy-free orbits of the Egorov rules.
 
     (a) The W(v) are a basis of End(C^(p^g)) (`_check_basis`).
-    (b) Each generator's rule U W(v) U^-1 = A^z(v) W(Mv) holds for every
-        v: exactly at the basis vectors (`_rule_exact`), then by induction
-        on v -> e_i + v through the product law (`_rule_additive`).
+    (b) Each generator's rule (M, Q) (`_rule_matrices`) holds for every v:
+        exactly at the basis vectors (`_rule_exact`), then by induction on
+        v -> v + e_i through the cocycle identity (`_rule_cocycle`).
     (c) T = sum c_v W(v) commutes with U exactly when c_(Mv) = A^z(v) c_v,
         so c is one coefficient times the transported phase on each orbit,
         and vanishes where that phase has nontrivial holonomy (A has order
-        m).  The count is `modgroup.lattice_orbits`'.
+        m).  The count is `modgroup.lattice_orbits`' on the rules evaluated
+        once over the p^(2g) lattice vectors (`_rule_orbits`).
 
     Raises ValueError when a check fails, or past p^(2g) m <=
     COMMUTANT_MAX_ENTRIES (`commutant_certifiable`).
@@ -616,13 +617,17 @@ def commutant_dimension(p, g=1):
                          % COMMUTANT_MAX_ENTRIES)
     rep = WeilRep(p, g)
     _check_basis(rep)
-    tags = rep.tags()
-    img, z = _egorov_rules(tags, p, g)
-    lattice, phase = _rule_additive(p, g, rep.m, img, z)
-    for k, tag in enumerate(tags):
-        if not (lattice[k] and phase[k] and _rule_exact(rep, tag, img[k], z[k])):
+    for tag in rep.tags():
+        M, Q = _rule_matrices(tag, g)
+        if not (_rule_cocycle(M, Q, rep.m) and _rule_exact(rep, tag, M, Q)):
             raise ValueError(f"Egorov rule of {tag} does not hold")
-    return int(lattice_orbits(img, z, rep.m).free.sum())
+    return int(_rule_orbits(rep).free.sum())
+
+
+def _rule_orbits(rep):
+    """The lattice orbits of rep's Egorov rules, evaluated once as arrays
+    (`_egorov_rules`): the only p^(2g) work of the rules."""
+    return lattice_orbits(*_egorov_rules(rep.tags(), rep.p, rep.g), rep.m)
 
 
 def schrodinger_commutant_dimension(p, g=1):
@@ -662,7 +667,7 @@ def _orbit_sum(rep, orbits, delta):
     return CycMat(m, arr), members.size, bool(orbits.free[k])
 
 
-def omega_cyc(delta, p, g=1, rep=None):
+def omega_cyc(delta, p, g=1):
     """Phase-corrected orbit sum of lattice translation operators.
 
     Returns (matrix, orbit size, phases consistent).  The phase attached
@@ -673,9 +678,8 @@ def omega_cyc(delta, p, g=1, rep=None):
     """
     if p % delta:
         raise ValueError("delta must divide the level")
-    if rep is None:
-        rep = WeilRep(p, g)
-    return _orbit_sum(rep, lattice_orbits(*_egorov_rules(rep.tags(), p, g), rep.m), delta)
+    rep = WeilRep(p, g)
+    return _orbit_sum(rep, _rule_orbits(rep), delta)
 
 
 @dataclass
@@ -712,7 +716,7 @@ def omega_family_report(p, g=1):
     of distinct orbits that the start vectors land in.
     """
     rep = WeilRep(p, g)
-    orbits = lattice_orbits(*_egorov_rules(rep.tags(), p, g), rep.m)
+    orbits = _rule_orbits(rep)
     rows = []
     for delta in divisors(p):
         cyc, size, consistent = _orbit_sum(rep, orbits, delta)
@@ -728,9 +732,9 @@ class EgorovLatticeReport:
     p: int
     g: int
     tag: tuple
-    matrix: tuple  # induced map on lattice basis vectors, column-wise
-    conjugation_exact: bool
-    additive: bool
+    matrix: tuple  # the lattice map M mod p, column-wise: column i is M e_i
+    conjugation_exact: bool  # the rule holds at every basis vector
+    additive: bool  # the cocycle identity of the product law
     preserves_omega: bool
 
     @property
@@ -739,27 +743,21 @@ class EgorovLatticeReport:
 
 
 def egorov_verify(p, g=1):
-    """Induced lattice maps of the generators, certified exactly.
-
-    For each generator U and basis vector v the rule predicts (w, z) with
-    U Add(v) U^dagger = A^z Add(w).  U is unitary, so this is checked as
-    the exact identity U Add(v) = A^z Add(w) U (`_rule_exact`, shared with
-    `commutant_dimension`).  The induced map is then checked for
-    additivity on every pair (basis vector, lattice vector) and for
-    preservation of the symplectic pairing on basis pairs.
+    """Induced lattice maps of the generators, certified exactly from the
+    rules (M, Q) of `_rule_matrices`, with only 2g x 2g work past the
+    generators: the exact identity U Add(e_i) = A^Q[i, i] Add(M e_i) U at
+    each basis vector (`_rule_exact`; U is unitary), the cocycle identity
+    (`_rule_cocycle`) and M^T D M = D (mod m) for D = B - B^T, -2 times the
+    symplectic form: m is p (odd) or 2p, so this is the pairing mod p.
     """
     rep = WeilRep(p, g)
-    tags = rep.tags()
-    img, z = _egorov_rules(tags, p, g)
-    vec = _lattice(p, g)
-    form = np.kron(np.eye(g, dtype=np.int64), [[0, 1], [-1, 0]])  # omega(u, v) = u.form.v
-    additive = _rule_additive(p, g, rep.m, img, z)[0]
+    D = _beta_form(g) - _beta_form(g).T
     reports = []
-    for k, tag in enumerate(tags):
-        M = vec[:, img[k][_basis_indices(p, g)]]  # column i is M e_i
+    for tag in rep.tags():
+        M, Q = _rule_matrices(tag, g)
         reports.append(EgorovLatticeReport(
-            p, g, tag, tuple(map(tuple, M.T.tolist())), _rule_exact(rep, tag, img[k], z[k]),
-            bool(additive[k]), not ((M.T @ form @ M - form) % p).any()))
+            p, g, tag, tuple(map(tuple, (M % p).T.tolist())), _rule_exact(rep, tag, M, Q),
+            _rule_cocycle(M, Q, rep.m), not ((M.T @ D @ M - D) % rep.m).any()))
     return reports
 
 

@@ -24,7 +24,13 @@ from weildec.decompose import (
     su2_so3_labels,
     tower_check,
 )
-from weildec.modgroup import divisors, prime_factorization, sigma0
+from weildec.modgroup import (
+    divisors,
+    lattice_orbits,
+    prime_factorization,
+    sigma0,
+    sp_generators,
+)
 from weildec.weilrep import WeilRep
 
 from commutant_oracle import (
@@ -457,25 +463,131 @@ def test_egorov_rule_holds_at_every_lattice_vector(p, g):
             assert decompose._cyc_equal(left, right, rep.field), (tag, v)
 
 
+@pytest.mark.parametrize("p,g", [(3, 1), (4, 1), (2, 2)])
+def test_beta_form_is_the_product_law_phase(p, g):
+    # W(u) W(v) = A^(u^T B v) W(u + v) for every pair: the B of the cocycle
+    # identity, which a transposed B would pass on symplectic M alone
+    rep, B = WeilRep(p, g), decompose._beta_form(g)
+    vecs = decompose._lattice(p, g).T
+    for u, v in itertools.product(vecs, repeat=2):
+        left = rep.schrodinger_cyc(tuple(u)) @ rep.schrodinger_cyc(tuple(v))
+        right = rep.schrodinger_cyc(rep.heisenberg(tuple((u + v) % p), int(u @ B @ v)))
+        assert decompose._cyc_equal(left, right, rep.field), (u, v)
+
+
+def _branch_rules(tags, p, g):
+    """(img, z) built per tag and branch over the lattice coordinates: the
+    oracle of the arrays that `decompose._egorov_rules` evaluates from the
+    rule matrices (M, Q)."""
+    m = p if p % 2 else 2 * p
+    vec = decompose._lattice(p, g)
+    imgs, phases = [], []
+    for tag in tags:
+        out = vec.copy()
+        i = tag[1] - 1
+        s, n = vec[2 * i], vec[2 * i + 1]
+        if tag[0] == "X":
+            out[2 * i + 1] += s
+            z = s * s
+        elif tag[0] == "Y":
+            out[2 * i] -= n
+            z = -n * n
+        else:
+            j = tag[2] - 1
+            d = s - vec[2 * j]
+            out[2 * i + 1] += d
+            out[2 * j + 1] -= d
+            z = d * d
+        imgs.append(np.ravel_multi_index(tuple(out % p), (p,) * (2 * g)))
+        phases.append(z % m)
+    return np.stack(imgs), np.stack(phases)
+
+
+@pytest.mark.parametrize("p,g", [(p, 1) for p in range(2, 13)] + [(p, 2) for p in range(2, 6)]
+                         + [(2, 3), (3, 3), (2, 4)])
+def test_evaluated_rules_match_the_branch_construction(p, g):
+    tags = WeilRep(p, g).tags()
+    img, z = decompose._egorov_rules(tags, p, g)
+    want_img, want_z = _branch_rules(tags, p, g)
+    assert np.array_equal(img, want_img) and np.array_equal(z, want_z)
+
+
+@pytest.mark.parametrize("N,g", [(N, 1) for N in range(2, 13)] + [(N, 2) for N in range(2, 6)]
+                         + [(2, 3), (3, 3)])
+def test_egorov_maps_have_the_transvection_orbits(N, g):
+    # criterion 11 counts orbits of the Egorov maps, and orbit_census
+    # (criterion 13) orbits of the transvections that generate Sp_2g:
+    # without phases both generator sets give the same orbits
+    vec, shape = decompose._lattice(N, g), (N,) * (2 * g)
+    transvections = [np.ravel_multi_index(tuple(np.array(M) @ vec % N), shape)
+                     for M in sp_generators(g, N)]
+    img, _ = decompose._egorov_rules(WeilRep(N, g).tags(), N, g)
+    assert np.array_equal(lattice_orbits(img).labels, lattice_orbits(transvections).labels)
+
+
+def _defective_rules(monkeypatch, defect):
+    # every rule (M, Q) replaced by defect(M, Q), for the checks and the count
+    real = decompose._rule_matrices
+    monkeypatch.setattr(decompose, "_rule_matrices",
+                        lambda tag, g: defect(*(a.copy() for a in real(tag, g))))
+
+
 def test_rule_checks_see_a_defect_off_the_basis(monkeypatch):
-    # a wrong phase at one non-basis vector passes the basis identities, so
-    # only the additivity identities can see it
-    real = decompose._egorov_rules
+    # a cross term 2 s_1 n_1 in z is zero at every basis vector, so the
+    # basis identities pass and only the cocycle identity can see it
+    def cross(M, Q):
+        Q[0, 1] += 1
+        Q[1, 0] += 1
+        return M, Q
 
-    def broken(tags, p, g):
-        img, z = real(tags, p, g)
-        z = z.copy()
-        z[0, 5] += 1  # index 5 of (Z/3)^2 is (1, 2), no basis vector
-        return img, z
+    _defective_rules(monkeypatch, cross)
+    for p, g in [(3, 1), (4, 1), (3, 2)]:
+        rep = WeilRep(p, g)
+        for tag in rep.tags():
+            M, Q = decompose._rule_matrices(tag, g)
+            assert decompose._rule_exact(rep, tag, M, Q)
+            assert not decompose._rule_cocycle(M, Q, rep.m)
+        assert all(report.conjugation_exact and not report.additive
+                   for report in egorov_verify(p, g))
+        with pytest.raises(ValueError):
+            commutant_dimension(p, g)
 
-    rep = WeilRep(3, 1)
-    img, z = broken(rep.tags(), 3, 1)
-    assert decompose._rule_exact(rep, rep.tags()[0], img[0], z[0])
-    lattice, phase = decompose._rule_additive(3, 1, rep.m, img, z)
-    assert lattice.all() and not phase[0] and phase[1:].all()
-    monkeypatch.setattr(decompose, "_egorov_rules", broken)
-    with pytest.raises(ValueError):
-        commutant_dimension(3, 1)
+
+def test_rule_checks_see_a_wrong_lattice_column(monkeypatch):
+    # M e_1 moved by e_2 in every rule: the basis identities refuse
+    def moved(M, Q):
+        M[1, 0] += 1
+        return M, Q
+
+    _defective_rules(monkeypatch, moved)
+    for p, g in [(3, 1), (4, 1), (3, 2)]:
+        rep = WeilRep(p, g)
+        for tag in rep.tags():
+            assert not decompose._rule_exact(rep, tag, *decompose._rule_matrices(tag, g))
+        assert not any(report.conjugation_exact for report in egorov_verify(p, g))
+        with pytest.raises(ValueError):
+            commutant_dimension(p, g)
+
+
+def test_egorov_verify_forms_no_lattice_array(monkeypatch):
+    # egorov_verify does only 2g x 2g work past the generators; the orbit
+    # count is the one place that evaluates the p^(2g) arrays, once
+    def refuse(*args):
+        raise AssertionError("formed a lattice array")
+
+    real_rules, real_lattice = decompose._egorov_rules, decompose._lattice
+    monkeypatch.setattr(decompose, "_egorov_rules", refuse)
+    monkeypatch.setattr(decompose, "_lattice", refuse)
+    assert all(report.ok for report in egorov_verify(5, 2) + egorov_verify(3, 3))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real_rules(*args)
+
+    monkeypatch.setattr(decompose, "_egorov_rules", counted)
+    monkeypatch.setattr(decompose, "_lattice", real_lattice)
+    assert commutant_dimension(5, 2) == 2 and len(calls) == 1
 
 
 @pytest.mark.parametrize("p,g", [(2, 1), (3, 1), (4, 1), (5, 1), (3, 2)])
@@ -490,24 +602,18 @@ def test_egorov_lattice_maps(p, g):
 
 
 def _shifted_rules(monkeypatch):
-    # A^(z + 1) Add(w) in place of A^z Add(w)
-    real = decompose._egorov_rules
-
-    def shifted(tags, p, g):
-        img, z = real(tags, p, g)
-        return img, z + 1
-
-    monkeypatch.setattr(decompose, "_egorov_rules", shifted)
+    # A^(z + 1) W(Mv) in place of A^z W(Mv) at every basis vector
+    _defective_rules(monkeypatch, lambda M, Q: (M, Q + np.eye(len(Q), dtype=Q.dtype)))
 
 
 def test_egorov_reports_a_shifted_phase(monkeypatch):
-    # no conjugation identity holds, while the lattice map, which ignores
-    # the phase, stays additive
+    # no conjugation identity holds, nor the cocycle identity, while the
+    # lattice map, which ignores the phase, still preserves the pairing
     _shifted_rules(monkeypatch)
     for p, g in [(3, 1), (4, 1), (3, 2)]:
         reports = egorov_verify(p, g)
         assert reports and not any(report.conjugation_exact for report in reports)
-        assert all(report.additive and report.preserves_omega for report in reports)
+        assert all(report.preserves_omega and not report.additive for report in reports)
 
 
 def test_commutant_refuses_a_shifted_phase(monkeypatch):
