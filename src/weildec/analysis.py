@@ -6,8 +6,8 @@ The character sum of a level counts irreducible summands: averaging
 is multiplicity-free, and the expected values factor over coprime
 levels.  Full enumeration sweeps the group one lower-left entry c at a
 time through the trace engine's batched rows.  Even moduli admit a census
-shortcut: traces are evaluated on one representative per conjugacy class
-and weighted by the class size.
+shortcut: traces are evaluated on one representative per conjugacy class,
+all in one batch, and weighted by the class size.
 """
 
 from __future__ import annotations
@@ -67,7 +67,14 @@ def _exact_2_power(m):
 
 
 def char_sum(p, method=None):
-    """Average of |Tr|^2 over SL2 at the level's modulus, exactly."""
+    """Average of |Tr|^2 over SL2 at the level's modulus, exactly.
+
+    "full-enumeration" takes one `column_abs_sq` block per lower-left entry
+    c; "census-representatives" (the default for 2-power moduli from 16
+    to 64) takes the trace vectors of every class representative in one
+    `trace_vectors` call and their |Tr|^2 in one `abs_sq_rows` call.  Both
+    gather in chunks of at most `weilrep._GATHER_ENTRIES` int64 entries.
+    """
     engine = trace_engine(p)
     modulus = engine.m
     n2 = _exact_2_power(modulus)
@@ -83,8 +90,8 @@ def char_sum(p, method=None):
         if n2 is None or modulus > 64:
             raise ValueError("census mode needs a 2-power modulus up to 64")
         reps = class_representatives(n2)
-        for rep in reps:
-            n, scale = engine.trace_abs_sq_parts(rep.matrix)
+        rows, scales = engine.trace_vectors([rep.matrix for rep in reps])
+        for rep, n, scale in zip(reps, engine.abs_sq_rows(rows).tolist(), scales):
             totals[scale] += rep.size * n
         order = sl2_order(modulus)
         count = len(reps)

@@ -650,7 +650,9 @@ class LatticeOrbits:
 def lattice_orbits(images, phases=None, modulus=1):
     """Orbits of the indices 0..n-1 under the maps images[r] (one length-n
     index array per generator), with phases[r][v] mod `modulus` on the edge
-    v -> images[r][v] when given.
+    v -> images[r][v] when given.  A phase may be any int64 representative
+    of its class: every comparison below reduces mod m, so the phases are
+    read as given and never copied.
 
     Label propagation with pointer jumping: each index v keeps a pointer
     ptr[v] into its orbit and the phase off[v] transported from ptr[v] to
@@ -666,7 +668,7 @@ def lattice_orbits(images, phases=None, modulus=1):
     images = np.asarray(images, dtype=np.int64)
     n = images.shape[1]
     m = modulus
-    phases = [0] * len(images) if phases is None else np.asarray(phases) % m
+    phases = [0] * len(images) if phases is None else np.asarray(phases, dtype=np.int64)
     ptr, off = np.arange(n), np.zeros(n, np.int64)
     while True:
         best = np.full(n, n * m, np.int64)

@@ -396,6 +396,18 @@ lift_genus1 = lift_genus1_cyc
 
 # -- fast exact traces -----------------------------------------------------
 
+# int64 entries one chunk of a batched gather may hold (512 KiB): a chunk
+# takes as many items as fit, and always at least one
+_GATHER_ENTRIES = 1 << 16
+
+
+def _chunks(n, per_item):
+    """Slices that cover range(n) with at most _GATHER_ENTRIES // per_item
+    items each, and at least one."""
+    step = max(1, _GATHER_ENTRIES // per_item)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
 class _TraceEngine:
     """Exact |Tr|^2 of the genus-one lift via the Bruhat decomposition.
 
@@ -415,9 +427,11 @@ class _TraceEngine:
     |Tr|^2 is the integer autocorrelation of the trace vector mapped to
     field coordinates.  No field arithmetic happens per element.
 
-    `column_abs_sq` sweeps SL2(Z/m) one lower-left entry c at a time: the
-    trace vectors of a whole column come out as at most m rows per cached
-    K_c or G_u, and `abs_sq_rows` takes |Tr|^2 of all rows at once.
+    Two sweeps batch this work, both in chunks whose gathers hold at most
+    `_GATHER_ENTRIES` int64 entries, with one `abs_sq_rows` call per chunk:
+    `column_abs_sq` sweeps SL2(Z/m) one lower-left entry c at a time, every
+    u-block of a non-unit column at once, and `trace_vectors` gives the
+    trace vectors of any list of elements, as the census needs.
     `trace_vector` and `trace_abs_sq_parts` stay the per-element oracle.
     """
 
@@ -439,6 +453,7 @@ class _TraceEngine:
         self._gauss_scale = Fraction(g, m)
         self._gauss_sq, g = _gauss_power(p, -1, 2)
         self._gauss_sq_scale = Fraction(g, m * m)
+        self._gauss_rolls = _windows(self._gauss)
         self._gauss_sq_rolls = _windows(self._gauss_sq)
         # a trace vector sums p rolls of g0, or p^2 rolls of g0 * g0
         _check_int64(p * _max_abs(self._gauss), "trace vector")
@@ -464,7 +479,7 @@ class _TraceEngine:
         up to lambda_c and the scale of g0."""
         if c not in self._kcache:
             i = self._rows[:self.p]
-            K = _windows(self._gauss)[-2 * i * self._dmat(c) % self.m]
+            K = self._gauss_rolls[-2 * i * self._dmat(c) % self.m]
             self._kcache[c] = _windows(K)
         return self._kcache[c]
 
@@ -511,6 +526,51 @@ class _TraceEngine:
         vec, g = _normalise(vec)
         return vec, scale * g
 
+    def trace_vectors(self, Ms):
+        """(rows, scales) with (rows[k], scales[k]) = `trace_vector`(Ms[k])
+        for every element of Ms, in chunked gathers.
+
+        The sums are `trace_vector`'s: for a unit c, row t is
+        sum_i g0[t + (a + d)/c sq_i - 2 i perm_c[i]], one roll of g0 per i;
+        otherwise x is the least shift that makes u = a + x c a unit (read
+        off the `_inv` table, as in `_column_keys`), and the row sums the
+        p^2 rolls of g0 * g0 at the cached offsets of G_u moved by the
+        element's keys.  The median shift and the content come off each row
+        on its own, so the rows equal `trace_vector`'s exactly."""
+        m, p, sq = self.m, self.p, self._sq
+        a, b, c, d = (np.asarray(Ms, dtype=np.int64).reshape(-1, 4) % m).T
+        bad = np.flatnonzero((a * d - b * c) % m != 1)
+        if bad.size:
+            raise ValueError("matrix %r is not in SL2(Z/%d)" % (tuple(Ms[bad[0]]), m))
+        rows = np.empty((a.size, m), np.int64)
+        unit = self._inv[c] > 0
+        pos = np.flatnonzero(unit)
+        cinv = self._inv[c[pos]]
+        i = self._rows[:p]
+        for part in _chunks(pos.size, p * m):
+            k = cinv[part, None]
+            off = ((a[pos[part], None] + d[pos[part], None]) * k * sq - 2 * i * (k * i % p)) % m
+            rows[pos[part]] = self._gauss_rolls[off].sum(axis=1)
+        pos = np.flatnonzero(~unit)
+        a, b, c, d = a[pos], b[pos], c[pos], d[pos]
+        t = np.arange(m)
+        x = (self._inv[(a[:, None] + t * c[:, None]) % m] > 0).argmax(axis=1)
+        u = (a + x * c) % m
+        alpha = (-c * self._inv[u] % m)[:, None, None]
+        shift = ((x - (b + x * d) * self._inv[u]) % m)[:, None, None]
+        us, which = np.unique(u, return_inverse=True)
+        gmat = np.array([self._gmat(v) for v in us.tolist()], np.int64).reshape(-1, p * p)
+        for part in _chunks(pos.size, p * p * m):
+            e = shift[part] * sq[:, None] - alpha[part] * sq
+            off = (e.reshape(-1, p * p) + gmat[which[part]]) % m
+            rows[pos[part]] = self._gauss_sq_rolls[off].sum(axis=1)
+        rows = _median_shift(rows)
+        g = np.gcd.reduce(rows, axis=1)
+        g[g == 0] = 1
+        rows //= g[:, None]
+        return rows, [(self._gauss_scale if one else self._gauss_sq_scale) * k
+                      for one, k in zip(unit.tolist(), g.tolist())]
+
     def abs_sq_rows(self, rows):
         """n with n[k] = |sum_t rows[k, t] A^t|^2 for every row of trace
         vectors: n[k] = sum_s r[s] A^s, where r[s] = sum_t v[t] v[t + s] is
@@ -537,11 +597,12 @@ class _TraceEngine:
     # -- batched sweep of SL2(Z/m), one lower-left entry c at a time --------
 
     def _sweep_rows(self, W):
-        """rows[s, t] = sum_i W[i, s sq_i, t] for every s mod m, W the
-        windows of a (p, m) table.  The sums are the ones `trace_vector`
-        forms, so the bounds checked at construction cover them."""
+        """rows[..., s, t] = sum_i W[..., i, s sq_i, t] for every s mod m, W
+        the windows of one or more (p, m) tables.  The sums are the ones
+        `trace_vector` forms, so the bounds checked at construction cover
+        them."""
         s = np.arange(self.m)
-        return W[self._rows[:self.p], s[:, None] * self._sq % self.m].sum(axis=1)
+        return W[..., self._rows[:self.p], s[:, None] * self._sq % self.m, :].sum(axis=-2)
 
     def _column_keys(self, c):
         """(a, b, d, u, X) over the elements (a, b, c, d), c not a unit:
@@ -555,15 +616,17 @@ class _TraceEngine:
         return a, b, d, u, (x - (b + x * d) * self._inv[u]) % m
 
     def _nonunit_rows(self, c, u):
-        """rows[X] is the trace vector, up to the scale of g0 * g0 and a unit
-        scalar, of every element of column c with keys (u, X).  With
+        """rows[k, X] is the trace vector, up to the scale of g0 * g0 and a
+        unit scalar, of every element of column c with keys (u[k], X).  With
         alpha = -c / u it is sum_ij G_u[i, j, X sq_i - alpha sq_j + t] =
-        sum_i H[i, X sq_i + t], H[i, t] = sum_j G_u[i, j, t - alpha sq_j]."""
+        sum_i H[i, X sq_i + t], H[i, t] = sum_j G_u[i, j, t - alpha sq_j]:
+        one gather for the H of every u, then one sweep of them all."""
         p, m = self.p, self.m
         alpha = -c * self._inv[u] % m
-        shifts = self._gmat(u) - alpha * self._sq[self._rows % p]
-        H = self._gauss_sq_rolls[shifts % m]
-        return self._sweep_rows(_windows(H.reshape(p, p, m).sum(axis=1)))
+        shifts = np.stack([self._gmat(v) for v in u.tolist()])
+        shifts -= alpha[:, None] * self._sq[self._rows % p]
+        H = self._gauss_sq_rolls[shifts % m].reshape(u.size, p, p, m).sum(axis=2)
+        return self._sweep_rows(_windows(H))
 
     def column_abs_sq(self, c):
         """Blocks (n, scale, count) over the elements of SL2(Z/m) with
@@ -571,22 +634,25 @@ class _TraceEngine:
 
         For a unit c the trace vector depends only on s = (a + d) / c, and
         each s is hit by m elements: one block, row s = sum_i K_c[i, s sq_i].
-        Otherwise there is one block per u, row X of `_nonunit_rows`, and the
-        counts come from `_column_keys`.  Every row goes through
-        `abs_sq_rows`, so no row escapes the bound or the rationality check.
+        Otherwise the one block holds row X of `_nonunit_rows` for every u
+        met, with counts from `_column_keys`.  The u's are swept together in
+        chunks, as many per chunk as keep the largest gather, the m x p x m
+        sweep of each u, within `_GATHER_ENTRIES` (at least one), and each
+        chunk's rows go through one `abs_sq_rows` call, so no row escapes
+        the bound or the rationality check.  The block does not depend on
+        the chunking.
         """
-        m = self.m
+        p, m = self.p, self.m
         c %= m
         if self._inv[c]:
             rows = self._sweep_rows(self._kvec(c))
             return [(self.abs_sq_rows(rows), self._gauss_scale, np.full(m, m))]
         _a, _b, _d, u, X = self._column_keys(c)
         counts = np.bincount(u * m + X, minlength=m * m).reshape(m, m)
-        blocks = []
-        for v in np.flatnonzero(counts.any(axis=1)):
-            rows = self._nonunit_rows(c, int(v))
-            blocks.append((self.abs_sq_rows(rows), self._gauss_sq_scale, counts[v]))
-        return blocks
+        us = np.flatnonzero(counts.any(axis=1))
+        n = np.concatenate([self.abs_sq_rows(self._nonunit_rows(c, us[part]).reshape(-1, m))
+                            for part in _chunks(us.size, m * p * m)])
+        return [(n, self._gauss_sq_scale, counts[us].ravel())]
 
     def trace_abs_sq(self, M):
         n, scale = self.trace_abs_sq_parts(M)

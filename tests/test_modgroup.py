@@ -242,6 +242,22 @@ def test_lattice_orbits_match_the_walk(seed):
             assert orbits.potentials[v] == pots[v]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_lattice_orbits_read_phases_mod_m(seed):
+    # phases are taken as given, never reduced first: any representative of
+    # a class mod m, negative ones included, gives the same orbits
+    rng = np.random.default_rng(seed)
+    n, m = 40, 6
+    images = np.stack([rng.permutation(n) for _ in range(3)])
+    phases = rng.integers(0, m, size=images.shape)
+    want = lattice_orbits(images, phases, m)
+    shifted = phases + m * rng.integers(-5, 6, size=images.shape)
+    got = lattice_orbits(images, shifted, m)
+    for field in ("labels", "roots", "potentials", "free"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert (shifted < 0).any() and (shifted >= m).any()
+
+
 def test_lattice_orbits_without_phases_are_all_free():
     images = [np.array([1, 0, 2, 4, 3]), np.array([0, 1, 2, 3, 4])]
     orbits = lattice_orbits(images)

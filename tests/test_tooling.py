@@ -6,7 +6,10 @@ import gc
 import importlib
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -92,3 +95,24 @@ def test_cold_certificates_leave_no_cyclic_garbage():
         gc.garbage.clear()
         gc.enable()
     assert not cyclic
+
+
+# traced peak (MiB) of a cold char_sum when the sweep made one gather per
+# u-block and per census element; the batched sweep caps each gather at
+# weilrep._GATHER_ENTRIES int64 entries (512 KiB), so it may add about two
+# such chunks, 1 MiB, and no more
+_CHAR_SUM_PEAK_MIB = {16: 0.22, 32: 0.99, 45: 3.85}
+
+
+@pytest.mark.parametrize("p", sorted(_CHAR_SUM_PEAK_MIB))
+def test_cold_char_sum_stays_in_its_memory_budget(p):
+    from weildec.analysis import char_sum
+
+    _clear_library_caches()
+    tracemalloc.start()
+    try:
+        assert char_sum(p).match
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (_CHAR_SUM_PEAK_MIB[p] + 1) * 2**20

@@ -8,11 +8,17 @@ from math import gcd
 import numpy as np
 import pytest
 
-from weildec import weilrep
+from weildec import analysis, weilrep
 from weildec.cyclo import field_for_level
 from weildec.cycmat import _INT64_MAX, CycMat, _l1, _max_abs, power_matrix
 from weildec.decompose import _cyc_equal
-from weildec.modgroup import mat_mul, sl2_column, sl2_enumerate, word_decompose
+from weildec.modgroup import (
+    class_representatives,
+    mat_mul,
+    sl2_column,
+    sl2_enumerate,
+    word_decompose,
+)
 from weildec.ringmat import RingMatrix
 from weildec.weilrep import (
     WeilRep,
@@ -382,7 +388,7 @@ def _column_values(engine, c):
         return {(a, b, c, d): int(n[(a + d) * cinv % m]) * scale**2
                 for a, b, d in zip(*(col.tolist() for col in sl2_column(m, c)))}
     a, b, d, u, X = (col.tolist() for col in engine._column_keys(c))
-    n = {v: engine.abs_sq_rows(engine._nonunit_rows(c, v)) for v in set(u)}
+    n = {v: engine.abs_sq_rows(engine._nonunit_rows(c, np.array([v]))[0]) for v in set(u)}
     return {(A, B, c, D): int(n[U][x]) * engine._gauss_sq_scale ** 2
             for A, B, D, U, x in zip(a, b, d, u, X)}
 
@@ -419,6 +425,94 @@ def test_abs_sq_rows_rejects_irrational_row():
     assert engine.abs_sq_rows(rows[:1]).tolist() == [1]
     with pytest.raises(ValueError, match="row 1"):
         engine.abs_sq_rows(rows)
+
+
+def _assert_batch_is_the_oracle(engine, Ms):
+    rows, scales = engine.trace_vectors(Ms)
+    assert len(scales) == len(Ms)
+    for M, row, scale, n in zip(Ms, rows, scales, engine.abs_sq_rows(rows).tolist()):
+        vec, want = engine.trace_vector(M)
+        assert np.array_equal(row, vec) and scale == want
+        assert n * scale**2 == engine.trace_abs_sq(M)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_census_batch_matches_per_element(n):
+    # moduli 4..64: unit and non-unit lower-left entries in one batch
+    engine = trace_engine(2 ** (n - 1))
+    reps = class_representatives(n)
+    assert {engine._inv[rep.matrix[2]] > 0 for rep in reps} == {True, False}
+    _assert_batch_is_the_oracle(engine, [rep.matrix for rep in reps])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 6])
+def test_trace_vectors_match_per_element_on_the_group(p):
+    engine = trace_engine(p)
+    _assert_batch_is_the_oracle(engine, list(sl2_enumerate(engine.m)))
+
+
+def test_trace_vectors_refuse_a_non_sl2_matrix():
+    with pytest.raises(ValueError, match="not in SL2"):
+        trace_engine(5).trace_vectors([(1, 0, 0, 1), (2, 0, 0, 1)])
+
+
+@pytest.mark.parametrize("p", [9, 12, 16, 32])
+def test_chunking_leaves_the_columns_unchanged(monkeypatch, p):
+    # a budget of one entry puts every item in a chunk of its own
+    engine = trace_engine(p)
+    want = [engine.column_abs_sq(c) for c in range(engine.m)]
+    value = analysis.char_sum(p).value  # the census path at 16 and 32
+    monkeypatch.setattr(weilrep, "_GATHER_ENTRIES", 1)
+    assert analysis.char_sum(p).value == value
+    got = [engine.column_abs_sq(c) for c in range(engine.m)]
+    for blocks, wanted in zip(got, want):
+        assert len(blocks) == len(wanted)
+        for (n, scale, count), (n0, scale0, count0) in zip(blocks, wanted):
+            assert np.array_equal(n, n0) and scale == scale0
+            assert np.array_equal(count, count0)
+
+
+def _engine_with_rolls(p, vec):
+    """A fresh engine whose every roll of g0 and of g0 * g0 is a roll of vec."""
+    engine = weilrep._TraceEngine(p)
+    engine._gauss_rolls = engine._gauss_sq_rolls = weilrep._windows(vec)
+    return engine
+
+
+@pytest.mark.parametrize("p", [5, 8])  # full enumeration, then the census
+def test_batched_paths_raise_past_the_bound(monkeypatch, p):
+    m = p if p % 2 else 2 * p
+    vec = np.zeros(m, dtype=np.int64)
+    vec[:2] = 2**31, 1  # content 1: normalising leaves the rows as large
+    engine = _engine_with_rolls(p, vec)
+    for M in [(1, 1, 1, 2), (1, 0, 2, 1)]:  # a unit c, then a non-unit c
+        rows, _ = engine.trace_vectors([M])
+        assert _max_abs(rows) >= 2**31
+        with pytest.raises(OverflowError):
+            engine.abs_sq_rows(rows)
+    for c in (1, 0, 2):
+        with pytest.raises(OverflowError):
+            engine.column_abs_sq(c)
+    monkeypatch.setattr(analysis, "trace_engine", lambda _p: engine)
+    with pytest.raises(OverflowError):
+        analysis.char_sum(p)
+
+
+@pytest.mark.parametrize("p", [5, 8])
+def test_batched_paths_reject_irrational_rows(monkeypatch, p):
+    # each trace becomes (1 + A^-1) times a sum of roots of unity; its
+    # |.|^2 is irrational wherever that sum is nonzero
+    m = p if p % 2 else 2 * p
+    engine = _engine_with_rolls(p, np.eye(m, dtype=np.int64)[:2].sum(axis=0))
+    rows, _ = engine.trace_vectors(list(sl2_enumerate(m)))
+    with pytest.raises(ValueError, match="not rational"):
+        engine.abs_sq_rows(rows)
+    for c in (1, 0):
+        with pytest.raises(ValueError, match="not rational"):
+            engine.column_abs_sq(c)
+    monkeypatch.setattr(analysis, "trace_engine", lambda _p: engine)
+    with pytest.raises(ValueError, match="not rational"):
+        analysis.char_sum(p)
 
 
 def _loop_y_block(p, m):
