@@ -59,9 +59,8 @@ def cmd_rep_show(args):
         f"root order {rep.m}  field order {rep.field.level}"
     ]
     for tag in rep.tags():
-        _, vecs, scale = rep.generator_entries(tag)
-        lines.append(f"generator {tag}: scale {scale}, "
-                     f"support {int(vecs.any(axis=2).sum())} entries")
+        cols, _, _, scale = rep.generator_entries(tag)
+        lines.append(f"generator {tag}: scale {scale}, support {cols.size} entries")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

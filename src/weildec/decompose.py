@@ -10,13 +10,14 @@ dimension is the number of holonomy-free orbits of the rules, certified
 by (a) the W(v) being a basis, (b) each rule holding for every v, from
 2g x 2g identities on (M, Q), and (c) the orbit count over the p^(2g)
 lattice vectors, while p^(2g) m is at most COMMUTANT_MAX_ENTRIES.  Every
-certificate reads a
-generator as its row entries (`WeilRep.generator_entries`), at most p
-per row, and forms no dense d x d x m generator.
+certificate reads a generator as integer exponents on its row entries
+times one common factor (`WeilRep.generator_entries`), at most p per row,
+and forms no dense d x d x m generator.
 
-All heavy verification runs on integer exponent arrays (CycMat); when an
-integer residual is nonzero the comparison falls back to exact
-cyclotomic reduction, so every reported "pass" is an exact statement.
+The rules, the parity flip and the CRT entries compare integer exponents;
+the CRT factor identity, the tower identities and the Omega commutators
+compare entry vectors, falling back to exact cyclotomic reduction when an
+integer residual is nonzero.  Every reported "pass" is an exact statement.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .modgroup import (
     prime_factorization,
     sigma0,
 )
-from .weilrep import WeilRep, _heisenberg_modulus, _windows
+from .weilrep import WeilRep, _heisenberg_modulus, _rolls
 
 
 # ---------------------------------------------------------------------------
@@ -73,15 +74,6 @@ def _cyc_equal(x, y, field):
     return _scaled_equal(field, x.m, x.arr, x.scale, y.arr, y.scale)
 
 
-def _exponent_remap(mat, new_modulus, multiplier):
-    """Substitute the root A by A_new^multiplier: exponent k -> k*multiplier."""
-    r, c, m = mat.arr.shape
-    out = np.zeros((r, c, new_modulus), dtype=np.int64)
-    for k in range(m):
-        out[:, :, (k * multiplier) % new_modulus] += mat.arr[:, :, k]
-    return CycMat(new_modulus, out, scale=mat.scale, beta=mat.beta)
-
-
 # ---------------------------------------------------------------------------
 # generator products
 # ---------------------------------------------------------------------------
@@ -93,11 +85,12 @@ def _generator_product(rep, tag, operand, side):
     or has an entry axis of length m.
 
     Row r of gen @ operand is sum_j vecs[r, j] * operand[cols[r, j]] over
-    the k entries of `generator_entries`, a convolution of entry vectors:
-    one batched `_int_matmul` over the rows r (int64 behind its exact
-    bound, Python ints past it).  Every generator is symmetric, so
-    operand @ gen is (gen @ operand^T)^T."""
-    cols, vecs, _ = rep.generator_entries(tag)
+    the k entries of `generator_entries`, vecs[r, j] the factor rolled by
+    exps[r, j]: a convolution of entry vectors, one batched `_int_matmul`
+    over the rows r (int64 behind its exact bound, Python ints past it).
+    Every generator is symmetric, so operand @ gen is (gen @ operand^T)^T."""
+    cols, exps, factor, _ = rep.generator_entries(tag)
+    vecs = _rolls(factor, exps)
     op = operand if side == "left" else operand.swapaxes(0, 1)
     op = op.reshape(op.shape[:2] + (-1,))  # an integer matrix: entry axis 1
     (d, k, m), (n, mo) = vecs.shape, op.shape[1:]
@@ -137,22 +130,38 @@ def _commutes(rep, tag, mat):
     return _array_is_zero(rep.field, rep.m, comm)
 
 
+def _sorted_rows(cols, vals):
+    """Entries with the columns of each row in increasing order."""
+    rows, order = np.arange(len(cols))[:, None], np.argsort(cols, axis=1)
+    return cols[rows, order], vals[rows, order]
+
+
+def _flip_commutes(rep, tag, flip):
+    """J G J = G for the flip J = eye[flip]: row r of J G J is row flip[r]
+    of G at the columns flip[c], so the rows moved so, sorted by column,
+    must have G's columns and exponents."""
+    cols, exps, _, _ = rep.generator_entries(tag)
+    moved, own = _sorted_rows(flip[cols[flip]], exps[flip]), _sorted_rows(cols, exps)
+    return all(np.array_equal(x, y) for x, y in zip(moved, own))
+
+
 def parity_bases(p, g=1):
     """Even/odd bases under the flip J, with one column per flip orbit.
 
     The two spans are the +1 and -1 eigenspaces of J, so both are stable
     under a generator exactly when it commutes with J; that is verified
-    exactly for every generator.  Column i of I + J is e_i + e_flip[i], so
-    the orbit {i, flip[i]} is read off at its least index i <= flip[i] (and
-    has a minus column only when i < flip[i]).
+    exactly for every generator as the index identity J G J = G
+    (`_flip_commutes`), with no product formed.  Column i of I + J is
+    e_i + e_flip[i], so the orbit {i, flip[i]} is read off at its least
+    index i <= flip[i] (and has a minus column only when i < flip[i]).
     """
     rep = WeilRep(p, g)
     flip = _flip_permutation(p, g)
+    for tag in rep.tags():
+        if not _flip_commutes(rep, tag, flip):
+            raise ValueError(f"parity spans not invariant under {tag}")
     eye = np.eye(rep.dim, dtype=np.int64)
     J = eye[flip]
-    for tag in rep.tags():
-        if not _commutes(rep, tag, J):
-            raise ValueError(f"parity spans not invariant under {tag}")
     first = np.arange(rep.dim)
     return ParityBases(p, g, (eye + J)[:, first <= flip], (eye - J)[:, first < flip])
 
@@ -205,53 +214,46 @@ def _crt_maps(a, b, g):
     return u, v, np.ravel_multi_index(tuple(f[idx[:g], idx[g:]]), (a * b,) * g)
 
 
-def _sorted_rows(cols, vecs):
-    """Entries with the columns of each row in increasing order."""
-    rows, order = np.arange(len(cols))[:, None], np.argsort(cols, axis=1)
-    return cols[rows, order], vecs[rows, order]
-
-
 def crt_check(a, b, g=1):
     """Verify the coprime tensor factorization exactly, generator by generator.
 
-    Row (x, y) of G_a (x) G_b holds the entries va[x, j] * vb[y, l] at the
-    columns (cols_a[x, j], cols_b[y, l]) (`generator_entries`).  A_a is
-    A_ab^mult_a and A_b is A_ab^mult_b, of coprime orders m_a m_b = m_ab,
-    so A_a^s A_b^t = A_ab^idx[s, t] with idx a bijection (checked), and
-    each product of entry vectors is one outer product scattered by idx.
-    psi moves rows and columns to level ab; the columns of each row are
-    then sorted and compared with the level-ab entries, where a differing
-    support refuses the tag.
+    Row (x, y) of G_a (x) G_b holds sa sb (fa (x) fb) A_a^ea[x, j]
+    A_b^eb[y, l] at the columns (cols_a[x, j], cols_b[y, l])
+    (`generator_entries`).  A_a is A_ab^mult_a and A_b is A_ab^mult_b, of
+    coprime orders m_a m_b = m_ab, so A_a^s A_b^t = A_ab^idx[s, t] with idx
+    a bijection (checked).  psi moves rows and columns to level ab; sorted
+    by column, the rows must have G_ab's columns and exponents idx[ea, eb]
+    (integers), and fa (x) fb scattered by idx, times sa sb, must be
+    s_ab f_ab (one field identity).
     """
     if gcd(a, b) != 1 or b % 2 == 0 or a < 2 or b < 2:
         raise ValueError("need coprime levels with b odd, both at least 2")
+    rep_ab, rep_a, rep_b = WeilRep(a * b, g), WeilRep(a, g), WeilRep(b, g)
     u, v, psi = _crt_maps(a, b, g)
-    m_ab = _heisenberg_modulus(a * b)
+    m_ab = rep_ab.m
     # A_a corresponds to A_ab^{vb} and A_b to A_ab^{au} (odd a) or
     # A_ab^{2au} (even a); the Bezout identity fixes the orders.
     mult_a = (v * b) % m_ab
     mult_b = ((2 * a * u) if a % 2 == 0 else (a * u)) % m_ab
-    rep_ab = WeilRep(a * b, g)
-    rep_a = WeilRep(a, g)
-    rep_b = WeilRep(b, g)
     idx = (np.arange(rep_a.m)[:, None] * mult_a + np.arange(rep_b.m) * mult_b) % m_ab
     if not (np.bincount(idx.ravel(), minlength=m_ab) == 1).all():
         raise RuntimeError("A_a and A_b do not generate the level-%d roots" % (a * b))
     inv = np.argsort(psi)  # the tensor row moved to each level-ab row
     failures = []
     for tag in rep_ab.tags():
-        cols_a, va, sa = rep_a.generator_entries(tag)
-        cols_b, vb, sb = rep_b.generator_entries(tag)
-        outer = _int_einsum("xjs,ylt->xyjlst", va, vb)
-        vt = np.zeros(outer.shape[:4] + (m_ab,), dtype=outer.dtype)
-        vt[..., idx] = outer
+        cols_a, ea, fa, sa = rep_a.generator_entries(tag)
+        cols_b, eb, fb, sb = rep_b.generator_entries(tag)
+        cols_ab, e_ab, f_ab, s_ab = rep_ab.generator_entries(tag)
         d_b, k = cols_b.shape[0], cols_a.shape[1] * cols_b.shape[1]
         ct = cols_a[:, None, :, None] * d_b + cols_b[None, :, None, :]
-        ct, vt = _sorted_rows(psi[ct.reshape(-1, k)][inv], vt.reshape(-1, k, m_ab)[inv])
-        cols_ab, v_ab, s_ab = rep_ab.generator_entries(tag)
-        cols_ab, v_ab = _sorted_rows(cols_ab, v_ab)
-        if not (np.array_equal(ct, cols_ab)  # the same support, then the same entries
-                and _scaled_equal(rep_ab.field, m_ab, vt, sa * sb, v_ab, s_ab)):
+        et = idx[ea[:, None, :, None], eb[None, :, None, :]]
+        ct, et = _sorted_rows(psi[ct.reshape(-1, k)][inv], et.reshape(-1, k)[inv])
+        outer = _int_einsum("s,t->st", fa, fb)
+        ft = np.zeros(m_ab, dtype=outer.dtype)
+        ft[idx] = outer
+        cols_ab, e_ab = _sorted_rows(cols_ab, e_ab)
+        if not (np.array_equal(ct, cols_ab) and np.array_equal(et, e_ab)
+                and _scaled_equal(rep_ab.field, m_ab, ft, sa * sb, f_ab, s_ab)):
             failures.append(tag)
     return CrtReport(not failures, tuple(failures))
 
@@ -292,29 +294,36 @@ def tower_check(r, n, g=1):
     two exact identities are checked: G E = E G_U ("restriction mismatch"
     otherwise) and G^T E = E G_U^T ("complement not stable").  Since
     E^T E = r^g I, the second one is E^T G = G_U E^T, so G maps W into W.
-    Each side is one `_generator_product` or one contraction with E.
+    The left sides are `_generator_product`s.  G_U is the small level's
+    entries, exponents times r^2 and the factor scattered to match; E has
+    disjoint column supports, so E G_U and E G_U^T are each one scatter of
+    the rolled entries.
     """
     if n < 0 or (r == 2 and n < 1):
         raise ValueError("exponent out of range for the tower")
     rep = WeilRep(r ** (n + 2), g)
     E = _tower_span(r, n, g)
+    d_s = E.shape[1]
+    sup = np.nonzero(E.T)[1].reshape(d_s, -1)  # sup[i]: the rows where E[:, i] = 1
     rep_small = WeilRep(r**n, g) if n else None
+    one = (np.zeros((1, 1), np.int64),) * 2 + (np.ones(1, np.int64), Fraction(1))
     failures = []
     for tag in rep.tags():
-        if rep_small is None:
-            small = CycMat.identity(rep.m, 1)
-        else:
-            small = _exponent_remap(rep_small.generator_cyc(tag), rep.m, r * r)
-        scale = rep.generator_entries(tag)[2]
+        cols, exps, factor, small_scale = rep_small.generator_entries(tag) if n else one
+        remapped = np.zeros(rep.m, factor.dtype)
+        remapped[np.arange(factor.size) * r * r % rep.m] = factor
+        vecs = _rolls(remapped, exps * r * r % rep.m)
+        egu = np.zeros((rep.dim, d_s, rep.m), vecs.dtype)
+        egu_t = np.zeros_like(egu)
+        egu[sup[:, :, None], cols[:, None]] = vecs[:, None]  # E G_U
+        egu_t[sup[cols], np.arange(d_s)[:, None, None]] = vecs[:, :, None]  # E G_U^T
+        scale = rep.generator_entries(tag)[3]
         for reason, left, right in (
-            ("restriction mismatch",
-             _generator_product(rep, tag, E, "left"), small.arr),
+            ("restriction mismatch", _generator_product(rep, tag, E, "left"), egu),
             ("complement not stable",
-             _generator_product(rep, tag, E.T, "right").transpose(1, 0, 2),
-             small.arr.transpose(1, 0, 2)),
+             _generator_product(rep, tag, E.T, "right").transpose(1, 0, 2), egu_t),
         ):
-            right = _int_einsum("it,tjk->ijk", E, right)
-            if not _scaled_equal(rep.field, rep.m, left, scale, right, small.scale):
+            if not _scaled_equal(rep.field, rep.m, left, scale, right, small_scale):
                 failures.append((tag, reason))
     return TowerReport(not failures, tuple(failures))
 
@@ -547,37 +556,32 @@ def _rule_exact(rep, tag, M, Q):
     U W(v) = A^z W(w) U for the generator U of tag, w = M e_i, z = Q[i, i].
 
     W(v) e_a = A^e[a] e_r[a] (`WeilRep.schrodinger_map`), so the entry
-    U[i, j] moves to (i, a), r[a] = j, times A^e[a] on the left, and to
-    (r'[i], j) times A^(z + e'[i]) on the right: both sides are U's
-    entry vectors (`generator_entries`) moved and rolled, with no product
-    formed.  They pass when the moved positions agree and the vectors at
-    each position agree exactly in the field (a sufficient test: a failure
-    refuses, it never passes a wrong rule).
+    U[i, j] = s f A^x (`generator_entries`) moves to (i, a), r[a] = j,
+    with exponent x + e[a] on the left, and to (r'[i], j) with exponent
+    x + z + e'[i] on the right.  Both sides share s f, nonzero, and A has
+    order m: they are equal exactly when the moved positions agree and
+    the exponents at each agree mod m, an integer comparison.
     """
     d, m = rep.dim, rep.m
-    cols, vecs, _ = rep.generator_entries(tag)
-    i, j = np.repeat(np.arange(d), cols.shape[1]), cols.ravel()
-    rolled = _windows(vecs.reshape(-1, m))  # rolled[k, -e mod m] is A^e U[i[k], j[k]]
+    cols, exps, _, _ = rep.generator_entries(tag)
+    i, j, x = np.repeat(np.arange(d), cols.shape[1]), cols.ravel(), exps.ravel()
     for v in range(len(M)):
         (r, rw), (e, ew) = rep.schrodinger_map(np.column_stack((np.arange(len(M)) == v, M[:, v])))
         a = np.argsort(r)[j]
         sides = []
-        for key, roll in ((i * d + a, e[a]), (rw[i] * d + j, Q[v, v] + ew[i])):
+        for key, exp in ((i * d + a, x + e[a]), (rw[i] * d + j, x + Q[v, v] + ew[i])):
             order = np.argsort(key)
-            sides.append((key[order], (order, -roll[order] % m)))
-        (kl, left), (kr, right) = sides
-        if not np.array_equal(kl, kr):
-            return False
-        diff = rolled[left]  # the two sides' vectors, one array at a time
-        diff -= rolled[right]
-        if not _array_is_zero(rep.field, m, diff):
+            sides.append((key[order], exp[order] % m))
+        (kl, el), (kr, er) = sides
+        if not (np.array_equal(kl, kr) and np.array_equal(el, er)):
             return False
     return True
 
 
-# Largest p^(2g) m that `commutant_dimension` certifies.  It caps the Y
-# entry array at genus one (the p x p x m block) and the lattice arrays:
-# p^(2g) images and phases mod m per rule.  (128, 1) and (8, 3) meet it.
+# Largest p^(2g) m that `commutant_dimension` certifies.  It caps the
+# lattice arrays: p^(2g) images and phases mod m per rule (the generator
+# entries are integer exponents, p^g per X or Z and p^(g+1) per Y, with no
+# entry vector).  (128, 1) and (8, 3) meet it.
 COMMUTANT_MAX_ENTRIES = 2**22
 
 
@@ -676,7 +680,7 @@ def omega_cyc(delta, p, g=1):
     at even levels the transport has nontrivial holonomy, in which case
     the potentials of a spanning forest are used and the flag is False.
     """
-    if p % delta:
+    if delta < 1 or p % delta:
         raise ValueError("delta must divide the level")
     rep = WeilRep(p, g)
     return _orbit_sum(rep, _rule_orbits(rep), delta)

@@ -304,8 +304,11 @@ class ClassRep:
 def class_representatives(n):
     """Conjugacy-class representatives of SL2(Z/2^nZ) with class sizes.
 
-    One entry per conjugacy class; sum of sizes is the group order.
+    One entry per conjugacy class; sum of sizes is the group order.  The
+    families hold for n >= 2 only.
     """
+    if n < 2:
+        raise ValueError("class representatives need n >= 2")
     N = 2 ** n
     reps = []
 

@@ -88,12 +88,12 @@ class HeisenbergElt:
 class WeilRep:
     """Weil representation data at level p >= 2 and genus g >= 1.
 
-    Immutable; generators are cached on first use, as row entries
-    (`generator_entries`, the form every certificate reads) and as the
-    dense `generator_cyc`.  All matrices are integer group-ring matrices
-    (CycMat), as is the genus-one lift;
-    they are compared exactly in field coordinates, and `CycMat.to_ring`
-    converts one to a cyclotomic-field matrix when a test wants it.
+    Immutable; generators are cached on first use, as integer exponents
+    on their row entries times one common factor (`generator_entries`,
+    the form every certificate reads) and as the dense `generator_cyc`.
+    All matrices are integer group-ring matrices (CycMat), as is the
+    genus-one lift; they are compared exactly in field coordinates, and
+    `CycMat.to_ring` converts one to a field matrix when a test wants it.
     """
 
     def __init__(self, p, g=1):
@@ -147,51 +147,39 @@ class WeilRep:
             return (a[i - 1] - a[j - 1]) ** 2
         raise ValueError("%r is not a diagonal generator tag" % (tag,))
 
-    def y_block(self):
-        """The p x p block S of Y_i = 1 (x) S (x) 1, scale 1/m: entry (i, j)
-        is sum_k A^(k^2 - (i - j)^2)."""
-        if "Y block" not in self._cyc_cache:
-            # arr[i, j, t] = #{k : k^2 - (i - j)^2 = t} = q[t + (i - j)^2]
-            t = np.arange(self.m)
-            q = np.bincount(t * t % self.m, minlength=self.m)
-            d = t[:self.p, None] - t[:self.p]
-            arr = q[(t + d[..., None] ** 2) % self.m]
-            self._cyc_cache["Y block"] = CycMat(self.m, arr, Fraction(1, self.m))
-        return self._cyc_cache["Y block"]
-
     def generator_entries(self, tag):
-        """(cols, vecs, scale): the generator grouped by row, G[r, cols[r, j]]
-        = scale * vecs[r, j], with k = cols.shape[1] entries in every row.
+        """(cols, exps, factor, scale): G[r, cols[r, j]] = scale * factor *
+        A^exps[r, j], k = cols.shape[1] entries in every row, exps reduced
+        mod m and factor one length-m vector that all entries share.
 
-        Y_i = 1 (x) S (x) 1 has k = p: row r meets the p columns that agree
-        with r off handle i, and its entries are row a_i(r) of `y_block`
-        (at genus one, the block itself).  X_i and Z_ij have k = 1: the
-        diagonal A^exps[r] of `diagonal_exponents`.  Every generator is
-        symmetric, G^T = G: S[i, j] depends on (i - j)^2 only.  Cached."""
+        Y_i = 1 (x) S (x) 1 has k = p: row r meets the p columns b that
+        agree with r off handle i, S[a, b] = (1/m) gamma A^(-(a - b)^2),
+        with the Gauss vector gamma[t] = #{k : k^2 = t mod m} as factor.
+        X_i and Z_ij have k = 1, factor 1 and the exponents of
+        `diagonal_exponents`.  gamma is nonzero (m is odd or a multiple of
+        4), so two entries agree exactly when their exponents agree mod m.
+        Every generator is symmetric: S[a, b] depends on (a - b)^2.  Cached."""
         key = ("entries", tag)
         if key not in self._cyc_cache:
-            n = np.arange(self.dim)[:, None]
+            n, t = np.arange(self.dim)[:, None], np.arange(self.m)
             if tag[0] == "Y":
                 self._check_index(tag[1])
-                block, p, lo = self.y_block(), self.p, self.p ** (self.g - tag[1])
-                cols = n + (np.arange(p) - self._index_array()[tag[1] - 1, :, None]) * lo
-                # row r = (hi, a_i, lo) holds block[a_i]: a broadcast, copied
-                # only when g > 1
-                vecs = np.broadcast_to(block.arr[None, :, None],
-                                       (self.dim // (p * lo), p, lo, p, self.m))
-                entries = cols, vecs.reshape(self.dim, p, self.m), block.scale
+                a, b = self._index_array()[tag[1] - 1, :, None], np.arange(self.p)
+                entries = (n + (b - a) * self.p ** (self.g - tag[1]), -(a - b) ** 2 % self.m,
+                           np.bincount(t * t % self.m, minlength=self.m), Fraction(1, self.m))
             else:
-                exps = self.diagonal_exponents(tag) % self.m
-                entries = n, np.eye(self.m, dtype=np.int64)[exps, None], Fraction(1)
+                entries = (n, self.diagonal_exponents(tag)[:, None] % self.m,
+                           (t == 0).astype(np.int64), Fraction(1))
             self._cyc_cache[key] = entries
         return self._cyc_cache[key]
 
     def generator_cyc(self, tag):
-        """The dense d x d x m view of `generator_entries`, one scatter."""
+        """The dense d x d x m view of `generator_entries`: one scatter of
+        the factor rolled by each exponent."""
         if tag not in self._cyc_cache:
-            cols, vecs, scale = self.generator_entries(tag)
-            arr = np.zeros((self.dim, self.dim, self.m), dtype=np.int64)
-            arr[np.arange(self.dim)[:, None], cols] = vecs
+            cols, exps, factor, scale = self.generator_entries(tag)
+            arr = np.zeros((self.dim, self.dim, self.m), dtype=factor.dtype)
+            arr[np.arange(self.dim)[:, None], cols] = _rolls(factor, exps)
             self._cyc_cache[tag] = CycMat(self.m, arr, scale)
         return self._cyc_cache[tag]
 
@@ -239,6 +227,11 @@ class WeilRep:
 
 
 # -- integer kernels -------------------------------------------------------
+
+def _rolls(factor, exps):
+    """v[..., t] = factor[t - exps[...]]: the entry vectors A^exps * factor."""
+    return factor[(np.arange(factor.size) - exps[..., None]) % factor.size]
+
 
 def _windows(rows):
     """View W with W[..., s, t] = rows[..., (s + t) mod m]: both s and t

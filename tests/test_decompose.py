@@ -69,6 +69,12 @@ def test_crt_requires_coprime_factors():
         crt_check(2, 4)
 
 
+def test_crt_refuses_genus_zero():
+    # refused by WeilRep before the residue maps are built
+    with pytest.raises(ValueError, match="genus g >= 1"):
+        crt_check(3, 5, g=0)
+
+
 @pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (3, 0), (3, 1)])
 def test_tower_embedding(r, n):
     report = tower_check(r, n)
@@ -102,23 +108,26 @@ def test_tree_self_check_survives_optimisation(monkeypatch):
         decomposition_tree(12)
 
 
-@pytest.mark.parametrize("part", ["vecs", "cols"])
+@pytest.mark.parametrize("part", ["exps", "cols", "factor"])
 @pytest.mark.parametrize("a,b,g,tag", [(4, 3, 1, ("X", 1)), (2, 3, 1, ("Y", 1)),
                                        (2, 3, 2, ("Y", 2)), (4, 3, 2, ("Z", 1, 2))])
 def test_crt_reports_exactly_a_perturbed_generator(monkeypatch, a, b, g, tag, part):
-    # one entry of one level-a generator moved by 1, in its value or in its
-    # column: the CRT identity must fail on that tag and on no other
+    # one entry of one level-a generator moved by 1, in its exponent or in
+    # its column, or the generator's factor moved by 1: the CRT identity
+    # must fail on that tag and on no other
     real = WeilRep.generator_entries
 
     def perturbed(self, key):
-        cols, vecs, scale = real(self, key)
+        cols, exps, factor, scale = real(self, key)
         if (self.p, key) == (a, tag):
-            cols, vecs = cols.copy(), vecs.copy()
-            if part == "vecs":
-                vecs[0, 0, 0] += 1
-            else:
+            cols, exps, factor = cols.copy(), exps.copy(), factor.copy()
+            if part == "exps":
+                exps[0, 0] = (exps[0, 0] + 1) % self.m
+            elif part == "cols":
                 cols[0, 0] = (cols[0, 0] + 1) % self.dim
-        return cols, vecs, scale
+            else:
+                factor[0] += 1
+        return cols, exps, factor, scale
 
     assert crt_check(a, b, g).passed
     monkeypatch.setattr(WeilRep, "generator_entries", perturbed)
@@ -127,23 +136,15 @@ def test_crt_reports_exactly_a_perturbed_generator(monkeypatch, a, b, g, tag, pa
 
 def test_certificates_form_no_dense_generator(monkeypatch, capsys):
     # every certificate reads the generators as row entries: with the dense
-    # view and CycMat.kron refusing, they still run; the tower may form the
-    # dense generator of its smaller level only
+    # view and CycMat.kron refusing at every level, they still run
     def refuse(*args):
         raise AssertionError("formed a dense generator")
 
-    real = WeilRep.generator_cyc
-
-    def small_only(self, tag):
-        if self.p > 3:
-            raise AssertionError("formed a large-level dense generator")
-        return real(self, tag)
-
     _clear_library_caches()
     monkeypatch.setattr(CycMat, "kron", refuse)
-    monkeypatch.setattr(WeilRep, "generator_cyc", small_only)
-    assert tower_check(3, 1).passed and tower_check(3, 1, 2).passed
     monkeypatch.setattr(WeilRep, "generator_cyc", refuse)
+    assert tower_check(3, 1).passed and tower_check(3, 1, 2).passed
+    assert tower_check(2, 1).passed and tower_check(3, 0).passed
     assert commutant_dimension(8, 2) == 3 and commutant_dimension(9) == 3
     assert all(report.ok for report in egorov_verify(4, 2))
     assert crt_check(4, 3).passed and crt_check(2, 3, 2).passed
@@ -193,8 +194,8 @@ def test_tower_reports_restriction_mismatch(monkeypatch):
 def test_tower_identities_are_exact_past_the_int64_bound(monkeypatch):
     # 2^58 on both sides of each identity puts their scaled difference past
     # the int64 bound: it is formed in Python ints, and one added unit is
-    # still seen
-    real_product, real_remap = decompose._generator_product, decompose._exponent_remap
+    # still seen.  The small level's factor carries 2^58 into E G_U.
+    real_product, real_entries = decompose._generator_product, WeilRep.generator_entries
     real_combo = decompose._int_combo
     dtypes = []
     bump = []
@@ -205,9 +206,11 @@ def test_tower_identities_are_exact_past_the_int64_bound(monkeypatch):
             out[0, 0, 0] += 1
         return out
 
-    def remap(*args):
-        small = real_remap(*args)
-        return CycMat(small.m, small.arr.astype(object) * 2**58, small.scale, small.beta)
+    def entries(self, tag):
+        cols, exps, factor, scale = real_entries(self, tag)
+        if self.p == 3:
+            factor = factor.astype(object) * 2**58
+        return cols, exps, factor, scale
 
     def spy(*args):
         out = real_combo(*args)
@@ -215,7 +218,7 @@ def test_tower_identities_are_exact_past_the_int64_bound(monkeypatch):
         return out
 
     monkeypatch.setattr(decompose, "_generator_product", product)
-    monkeypatch.setattr(decompose, "_exponent_remap", remap)
+    monkeypatch.setattr(WeilRep, "generator_entries", entries)
     monkeypatch.setattr(decompose, "_int_combo", spy)
     report = tower_check(3, 1)
     assert report.passed, report.failures
@@ -247,6 +250,38 @@ def _loop_parity_bases(p, g):
             minus.append(w)
     return (np.stack(plus, axis=1),
             np.stack(minus, axis=1) if minus else np.zeros((dim, 0), dtype=np.int64))
+
+
+def _perturbed_exponent(monkeypatch, row):
+    # exponent (row, 0) of every generator moved by 1 mod m
+    real = WeilRep.generator_entries
+
+    def perturbed(self, tag):
+        cols, exps, factor, scale = real(self, tag)
+        exps = exps.copy()
+        exps[row, 0] = (exps[row, 0] + 1) % self.m
+        return cols, exps, factor, scale
+
+    monkeypatch.setattr(WeilRep, "generator_entries", perturbed)
+
+
+@pytest.mark.parametrize("p,g", [(6, 1), (12, 1), (4, 2), (5, 2)])
+def test_flip_identity_matches_the_dense_commutator(monkeypatch, p, g):
+    # J G J = G on the integer entries against G J = J G multiplied out
+    # (`_commutes`, the oracle); row 1 is not fixed by the flip, so one
+    # perturbed exponent there breaks both, and parity_bases raises
+    rep, flip = WeilRep(p, g), decompose._flip_permutation(p, g)
+    J = np.eye(rep.dim, dtype=np.int64)[flip]
+    for tag in rep.tags():
+        assert decompose._flip_commutes(rep, tag, flip)
+        assert decompose._commutes(rep, tag, J)
+    _perturbed_exponent(monkeypatch, 1)
+    rep = WeilRep(p, g)
+    for tag in rep.tags():
+        assert not decompose._flip_commutes(rep, tag, flip)
+        assert not decompose._commutes(rep, tag, J)
+    with pytest.raises(ValueError, match="parity spans"):
+        parity_bases(p, g)
 
 
 @pytest.mark.parametrize("g", [1, 2])
@@ -569,6 +604,18 @@ def test_rule_checks_see_a_wrong_lattice_column(monkeypatch):
             commutant_dimension(p, g)
 
 
+def test_rule_checks_see_a_perturbed_exponent(monkeypatch):
+    # one exponent of every generator moved by 1: the basis identities
+    # compare integer exponents, and refuse it for every tag
+    _perturbed_exponent(monkeypatch, 0)
+    for p, g in [(3, 1), (4, 1), (3, 2)]:
+        rep = WeilRep(p, g)
+        for tag in rep.tags():
+            assert not decompose._rule_exact(rep, tag, *decompose._rule_matrices(tag, g))
+        with pytest.raises(ValueError):
+            commutant_dimension(p, g)
+
+
 def test_egorov_verify_forms_no_lattice_array(monkeypatch):
     # egorov_verify does only 2g x 2g work past the generators; the orbit
     # count is the one place that evaluates the p^(2g) arrays, once
@@ -668,8 +715,9 @@ def test_orbit_sums_match_the_walked_potentials(p, g):
 
 
 def test_omega_rejects_nondivisor():
-    with pytest.raises(ValueError):
-        omega_cyc(4, 6)
+    for delta, p in [(4, 6), (0, 5), (-1, 5)]:
+        with pytest.raises(ValueError):
+            omega_cyc(delta, p)
 
 
 @pytest.mark.parametrize("p", [3, 5, 9, 15, 21, 27])
@@ -681,27 +729,28 @@ def test_odd_label_audit(p):
 
 def test_genus2_certificates_take_the_handle_local_path(monkeypatch):
     # the Egorov identities are index-map products, so no dense group-ring
-    # product; Y_i acts as its p x p block on one tensor axis, so no dense
-    # 64 x 64 generator operand in the level-8 tower's identities
+    # product; Y_i acts as its p x p block on one tensor axis, so the
+    # level-8 tower's generator products read at most p = 8 entries a row
+    # and no dense 64 x 64 generator operand
     dense_calls = []
     operands = []
-    real_dense, real_einsum = cycmat._dense_product, cycmat._int_einsum
+    real_dense, real_matmul = cycmat._dense_product, decompose._int_matmul
 
     def dense_spy(a, b):
         dense_calls.append((a.shape, b.shape))
         return real_dense(a, b)
 
-    def einsum_spy(spec, a, b):
-        operands.extend((a.shape, b.shape))
-        return real_einsum(spec, a, b)
+    def matmul_spy(a, b):
+        operands.append(b.shape)
+        return real_matmul(a, b)
 
     monkeypatch.setattr(cycmat, "_dense_product", dense_spy)
-    for module in (cycmat, decompose):
-        monkeypatch.setattr(module, "_int_einsum", einsum_spy)
+    monkeypatch.setattr(decompose, "_int_matmul", matmul_spy)
     assert all(report.ok for report in egorov_verify(5, 2))
-    assert dense_calls == []
+    assert dense_calls == [] and operands == []
     assert tower_check(2, 1, 2).passed
-    assert operands and (64, 64, 16) not in operands
+    assert operands and {shape[0] for shape in operands} == {64}
+    assert max(shape[1] for shape in operands) == 8
 
 
 @pytest.mark.parametrize("p,g", [(4, 1), (3, 2), (4, 2)])

@@ -150,9 +150,17 @@ def test_class_sizes_bruteforce(n):
 
 
 def test_class_sizes_partition_group():
-    n = 3
-    total = sum(rep.size for rep in class_representatives(n))
-    assert total == sl2_order(2**n)
+    for n in range(2, 9):
+        sizes = [rep.size for rep in class_representatives(n)]
+        assert all(isinstance(size, int) for size in sizes)
+        assert sum(sizes) == sl2_order(2**n)
+
+
+def test_class_representatives_refuse_levels_below_4():
+    # at n = 1 the families give a size 1.5, and at n = 0 sizes summing to 1.75
+    for n in (0, 1):
+        with pytest.raises(ValueError):
+            class_representatives(n)
 
 
 @pytest.mark.parametrize("even_cross", [False, True])

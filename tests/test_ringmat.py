@@ -485,7 +485,7 @@ def test_handle_product_matches_dense_generator(p, g):
 
 
 def test_handle_product_past_the_bound_is_exact(monkeypatch):
-    # Y entries times 2^58 put the generator product past the int64 bound:
+    # Y's factor times 2^58 puts the generator product past the int64 bound:
     # a ring operand at p = 4 gives 4 * 8 * (4 * 2^58) = 2^65 > 2^63, an
     # integer operand at p = 8 gives 8 * (4 * 2^58) = 2^63; the product
     # then runs on Python ints and stays exact
@@ -493,7 +493,7 @@ def test_handle_product_past_the_bound_is_exact(monkeypatch):
     for p, op in ((4, WeilRep(4, 2).schrodinger_cyc((1, 2, 3, 1)).arr),
                   (8, np.eye(64, 3, k=-5, dtype=np.int64))):
         rep = WeilRep(p, 2)
-        assert _max_abs(rep.y_block().arr) == 4
+        assert _max_abs(rep.generator_entries(("Y", 1))[2]) == 4
         for i in (1, 2):
             for side in ("left", "right"):
                 operand = op if side == "left" else op.swapaxes(0, 1)
@@ -503,8 +503,8 @@ def test_handle_product_past_the_bound_is_exact(monkeypatch):
     real = WeilRep.generator_entries
 
     def scaled(self, tag):
-        cols, vecs, scale = real(self, tag)
-        return cols, vecs * 2**58, scale
+        cols, exps, factor, scale = real(self, tag)
+        return cols, exps, factor * 2**58, scale
 
     monkeypatch.setattr(WeilRep, "generator_entries", scaled)
     for rep, tag, operand, side, small in cases:

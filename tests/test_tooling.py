@@ -116,3 +116,51 @@ def test_cold_char_sum_stays_in_its_memory_budget(p):
     finally:
         tracemalloc.stop()
     assert peak < (_CHAR_SUM_PEAK_MIB[p] + 1) * 2**20
+
+
+def test_integer_certificates_make_no_field_call(monkeypatch):
+    # the Egorov rules and the parity flip compare integer exponents, with
+    # no entry-vector comparison at all; the CRT check makes one, its
+    # factor identity, per tag
+    from weildec import decompose
+    from weildec.weilrep import WeilRep
+
+    calls = []
+
+    def spy(name):
+        real = getattr(decompose, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        return counted
+
+    for name in ("field_coords", "_array_is_zero"):
+        monkeypatch.setattr(decompose, name, spy(name))
+    assert decompose.commutant_dimension(8, 2) == 3
+    assert all(report.ok for report in decompose.egorov_verify(5, 2))
+    assert decompose.parity_bases(5, 2).dims == (13, 12)
+    assert calls == []
+    assert decompose.crt_check(4, 3).passed
+    tags = len(WeilRep(12, 1).tags())
+    assert calls.count("field_coords") <= tags and calls.count("_array_is_zero") <= tags
+
+
+# traced peak (MiB) of a cold commutant_dimension(128, 1) on integer
+# generator exponents, measured at 4.3; the budget adds 2 MiB.  Entry
+# vectors of length m (the p x p x m Y block and the rolled gathers of the
+# rule check) took it to 163.7.
+_COMMUTANT_128_PEAK_MIB = 4.3
+
+
+def test_cold_commutant_stays_in_its_memory_budget():
+    from weildec.decompose import commutant_dimension
+
+    _clear_library_caches()
+    tracemalloc.start()
+    try:
+        assert commutant_dimension(128, 1) == 7
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (_COMMUTANT_128_PEAK_MIB + 2) * 2**20

@@ -547,12 +547,18 @@ def test_generators_are_symmetric(p, g):
 
 
 def test_genus_one_y_entries_are_the_block():
-    # at genus one the Y entries are the p x p block itself, not a copy
+    # at genus one the Y entries are the block S[a, b] = (1/m) gamma
+    # A^(-(a - b)^2): exponents -(a - b)^2 mod m at every column b, and the
+    # Gauss vector gamma[t] = #{k : k^2 = t mod m} as the one factor
     rep = WeilRep(128, 1)
-    cols, vecs, scale = rep.generator_entries(("Y", 1))
-    assert np.may_share_memory(vecs, rep.y_block().arr)
-    assert np.array_equal(vecs, rep.y_block().arr)
+    cols, exps, factor, scale = rep.generator_entries(("Y", 1))
+    a, b = np.indices((128, 128))
+    assert np.array_equal(exps, -(a - b) ** 2 % 256)
     assert np.array_equal(cols, np.tile(np.arange(128), (128, 1)))
+    gamma = np.zeros(256, dtype=np.int64)
+    for k in range(256):
+        gamma[k * k % 256] += 1
+    assert np.array_equal(factor, gamma)
     assert scale == Fraction(1, 256)
 
 
