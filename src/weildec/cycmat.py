@@ -11,7 +11,7 @@ All arithmetic here is integer numpy work; nothing is approximated.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 import numpy as np
 
@@ -251,31 +251,6 @@ class CycMat:
         if arr is None:
             arr = _dense_product(self.arr, other.arr)
         return CycMat(self.m, arr, self.scale * other.scale, self.beta + other.beta)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def _combine(self, other, sign):
-        (num_a, num_b, scale), beta = self._common_scale(other)
-        arr = _int_combo(num_a, self.arr, sign * num_b, other.arr)
-        return CycMat(self.m, _fit_int64(arr, "CycMat sum"), scale, beta)
-
-    def _common_scale(self, other):
-        if self.m != other.m or self.beta != other.beta:
-            raise ValueError("cannot combine: different ring data")
-        s, t = self.scale, other.scale
-        den = lcm(s.denominator, t.denominator)
-        g = gcd(s.numerator * (den // s.denominator) if s else 0,
-                t.numerator * (den // t.denominator) if t else 0)
-        if g == 0:
-            g = 1
-        common = Fraction(g, den)
-        num_a = int(s / common) if s else 0
-        num_b = int(t / common) if t else 0
-        return (num_a, num_b, common), self.beta
 
     def scaled(self, c):
         return CycMat(self.m, self.arr, self.scale * Fraction(c), self.beta)

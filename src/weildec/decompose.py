@@ -14,8 +14,9 @@ certificate reads a generator as integer exponents on its row entries
 times one common factor (`WeilRep.generator_entries`), at most p per row,
 and forms no dense d x d x m generator.
 
-The rules, the parity flip and the CRT entries compare integer exponents;
-the CRT factor identity, the tower identities and the Omega commutators
+The rules, the parity flip, the CRT entries and the generators' symmetry
+compare (row, column, exponent) triples as integers (`_same_entries`);
+the CRT factor identity, the tower identity and the Omega commutators
 compare entry vectors, falling back to exact cyclotomic reduction when an
 integer residual is nonzero.  Every reported "pass" is an exact statement.
 """
@@ -32,6 +33,7 @@ from math import gcd, prod
 import numpy as np
 
 from .cycmat import (
+    _INT64_MAX,
     CycMat,
     _conv_index,
     _int_combo,
@@ -67,6 +69,27 @@ def _scaled_equal(field, m, x, sx, y, sy):
     return _array_is_zero(field, m, diff)
 
 
+def _same_entries(x, y, d, m):
+    """Whether the (row, column, exponent) triples x and y, each three
+    arrays that broadcast together, are one multiset with exponents mod m:
+    the keys (r d + c) m + (e mod m) of positions in a d x d matrix, sorted,
+    agree.  Two generator-shaped matrices whose entries share one scale and
+    one nonzero factor are equal when their triples are.  The keys are
+    int64, so d^2 m must fit."""
+    if d * d * m > _INT64_MAX:
+        raise OverflowError("entry keys past int64 at d = %d, m = %d" % (d, m))
+    keys = [((r * d + c) * m + e % m).ravel() for r, c, e in (x, y)]
+    return np.array_equal(*(key[np.argsort(key)] for key in keys))
+
+
+def _symmetric(rep, tag):
+    """G^T = G for the generator tag: its triples, rows and columns
+    swapped, are its own."""
+    cols, exps, _, _ = rep.generator_entries(tag)
+    rows = np.arange(rep.dim)[:, None]
+    return _same_entries((rows, cols, exps), (cols, rows, exps), rep.dim, rep.m)
+
+
 def _cyc_equal(x, y, field):
     """Exact equality of two CycMat values (beta phases must agree)."""
     if x.m != y.m or x.arr.shape != y.arr.shape or x.beta != y.beta:
@@ -78,26 +101,22 @@ def _cyc_equal(x, y, field):
 # generator products
 # ---------------------------------------------------------------------------
 
-def _generator_product(rep, tag, operand, side):
-    """gen @ operand (side "left") or operand @ gen (side "right") for the
-    generator `tag` of rep, as an exact integer array with an entry axis;
-    the generator's scale is left out.  The operand is an integer matrix,
-    or has an entry axis of length m.
+def _generator_product(rep, tag, operand):
+    """gen @ operand for the generator `tag` of rep, as an exact integer
+    array with an entry axis; the generator's scale is left out.  The
+    operand is an integer matrix, or has an entry axis of length m.
 
     Row r of gen @ operand is sum_j vecs[r, j] * operand[cols[r, j]] over
     the k entries of `generator_entries`, vecs[r, j] the factor rolled by
     exps[r, j]: a convolution of entry vectors, one batched `_int_matmul`
-    over the rows r (int64 behind its exact bound, Python ints past it).
-    Every generator is symmetric, so operand @ gen is (gen @ operand^T)^T."""
+    over the rows r (int64 behind its exact bound, Python ints past it)."""
     cols, exps, factor, _ = rep.generator_entries(tag)
     vecs = _rolls(factor, exps)
-    op = operand if side == "left" else operand.swapaxes(0, 1)
-    op = op.reshape(op.shape[:2] + (-1,))  # an integer matrix: entry axis 1
+    op = operand.reshape(operand.shape[:2] + (-1,))  # an integer matrix: entry axis 1
     (d, k, m), (n, mo) = vecs.shape, op.shape[1:]
     # conv[r, (j, x), w] = vecs[r, j, (w - x) mod m], the terms of op[..., x]
     conv = vecs if mo == 1 else vecs[..., _conv_index(m)].reshape(d, k * m, m)
-    out = _int_matmul(op[cols].transpose(0, 2, 1, 3).reshape(d, n, k * mo), conv)
-    return out if side == "left" else out.swapaxes(0, 1)
+    return _int_matmul(op[cols].transpose(0, 2, 1, 3).reshape(d, n, k * mo), conv)
 
 
 # ---------------------------------------------------------------------------
@@ -123,26 +142,22 @@ def _flip_permutation(p, g):
 
 
 def _commutes(rep, tag, mat):
-    """Exact check that mat (an integer matrix, or one with an entry axis)
-    commutes with generator tag."""
-    comm = _int_combo(1, _generator_product(rep, tag, mat, "right"),
-                      -1, _generator_product(rep, tag, mat, "left"))
+    """Exact check that mat N (an integer matrix, or one with an entry axis)
+    commutes with generator tag.  N G is taken as (G N^T)^T, which needs
+    G^T = G: False when `_symmetric` refuses G."""
+    if not _symmetric(rep, tag):
+        return False
+    comm = _int_combo(1, _generator_product(rep, tag, mat.swapaxes(0, 1)).swapaxes(0, 1),
+                      -1, _generator_product(rep, tag, mat))
     return _array_is_zero(rep.field, rep.m, comm)
 
 
-def _sorted_rows(cols, vals):
-    """Entries with the columns of each row in increasing order."""
-    rows, order = np.arange(len(cols))[:, None], np.argsort(cols, axis=1)
-    return cols[rows, order], vals[rows, order]
-
-
 def _flip_commutes(rep, tag, flip):
-    """J G J = G for the flip J = eye[flip]: row r of J G J is row flip[r]
-    of G at the columns flip[c], so the rows moved so, sorted by column,
-    must have G's columns and exponents."""
+    """J G J = G for the flip J = eye[flip]: the entry (r, c) of G sits at
+    (flip[r], flip[c]) in J G J, so the moved triples must be G's own."""
     cols, exps, _, _ = rep.generator_entries(tag)
-    moved, own = _sorted_rows(flip[cols[flip]], exps[flip]), _sorted_rows(cols, exps)
-    return all(np.array_equal(x, y) for x, y in zip(moved, own))
+    rows = np.arange(rep.dim)[:, None]
+    return _same_entries((flip[rows], flip[cols], exps), (rows, cols, exps), rep.dim, rep.m)
 
 
 def parity_bases(p, g=1):
@@ -221,10 +236,10 @@ def crt_check(a, b, g=1):
     A_b^eb[y, l] at the columns (cols_a[x, j], cols_b[y, l])
     (`generator_entries`).  A_a is A_ab^mult_a and A_b is A_ab^mult_b, of
     coprime orders m_a m_b = m_ab, so A_a^s A_b^t = A_ab^idx[s, t] with idx
-    a bijection (checked).  psi moves rows and columns to level ab; sorted
-    by column, the rows must have G_ab's columns and exponents idx[ea, eb]
-    (integers), and fa (x) fb scattered by idx, times sa sb, must be
-    s_ab f_ab (one field identity).
+    a bijection (checked).  Moved by psi in rows and columns, with the
+    exponents idx[ea, eb], the triples must be G_ab's (`_same_entries`),
+    and fa (x) fb scattered by idx, times sa sb, must be s_ab f_ab (one
+    field identity).
     """
     if gcd(a, b) != 1 or b % 2 == 0 or a < 2 or b < 2:
         raise ValueError("need coprime levels with b odd, both at least 2")
@@ -238,21 +253,20 @@ def crt_check(a, b, g=1):
     idx = (np.arange(rep_a.m)[:, None] * mult_a + np.arange(rep_b.m) * mult_b) % m_ab
     if not (np.bincount(idx.ravel(), minlength=m_ab) == 1).all():
         raise RuntimeError("A_a and A_b do not generate the level-%d roots" % (a * b))
-    inv = np.argsort(psi)  # the tensor row moved to each level-ab row
     failures = []
     for tag in rep_ab.tags():
         cols_a, ea, fa, sa = rep_a.generator_entries(tag)
         cols_b, eb, fb, sb = rep_b.generator_entries(tag)
         cols_ab, e_ab, f_ab, s_ab = rep_ab.generator_entries(tag)
-        d_b, k = cols_b.shape[0], cols_a.shape[1] * cols_b.shape[1]
-        ct = cols_a[:, None, :, None] * d_b + cols_b[None, :, None, :]
-        et = idx[ea[:, None, :, None], eb[None, :, None, :]]
-        ct, et = _sorted_rows(psi[ct.reshape(-1, k)][inv], et.reshape(-1, k)[inv])
+        d_b = cols_b.shape[0]
+        tensor = (psi.reshape(-1, d_b, 1, 1),  # row (x, y), column (j, l)
+                  psi[cols_a[:, None, :, None] * d_b + cols_b[None, :, None, :]],
+                  idx[ea[:, None, :, None], eb[None, :, None, :]])
         outer = _int_einsum("s,t->st", fa, fb)
         ft = np.zeros(m_ab, dtype=outer.dtype)
         ft[idx] = outer
-        cols_ab, e_ab = _sorted_rows(cols_ab, e_ab)
-        if not (np.array_equal(ct, cols_ab) and np.array_equal(et, e_ab)
+        if not (_same_entries(tensor, (np.arange(rep_ab.dim)[:, None], cols_ab, e_ab),
+                              rep_ab.dim, m_ab)
                 and _scaled_equal(rep_ab.field, m_ab, ft, sa * sb, f_ab, s_ab)):
             failures.append(tag)
     return CrtReport(not failures, tuple(failures))
@@ -288,17 +302,21 @@ def _tower_span(r, n, g):
 
 def tower_check(r, n, g=1):
     """Verify the embedded copy of U_{r^n} inside U_{r^(n+2)} and its
-    orthogonal complement W = ker(E^T), generator by generator.
+    orthogonal complement W = ker(E^T), generator by generator, for a
+    prime r.
 
     With G_U the level-r^n generator under A -> A^(r^2) (1 when n = 0),
-    two exact identities are checked: G E = E G_U ("restriction mismatch"
-    otherwise) and G^T E = E G_U^T ("complement not stable").  Since
-    E^T E = r^g I, the second one is E^T G = G_U E^T, so G maps W into W.
-    The left sides are `_generator_product`s.  G_U is the small level's
-    entries, exponents times r^2 and the factor scattered to match; E has
-    disjoint column supports, so E G_U and E G_U^T are each one scatter of
-    the rolled entries.
+    one exact field identity is checked: G E = E G_U ("restriction
+    mismatch" otherwise).  W is stable when E^T G = G_U E^T, the transpose
+    of that identity once G^T = G and G_U^T = G_U; a generator that
+    `_symmetric` refuses at either level is reported "complement not
+    stable".  The left side is a `_generator_product`.  G_U is the small
+    level's entries, exponents times r^2 and the factor scattered to
+    match; E has disjoint column supports, so E G_U is one scatter of the
+    rolled entries.
     """
+    if prime_factorization(r) != [(r, 1)]:
+        raise ValueError("the tower needs a prime r")
     if n < 0 or (r == 2 and n < 1):
         raise ValueError("exponent out of range for the tower")
     rep = WeilRep(r ** (n + 2), g)
@@ -314,17 +332,12 @@ def tower_check(r, n, g=1):
         remapped[np.arange(factor.size) * r * r % rep.m] = factor
         vecs = _rolls(remapped, exps * r * r % rep.m)
         egu = np.zeros((rep.dim, d_s, rep.m), vecs.dtype)
-        egu_t = np.zeros_like(egu)
         egu[sup[:, :, None], cols[:, None]] = vecs[:, None]  # E G_U
-        egu_t[sup[cols], np.arange(d_s)[:, None, None]] = vecs[:, :, None]  # E G_U^T
-        scale = rep.generator_entries(tag)[3]
-        for reason, left, right in (
-            ("restriction mismatch", _generator_product(rep, tag, E, "left"), egu),
-            ("complement not stable",
-             _generator_product(rep, tag, E.T, "right").transpose(1, 0, 2), egu_t),
-        ):
-            if not _scaled_equal(rep.field, rep.m, left, scale, right, small_scale):
-                failures.append((tag, reason))
+        if not _scaled_equal(rep.field, rep.m, _generator_product(rep, tag, E),
+                             rep.generator_entries(tag)[3], egu, small_scale):
+            failures.append((tag, "restriction mismatch"))
+        if not (_symmetric(rep, tag) and (not n or _symmetric(rep_small, tag))):
+            failures.append((tag, "complement not stable"))
     return TowerReport(not failures, tuple(failures))
 
 
@@ -559,21 +572,16 @@ def _rule_exact(rep, tag, M, Q):
     U[i, j] = s f A^x (`generator_entries`) moves to (i, a), r[a] = j,
     with exponent x + e[a] on the left, and to (r'[i], j) with exponent
     x + z + e'[i] on the right.  Both sides share s f, nonzero, and A has
-    order m: they are equal exactly when the moved positions agree and
-    the exponents at each agree mod m, an integer comparison.
+    order m: they are equal exactly when the moved triples agree
+    (`_same_entries`), an integer comparison.
     """
-    d, m = rep.dim, rep.m
     cols, exps, _, _ = rep.generator_entries(tag)
-    i, j, x = np.repeat(np.arange(d), cols.shape[1]), cols.ravel(), exps.ravel()
+    i = np.arange(rep.dim)[:, None]
     for v in range(len(M)):
         (r, rw), (e, ew) = rep.schrodinger_map(np.column_stack((np.arange(len(M)) == v, M[:, v])))
-        a = np.argsort(r)[j]
-        sides = []
-        for key, exp in ((i * d + a, x + e[a]), (rw[i] * d + j, x + Q[v, v] + ew[i])):
-            order = np.argsort(key)
-            sides.append((key[order], exp[order] % m))
-        (kl, el), (kr, er) = sides
-        if not (np.array_equal(kl, kr) and np.array_equal(el, er)):
+        a = np.argsort(r)[cols]
+        if not _same_entries((i, a, exps + e[a]), (rw[i], cols, exps + Q[v, v] + ew[i]),
+                             rep.dim, rep.m):
             return False
     return True
 

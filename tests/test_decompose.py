@@ -155,34 +155,39 @@ def test_certificates_form_no_dense_generator(monkeypatch, capsys):
     assert "support 4096 entries" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("r,n", [(4, 0), (6, 0), (4, 1), (6, 1), (9, 0), (1, 1), (0, 1)])
+def test_tower_refuses_a_composite_r(r, n):
+    # the tower U_{r^n} inside U_{r^(n+2)} is defined for a prime r only
+    with pytest.raises(ValueError, match="prime r"):
+        tower_check(r, n)
+
+
 def test_tower_reports_unstable_complement(monkeypatch):
-    # one perturbed entry of E^T G leaves G^T E outside the embedding,
-    # while the embedding check (a left product) is untouched
-    real = decompose._generator_product
+    # the level-27 Y entry (3, 1) moved by A: column 1 is outside the rows
+    # of E (multiples of 3), so G E = E G_U still holds, while E^T G, which
+    # reads row 1 of G^T, no longer equals G_U E^T
+    real = WeilRep.generator_entries
 
-    def perturbed(rep, tag, operand, side):
-        out = real(rep, tag, operand, side)
-        if side == "right":
-            out = out.copy()
-            out[0, 0, 0] += 1
-        return out
+    def perturbed(self, tag):
+        cols, exps, factor, scale = real(self, tag)
+        if (self.p, tag) == (27, ("Y", 1)):
+            exps = exps.copy()
+            exps[3, np.flatnonzero(cols[3] == 1)] += 1
+        return cols, exps, factor, scale
 
-    monkeypatch.setattr(decompose, "_generator_product", perturbed)
+    monkeypatch.setattr(WeilRep, "generator_entries", perturbed)
     report = tower_check(3, 1)
-    assert not report.passed
-    assert {reason for _, reason in report.failures} == {"complement not stable"}
+    assert report.failures == ((("Y", 1), "complement not stable"),)
 
 
 def test_tower_reports_restriction_mismatch(monkeypatch):
-    # one perturbed entry of G E breaks G E = E G_U, while the complement
-    # identity (a right product) is untouched
+    # one perturbed entry of G E breaks G E = E G_U, while every generator
+    # stays symmetric
     real = decompose._generator_product
 
-    def perturbed(rep, tag, operand, side):
-        out = real(rep, tag, operand, side)
-        if side == "left":
-            out = out.copy()
-            out[0, 0, 0] += 1
+    def perturbed(rep, tag, operand):
+        out = real(rep, tag, operand).copy()
+        out[0, 0, 0] += 1
         return out
 
     monkeypatch.setattr(decompose, "_generator_product", perturbed)
@@ -200,9 +205,9 @@ def test_tower_identities_are_exact_past_the_int64_bound(monkeypatch):
     dtypes = []
     bump = []
 
-    def product(rep, tag, operand, side):
-        out = real_product(rep, tag, operand, side).astype(object) * 2**58
-        if bump and side == "left":
+    def product(rep, tag, operand):
+        out = real_product(rep, tag, operand).astype(object) * 2**58
+        if bump:
             out[0, 0, 0] += 1
         return out
 
@@ -755,12 +760,27 @@ def test_genus2_certificates_take_the_handle_local_path(monkeypatch):
 
 @pytest.mark.parametrize("p,g", [(4, 1), (3, 2), (4, 2)])
 def test_generator_product_matches_dense_contraction(p, g):
+    # G N, and N G in the (G N^T)^T form of `_commutes`
     rep = WeilRep(p, g)
     rng = np.random.default_rng(7 * p + g)
     N = rng.integers(-3, 4, size=(rep.dim, rep.dim)).astype(object)
     for tag in rep.tags():
         gen = rep.generator_cyc(tag).arr
-        assert np.array_equal(decompose._generator_product(rep, tag, N, "left"),
+        assert np.array_equal(decompose._generator_product(rep, tag, N),
                               cycmat._int_einsum("itk,tj->ijk", gen, N))
-        assert np.array_equal(decompose._generator_product(rep, tag, N, "right"),
+        assert np.array_equal(decompose._generator_product(rep, tag, N.T).swapaxes(0, 1),
                               cycmat._int_einsum("it,tjk->ijk", N, gen))
+
+
+def test_same_entries_is_a_multiset_comparison():
+    # reordered entries are the same multiset; two entries' exponents
+    # swapped are not, and exponents agree mod m only
+    rows, cols, exps = np.array([0, 1, 2]), np.array([2, 0, 1]), np.array([1, 4, 6])
+    same = decompose._same_entries
+    order = np.array([2, 0, 1])
+    assert same((rows, cols, exps), (rows[order], cols[order], exps[order]), 3, 8)
+    assert same((rows, cols, exps), (rows, cols, exps - 8), 3, 8)
+    assert not same((rows, cols, exps), (rows, cols, exps[[1, 0, 2]]), 3, 8)
+    assert not same((rows, cols, exps), (rows[:2], cols[:2], exps[:2]), 3, 8)
+    with pytest.raises(OverflowError):
+        same((rows, cols, exps), (rows, cols, exps), 2**31, 2)

@@ -63,6 +63,27 @@ def test_library_imports_are_used():
     assert not unused
 
 
+def test_private_functions_are_referenced():
+    # a private function or method that the library reads nowhere outside
+    # its own def is a helper left behind when its callers changed
+    defs, refs = [], {}
+    for path in sorted((ROOT / "src" / "weildec").glob("*.py")):
+        def visit(node, inside):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defs.append((f"{path.name}:{node.lineno} {node.name}", node))
+                inside = inside + (node,)
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                refs.setdefault(name, []).append(inside)
+            for child in ast.iter_child_nodes(node):
+                visit(child, inside)
+        visit(ast.parse(path.read_text(), str(path)), ())
+    unread = [label for label, node in defs
+              if all(node in inside for inside in refs.get(node.name, []))]
+    assert not unread
+
+
 def _clear_library_caches():
     for name, module in list(sys.modules.items()):
         if name == "weildec" or name.startswith("weildec."):
@@ -144,6 +165,13 @@ def test_integer_certificates_make_no_field_call(monkeypatch):
     assert decompose.crt_check(4, 3).passed
     tags = len(WeilRep(12, 1).tags())
     assert calls.count("field_coords") <= tags and calls.count("_array_is_zero") <= tags
+    # the tower makes exactly one, G E = E G_U; the complement is the
+    # entry check `_symmetric`
+    for r, n, g in ((3, 1, 1), (2, 1, 2)):
+        calls.clear()
+        assert decompose.tower_check(r, n, g).passed
+        tags = len(WeilRep(r ** (n + 2), g).tags())
+        assert calls.count("_array_is_zero") == tags and calls.count("field_coords") <= tags
 
 
 # traced peak (MiB) of a cold commutant_dimension(128, 1) on integer

@@ -1,6 +1,7 @@
 import copy
 import random
 import tracemalloc
+import types
 from collections import defaultdict
 from fractions import Fraction
 from math import gcd
@@ -11,7 +12,7 @@ import pytest
 from weildec import analysis, weilrep
 from weildec.cyclo import field_for_level
 from weildec.cycmat import _INT64_MAX, CycMat, _l1, _max_abs, power_matrix
-from weildec.decompose import _cyc_equal
+from weildec.decompose import _cyc_equal, _symmetric
 from weildec.modgroup import (
     class_representatives,
     mat_mul,
@@ -539,11 +540,21 @@ def test_y_generator_gather_matches_loop(p, g):
 
 @pytest.mark.parametrize("p,g", [(3, 1), (4, 2), (6, 2), (3, 3)])
 def test_generators_are_symmetric(p, g):
-    # the generator product takes operand @ G as (G operand^T)^T
+    # `_commutes` takes operand @ G as (G operand^T)^T, and the tower's
+    # complement identity is its restriction identity transposed; the
+    # entry check `_symmetric` agrees with the dense view, and refuses one
+    # off-diagonal Y exponent bumped by 1
     rep = WeilRep(p, g)
     for tag in rep.tags():
         arr = rep.generator_cyc(tag).arr
         assert np.array_equal(arr, arr.transpose(1, 0, 2))
+        assert _symmetric(rep, tag)
+    cols, exps, factor, scale = rep.generator_entries(("Y", 1))
+    bumped = exps.copy()
+    bumped[0, np.flatnonzero(cols[0] != 0)[0]] += 1
+    stub = types.SimpleNamespace(dim=rep.dim, m=rep.m, generator_entries=lambda tag: (
+        cols, bumped, factor, scale))
+    assert not _symmetric(stub, ("Y", 1))
 
 
 def test_genus_one_y_entries_are_the_block():
