@@ -27,9 +27,16 @@ from .modgroup import (
     sl2_enumerate,
     sl2_order,
 )
-from .cyclo import CycloElt
-from .cycmat import CycMat, field_coords
-from .weilrep import WeilRep, lift_genus1_cyc, projective_key, trace_engine
+from .cyclo import field_for_level
+from .cycmat import _check_int64, _max_abs, field_coords
+from .weilrep import (
+    WeilRep,
+    _chunks,
+    _windows,
+    lift_genus1_many,
+    projective_keys,
+    trace_engine,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -176,36 +183,62 @@ def expected_trace_sq(n, l, x_class, s):
     return None
 
 
-def _is_unit_scalar(mat, field):
-    """True when mat is lam * I in the field with lam conj(lam) = 1: one
-    `field_coords` product of the whole array, then one norm of the
-    diagonal entry (the beta-root has absolute value one)."""
-    coords = field_coords(mat.arr, field, mat.m)
-    lead = coords[0, 0].copy()
-    diag = np.arange(mat.nrows)
-    coords[diag, diag] -= lead
-    if coords.any():
+def _unit_entries(rows, scales, field):
+    """True when every entry vector scales[k] * rows[k] has absolute value
+    one.  |v|^2 = sum_s r[s] A^s with the integer autocorrelation
+    r[s] = sum_t v[t] v[t + s], so scale^2 * r must map to the field
+    coordinates (1, 0, ..., 0): one `field_coords` product for all rows,
+    behind an exact int64 bound."""
+    m = rows.shape[-1]
+    _check_int64(m * _max_abs(rows) ** 2, "|entry|^2")
+    coords = field_coords(np.einsum("kst,kt->ks", _windows(rows), rows), field, m)
+    return not coords[:, 1:].any() and all(
+        scale * scale * x == 1 for scale, x in zip(scales, coords[:, 0].tolist()))
+
+
+def _unit_monomials(lifts, a, field):
+    """True when every lifts[k] is lam_k times the permutation matrix with
+    entry (i, a[k] i) equal to 1, with lam_k conj(lam_k) = 1.
+
+    One `field_coords` product takes the entries (i, a[k] i) of every lift
+    and every other entry that is not the zero vector: the others must
+    vanish in the field, and the entries (i, a[k] i) of each lift agree;
+    `_unit_entries` takes the norms."""
+    p, m = lifts[0].nrows, lifts[0].m
+    i = np.arange(p)
+    on, off = [], []
+    for lift, cols in zip(lifts, a[:, None] * i % p):
+        on.append(lift.arr[i, cols])
+        rest = lift.arr.any(axis=-1)
+        rest[i, cols] = False
+        off.append(lift.arr[rest])
+    coords = field_coords(np.concatenate(on + off), field, m)
+    diag = coords[:len(on) * p].reshape(len(on), p, -1)
+    if coords[len(on) * p:].any() or (diag != diag[:, :1]).any():
         return False
-    return CycloElt(field, [mat.scale * x for x in lead.tolist()]).norm_sq() == 1
+    return _unit_entries(np.array([entries[0] for entries in on]),
+                         [lift.scale for lift in lifts], field)
 
 
 def lemma_diag_check(n):
     """The level-2^(n-1) lift of diag(a, 1/a) is a unit scalar times the
     permutation matrix with entry (i, a*i) equal to 1, for every odd a
-    mod 2^n.
+    mod 2^n: then lift @ perm^dagger is a scalar matrix whose scalar has
+    absolute value one.
 
-    That holds exactly when lift @ perm^dagger, an index-map product that
-    only moves entries, is a scalar matrix whose scalar has absolute
-    value one."""
+    The odd a go in the chunks `lift_genus1_many` gathers at once, each
+    lifted by one call and checked by one `_unit_monomials` call, so no
+    more lifts are held than one gather takes."""
+    if n < 2:
+        raise ValueError("need n >= 2")
     p = 2 ** (n - 1)
-    rep = WeilRep(p, 1)
+    field = field_for_level(p)
     modulus = 2**n
-    i = np.arange(p)
-    for a in range(1, modulus, 2):
-        lifted = lift_genus1_cyc(p, (a, 0, 0, pow(a, -1, modulus)))
-        perm = CycMat.zero(rep.m, p, p)
-        perm.arr[i, a * i % p, 0] = 1
-        if not _is_unit_scalar(lifted @ perm.dagger(), rep.field):
+    odd = np.arange(1, modulus, 2)
+    for part in _chunks(odd.size, p ** 3 * modulus):
+        a = odd[part]
+        lifts = lift_genus1_many(p, [(x, 0, 0, pow(x, -1, modulus)) for x in a.tolist()])
+        if not _unit_monomials(lifts, a, field):
             return False
     return True
 
@@ -259,16 +292,17 @@ class FaithfulnessReport:
 
 
 def kernel_check(p):
-    """Pairwise projective distinctness of the lift across SL2(Z/pZ)."""
+    """Pairwise projective distinctness of the lift across SL2(Z/pZ): the
+    elements are lifted and keyed in chunks, one `lift_genus1_many` and one
+    `projective_keys` call each."""
     if p not in (3, 5, 7):
         raise ValueError("bounded to levels 3, 5, 7")
-    field = WeilRep(p, 1).field
+    field = field_for_level(p)
+    elements = list(sl2_enumerate(p))
     keys = set()
-    order = 0
-    for M in sl2_enumerate(p):
-        keys.add(projective_key(lift_genus1_cyc(p, M), field))
-        order += 1
-    return FaithfulnessReport(p, order, len(keys))
+    for part in _chunks(len(elements), p * p * field.degree):
+        keys.update(projective_keys(lift_genus1_many(p, elements[part]), field))
+    return FaithfulnessReport(p, len(elements), len(keys))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Provides Gauss sums, the symplectic generator matrices, the Hopf pairing,
 the finite Heisenberg group with its Schrodinger representation, the
 explicit genus-one lift of SL2(Z/NZ) (an integer group-ring matrix,
-CycMat, whose word folds consecutive S-factors in pairs) together with a
-fast exact trace evaluator, and projective comparison keys.
+CycMat, whose word folds consecutive S-factors in pairs; whole element
+sets are lifted at once) together with a fast exact trace evaluator, and
+projective comparison keys.
 
 Conventions.  At level p the phase root A has order p (p odd) or 2p (p even);
 the working cyclotomic field also contains the 24th root used by the lift.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 import numpy as np
@@ -26,10 +27,9 @@ from .cycmat import (
     _INT64_MAX,
     CycMat,
     _check_int64,
+    _conv_index,
     _convolve,
     _l1,
-    _lead_index,
-    _lead_products,
     _max_abs,
     power_matrix,
 )
@@ -103,8 +103,13 @@ class WeilRep:
         self.g = g
         self.m = _heisenberg_modulus(p)
         self.dim = p ** g
-        self.field = field_for_level(p)
         self._cyc_cache = {}
+
+    @cached_property
+    def field(self):
+        """The working field Q(zeta_L), L = lcm(2p, 24), built on first use:
+        the integer certificates never need it."""
+        return field_for_level(self.p)
 
     # -- generator tags ----------------------------------------------------
     def tags(self):
@@ -250,6 +255,16 @@ def _median_shift(arr):
     return arr - np.sort(arr, axis=-1)[..., arr.shape[-1] // 2, None]
 
 
+def _bounds_each(arr):
+    """(max, min) of every arr[e], as Python ints."""
+    flat = arr.reshape(len(arr), -1)
+    return zip(flat.max(axis=1).tolist(), flat.min(axis=1).tolist())
+
+
+def _max_abs_each(arr):
+    return [max(hi, -lo) for hi, lo in _bounds_each(arr)]
+
+
 def _normalise(arr):
     """(arr', g) with every entry vector of arr equal to g times that of arr'
     in the field.
@@ -264,12 +279,32 @@ def _normalise(arr):
     return out, max(g, 1)
 
 
+def _normalise_each(arr):
+    """`_normalise` of every arr[e] on its own: (arr', g) with g[e] the
+    content taken out of arr[e], behind the bound of each arr[e]."""
+    _check_int64(max(hi - lo for hi, lo in _bounds_each(arr)), "median shift")
+    out = arr - np.sort(arr, axis=-1)[..., arr.shape[-1] // 2, None]
+    g = [max(x, 1) for x in np.gcd.reduce(out.reshape(len(out), -1), axis=1).tolist()]
+    if max(g) > 1:
+        out //= np.reshape(g, (-1,) + (1,) * (out.ndim - 1))
+    return out, g
+
+
+# -- gather budget ---------------------------------------------------------
+
+# int64 entries one chunk of a batched gather may hold (512 KiB): a chunk
+# takes as many items as fit, and always at least one
+_GATHER_ENTRIES = 1 << 16
+
+
+def _chunks(n, per_item):
+    """Slices that cover range(n) with at most _GATHER_ENTRIES // per_item
+    items each, and at least one."""
+    step = max(1, _GATHER_ENTRIES // per_item)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
 # -- genus-one lift --------------------------------------------------------
-
-# k-slices gathered at once by an S-factor of the lift: the temporary is
-# this many times the p x p x m output.
-_GATHER_BLOCK = 4
-
 
 @lru_cache(maxsize=None)
 def _lift_images(p):
@@ -291,6 +326,15 @@ def _lift_images(p):
 
 
 @lru_cache(maxsize=None)
+def _gather_tables(p):
+    """(basis, conv) of the lift's gathers: basis[:, k p + j] = (k^2, 2 k j,
+    j^2), so a gather's shifts are (roll before, sign, roll after) @ basis,
+    and the convolution index `_conv_index` of the entry vectors."""
+    k, j = np.indices((p, p)).reshape(2, -1)
+    return np.array([k * k, 2 * k * j, j * j]), _conv_index(_heisenberg_modulus(p))
+
+
+@lru_cache(maxsize=None)
 def _gauss_power(p, sign, count):
     """(vec, g) with gamma_sign^count = g vec in the field, count >= 1: the
     normalised gamma_sign convolved in count - 1 times, each product
@@ -303,40 +347,19 @@ def _gauss_power(p, sign, count):
     return out, g * h * k
 
 
-def lift_genus1_cyc(p, M, rng=None):
-    """Evaluate the lift of M in SL2(Z/NZ), N = p (odd) or 2p (even).
+def _read_word(word, eps, m):
+    """The program of an S,T-word: (gathers, roll, flip, pairs, factors, beta).
 
-    The S,T-word acts on the int64 entry array directly.  T^k =
-    diag(A^(-k j^2)) only rolls column j, so the T-powers met since the
-    last S-factor are carried as a shift and folded into the next gather.
-    S^{+-1} is (1/m) beta-root^(-+3 eps) gamma_+- F_+-, with F_+-[k, j] =
-    A^(-+2kj) and the Gauss sum gamma_+- a central scalar, so an S-factor
-    applies only F_+-: the gather-sum W[i, j] = sum_k A^(-+2kj) out[i, k],
-    taken over blocks of `_GATHER_BLOCK` k-slices so that no p^3 m array
-    is formed.  The Gauss sums wait until the end: with a factors S and b
-    factors S^{-1}, gamma_+^a gamma_-^b = |gamma|^(2 min(a, b))
-    gamma_+-^|a - b|, one convolution with the cached `_gauss_power`
-    vector.  Two consecutive S-factors need no gather: F_a F_b[k, j] =
-    sum_n A^(-2n(a k + b j)) is p where a k + b j = 0 mod p and 0 elsewhere,
-    since A^2 has order p, so F_+-F_+- = p J with J e_j = e_(-j) and
-    F_+-F_-+ = p I.  Such a pair is one column reversal, or nothing, and
-    the factor p joins the content; a pending T-roll carries across J
-    unchanged, because (-j)^2 = j^2.  `_normalise` runs only when the next
-    gather's bound p max|out| would no longer fit int64, and once more
-    before that convolution and after it, so the entries come out
-    normalised.  Every kernel is preceded by an exact int64 bound.
+    Every S-factor that does not pair with the next one is a gather, listed
+    as (roll, sign): the T-powers met since the last gather, mod m, and the
+    sign of the S-factor; roll is the T-power left after the last gather.
+    Two consecutive S-factors are a pair, F_+-F_+- = p J or F_+-F_-+ = p I:
+    each pair puts p into the content, and flip is the parity of the J's.
+    factors counts the S and S^{-1} factors, beta the beta-root exponent.
     """
-    img = _lift_images(p)
-    m, eps = img["m"], img["eps"]
-    if det(M, m) != 1:
-        raise ValueError("matrix %r is not in SL2(Z/%d)" % (M, m))
-    word = word_decompose(tuple(v % m for v in M), m, rng=rng)
-    t = np.arange(m)
-    k = t[:p, None]
-    out = CycMat.identity(m, p).arr
-    top = _max_abs(out)
-    reverse = -k[:, 0] % p  # out @ J is out[:, reverse]
-    content, roll, beta = 1, 0, 0
+    gathers = []
+    roll = beta = pairs = 0
+    flip = False
     factors = {1: 0, -1: 0}
     pos = 0
     while pos < len(word):
@@ -353,33 +376,159 @@ def lift_genus1_cyc(p, M, rng=None):
             pos += 1
             factors[pair] += 1
             beta -= 3 * pair * eps
-            content *= p
-            if pair == val:
-                out = out[:, reverse]
+            pairs += 1
+            flip ^= pair == val
             continue
-        _check_int64(p * top, "lift gather")
-        W = _windows(out)  # W[i, k, s] = out[i, k] rolled by s
-        shifts = (roll * k * k + 2 * val * k * t[:p]) % m
-        out = W[:, k[:_GATHER_BLOCK], shifts[:_GATHER_BLOCK]].sum(axis=1)
-        for lo in range(_GATHER_BLOCK, p, _GATHER_BLOCK):
-            block = k[lo:lo + _GATHER_BLOCK]
-            out += W[:, block, shifts[lo:lo + _GATHER_BLOCK]].sum(axis=1)
+        gathers.append((roll % m, val))
         roll = 0
-        top = _max_abs(out)
-        if p * top > _INT64_MAX:
-            out, h = _normalise(out)
-            content *= h
-            top = _max_abs(out)
-    if roll:
-        out = out[:, k, (t + roll * k * k) % m]
-    out, h = _normalise(out)
-    content *= h * img["norm"] ** min(factors.values())
-    net = factors[1] - factors[-1]
-    if net:
-        gauss, g = _gauss_power(p, 1 if net > 0 else -1, abs(net))
-        out, h = _normalise(_convolve(gauss, out.reshape(-1, m)).reshape(p, p, m))
-        content *= g * h
-    return CycMat(m, out, Fraction(content, m ** (factors[1] + factors[-1])), beta)
+    return gathers, roll % m, flip, pairs, factors, beta
+
+
+def lift_genus1_many(p, Ms, rng=None):
+    """The lifts of every M in Ms, each in SL2(Z/NZ), N = p (odd) or 2p
+    (even), as CycMat; the words come from `word_decompose`, drawn in the
+    order of Ms from the one rng when it is given.
+
+    Each lift is bitwise what the word gives on its own, whatever the batch:
+    every int64 bound and every on-demand `_normalise` is decided per
+    element.  T^k = diag(A^(-k j^2)) only rolls column j, so the T-powers
+    met since the last S-factor fold into the next gather, and those left
+    after the last one into the last.  S^{+-1} is (1/m) beta-root^(-+3 eps)
+    gamma_+- F_+-, with F_+-[k, j] = A^(-+2kj) and the Gauss sum gamma_+- a
+    central scalar, so an S-factor applies only F_+-: the gather
+    W[i, j] = sum_k A^(-+2kj) out[i, k].  Two consecutive S-factors need no
+    gather: F_a F_b[k, j] = sum_n A^(-2n(a k + b j)) is p where
+    a k + b j = 0 mod p and 0 elsewhere, since A^2 has order p, so
+    F_+-F_+- = p J with J e_j = e_(-j) and F_+-F_-+ = p I (`_read_word`).
+    J commutes with every F_+- and every T-power, (-j)^2 = j^2, so all the
+    J's of a word act at once, on the identity the word starts from.
+
+    The first gather of a word acts on that J or I, so each of its entries
+    is one power A^(-shift(i, j)), and the second sums p such powers per
+    entry: up to there, every element of a chunk is one `np.bincount` of
+    exponents.  Only the third and later gathers gather rolled rows
+    (`_windows`), for all elements of a chunk at once and behind the exact
+    bound p max|out| < 2^63, with `_normalise` only where that bound of the
+    next gather would fail.  The
+    Gauss sums wait until the end: with a factors S and b factors S^{-1},
+    gamma_+^a gamma_-^b = |gamma|^(2 min(a, b)) gamma_+-^|a - b|, one
+    convolution with the cached `_gauss_power` vector, with `_normalise`
+    before it and after it.  Elements go in chunks whose gather holds at
+    most `_GATHER_ENTRIES` entries, and a single element too large for one
+    gathers its k-slices in such chunks.
+    """
+    img = _lift_images(p)
+    m, eps = img["m"], img["eps"]
+    programs = []
+    for M in Ms:
+        if det(M, m) != 1:
+            raise ValueError("matrix %r is not in SL2(Z/%d)" % (M, m))
+        word = word_decompose(tuple(v % m for v in M), m, rng=rng)
+        programs.append(_read_word(word, eps, m))
+    # deepest words first: in every chunk the elements a gather acts on
+    # are then a prefix
+    order = sorted(range(len(programs)), key=lambda e: -len(programs[e][0]))
+    out = [None] * len(programs)
+    for part in _chunks(len(order), p ** 3 * m):
+        chunk = order[part]
+        for e, lift in zip(chunk, _lift_chunk(p, [programs[e] for e in chunk])):
+            out[e] = lift
+    return out
+
+
+def _lift_chunk(p, programs):
+    """The lifts of `_read_word` programs sorted by falling gather count."""
+    img = _lift_images(p)
+    m = img["m"]
+    basis, conv_index = _gather_tables(p)
+    n = len(programs)
+    k = np.arange(p)
+    depth = [len(gathers) for gathers, *_ in programs]
+    reach = [sum(d > g for d in depth) for g in range(depth[0])]  # elements gather g acts on
+    n1, n2 = reach[0] if reach else 0, reach[1] if len(reach) > 1 else 0
+    # table[e, g] = (roll before gather g, its sign, roll after it); the
+    # roll after is the word's last T-power, at its last gather only.  A
+    # word's J's act on its first gather, whose rows i and -i they swap,
+    # and that is the gather of the opposite sign.
+    table = np.zeros((n, max(depth[0], 1), 3), np.int64)
+    for e in range(n1):
+        gathers, roll, flip, *_ = programs[e]
+        table[e, :len(gathers), :2] = gathers
+        table[e, len(gathers) - 1, 2] = roll
+        if flip:
+            table[e, 0, 1] *= -1
+    # shift[e, g, k, j] = roll k^2 + 2 sign k j + after j^2 of gather g
+    shift = (table @ basis % m).reshape(n, -1, p, p)
+    content = [p ** pairs for _g, _r, _f, pairs, *_ in programs]
+    # up to its second gather every entry (e, i, j) counts single powers
+    # A^x: one bincount of the slots cell[e, i, j] + x
+    cell = np.arange(n * p * p).reshape(n, p, p) * m
+    slots = []
+    if n1:
+        first = -shift[:n1, 0] % m  # x of entry (i, j) after gather 0
+        slots.append(cell[n2:n1] + first[n2:])
+    if n2:
+        # after gather 1, x = first[i, k] - shift[k, j] for every k
+        exps = first[:n2, :, None, :] - shift[:n2, 1].transpose(0, 2, 1)[:, None]
+        exps %= m
+        exps += cell[:n2, :, :, None]
+        slots.append(exps)
+    for e in range(n1, n):  # no gather: J^flip rolled by the last T-power
+        _gathers, roll, flip, *_ = programs[e]
+        slots.append(cell[e, k, -k % p if flip else k] + -roll * k * k % m)
+    arr = np.bincount(np.concatenate([x.ravel() for x in slots]),
+                      minlength=n * p * p * m).reshape(n, p, p, m)
+
+    def settle(count):
+        """Normalise each of the first count outputs whose next gather's
+        bound would not fit int64; their max|out|."""
+        tops = _max_abs_each(arr[:count])
+        for e, top in enumerate(tops):
+            if p * top > _INT64_MAX:
+                arr[e], h = _normalise(arr[e])
+                content[e] *= h
+                tops[e] = _max_abs(arr[e])
+        return tops
+
+    if n2:
+        tops = settle(n2)
+    for g in range(2, len(reach)):
+        count = reach[g]
+        _check_int64(p * max(tops[:count]), "lift gather")
+        # W[(e p + i) p + k, s] = arr[e, i, k] rolled by s
+        W = _windows(arr[:count]).reshape(count * p * p, m, m)
+        base = (np.arange(count)[:, None, None, None] * p + k[:, None, None]) * p
+        s = shift[:count, g]
+        for b, block in enumerate(_chunks(p, count * p * p * m)):
+            part = W[base + k[block, None], s[:, None, block]].sum(axis=2)
+            if b:
+                arr[:count] += part
+            else:
+                arr[:count] = part
+        tops = settle(count)
+    arr, h = _normalise_each(arr)
+    nets = []
+    for e, (*_, factors, _beta) in enumerate(programs):
+        content[e] *= h[e] * img["norm"] ** min(factors.values())
+        nets.append(factors[1] - factors[-1])
+    conv = [e for e, net in enumerate(nets) if net]
+    if conv:
+        gauss = [_gauss_power(p, 1 if nets[e] > 0 else -1, abs(nets[e])) for e in conv]
+        vecs = np.array([vec for vec, _g in gauss])
+        rows = arr[conv].reshape(len(conv), p * p, m)
+        _check_int64(max(sum(map(abs, vec)) * top for vec, top in
+                         zip(vecs.tolist(), _max_abs_each(rows))), "convolution")
+        rows, h = _normalise_each(rows @ vecs[:, conv_index])  # vec[(v - u) mod m]
+        arr[conv] = rows.reshape(len(conv), p, p, m)
+        for e, (_vec, g), hk in zip(conv, gauss, h):
+            content[e] *= g * hk
+    return [CycMat(m, arr[e], Fraction(content[e], m ** (factors[1] + factors[-1])), beta)
+            for e, (*_, factors, beta) in enumerate(programs)]
+
+
+def lift_genus1_cyc(p, M, rng=None):
+    """The lift of one M in SL2(Z/NZ): `lift_genus1_many`(p, [M], rng)[0]."""
+    return lift_genus1_many(p, [M], rng)[0]
 
 
 # the public name of the lift; the definition keeps its own name, which
@@ -388,18 +537,6 @@ lift_genus1 = lift_genus1_cyc
 
 
 # -- fast exact traces -----------------------------------------------------
-
-# int64 entries one chunk of a batched gather may hold (512 KiB): a chunk
-# takes as many items as fit, and always at least one
-_GATHER_ENTRIES = 1 << 16
-
-
-def _chunks(n, per_item):
-    """Slices that cover range(n) with at most _GATHER_ENTRIES // per_item
-    items each, and at least one."""
-    step = max(1, _GATHER_ENTRIES // per_item)
-    return [slice(lo, lo + step) for lo in range(0, n, step)]
-
 
 class _TraceEngine:
     """Exact |Tr|^2 of the genus-one lift via the Bruhat decomposition.
@@ -664,22 +801,45 @@ def trace_abs_sq(p, M):
 
 # -- projective comparison keys --------------------------------------------
 
-def projective_key(mat, field):
-    """Hashable key of a CycMat up to a scalar of absolute value one.
+def projective_keys(mats, field):
+    """Hashable keys of CycMat matrices of one shape up to a scalar of
+    absolute value one, all at once.
 
-    The key is the canonical form of conj(lead) * mat, where lead is the
-    first entry that is nonzero in `field`: one batched convolution, mapped
-    to field coordinates, with their integer content moved into the scale.
-    The root beta cancels and the scale enters squared.  Keys of U and V
-    agree exactly when U = lam V with lam conj(lam) = 1, because at the lead
-    entry conj(a) a = conj(b) b.  No field inverse is taken.
+    The key of U is the canonical form of conj(lead) * U, where lead is the
+    first entry that is nonzero in `field`: a convolution of every entry
+    vector with the reversed lead, mapped to field coordinates, with the
+    integer content of those moved into the scale.  The root beta cancels
+    and the scale enters squared.  Keys of U and V agree exactly when
+    U = lam V with lam conj(lam) = 1, because at the lead entry
+    conj(a) a = conj(b) b.  No field inverse is taken.  The lead entries,
+    the convolutions and the field coordinates of all the matrices are
+    three batched products, each behind an exact int64 bound that holds
+    exactly when it holds for every matrix on its own.
     """
-    m = mat.m
+    if not mats:
+        return []
+    m, nrows, ncols = mats[0].m, mats[0].nrows, mats[0].ncols
     P = power_matrix(field, m)
-    arr = mat.arr.reshape(-1, m)
-    lead = _lead_index(arr, P)
-    if not mat.scale or lead is None:
-        return ("zero", mat.nrows, mat.ncols)
-    coords = _lead_products(arr[lead][-np.arange(m) % m], arr, P)
-    g = int(np.gcd.reduce(coords, axis=None))
-    return (mat.scale ** 2 * g, mat.nrows, mat.ncols, (coords // g).tobytes())
+    arr = np.stack([mat.arr for mat in mats]).reshape(len(mats), -1, m)
+    _check_int64(_max_abs(arr) * _l1(P), "field coordinates")
+    nonzero = (arr @ P).any(axis=2)
+    live = np.flatnonzero(nonzero.any(axis=1) & np.array([bool(mat.scale) for mat in mats]))
+    keys = [("zero", nrows, ncols)] * len(mats)
+    if not live.size:
+        return keys
+    rows = arr[live]
+    lead = rows[np.arange(live.size), nonzero[live].argmax(axis=1)][:, -np.arange(m) % m]
+    _check_int64(max(sum(map(abs, vec)) * top for vec, top in
+                     zip(lead.tolist(), _max_abs_each(rows))), "convolution")
+    rows = rows @ lead[:, _conv_index(m)]  # lead[(v - u) mod m]
+    _check_int64(_max_abs(rows) * _l1(P), "field coordinates")
+    coords = rows @ P
+    g = np.gcd.reduce(coords.reshape(live.size, -1), axis=1).tolist()
+    for e, row, k in zip(live.tolist(), coords, g):
+        keys[e] = (mats[e].scale ** 2 * k, nrows, ncols, (row // k).tobytes())
+    return keys
+
+
+def projective_key(mat, field):
+    """`projective_keys` of the one matrix mat."""
+    return projective_keys([mat], field)[0]

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from weildec import analysis, modgroup, weilrep
@@ -16,6 +17,7 @@ from weildec.analysis import (
     semiclassical_traces,
     trace_table,
 )
+from weildec.cycmat import CycMat
 from weildec.ringmat import RingMatrix
 
 
@@ -94,24 +96,86 @@ def test_lemma_diag():
 
 
 def test_lemma_diag_check_rejects_wrong_lifts(monkeypatch):
-    lift = weilrep.lift_genus1_cyc
+    many = weilrep.lift_genus1_many
 
-    def shear(p, M, rng=None):  # (a, 1, 0, 1/a), not monomial
-        return lift(p, (M[0], 1, 0, M[3]), rng)
+    def shear(p, Ms, rng=None):  # (a, 1, 0, 1/a), not monomial
+        return many(p, [(M[0], 1, 0, M[3]) for M in Ms], rng)
 
-    def inverse(p, M, rng=None):  # diag(1/a, a), the dilation i -> i/a
-        return lift(p, (M[3], 0, 0, M[0]), rng)
+    def inverse(p, Ms, rng=None):  # diag(1/a, a), the dilation i -> i/a
+        return many(p, [(M[3], 0, 0, M[0]) for M in Ms], rng)
 
-    def doubled(p, M, rng=None):  # the right dilation, times |2| != 1
-        return lift(p, M, rng).scaled(2)
+    def doubled(p, Ms, rng=None):  # the right dilation, times |2| != 1
+        return [lift.scaled(2) for lift in many(p, Ms, rng)]
 
-    monkeypatch.setattr(analysis, "lift_genus1_cyc", shear)
+    monkeypatch.setattr(analysis, "lift_genus1_many", shear)
     assert not lemma_diag_check(5)
-    monkeypatch.setattr(analysis, "lift_genus1_cyc", doubled)
+    monkeypatch.setattr(analysis, "lift_genus1_many", doubled)
     assert not lemma_diag_check(5)
-    monkeypatch.setattr(analysis, "lift_genus1_cyc", inverse)
+    monkeypatch.setattr(analysis, "lift_genus1_many", inverse)
     assert lemma_diag_check(4)  # a = 1/a mod 8 for every odd a
     assert not lemma_diag_check(5)  # 3 != 1/3 = 11 mod 16
+
+
+def test_lemma_diag_check_rejects_a_non_unit_entry_in_one_chunk(monkeypatch):
+    # one lift of the last chunk gets a unit scalar times (1 + A^2), whose
+    # absolute value is not one; the other lifts are left as they are
+    many = weilrep.lift_genus1_many
+
+    def bumped(p, Ms, rng=None):
+        lifts = many(p, Ms, rng)
+        if Ms[-1][0] == 2 * p - 1:  # the chunk that holds a = -1
+            last = lifts[-1]
+            arr = last.arr + np.roll(last.arr, 2, axis=-1)
+            lifts[-1] = CycMat(last.m, arr, last.scale, last.beta)
+        return lifts
+
+    for n in (3, 5, 6):
+        assert lemma_diag_check(n)
+        monkeypatch.setattr(analysis, "lift_genus1_many", bumped)
+        assert not lemma_diag_check(n)
+        monkeypatch.undo()
+
+
+def _spy_per_element_calls(monkeypatch):
+    """Counts the calls of the one-element lift and key, wherever bound."""
+    calls = []
+    for module in (weilrep, analysis):
+        for name in ("lift_genus1_cyc", "lift_genus1", "projective_key"):
+            real = getattr(module, name, None)
+            if real is not None:
+                def counted(*args, real=real, name=name, **kwargs):
+                    calls.append(name)
+                    return real(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_faithfulness_checks_make_no_per_element_call(monkeypatch):
+    calls = _spy_per_element_calls(monkeypatch)
+    assert kernel_check(5).injective
+    assert lemma_diag_check(5)
+    assert calls == []
+    weilrep.lift_genus1_cyc(5, (2, 1, 1, 1))  # the spy does count
+    assert calls == ["lift_genus1_cyc"]
+
+
+def test_kernel_check_counts_a_repeated_lift(monkeypatch):
+    # a batched lift that returns one element's lift for the next element
+    # too loses exactly one class
+    many = weilrep.lift_genus1_many
+    done = []
+
+    def repeated(p, Ms, rng=None):
+        lifts = many(p, Ms, rng)
+        if not done:
+            lifts[1] = lifts[0]
+            done.append(True)
+        return lifts
+
+    monkeypatch.setattr(analysis, "lift_genus1_many", repeated)
+    report = kernel_check(5)
+    assert report.distinct_classes == report.group_order - 1 == 119
+    assert not report.injective
 
 
 def test_faithfulness_path_builds_no_field_matrix(monkeypatch):

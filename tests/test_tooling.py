@@ -141,9 +141,10 @@ def test_cold_char_sum_stays_in_its_memory_budget(p):
 
 def test_integer_certificates_make_no_field_call(monkeypatch):
     # the Egorov rules and the parity flip compare integer exponents, with
-    # no entry-vector comparison at all; the CRT check makes one, its
-    # factor identity, per tag
+    # no entry-vector comparison and no cyclotomic field at all; the CRT
+    # check makes one, its factor identity, per tag
     from weildec import decompose
+    from weildec.cyclo import CycloField
     from weildec.weilrep import WeilRep
 
     calls = []
@@ -156,11 +157,18 @@ def test_integer_certificates_make_no_field_call(monkeypatch):
             return real(*args)
         return counted
 
+    def no_field(self, level):
+        raise AssertionError("Q(zeta_%d) built" % level)
+
     for name in ("field_coords", "_array_is_zero"):
         monkeypatch.setattr(decompose, name, spy(name))
-    assert decompose.commutant_dimension(8, 2) == 3
-    assert all(report.ok for report in decompose.egorov_verify(5, 2))
-    assert decompose.parity_bases(5, 2).dims == (13, 12)
+    # WeilRep builds its field on first use, and these three never use it
+    _clear_library_caches()
+    with monkeypatch.context() as patch:
+        patch.setattr(CycloField, "__init__", no_field)
+        assert decompose.commutant_dimension(8, 2) == 3
+        assert all(report.ok for report in decompose.egorov_verify(5, 2))
+        assert decompose.parity_bases(5, 2).dims == (13, 12)
     assert calls == []
     assert decompose.crt_check(4, 3).passed
     tags = len(WeilRep(12, 1).tags())
@@ -172,6 +180,34 @@ def test_integer_certificates_make_no_field_call(monkeypatch):
         assert decompose.tower_check(r, n, g).passed
         tags = len(WeilRep(r ** (n + 2), g).tags())
         assert calls.count("_array_is_zero") == tags and calls.count("field_coords") <= tags
+
+
+def _traced_peak(run):
+    """Traced peak (bytes) of run() from cold caches; run must return True."""
+    _clear_library_caches()
+    tracemalloc.start()
+    try:
+        assert run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cold_faithfulness_checks_stay_in_their_memory_budget():
+    # the lifts and the checks go in chunks of weilrep._GATHER_ENTRIES
+    # int64 entries (512 KiB).  kernel_check(7) keeps one key per element,
+    # a p^2 x deg(field) int64 block each (6.0 MiB), and works in at most
+    # four chunks on top (measured 6.8 MiB in all); lemma_diag_check(6)
+    # lifts at level 32, where one lift is one chunk and its gathers,
+    # windows and normalisations hold about ten (measured 5.1 MiB).
+    # Lifting the whole group, or every odd a, at once took 15 and 39 MiB.
+    from weildec import analysis, weilrep
+    from weildec.cyclo import field_for_level
+
+    chunk = weilrep._GATHER_ENTRIES * 8
+    keys = 336 * 7 * 7 * field_for_level(7).degree * 8
+    assert _traced_peak(lambda: analysis.kernel_check(7).injective) < keys + 4 * chunk
+    assert _traced_peak(lambda: analysis.lemma_diag_check(6)) < 12 * chunk
 
 
 # traced peak (MiB) of a cold commutant_dimension(128, 1) on integer

@@ -9,7 +9,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from weildec import analysis, weilrep
+from weildec import analysis, cycmat, weilrep
 from weildec.cyclo import field_for_level
 from weildec.cycmat import _INT64_MAX, CycMat, _l1, _max_abs, power_matrix
 from weildec.decompose import _cyc_equal, _symmetric
@@ -27,7 +27,9 @@ from weildec.weilrep import (
     gauss_sum,
     lift_genus1,
     lift_genus1_cyc,
+    lift_genus1_many,
     projective_key,
+    projective_keys,
     trace_abs_sq,
     trace_engine,
 )
@@ -609,13 +611,91 @@ def test_structured_lift_matches_dense_products(p):
             assert _cyc_equal(structured, dense, field)
 
 
-def test_lift_overflow_guard_raises(monkeypatch):
-    def huge_identity(cls, m, n):
-        return cls(m, np.full((n, n, m), 2**62, dtype=np.int64))
+def _gather_count(p, M):
+    """How many S-factors of M's word are gathers (not folded in pairs)."""
+    m = p if p % 2 else 2 * p
+    return len(weilrep._read_word(word_decompose(M, m), 1 - p % 2, m)[0])
 
-    monkeypatch.setattr(CycMat, "identity", classmethod(huge_identity))
-    with pytest.raises(OverflowError):
-        lift_genus1_cyc(5, (0, 4, 1, 0))  # the word of S has an S-factor
+
+def test_lift_overflow_guard_raises(monkeypatch):
+    # the first two gathers only count single powers; from the third on,
+    # each gather of rolled rows is preceded by the bound p max|out|
+    M = (0, 2, 2, 0)
+    assert _gather_count(5, M) >= 3
+    lift_genus1_cyc(5, M)  # warm: the Gauss vectors are normalised once
+    monkeypatch.setattr(cycmat, "_INT64_MAX", 1)
+    with pytest.raises(OverflowError, match="lift gather"):
+        lift_genus1_cyc(5, M)
+    with pytest.raises(OverflowError, match="lift gather"):
+        lift_genus1_many(5, [(1, 0, 0, 1), M])
+
+
+def _assert_same_lift(a, b):
+    assert a.arr.dtype == b.arr.dtype and np.array_equal(a.arr, b.arr)
+    assert (a.scale, a.beta) == (b.scale, b.beta)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 8, 9, 12])
+def test_batched_lift_is_each_lift_alone(monkeypatch, p):
+    # bitwise, whatever the batch: arr, scale and beta of every element
+    N = p if p % 2 else 2 * p
+    elements = list(sl2_enumerate(N))
+    if len(elements) > 600:
+        elements = random.Random(83 + p).sample(elements, 600)
+    batch = lift_genus1_many(p, elements)
+    # every kind of word meets: no gather, one, two, and from p = 4 on three or more
+    assert {0, 1} <= {_gather_count(p, M) for M in elements}
+    assert p < 4 or max(_gather_count(p, M) for M in elements) >= 3
+    for M, lift in zip(elements, batch):
+        _assert_same_lift(lift, lift_genus1_many(p, [M])[0])
+    # a budget of one entry puts every element in a chunk of its own and
+    # every k-slice of a gather in a block of its own
+    monkeypatch.setattr(weilrep, "_GATHER_ENTRIES", 1)
+    for lift, alone in zip(batch, lift_genus1_many(p, elements)):
+        _assert_same_lift(lift, alone)
+
+
+@pytest.mark.parametrize("p", [4, 9])
+def test_batched_random_words_draw_in_order(p):
+    # one rng gives the elements their words in order, as single calls would
+    N = p if p % 2 else 2 * p
+    rng = random.Random(89 + p)
+    elements = [_random_sl2(rng, N) for _ in range(24)]
+    batch = lift_genus1_many(p, elements, rng=random.Random(5))
+    word_rng = random.Random(5)
+    for M, lift in zip(elements, batch):
+        _assert_same_lift(lift, lift_genus1_cyc(p, M, rng=word_rng))
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_batched_lift_matches_dense_products_on_every_element(p):
+    # the whole group through one batch, scale and beta-root phase included
+    N = p if p % 2 else 2 * p
+    field = field_for_level(p)
+    elements = list(sl2_enumerate(N))
+    for M, lift in zip(elements, lift_genus1_many(p, elements)):
+        assert _cyc_equal(lift, _dense_lift(p, M), field)
+
+
+def test_batched_lift_refuses_a_non_sl2_matrix():
+    with pytest.raises(ValueError, match="not in SL2"):
+        lift_genus1_many(5, [(1, 0, 0, 1), (2, 0, 0, 1)])
+    assert lift_genus1_many(5, []) == []
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_batched_keys_are_the_single_keys(p):
+    N = p if p % 2 else 2 * p
+    field = field_for_level(p)
+    elements = list(sl2_enumerate(N))[::7]
+    lifts = lift_genus1_many(p, elements)
+    lifts += [lifts[0].scaled(0), lifts[1].scaled(2), _mul_root(lifts[2], 1),
+              CycMat.zero(lifts[0].m, p, p)]
+    keys = projective_keys(lifts, field)
+    assert keys == [projective_key(lift, field) for lift in lifts]
+    assert keys[-1] == keys[-4] == ("zero", p, p)
+    assert keys[-2] == keys[2] and keys[-3] != keys[1]
+    assert projective_keys([], field) == []
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
