@@ -28,10 +28,9 @@ from .modgroup import (
     sl2_order,
 )
 from .cyclo import field_for_level
-from .cycmat import _check_int64, _max_abs, field_coords
+from .cycmat import _check_int64, _chunks, _max_abs, field_coords
 from .weilrep import (
     WeilRep,
-    _chunks,
     _windows,
     lift_genus1_many,
     projective_keys,
@@ -80,7 +79,7 @@ def char_sum(p, method=None):
     c; "census-representatives" (the default for 2-power moduli from 16
     to 64) takes the trace vectors of every class representative in one
     `trace_vectors` call and their |Tr|^2 in one `abs_sq_rows` call.  Both
-    gather in chunks of at most `weilrep._GATHER_ENTRIES` int64 entries.
+    gather in chunks of at most `cycmat._GATHER_ENTRIES` int64 entries.
     """
     engine = trace_engine(p)
     modulus = engine.m

@@ -11,6 +11,7 @@ All arithmetic here is integer numpy work; nothing is approximated.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm, prod
 
 import numpy as np
@@ -20,6 +21,18 @@ from .ringmat import RingMatrix
 
 _INT64_MAX = 2**63 - 1
 _ZERO = Fraction(0)
+
+
+# int64 entries one chunk of a batched gather may hold (512 KiB): a chunk
+# takes as many items as fit, and always at least one
+_GATHER_ENTRIES = 1 << 16
+
+
+def _chunks(n, per_item):
+    """Slices that cover range(n) with at most _GATHER_ENTRIES // per_item
+    items each, and at least one."""
+    step = max(1, _GATHER_ENTRIES // per_item)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 def _check_int64(bound, what):
@@ -152,16 +165,20 @@ def _fit_int64(arr, what):
     return arr.astype(np.int64)
 
 
+@lru_cache(maxsize=None)
 def power_matrix(field, m, beta=0):
     """P with P[k] = field coordinates of beta-root * A^k, A = zeta_L^(L/m),
-    so that vec @ P are the coordinates of beta-root * sum_k vec[k] A^k."""
+    so that vec @ P are the coordinates of beta-root * sum_k vec[k] A^k.
+    Built once per (field, m, beta) and read-only."""
     L = field.level
     if L % m:
         raise ValueError("field level %d does not contain order-%d root" % (L, m))
     if beta % 24 and L % 24:
         raise ValueError("field level %d does not contain the 24th-root phase" % L)
     exps = (np.arange(m) * (L // m) + beta * (L // 24)) % L
-    return np.array([field.power_rows[k] for k in exps], dtype=np.int64)
+    P = np.array([field.power_rows[k] for k in exps], dtype=np.int64)
+    P.flags.writeable = False
+    return P
 
 
 def _convolve(a, rows):
@@ -172,12 +189,22 @@ def _convolve(a, rows):
     return rows @ a[(t[None, :] - t[:, None]) % len(a)]  # a[(v - u) mod m]
 
 
+def _slabs(rows, P):
+    """Slices of rows in which a slab and its coordinates (rows @ P, P a
+    `power_matrix`) each hold at most a quarter of `_GATHER_ENTRIES`."""
+    return _chunks(len(rows), 4 * max(rows.shape[1], P.shape[1]))
+
+
 def _lead_index(rows, P):
     """Index of the first entry vector of rows that is nonzero in the field
-    (coordinates rows @ P, P a `power_matrix`), or None when all are zero."""
+    (coordinates rows @ P), or None when all are zero; slab by slab, up to
+    the first slab with a nonzero entry."""
     _check_int64(_max_abs(rows) * _l1(P), "field coordinates")
-    nonzero = (rows @ P).any(axis=1)
-    return int(nonzero.argmax()) if nonzero.any() else None
+    for part in _slabs(rows, P):
+        nonzero = (rows[part] @ P).any(axis=1)
+        if nonzero.any():
+            return part.start + int(nonzero.argmax())
+    return None
 
 
 def _lead_products(vec, rows, P):
@@ -187,6 +214,30 @@ def _lead_products(vec, rows, P):
     out = _convolve(vec, rows)
     _check_int64(_max_abs(out) * _l1(P), "field coordinates")
     return out @ P
+
+
+def _proportional(U, V, lead, P):
+    """u_e * v_lead == u_lead * v_e in the field for every entry e: the two
+    `_lead_products`, compared slab by slab."""
+    return all(np.array_equal(_lead_products(V[lead], U[part], P),
+                              _lead_products(U[lead], V[part], P))
+               for part in _slabs(U, P))
+
+
+def _correlation(X, V):
+    """r with r[s] = sum_e sum_t X[e, s + t] V[e, t], indices mod m: the
+    entry vector of sum_e x_e conj(v_e), conj the map t -> -t.
+
+    C = X^T V is one (m, m) product and r[s] sums the wrapped diagonal
+    C[t + s, t].  Each r[s] adds rows * m products, so int64 runs when
+    rows * m * max|X| * max|V| fits, and Python ints otherwise.
+    """
+    rows, m = X.shape
+    dtype = np.int64
+    if rows * m * max(_max_abs(X), 1) * _max_abs(V) > _INT64_MAX:
+        dtype = object
+    C = X.T.astype(dtype, copy=False) @ V.astype(dtype, copy=False)
+    return C[np.arange(m)[None, :], _conv_index(m)].sum(axis=1)  # C[a, a - s]
 
 
 def field_coords(arr, field, m, beta=0):
@@ -283,8 +334,17 @@ class CycMat:
         With l the first entry of other that is nonzero in the field,
         self == lam * other holds exactly when u_ij * v_l == u_l * v_ij for
         every entry vector: one integer identity of convolved entry vectors,
-        compared in field coordinates.  The scales and beta-roots are common
-        factors, so they drop out; one field division at entry l gives lam.
+        compared in field coordinates.  Then lam = <self, other> / <other,
+        other>, a ratio of Frobenius products sum_ij x_ij conj(y_ij).  Each
+        is an integer correlation of entry vectors (`_correlation`) mapped to
+        field coordinates, since A -> zeta_L^(L/m) is a ring map that takes
+        t -> -t to complex conjugation.  The beta-roots enter as
+        beta_self - beta_other and the scales as s_self / s_other.
+        <other, other> = Tr(other other^dagger) is nonzero, and rational
+        when other is unitary up to a scale, as every lift is: then lam is
+        a rational multiple of integer coordinates and no field
+        multiplication or inverse runs.  Otherwise one field division gives
+        lam.
         """
         if self.m != other.m or self.arr.shape != other.arr.shape:
             return None
@@ -297,10 +357,16 @@ class CycMat:
             return field.one() if not self.scale or _lead_index(U, P) is None else None
         if not self.scale:
             return field.zero()
-        if not np.array_equal(_lead_products(V[lead], U, P),
-                              _lead_products(U[lead], V, P)):
+        if not _proportional(U, V, lead, P):
             return None
-        return self._entry(field, U[lead]) / other._entry(field, V[lead])
+        cross = field_coords(_correlation(U, V), field, m, (self.beta - other.beta) % 24)
+        norm = field_coords(_correlation(V, V), field, m).tolist()
+        ratio = self.scale / other.scale
+        if any(norm[1:]):
+            return (CycloElt(field, [ratio * x for x in cross.tolist()])
+                    / CycloElt(field, map(Fraction, norm)))
+        ratio /= norm[0]
+        return CycloElt(field, [ratio * x if x else _ZERO for x in cross.tolist()])
 
     # -- conversion to canonical field elements ---------------------------
     def to_ring(self, field):

@@ -179,11 +179,9 @@ def word_decompose(M, N, rng=None):
             # cur = diag(a, a^{-1}) * T^t ; peel off the diagonal part using
             # diag(a, a^{-1}) = T^{-a} S T^{-ainv} S T^{-a} S * S^2
             ainv = pow(a, -1, N)
-            dword = [("T", (-a) % N), ("S", 1), ("T", (-ainv) % N), ("S", 1),
-                     ("T", (-a) % N), ("S", 1), ("S", 1), ("S", 1)]
-            word.extend(dword)
-            dmat = eval_word(dword, N)
-            cur = mat_mul(mat_inv(dmat, N), cur, N)
+            word.extend([("T", (-a) % N), ("S", 1), ("T", (-ainv) % N), ("S", 1),
+                         ("T", (-a) % N), ("S", 1), ("S", 1), ("S", 1)])
+            cur = mat_mul((ainv, 0, 0, a), cur, N)  # diag(a, a^{-1})^{-1} cur
     if cur[1] % N != 0:
         word.append(("T", cur[1] % N))
         cur = mat_mul(mat_inv(t_power(cur[1], N), N), cur, N)

@@ -27,6 +27,7 @@ from .cycmat import (
     _INT64_MAX,
     CycMat,
     _check_int64,
+    _chunks,
     _conv_index,
     _convolve,
     _l1,
@@ -290,20 +291,6 @@ def _normalise_each(arr):
     return out, g
 
 
-# -- gather budget ---------------------------------------------------------
-
-# int64 entries one chunk of a batched gather may hold (512 KiB): a chunk
-# takes as many items as fit, and always at least one
-_GATHER_ENTRIES = 1 << 16
-
-
-def _chunks(n, per_item):
-    """Slices that cover range(n) with at most _GATHER_ENTRIES // per_item
-    items each, and at least one."""
-    step = max(1, _GATHER_ENTRIES // per_item)
-    return [slice(lo, lo + step) for lo in range(0, n, step)]
-
-
 # -- genus-one lift --------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -414,8 +401,8 @@ def lift_genus1_many(p, Ms, rng=None):
     gamma_+^a gamma_-^b = |gamma|^(2 min(a, b)) gamma_+-^|a - b|, one
     convolution with the cached `_gauss_power` vector, with `_normalise`
     before it and after it.  Elements go in chunks whose gather holds at
-    most `_GATHER_ENTRIES` entries, and a single element too large for one
-    gathers its k-slices in such chunks.
+    most `cycmat._GATHER_ENTRIES` entries, and a single element too large
+    for one gathers its k-slices in such chunks.
     """
     img = _lift_images(p)
     m, eps = img["m"], img["eps"]
@@ -558,10 +545,10 @@ class _TraceEngine:
     field coordinates.  No field arithmetic happens per element.
 
     Two sweeps batch this work, both in chunks whose gathers hold at most
-    `_GATHER_ENTRIES` int64 entries, with one `abs_sq_rows` call per chunk:
-    `column_abs_sq` sweeps SL2(Z/m) one lower-left entry c at a time, every
-    u-block of a non-unit column at once, and `trace_vectors` gives the
-    trace vectors of any list of elements, as the census needs.
+    `cycmat._GATHER_ENTRIES` int64 entries, with one `abs_sq_rows` call per
+    chunk: `column_abs_sq` sweeps SL2(Z/m) one lower-left entry c at a
+    time, every u-block of a non-unit column at once, and `trace_vectors`
+    gives the trace vectors of any list of elements, as the census needs.
     `trace_vector` and `trace_abs_sq_parts` stay the per-element oracle.
     """
 
@@ -767,8 +754,8 @@ class _TraceEngine:
         Otherwise the one block holds row X of `_nonunit_rows` for every u
         met, with counts from `_column_keys`.  The u's are swept together in
         chunks, as many per chunk as keep the largest gather, the m x p x m
-        sweep of each u, within `_GATHER_ENTRIES` (at least one), and each
-        chunk's rows go through one `abs_sq_rows` call, so no row escapes
+        sweep of each u, within `cycmat._GATHER_ENTRIES` (at least one), and
+        each chunk's rows go through one `abs_sq_rows` call, so no row escapes
         the bound or the rationality check.  The block does not depend on
         the chunking.
         """

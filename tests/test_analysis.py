@@ -17,8 +17,11 @@ from weildec.analysis import (
     semiclassical_traces,
     trace_table,
 )
+from weildec.cyclo import CycloField
 from weildec.cycmat import CycMat
 from weildec.ringmat import RingMatrix
+
+from test_weilrep import _random_sl2
 
 
 @pytest.mark.parametrize(
@@ -189,6 +192,24 @@ def test_faithfulness_path_builds_no_field_matrix(monkeypatch):
     lam = weilrep.lift_genus1(5, M).equal_up_to_scalar(
         weilrep.lift_genus1(5, M, rng=random.Random(9)))
     assert lam is not None and lam.norm_sq() == 1
+
+
+def test_faithfulness_path_takes_no_field_inverse(monkeypatch):
+    # lifts are unitary up to a scale, so <V, V> is rational and lam comes
+    # out as a rational multiple of integer coordinates
+    def refuse(self, x):
+        raise AssertionError("field inverse taken")
+
+    monkeypatch.setattr(CycloField, "inverse", refuse)
+    assert kernel_check(5).injective
+    rng = random.Random(24)
+    for p, count in ((5, 3), (7, 2), (9, 4)):
+        N = p if p % 2 else 2 * p
+        for _ in range(count):
+            M = _random_sl2(rng, N)
+            lam = weilrep.lift_genus1(p, M).equal_up_to_scalar(
+                weilrep.lift_genus1(p, M, rng=random.Random(rng.randrange(2**32))))
+            assert lam is not None and lam.norm_sq() == 1
 
 
 @pytest.mark.parametrize("p", [3, 5])

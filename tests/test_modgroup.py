@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from math import gcd
 
 import numpy as np
 import pytest
@@ -83,6 +84,18 @@ def test_word_decompose_roundtrip(a, b, c, seed):
     M = (a, b, c, d)
     word = word_decompose(M, N, rng=random.Random(seed))
     assert eval_word(word, N) == M
+
+
+def test_diagonal_peel_word_is_diag():
+    # word_decompose peels diag(a, 1/a) off with this word and takes its
+    # value in closed form, without evaluating it
+    for N in range(2, 65):
+        for a in range(N):
+            if gcd(a, N) == 1:
+                ainv = pow(a, -1, N)
+                dword = [("T", (-a) % N), ("S", 1), ("T", (-ainv) % N), ("S", 1),
+                         ("T", (-a) % N), ("S", 1), ("S", 1), ("S", 1)]
+                assert eval_word(dword, N) == (a, 0, 0, ainv)
 
 
 def test_conj_profile_is_invariant():

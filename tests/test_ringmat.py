@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from weildec.cycmat import (
 )
 from weildec.decompose import _array_is_zero, _cyc_equal, _generator_product
 from weildec.ringmat import RingMatrix
-from weildec.weilrep import WeilRep
+from weildec.weilrep import WeilRep, lift_genus1
 
 from commutant_oracle import (
     _commutant_nullity_mod,
@@ -101,7 +102,7 @@ def test_equal_up_to_scalar_edge_cases():
     assert m.equal_up_to_scalar(skew) is None
 
 
-def test_cycmat_equal_up_to_scalar_edge_cases():
+def test_cycmat_equal_up_to_scalar_edge_cases(monkeypatch):
     # the RingMatrix cases above on group-ring matrices, m = 8, compared in
     # Q(zeta_24) with A = zeta_24^3
     m, field = 8, make_field(24)
@@ -118,6 +119,10 @@ def test_cycmat_equal_up_to_scalar_edge_cases():
     scaled = CycMat(m, cycmat._convolve(vec, arr.reshape(-1, m)).reshape(arr.shape),
                     Fraction(3, 2))
     assert scaled.equal_up_to_scalar(mat) == (A ** 3 + 2) * Fraction(3, 2)
+    # the other way round <V, V> is not rational: one field division
+    lam = mat.equal_up_to_scalar(scaled)
+    assert lam == 1 / ((A ** 3 + 2) * Fraction(3, 2))
+    assert lam == mat.to_ring(field).equal_up_to_scalar(scaled.to_ring(field))
     # zero patterns differ after the lead entry, either way round
     head = CycMat(m, arr * (np.arange(2) == 0)[:, None, None])
     assert mat.equal_up_to_scalar(head) is None
@@ -130,6 +135,16 @@ def test_cycmat_equal_up_to_scalar_edge_cases():
     ghost[0, 1] = 1
     assert CycMat(m, ghost).equal_up_to_scalar(mat) == 1
     assert mat.equal_up_to_scalar(CycMat(m, ghost).scaled(2)) == Fraction(1, 2)
+    # a lead past the first entry, found slab by slab; the ratio changes
+    # after it
+    late = arr.copy()
+    late[0, 0] = 1
+    late[0, 1, 2] = 1
+    for budget in (cycmat._GATHER_ENTRIES, 1):
+        monkeypatch.setattr(cycmat, "_GATHER_ENTRIES", budget)
+        assert _mul_root(CycMat(m, late), 3).equal_up_to_scalar(CycMat(m, late)) == A ** 3
+        assert CycMat(m, late).equal_up_to_scalar(CycMat(m, late * np.array([1, 2])[:, None, None])) is None
+    monkeypatch.undo()
     # zero matrices, as zero arrays or as a zero scale
     zero = CycMat.zero(m, 2, 2)
     assert zero.equal_up_to_scalar(zero) == 1
@@ -140,6 +155,48 @@ def test_cycmat_equal_up_to_scalar_edge_cases():
     # a different group-ring order or shape
     assert mat.equal_up_to_scalar(CycMat(4, arr[..., :4])) is None
     assert mat.equal_up_to_scalar(CycMat.identity(m, 3)) is None
+
+
+def test_cycmat_equal_up_to_scalar_past_the_int64_bound():
+    # entries of 2^30 put the correlation bound rows * m * max|U| * max|V|
+    # at 2^65: the Python-int path, with the oracle's lam
+    m, field = 8, make_field(24)
+    arr = np.zeros((2, 2, m), dtype=np.int64)
+    arr[0, 0, 0] = arr[1, 1, 1] = arr[0, 1, 2] = 1
+    arr[1, 0, 5] = -1
+    V = CycMat(m, arr * 2**30, Fraction(1, 3))
+    U = _mul_root(CycMat(m, arr * 2**30, Fraction(-2, 5), beta=7), 3)
+    rows = arr.reshape(-1, m) * 2**30
+    assert cycmat._correlation(rows, rows).dtype == object
+    lam = U.equal_up_to_scalar(V)
+    assert lam == U.to_ring(field).equal_up_to_scalar(V.to_ring(field))
+    assert lam == Fraction(-6, 5) * field.root_of_unity(3 * 3 + 7)
+
+
+def test_cycmat_equal_up_to_scalar_stays_in_its_memory_budget():
+    # the equality check goes slab by slab and lam needs two m x m
+    # correlations, so two level-32 lifts (each 32 x 32 x 64 int64, one
+    # full chunk) take at most two chunks on top of their inputs
+    M = (3, 2, 7, 5)
+    U = lift_genus1(32, M)
+    V = lift_genus1(32, M, rng=random.Random(4))
+    U.equal_up_to_scalar(V)  # the power matrix is cached
+    tracemalloc.start()
+    try:
+        lam = U.equal_up_to_scalar(V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lam is not None and lam.norm_sq() == 1
+    assert peak <= 2 * cycmat._GATHER_ENTRIES * 8
+
+
+def test_power_matrix_is_cached_and_read_only():
+    field = make_field(72)
+    P = cycmat.power_matrix(field, 9, 5)
+    assert cycmat.power_matrix(field, 9, 5) is P
+    with pytest.raises(ValueError):
+        P[0, 0] = 7
 
 
 def _prime_and_root(m):

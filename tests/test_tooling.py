@@ -120,7 +120,7 @@ def test_cold_certificates_leave_no_cyclic_garbage():
 
 # traced peak (MiB) of a cold char_sum when the sweep made one gather per
 # u-block and per census element; the batched sweep caps each gather at
-# weilrep._GATHER_ENTRIES int64 entries (512 KiB), so it may add about two
+# cycmat._GATHER_ENTRIES int64 entries (512 KiB), so it may add about two
 # such chunks, 1 MiB, and no more
 _CHAR_SUM_PEAK_MIB = {16: 0.22, 32: 0.99, 45: 3.85}
 
@@ -194,17 +194,17 @@ def _traced_peak(run):
 
 
 def test_cold_faithfulness_checks_stay_in_their_memory_budget():
-    # the lifts and the checks go in chunks of weilrep._GATHER_ENTRIES
+    # the lifts and the checks go in chunks of cycmat._GATHER_ENTRIES
     # int64 entries (512 KiB).  kernel_check(7) keeps one key per element,
     # a p^2 x deg(field) int64 block each (6.0 MiB), and works in at most
     # four chunks on top (measured 6.8 MiB in all); lemma_diag_check(6)
     # lifts at level 32, where one lift is one chunk and its gathers,
     # windows and normalisations hold about ten (measured 5.1 MiB).
     # Lifting the whole group, or every odd a, at once took 15 and 39 MiB.
-    from weildec import analysis, weilrep
+    from weildec import analysis, cycmat
     from weildec.cyclo import field_for_level
 
-    chunk = weilrep._GATHER_ENTRIES * 8
+    chunk = cycmat._GATHER_ENTRIES * 8
     keys = 336 * 7 * 7 * field_for_level(7).degree * 8
     assert _traced_peak(lambda: analysis.kernel_check(7).injective) < keys + 4 * chunk
     assert _traced_peak(lambda: analysis.lemma_diag_check(6)) < 12 * chunk

@@ -255,7 +255,7 @@ def _textbook_lift(p, M, rng=None):
 
 
 @pytest.mark.parametrize("p", [3, 4, 5, 8, 9])
-def test_cycmat_equal_up_to_scalar_agrees_with_field_matrices(p):
+def test_cycmat_equal_up_to_scalar_agrees_with_field_matrices(monkeypatch, p):
     N = p if p % 2 else 2 * p
     field = field_for_level(p)
     rng = random.Random(83 + p)
@@ -268,6 +268,10 @@ def test_cycmat_equal_up_to_scalar_agrees_with_field_matrices(p):
             lam = L.equal_up_to_scalar(other)
             assert lam == L.to_ring(field).equal_up_to_scalar(other.to_ring(field))
             assert (lam is None) == (M2 != M and other is others[1])
+            # a budget of one entry checks one entry vector per slab
+            with monkeypatch.context() as patch:
+                patch.setattr(cycmat, "_GATHER_ENTRIES", 1)
+                assert L.equal_up_to_scalar(other) == lam
 
 
 def _has_s_pair(M, N, rng):
@@ -465,7 +469,7 @@ def test_chunking_leaves_the_columns_unchanged(monkeypatch, p):
     engine = trace_engine(p)
     want = [engine.column_abs_sq(c) for c in range(engine.m)]
     value = analysis.char_sum(p).value  # the census path at 16 and 32
-    monkeypatch.setattr(weilrep, "_GATHER_ENTRIES", 1)
+    monkeypatch.setattr(cycmat, "_GATHER_ENTRIES", 1)
     assert analysis.char_sum(p).value == value
     got = [engine.column_abs_sq(c) for c in range(engine.m)]
     for blocks, wanted in zip(got, want):
@@ -650,7 +654,7 @@ def test_batched_lift_is_each_lift_alone(monkeypatch, p):
         _assert_same_lift(lift, lift_genus1_many(p, [M])[0])
     # a budget of one entry puts every element in a chunk of its own and
     # every k-slice of a gather in a block of its own
-    monkeypatch.setattr(weilrep, "_GATHER_ENTRIES", 1)
+    monkeypatch.setattr(cycmat, "_GATHER_ENTRIES", 1)
     for lift, alone in zip(batch, lift_genus1_many(p, elements)):
         _assert_same_lift(lift, alone)
 
