@@ -9,13 +9,17 @@ operators, and the minus-parity label audit at genus one.  The commutant
 dimension is the number of holonomy-free orbits of the rules, certified
 by (a) the W(v) being a basis, (b) each rule holding for every v, from
 2g x 2g identities on (M, Q), and (c) the orbit count over the p^(2g)
-lattice vectors, while p^(2g) m is at most COMMUTANT_MAX_ENTRIES.  Every
-certificate reads a generator as integer exponents on its row entries
-times one common factor (`WeilRep.generator_entries`), at most p per row,
-and forms no dense d x d x m generator.
+lattice vectors, while p^(2g) m is at most COMMUTANT_MAX_ENTRIES.  Check
+(b) runs once for all the rules of a WeilRep: the rules stacked as
+(k, 2g, 2g) arrays, the k 2g basis identities from two Schrodinger maps
+and one sorted comparison, one verdict per tag.  Every certificate reads a
+generator as integer exponents on its row entries times one common factor
+(`WeilRep.generator_entries`), at most p per row, and forms no dense
+d x d x m generator.
 
 The rules, the parity flip, the CRT entries and the generators' symmetry
-compare (row, column, exponent) triples as integers (`_same_entries`);
+compare (row, column, exponent) triples as integers (`_same_entries`, and
+`_same_entries_grouped` for the rules and the flip of every tag at once);
 the CRT factor identity, the tower identity and the Omega commutators
 compare entry vectors, falling back to exact cyclotomic reduction when an
 integer residual is nonzero.  Every reported "pass" is an exact statement.
@@ -69,17 +73,57 @@ def _scaled_equal(field, m, x, sx, y, sy):
     return _array_is_zero(field, m, diff)
 
 
+def _same_entries_grouped(stacks, d, m):
+    """One verdict per identity: whether two sides of (row, column,
+    exponent) triples are one multiset with exponents mod m, as
+    `_same_entries` decides it for one identity.
+
+    stacks is a list of (x, y), each side three arrays that broadcast
+    together to a shape (s, ...) whose first axis holds s identities; the
+    verdicts follow the stacks in order.  The key (r d + c) m + (e mod m) of
+    an entry of identity q is offset by q d^2 m, so each side sorts once and
+    identity q fills the same block of positions on both sides when its two
+    entry counts agree (otherwise it fails, and stays out of the sort).
+    Identity q holds when no position of its block differs.  The keys are
+    int64, so identities * d^2 m must fit."""
+    def identity_keys(r, c, e):
+        key = (r * d + c) * m + e % m
+        return key.reshape(len(key), -1)
+
+    span = d * d * m
+    keys = [[identity_keys(*side) for side in pair] for pair in stacks]
+    first = [0, *itertools.accumulate(len(kx) for kx, _ in keys)]
+    if first[-1] * span > _INT64_MAX:
+        raise OverflowError("entry keys past int64 at %d identities, d = %d, m = %d"
+                            % (first[-1], d, m))
+    held = np.ones(first[-1], bool)
+    sides = ([], [])
+    for pair, q in zip(keys, first):
+        if pair[0].shape != pair[1].shape:
+            held[q:q + len(pair[0])] = False
+            continue
+        offset = (q + np.arange(len(pair[0])))[:, None] * span
+        for side, key in zip(sides, pair):
+            key += offset
+            side.append(key.ravel())
+    left, right = (np.concatenate(side or [np.zeros(0, np.int64)]) for side in sides)
+    # argsort, not an in-place sort: its numpy kernel is resident already,
+    # and the in-place kernel adds 256 KiB of code pages to the RSS
+    left, right = left[np.argsort(left)], right[np.argsort(right)]
+    held[left[left != right] // span] = False
+    return held
+
+
 def _same_entries(x, y, d, m):
     """Whether the (row, column, exponent) triples x and y, each three
     arrays that broadcast together, are one multiset with exponents mod m:
     the keys (r d + c) m + (e mod m) of positions in a d x d matrix, sorted,
     agree.  Two generator-shaped matrices whose entries share one scale and
     one nonzero factor are equal when their triples are.  The keys are
-    int64, so d^2 m must fit."""
-    if d * d * m > _INT64_MAX:
-        raise OverflowError("entry keys past int64 at d = %d, m = %d" % (d, m))
-    keys = [((r * d + c) * m + e % m).ravel() for r, c, e in (x, y)]
-    return np.array_equal(*(key[np.argsort(key)] for key in keys))
+    int64, so d^2 m must fit.  One identity of `_same_entries_grouped`."""
+    def one(side):
+        return tuple(np.asarray(a)[None] for a in side)
+    return bool(_same_entries_grouped([(one(x), one(y))], d, m)[0])
 
 
 def _symmetric(rep, tag):
@@ -152,12 +196,17 @@ def _commutes(rep, tag, mat):
     return _array_is_zero(rep.field, rep.m, comm)
 
 
-def _flip_commutes(rep, tag, flip):
-    """J G J = G for the flip J = eye[flip]: the entry (r, c) of G sits at
-    (flip[r], flip[c]) in J G J, so the moved triples must be G's own."""
-    cols, exps, _, _ = rep.generator_entries(tag)
-    rows = np.arange(rep.dim)[:, None]
-    return _same_entries((flip[rows], flip[cols], exps), (rows, cols, exps), rep.dim, rep.m)
+def _flip_commutes(rep, flip):
+    """J G J = G for the flip J = eye[flip], one verdict per generator G of
+    rep.tags(): the entry (r, c) of G sits at (flip[r], flip[c]) in J G J,
+    so the moved triples must be G's own.  One `_same_entries_grouped`
+    call for every tag."""
+    rows = np.arange(rep.dim)[None, :, None]
+    stacks = []
+    for tag in rep.tags():
+        cols, exps, _, _ = rep.generator_entries(tag)
+        stacks.append(((flip[rows], flip[cols[None]], exps[None]), (rows, cols[None], exps[None])))
+    return _same_entries_grouped(stacks, rep.dim, rep.m)
 
 
 def parity_bases(p, g=1):
@@ -165,16 +214,17 @@ def parity_bases(p, g=1):
 
     The two spans are the +1 and -1 eigenspaces of J, so both are stable
     under a generator exactly when it commutes with J; that is verified
-    exactly for every generator as the index identity J G J = G
-    (`_flip_commutes`), with no product formed.  Column i of I + J is
-    e_i + e_flip[i], so the orbit {i, flip[i]} is read off at its least
-    index i <= flip[i] (and has a minus column only when i < flip[i]).
+    exactly for every generator as the index identity J G J = G, all tags
+    in one comparison (`_flip_commutes`), with no product formed.  Column i
+    of I + J is e_i + e_flip[i], so the orbit {i, flip[i]} is read off at
+    its least index i <= flip[i] (and has a minus column only when
+    i < flip[i]).
     """
     rep = WeilRep(p, g)
     flip = _flip_permutation(p, g)
-    for tag in rep.tags():
-        if not _flip_commutes(rep, tag, flip):
-            raise ValueError(f"parity spans not invariant under {tag}")
+    failed = [tag for tag, held in zip(rep.tags(), _flip_commutes(rep, flip)) if not held]
+    if failed:
+        raise ValueError(f"parity spans not invariant under {failed}")
     eye = np.eye(rep.dim, dtype=np.int64)
     J = eye[flip]
     first = np.arange(rep.dim)
@@ -506,8 +556,10 @@ def _rule_matrices(tag, g):
     """(M, Q), 2g x 2g integer matrices, with U W(v) U^-1 = A^(v^T Q v)
     W(Mv) for the generator U of tag: X_i adds s_i to n_i with z = s_i^2;
     Y_i subtracts n_i from s_i with z = -n_i^2; Z_ij adds d = s_i - s_j to
-    n_i, subtracts it from n_j and has z = d^2.  Certified, not assumed, by
-    `_rule_exact` at the basis vectors and `_rule_cocycle` for every v.
+    n_i, subtracts it from n_j and has z = d^2.  Certified, not assumed:
+    `_rule_stack` stacks the rules of all tags, and `_rule_exact` (at the
+    basis vectors) and `_rule_cocycle` (for every v) check every rule of a
+    WeilRep in one pass each.
     """
     M, Q = np.eye(2 * g, dtype=np.int64), np.zeros((2 * g, 2 * g), np.int64)
     s, n = 2 * (tag[1] - 1), 2 * tag[1] - 1
@@ -524,14 +576,29 @@ def _rule_matrices(tag, g):
     return M, Q
 
 
+def _rule_stack(tags, g):
+    """(M, Q), each (k, 2g, 2g): the rules of `_rule_matrices` for the k
+    tags, stacked."""
+    Ms, Qs = zip(*(_rule_matrices(tag, g) for tag in tags))
+    return np.stack(Ms), np.stack(Qs)
+
+
 def _beta_form(g):
     """B with beta(u, v) = u^T B v = 2 sum_i n_i(u) s_i(v), the phase of the
-    product law W(u) W(v) = A^beta(u, v) W(u + v)."""
-    return np.kron(np.eye(g, dtype=np.int64), [[0, 0], [2, 0]])
+    product law W(u) W(v) = A^beta(u, v) W(u + v): B[2i+1, 2i] = 2."""
+    B = np.zeros((2 * g, 2 * g), np.int64)
+    B[np.arange(1, 2 * g, 2), np.arange(0, 2 * g, 2)] = 2
+    return B
+
+
+def _mod_zero(arr, m):
+    """Whether each trailing 2g x 2g matrix of arr vanishes mod m."""
+    return ~(arr % m).any(axis=(-2, -1))
 
 
 def _rule_cocycle(M, Q, m):
-    """The cocycle identity Q + Q^T = M^T B M - B (mod m) of the rule (M, Q).
+    """The cocycle identity Q + Q^T = M^T B M - B (mod m) of the rule (M, Q),
+    one verdict per rule of a stack (k, 2g, 2g), or one for a single rule.
 
     If the rule holds at u and at v, the product law gives U W(u + v) U^-1
     = A^(z(u) + z(v) + beta(Mu, Mv) - beta(u, v)) W(M(u + v)), and z(u + v)
@@ -540,8 +607,8 @@ def _rule_cocycle(M, Q, m):
     mod p only (m | 2p), and so does z for symmetric Q (m | 2p, m | p^2),
     since `_check_basis` forces m in {p, 2p}: the rule holds on the classes.
     """
-    B = _beta_form(len(M) // 2)
-    return not ((Q + Q.T - (M.T @ B @ M - B)) % m).any()
+    B = _beta_form(M.shape[-1] // 2)
+    return _mod_zero(Q + Q.swapaxes(-2, -1) - (M.swapaxes(-2, -1) @ B @ M - B), m)
 
 
 def _egorov_rules(tags, p, g):
@@ -564,26 +631,34 @@ def _egorov_rules(tags, p, g):
     return img, z
 
 
-def _rule_exact(rep, tag, M, Q):
-    """The rule (M, Q) of tag holds exactly at every basis vector v = e_i:
-    U W(v) = A^z W(w) U for the generator U of tag, w = M e_i, z = Q[i, i].
+def _rule_exact(rep, tags, M, Q):
+    """One verdict per tag: the rule (M[k], Q[k]) of tags[k] holds exactly
+    at every basis vector v = e_i, U W(v) = A^z W(w) U for the generator U
+    of tags[k], w = M[k] e_i and z = Q[k, i, i].
 
     W(v) e_a = A^e[a] e_r[a] (`WeilRep.schrodinger_map`), so the entry
     U[i, j] = s f A^x (`generator_entries`) moves to (i, a), r[a] = j,
     with exponent x + e[a] on the left, and to (r'[i], j) with exponent
     x + z + e'[i] on the right.  Both sides share s f, nonzero, and A has
-    order m: they are equal exactly when the moved triples agree
-    (`_same_entries`), an integer comparison.
+    order m: they are equal exactly when the moved triples agree, an
+    integer comparison.  Two `schrodinger_map` calls give (r, e) at the 2g
+    unit vectors and (r', e') at the k 2g columns M[k] e_i; one
+    `_same_entries_grouped` call compares the k 2g identities, a stack of
+    2g per tag, and a tag holds when all of its 2g identities do.
     """
-    cols, exps, _, _ = rep.generator_entries(tag)
-    i = np.arange(rep.dim)[:, None]
-    for v in range(len(M)):
-        (r, rw), (e, ew) = rep.schrodinger_map(np.column_stack((np.arange(len(M)) == v, M[:, v])))
-        a = np.argsort(r)[cols]
-        if not _same_entries((i, a, exps + e[a]), (rw[i], cols, exps + Q[v, v] + ew[i]),
-                             rep.dim, rep.m):
-            return False
-    return True
+    n = M.shape[-1]
+    (r, e), (rw, ew) = (rep.schrodinger_map(vecs) for vecs in
+                        (np.eye(n, dtype=np.int64), M.transpose(1, 0, 2).reshape(n, -1)))
+    inv = np.argsort(r, axis=1)  # W(e_v) sends column inv[v, j] to row j
+    v, i = np.arange(n)[:, None, None], np.arange(rep.dim)[:, None]
+    rw, ew = rw.reshape(len(tags), n, -1, 1), ew.reshape(len(tags), n, -1, 1)
+    diag = Q.diagonal(axis1=1, axis2=2)[..., None, None]
+    stacks = []
+    for k, tag in enumerate(tags):
+        cols, exps, _, _ = rep.generator_entries(tag)
+        a = inv[:, cols]
+        stacks.append(((i, a, exps + e[v, a]), (rw[k], cols, exps + diag[k] + ew[k])))
+    return _same_entries_grouped(stacks, rep.dim, rep.m).reshape(len(tags), n).all(axis=1)
 
 
 # Largest p^(2g) m that `commutant_dimension` certifies.  It caps the
@@ -614,7 +689,8 @@ def commutant_dimension(p, g=1):
     (a) The W(v) are a basis of End(C^(p^g)) (`_check_basis`).
     (b) Each generator's rule (M, Q) (`_rule_matrices`) holds for every v:
         exactly at the basis vectors (`_rule_exact`), then by induction on
-        v -> v + e_i through the cocycle identity (`_rule_cocycle`).
+        v -> v + e_i through the cocycle identity (`_rule_cocycle`).  Both
+        check the rules of every tag at once, stacked (`_rule_stack`).
     (c) T = sum c_v W(v) commutes with U exactly when c_(Mv) = A^z(v) c_v,
         so c is one coefficient times the transported phase on each orbit,
         and vanishes where that phase has nontrivial holonomy (A has order
@@ -629,10 +705,12 @@ def commutant_dimension(p, g=1):
                          % COMMUTANT_MAX_ENTRIES)
     rep = WeilRep(p, g)
     _check_basis(rep)
-    for tag in rep.tags():
-        M, Q = _rule_matrices(tag, g)
-        if not (_rule_cocycle(M, Q, rep.m) and _rule_exact(rep, tag, M, Q)):
-            raise ValueError(f"Egorov rule of {tag} does not hold")
+    tags = rep.tags()
+    M, Q = _rule_stack(tags, g)
+    held = _rule_cocycle(M, Q, rep.m) & _rule_exact(rep, tags, M, Q)
+    failed = [tag for tag, ok in zip(tags, held) if not ok]
+    if failed:
+        raise ValueError(f"Egorov rules of {failed} do not hold")
     return int(_rule_orbits(rep).free.sum())
 
 
@@ -761,16 +839,17 @@ def egorov_verify(p, g=1):
     each basis vector (`_rule_exact`; U is unitary), the cocycle identity
     (`_rule_cocycle`) and M^T D M = D (mod m) for D = B - B^T, -2 times the
     symplectic form: m is p (odd) or 2p, so this is the pairing mod p.
+    Each check runs once over the stacked rules of every tag.
     """
     rep = WeilRep(p, g)
-    D = _beta_form(g) - _beta_form(g).T
-    reports = []
-    for tag in rep.tags():
-        M, Q = _rule_matrices(tag, g)
-        reports.append(EgorovLatticeReport(
-            p, g, tag, tuple(map(tuple, (M % p).T.tolist())), _rule_exact(rep, tag, M, Q),
-            _rule_cocycle(M, Q, rep.m), not ((M.T @ D @ M - D) % rep.m).any()))
-    return reports
+    tags = rep.tags()
+    M, Q = _rule_stack(tags, g)
+    B = _beta_form(g)
+    D = B - B.T
+    checks = zip(_rule_exact(rep, tags, M, Q).tolist(), _rule_cocycle(M, Q, rep.m).tolist(),
+                 _mod_zero(M.swapaxes(-2, -1) @ D @ M - D, rep.m).tolist())
+    return [EgorovLatticeReport(p, g, tag, tuple(map(tuple, (rule % p).T.tolist())), *verdicts)
+            for tag, rule, verdicts in zip(tags, M, checks)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ commutation system over two prime fields GF(q) holding an order-m root
 verified family of orthogonal commuting idempotents of
 `decompose.isotypic_projectors`.  Both are independent of the orbit count
 that `decompose.commutant_dimension` certifies.  `walk_orbit` is the
-per-vector walk that `modgroup.lattice_orbits` replaces.
+per-vector walk that `modgroup.lattice_orbits` replaces, and
+`rule_exact_per_vector` the one-identity-at-a-time rule check that
+`decompose._rule_exact` batches.
 """
 
 from math import isqrt, lcm
@@ -14,7 +16,7 @@ from math import isqrt, lcm
 import numpy as np
 
 from weildec.cycmat import _INT64_MAX, _int_einsum
-from weildec.decompose import _commutes, isotypic_projectors
+from weildec.decompose import _commutes, _same_entries, isotypic_projectors
 from weildec.modgroup import prime_factorization
 from weildec.weilrep import WeilRep
 
@@ -173,3 +175,19 @@ def walk_orbit(images, phases, m, start):
                 elif pot[w] != target:
                     free = False
     return pot, free
+
+
+def rule_exact_per_vector(rep, tag, M, Q):
+    """The rule (M, Q) of tag holds exactly at every basis vector v = e_i:
+    U W(v) = A^z W(w) U for the generator U of tag, w = M e_i, z = Q[i, i].
+    One `schrodinger_map` call and one `_same_entries` comparison per basis
+    vector, stopping at the first that fails."""
+    cols, exps, _, _ = rep.generator_entries(tag)
+    i = np.arange(rep.dim)[:, None]
+    for v in range(len(M)):
+        (r, rw), (e, ew) = rep.schrodinger_map(np.column_stack((np.arange(len(M)) == v, M[:, v])))
+        a = np.argsort(r)[cols]
+        if not _same_entries((i, a, exps + e[a]), (rw[i], cols, exps + Q[v, v] + ew[i]),
+                             rep.dim, rep.m):
+            return False
+    return True

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import types
 from fractions import Fraction
 from math import lcm
@@ -39,6 +40,7 @@ from commutant_oracle import (
     _rank_mod,
     _root_mod,
     commutant_bounds,
+    rule_exact_per_vector,
     walk_orbit,
 )
 from test_tooling import _clear_library_caches
@@ -277,13 +279,13 @@ def test_flip_identity_matches_the_dense_commutator(monkeypatch, p, g):
     # perturbed exponent there breaks both, and parity_bases raises
     rep, flip = WeilRep(p, g), decompose._flip_permutation(p, g)
     J = np.eye(rep.dim, dtype=np.int64)[flip]
-    for tag in rep.tags():
-        assert decompose._flip_commutes(rep, tag, flip)
+    for tag, flipped in zip(rep.tags(), decompose._flip_commutes(rep, flip)):
+        assert flipped
         assert decompose._commutes(rep, tag, J)
     _perturbed_exponent(monkeypatch, 1)
     rep = WeilRep(p, g)
-    for tag in rep.tags():
-        assert not decompose._flip_commutes(rep, tag, flip)
+    for tag, flipped in zip(rep.tags(), decompose._flip_commutes(rep, flip)):
+        assert not flipped
         assert not decompose._commutes(rep, tag, J)
     with pytest.raises(ValueError, match="parity spans"):
         parity_bases(p, g)
@@ -412,7 +414,8 @@ def test_commutant_certificate_genus1(p):
     assert commutant_dimension(p) == expect
 
 
-@pytest.mark.parametrize("p", [*range(2, 23), 24, 25, 27, 28, 30, 31, 32, 33, 35, 45, 49])
+@pytest.mark.parametrize("p", [*range(2, 26), 27, 28, 29, *range(30, 34), 35, 37, 41, 43, 45,
+                               47, 49, 53])
 def test_commutant_dimension_matches_schur_character_sum(p):
     # Schur: the average of |Tr|^2 over the group is the commutant dimension;
     # char_sum reaches it through the trace engine, not the orbit count
@@ -585,7 +588,7 @@ def test_rule_checks_see_a_defect_off_the_basis(monkeypatch):
         rep = WeilRep(p, g)
         for tag in rep.tags():
             M, Q = decompose._rule_matrices(tag, g)
-            assert decompose._rule_exact(rep, tag, M, Q)
+            assert decompose._rule_exact(rep, [tag], M[None], Q[None])[0]
             assert not decompose._rule_cocycle(M, Q, rep.m)
         assert all(report.conjugation_exact and not report.additive
                    for report in egorov_verify(p, g))
@@ -603,7 +606,7 @@ def test_rule_checks_see_a_wrong_lattice_column(monkeypatch):
     for p, g in [(3, 1), (4, 1), (3, 2)]:
         rep = WeilRep(p, g)
         for tag in rep.tags():
-            assert not decompose._rule_exact(rep, tag, *decompose._rule_matrices(tag, g))
+            assert not decompose._rule_exact(rep, [tag], *decompose._rule_stack([tag], g))[0]
         assert not any(report.conjugation_exact for report in egorov_verify(p, g))
         with pytest.raises(ValueError):
             commutant_dimension(p, g)
@@ -616,9 +619,78 @@ def test_rule_checks_see_a_perturbed_exponent(monkeypatch):
     for p, g in [(3, 1), (4, 1), (3, 2)]:
         rep = WeilRep(p, g)
         for tag in rep.tags():
-            assert not decompose._rule_exact(rep, tag, *decompose._rule_matrices(tag, g))
+            assert not decompose._rule_exact(rep, [tag], *decompose._rule_stack([tag], g))[0]
         with pytest.raises(ValueError):
             commutant_dimension(p, g)
+
+
+# every (p, g) of the benchmark's certify workload, and the largest sizes
+# of the commutant certificate
+_RULE_CASES = ([(p, 1) for p in range(2, 17)] + [(p, 2) for p in range(2, 8)]
+               + [(128, 1), (8, 3), (5, 4)])
+
+
+@pytest.mark.parametrize("p,g", _RULE_CASES)
+def test_batched_rule_check_matches_the_per_vector_oracle(p, g):
+    # the true rules, a wrong M column on every other tag, and a wrong
+    # Q[v, v] on the tags between: one verdict per tag, as the oracle's
+    rep = WeilRep(p, g)
+    tags = rep.tags()
+    M, Q = decompose._rule_stack(tags, g)
+    moved, shifted = M.copy(), Q.copy()
+    moved[::2, 1, 0] += 1
+    for k in range(1, len(tags), 2):
+        shifted[k, k % (2 * g), k % (2 * g)] += 1
+    for rules, want in (((M, Q), [True] * len(tags)),
+                        ((moved, Q), [k % 2 == 1 for k in range(len(tags))]),
+                        ((M, shifted), [k % 2 == 0 for k in range(len(tags))])):
+        got = decompose._rule_exact(rep, tags, *rules).tolist()
+        oracle = [rule_exact_per_vector(rep, tag, *(a[k] for a in rules))
+                  for k, tag in enumerate(tags)]
+        assert got == oracle == want
+
+
+def _one_tag_defect(monkeypatch, target, defect):
+    # the rule or the generator entries of target alone made wrong
+    if defect == "exponent":
+        real = WeilRep.generator_entries
+
+        def perturbed(self, tag):
+            cols, exps, factor, scale = real(self, tag)
+            if tag == target:
+                exps = exps.copy()
+                exps[0, 0] = (exps[0, 0] + 1) % self.m
+            return cols, exps, factor, scale
+
+        monkeypatch.setattr(WeilRep, "generator_entries", perturbed)
+        return
+    real_rules = decompose._rule_matrices
+
+    def rules(tag, g):
+        M, Q = (a.copy() for a in real_rules(tag, g))
+        if tag == target:
+            if defect == "column":
+                M[1, 0] += 1
+            else:
+                Q[0, 0] += 1
+        return M, Q
+
+    monkeypatch.setattr(decompose, "_rule_matrices", rules)
+
+
+@pytest.mark.parametrize("defect", ["column", "phase", "exponent"])
+@pytest.mark.parametrize("p,g", [(4, 1), (3, 2), (2, 3)])
+def test_a_defect_in_one_rule_fails_that_tag_alone(monkeypatch, p, g, defect):
+    # the batched pass keeps one verdict per tag: a defect in one tag's
+    # rule or entries neither spreads to the other tags nor hides
+    for target in WeilRep(p, g).tags():
+        with monkeypatch.context() as patch:
+            _one_tag_defect(patch, target, defect)
+            reports = egorov_verify(p, g)
+            assert [not report.ok for report in reports] == [r.tag == target for r in reports]
+            assert [r.conjugation_exact for r in reports] == [r.tag != target for r in reports]
+            with pytest.raises(ValueError, match=re.escape(str([target]))):
+                commutant_dimension(p, g)
 
 
 def test_egorov_verify_forms_no_lattice_array(monkeypatch):
@@ -784,3 +856,24 @@ def test_same_entries_is_a_multiset_comparison():
     assert not same((rows, cols, exps), (rows[:2], cols[:2], exps[:2]), 3, 8)
     with pytest.raises(OverflowError):
         same((rows, cols, exps), (rows, cols, exps), 2**31, 2)
+    # grouped: one verdict per identity of each stack (the first axis), and
+    # a stack whose two sides differ in entry count fails alone
+    grouped = decompose._same_entries_grouped
+    assert grouped([((rows, cols, np.stack([exps, exps - 8, exps[[1, 0, 2]]])),
+                     (rows, cols, np.stack([exps] * 3))),
+                    ((rows[None, :2], cols[None, :2], exps[None, :2]),
+                     (rows[None], cols[None], exps[None]))], 3, 8).tolist() == [
+        True, True, False, False]
+
+
+def test_grouped_entry_comparison_refuses_keys_past_int64():
+    # identities * d^2 m must fit in int64: at d = m = 2^20 each identity
+    # spans 2^60 keys, so seven fit and eight do not, in one stack or many
+    x = (np.zeros((1, 2), np.int64),) * 3
+    seven = (np.zeros((7, 2), np.int64),) * 3
+    grouped = decompose._same_entries_grouped
+    assert grouped([(x, x)] * 7, 2**20, 2**20).all()
+    assert grouped([(seven, seven)], 2**20, 2**20).all()
+    for stacks in ([(x, x)] * 8, [(seven, seven), (x, x)]):
+        with pytest.raises(OverflowError):
+            grouped(stacks, 2**20, 2**20)

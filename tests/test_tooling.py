@@ -182,6 +182,30 @@ def test_integer_certificates_make_no_field_call(monkeypatch):
         assert calls.count("_array_is_zero") == tags and calls.count("field_coords") <= tags
 
 
+@pytest.mark.parametrize("p,g", [(4, 1), (5, 2), (3, 3)])
+def test_rule_checks_make_two_schrodinger_maps(monkeypatch, p, g):
+    # every rule of a WeilRep is checked in one pass: one Schrodinger map
+    # at the 2g unit vectors and one at the stacked columns M e_i of all
+    # rules, however many tags and basis vectors there are
+    from weildec import decompose
+    from weildec.weilrep import WeilRep
+
+    calls = []
+    real = WeilRep.schrodinger_map
+
+    def counted(self, vecs):
+        calls.append(vecs.shape)
+        return real(self, vecs)
+
+    monkeypatch.setattr(WeilRep, "schrodinger_map", counted)
+    tags = len(WeilRep(p, g).tags())
+    assert all(report.ok for report in decompose.egorov_verify(p, g))
+    assert calls == [(2 * g, 2 * g), (2 * g, tags * 2 * g)]
+    calls.clear()
+    assert decompose.commutant_dimension(p, g) >= 1
+    assert calls == [(2 * g, 2 * g), (2 * g, tags * 2 * g)]
+
+
 def _traced_peak(run):
     """Traced peak (bytes) of run() from cold caches; run must return True."""
     _clear_library_caches()
