@@ -8,7 +8,6 @@ from .cycmat import CycMat
 from .ringmat import RingMatrix
 from .weilrep import (
     WeilRep,
-    HeisenbergElt,
     gauss_sum,
     lift_genus1,
     trace_abs_sq,
@@ -40,7 +39,6 @@ __all__ = [
     "CycMat",
     "RingMatrix",
     "WeilRep",
-    "HeisenbergElt",
     "gauss_sum",
     "lift_genus1",
     "trace_abs_sq",

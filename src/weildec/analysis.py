@@ -344,8 +344,7 @@ def semiclassical_traces(p, g, monomials):
         coords = []
         for x_exp, y_exp in mono:
             coords.extend([y_exp % p, x_exp % p])
-        h = rep.heisenberg(coords, 0)
-        trace = rep.schrodinger_cyc(h).trace_elt(rep.field)
+        trace = rep.schrodinger_cyc(coords).trace_elt(rep.field)
         value = trace.as_fraction() / p**g
         target = 1 if all(x == 0 and y == 0 for x, y in mono) else 0
         rows.append(SemiclassicalRow(p, g, mono, value, target, abs(value - target)))

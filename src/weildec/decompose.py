@@ -12,14 +12,19 @@ by (a) the W(v) being a basis, (b) each rule holding for every v, from
 lattice vectors, while p^(2g) m is at most COMMUTANT_MAX_ENTRIES.  Check
 (b) runs once for all the rules of a WeilRep: the rules stacked as
 (k, 2g, 2g) arrays, the k 2g basis identities from two Schrodinger maps
-and one sorted comparison, one verdict per tag.  Every certificate reads a
-generator as integer exponents on its row entries times one common factor
+and one sorted comparison, one verdict per tag.  Count (c) reads that same
+certified stack, evaluated over the lattice by `modgroup.lattice_images`
+(the one lattice evaluation, shared with `modgroup.orbit_census`), so each
+rule is built once.  Every certificate reads a generator as integer
+exponents on its row entries times one common factor
 (`WeilRep.generator_entries`), at most p per row, and forms no dense
-d x d x m generator.
+d x d x m generator; the tower's rolled Y operand, d p m entries, is
+bounded by COMMUTANT_MAX_ENTRIES too.
 
 The rules, the parity flip, the CRT entries and the generators' symmetry
 compare (row, column, exponent) triples as integers (`_same_entries`, and
-`_same_entries_grouped` for the rules and the flip of every tag at once);
+`_same_entries_grouped` for the rules, the flip and the symmetry of every
+tag at once);
 the CRT factor identity, the tower identity and the Omega commutators
 compare entry vectors, falling back to exact cyclotomic reduction when an
 integer residual is nonzero.  Every reported "pass" is an exact statement.
@@ -47,7 +52,9 @@ from .cycmat import (
 )
 from .modgroup import (
     divisors,
+    lattice_images,
     lattice_orbits,
+    lattice_vectors,
     prime_factorization,
     sigma0,
 )
@@ -126,12 +133,22 @@ def _same_entries(x, y, d, m):
     return bool(_same_entries_grouped([(one(x), one(y))], d, m)[0])
 
 
-def _symmetric(rep, tag):
-    """G^T = G for the generator tag: its triples, rows and columns
-    swapped, are its own."""
-    cols, exps, _, _ = rep.generator_entries(tag)
-    rows = np.arange(rep.dim)[:, None]
-    return _same_entries((rows, cols, exps), (cols, rows, exps), rep.dim, rep.m)
+def _moved_entries(rep, tags, move):
+    """One verdict per tag: the generator's (row, column, exponent)
+    triples, their positions moved by move(rows, cols), are its own.  One
+    `_same_entries_grouped` call for every tag."""
+    rows = np.arange(rep.dim)[None, :, None]
+    stacks = []
+    for tag in tags:
+        cols, exps, _, _ = rep.generator_entries(tag)
+        stacks.append(((*move(rows, cols[None]), exps[None]), (rows, cols[None], exps[None])))
+    return _same_entries_grouped(stacks, rep.dim, rep.m)
+
+
+def _symmetric(rep, tags):
+    """G^T = G, one verdict per generator of tags: its triples, rows and
+    columns swapped, are its own."""
+    return _moved_entries(rep, tags, lambda rows, cols: (cols, rows))
 
 
 def _cyc_equal(x, y, field):
@@ -188,9 +205,7 @@ def _flip_permutation(p, g):
 def _commutes(rep, tag, mat):
     """Exact check that mat N (an integer matrix, or one with an entry axis)
     commutes with generator tag.  N G is taken as (G N^T)^T, which needs
-    G^T = G: False when `_symmetric` refuses G."""
-    if not _symmetric(rep, tag):
-        return False
+    G^T = G: the caller checks it (`_symmetric`)."""
     comm = _int_combo(1, _generator_product(rep, tag, mat.swapaxes(0, 1)).swapaxes(0, 1),
                       -1, _generator_product(rep, tag, mat))
     return _array_is_zero(rep.field, rep.m, comm)
@@ -199,14 +214,8 @@ def _commutes(rep, tag, mat):
 def _flip_commutes(rep, flip):
     """J G J = G for the flip J = eye[flip], one verdict per generator G of
     rep.tags(): the entry (r, c) of G sits at (flip[r], flip[c]) in J G J,
-    so the moved triples must be G's own.  One `_same_entries_grouped`
-    call for every tag."""
-    rows = np.arange(rep.dim)[None, :, None]
-    stacks = []
-    for tag in rep.tags():
-        cols, exps, _, _ = rep.generator_entries(tag)
-        stacks.append(((flip[rows], flip[cols[None]], exps[None]), (rows, cols[None], exps[None])))
-    return _same_entries_grouped(stacks, rep.dim, rep.m)
+    so the moved triples must be G's own."""
+    return _moved_entries(rep, rep.tags(), lambda rows, cols: (flip[rows], flip[cols]))
 
 
 def parity_bases(p, g=1):
@@ -364,19 +373,29 @@ def tower_check(r, n, g=1):
     level's entries, exponents times r^2 and the factor scattered to
     match; E has disjoint column supports, so E G_U is one scatter of the
     rolled entries.
+
+    The rolled Y operand of the product has d p m int64 entries at level
+    p = r^(n+2), d = p^g: past COMMUTANT_MAX_ENTRIES the check raises
+    ValueError before it builds anything.
     """
     if prime_factorization(r) != [(r, 1)]:
         raise ValueError("the tower needs a prime r")
     if n < 0 or (r == 2 and n < 1):
         raise ValueError("exponent out of range for the tower")
-    rep = WeilRep(r ** (n + 2), g)
+    level = r ** (n + 2)
+    if level ** (g + 1) * _heisenberg_modulus(level) > COMMUTANT_MAX_ENTRIES:
+        raise ValueError("tower certificate bounded at d p m <= %d entries"
+                         % COMMUTANT_MAX_ENTRIES)
+    rep = WeilRep(level, g)
     E = _tower_span(r, n, g)
     d_s = E.shape[1]
     sup = np.nonzero(E.T)[1].reshape(d_s, -1)  # sup[i]: the rows where E[:, i] = 1
     rep_small = WeilRep(r**n, g) if n else None
+    tags = rep.tags()
+    symmetric = _symmetric(rep, tags) & (_symmetric(rep_small, tags) if n else True)
     one = (np.zeros((1, 1), np.int64),) * 2 + (np.ones(1, np.int64), Fraction(1))
     failures = []
-    for tag in rep.tags():
+    for tag, stable in zip(tags, symmetric):
         cols, exps, factor, small_scale = rep_small.generator_entries(tag) if n else one
         remapped = np.zeros(rep.m, factor.dtype)
         remapped[np.arange(factor.size) * r * r % rep.m] = factor
@@ -386,7 +405,7 @@ def tower_check(r, n, g=1):
         if not _scaled_equal(rep.field, rep.m, _generator_product(rep, tag, E),
                              rep.generator_entries(tag)[3], egu, small_scale):
             failures.append((tag, "restriction mismatch"))
-        if not (_symmetric(rep, tag) and (not n or _symmetric(rep_small, tag))):
+        if not stable:
             failures.append((tag, "complement not stable"))
     return TowerReport(not failures, tuple(failures))
 
@@ -546,12 +565,6 @@ def isotypic_projectors(p, g=1):
 # Egorov rules, and the commutant dimension as a count of lattice orbits
 # ---------------------------------------------------------------------------
 
-def _lattice(p, g):
-    """vec[:, v]: the lattice vector of index v in (Z/p)^(2g), slot 2i the
-    shift and 2i+1 the modulation of handle i, slot 0 most significant."""
-    return np.indices((p,) * (2 * g)).reshape(2 * g, -1)
-
-
 def _rule_matrices(tag, g):
     """(M, Q), 2g x 2g integer matrices, with U W(v) U^-1 = A^(v^T Q v)
     W(Mv) for the generator U of tag: X_i adds s_i to n_i with z = s_i^2;
@@ -611,23 +624,17 @@ def _rule_cocycle(M, Q, m):
     return _mod_zero(Q + Q.swapaxes(-2, -1) - (M.swapaxes(-2, -1) @ B @ M - B), m)
 
 
-def _egorov_rules(tags, p, g):
-    """(img, z) with U W(v) U^-1 = A^z[k, v] W(img[k, v]) for the generator
-    U of tags[k], over every lattice index v: the rules (M, Q) of
-    `_rule_matrices` evaluated, img[k, v] the index of Mv mod p and
-    z[k, v] = v^T Q v mod m.  A slot whose row of M is the unit row keeps
-    its digit of v, so img starts at v and only the moved slots change it.
+def _egorov_rules(M, Q, p, m):
+    """(img, z) with U W(v) U^-1 = A^z[k, v] W(img[k, v]) for the rule
+    (M[k], Q[k]) of a stack (k, 2g, 2g) (`_rule_stack`), over every
+    lattice index v: img = `modgroup.lattice_images`, the index of Mv mod
+    p, and z[k, v] = v^T Q v mod m, summed over the nonzero entries of Q.
     """
-    m, vec = _heisenberg_modulus(p), _lattice(p, g)
-    weights = p ** np.arange(2 * g - 1, -1, -1)
-    img = np.empty((len(tags), vec.shape[1]), np.int64)
+    img = lattice_images(M, p)
+    vec = lattice_vectors(p, M.shape[-1] // 2)
     z = np.empty_like(img)
-    for k, tag in enumerate(tags):
-        M, Q = _rule_matrices(tag, g)
-        img[k] = np.arange(vec.shape[1])
-        for slot in np.flatnonzero((M != np.eye(2 * g)).any(axis=1)):
-            img[k] += (M[slot] @ vec % p - vec[slot]) * weights[slot]
-        z[k] = sum(Q[i, j] * vec[i] * vec[j] for i, j in zip(*np.nonzero(Q))) % m
+    for k, q in enumerate(Q):
+        z[k] = sum(q[i, j] * vec[i] * vec[j] for i, j in zip(*np.nonzero(q))) % m
     return img, z
 
 
@@ -694,8 +701,9 @@ def commutant_dimension(p, g=1):
     (c) T = sum c_v W(v) commutes with U exactly when c_(Mv) = A^z(v) c_v,
         so c is one coefficient times the transported phase on each orbit,
         and vanishes where that phase has nontrivial holonomy (A has order
-        m).  The count is `modgroup.lattice_orbits`' on the rules evaluated
-        once over the p^(2g) lattice vectors (`_rule_orbits`).
+        m).  The count is `modgroup.lattice_orbits`' on the rules that (b)
+        certified, the same stack, evaluated once over the p^(2g) lattice
+        vectors (`_rule_orbits`).
 
     Raises ValueError when a check fails, or past p^(2g) m <=
     COMMUTANT_MAX_ENTRIES (`commutant_certifiable`).
@@ -711,13 +719,14 @@ def commutant_dimension(p, g=1):
     failed = [tag for tag, ok in zip(tags, held) if not ok]
     if failed:
         raise ValueError(f"Egorov rules of {failed} do not hold")
-    return int(_rule_orbits(rep).free.sum())
+    return int(_rule_orbits(rep, M, Q).free.sum())
 
 
-def _rule_orbits(rep):
-    """The lattice orbits of rep's Egorov rules, evaluated once as arrays
-    (`_egorov_rules`): the only p^(2g) work of the rules."""
-    return lattice_orbits(*_egorov_rules(rep.tags(), rep.p, rep.g), rep.m)
+def _rule_orbits(rep, M, Q):
+    """The lattice orbits of the stacked rules (M, Q) of rep's tags,
+    evaluated once as arrays (`_egorov_rules`): the only p^(2g) work of
+    the rules."""
+    return lattice_orbits(*_egorov_rules(M, Q, rep.p, rep.m), rep.m)
 
 
 def schrodinger_commutant_dimension(p, g=1):
@@ -751,7 +760,7 @@ def _orbit_sum(rep, orbits, delta):
     k = orbits.labels[start]
     members = np.flatnonzero(orbits.labels == k)
     pot = orbits.potentials[members] - orbits.potentials[start]
-    rows, exps = rep.schrodinger_map(_lattice(p, g)[:, members])
+    rows, exps = rep.schrodinger_map(lattice_vectors(p, g)[:, members])
     arr = np.zeros((rep.dim, rep.dim, m), dtype=np.int64)
     np.add.at(arr, (rows, np.arange(rep.dim), (exps + pot[:, None]) % m), 1)
     return CycMat(m, arr), members.size, bool(orbits.free[k])
@@ -769,7 +778,7 @@ def omega_cyc(delta, p, g=1):
     if delta < 1 or p % delta:
         raise ValueError("delta must divide the level")
     rep = WeilRep(p, g)
-    return _orbit_sum(rep, _rule_orbits(rep), delta)
+    return _orbit_sum(rep, _rule_orbits(rep, *_rule_stack(rep.tags(), g)), delta)
 
 
 @dataclass
@@ -800,17 +809,21 @@ class OmegaFamilyReport:
 def omega_family_report(p, g=1):
     """Commutation and independence audit of the orbit-sum family.
 
-    Each commutator with a generator is tested exactly (`_commutes`).  The
+    Each commutator with a generator is tested exactly (`_commutes`), once
+    every generator is checked symmetric, all in one comparison
+    (`_symmetric`); a generator that is not reads "commutes" False.  The
     sums on distinct orbits have disjoint supports in the basis W(v)
     (lemma (a) of `commutant_dimension`), so the family rank is the number
     of distinct orbits that the start vectors land in.
     """
     rep = WeilRep(p, g)
-    orbits = _rule_orbits(rep)
+    tags = rep.tags()
+    orbits = _rule_orbits(rep, *_rule_stack(tags, g))
+    symmetric = bool(_symmetric(rep, tags).all())
     rows = []
     for delta in divisors(p):
         cyc, size, consistent = _orbit_sum(rep, orbits, delta)
-        commutes = all(_commutes(rep, tag, cyc.arr) for tag in rep.tags())
+        commutes = symmetric and all(_commutes(rep, tag, cyc.arr) for tag in tags)
         rows.append(OmegaRow(delta, size, commutes, consistent))
     landed = {int(orbits.labels[np.ravel_multi_index((0, delta % p) * g, (p,) * (2 * g))])
               for delta in divisors(p)}

@@ -5,7 +5,9 @@ conjugacy-class machinery for SL2(Z/2^nZ) (profile invariants, explicit
 class representatives with their sizes, the (l, x, s) census), the two
 quadratic-congruence counting lemmas, lifting counts mod 2^(n+1), the one
 lattice-orbit engine (orbits, transported phases and holonomy of index
-maps), and the orbit census of (Z/NZ)^(2g) under the transvections.
+maps), the symplectic lattice (Z/NZ)^(2g) as one layer (its vectors, and
+the images of every vector under a stack of integer matrices), and the
+orbit census of that lattice under the transvections.
 """
 
 from __future__ import annotations
@@ -568,35 +570,17 @@ def symplectic_form(u, v, g, N):
         acc += u[2 * i] * v[2 * i + 1] - u[2 * i + 1] * v[2 * i]
     return acc % N
 
-def _transvection_matrix(gamma, g, N):
-    dim = 2 * g
-    cols = []
-    for j in range(dim):
-        e = [0] * dim
-        e[j] = 1
-        w = symplectic_form(e, gamma, g, N)
-        col = [(e[i] + w * gamma[i]) % N for i in range(dim)]
-        cols.append(col)
-    return tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
-
 
 def sp_generators(g, N):
-    """Transvection matrices generating Sp_2g(Z/NZ): one per twist curve."""
-    gammas = []
-    for i in range(g):
-        x = [0] * (2 * g)
-        x[2 * i] = 1
-        gammas.append(tuple(x))
-        y = [0] * (2 * g)
-        y[2 * i + 1] = 1
-        gammas.append(tuple(y))
-    for i in range(g):
-        for j in range(i + 1, g):
-            z = [0] * (2 * g)
-            z[2 * i] = 1
-            z[2 * j] = -1 % N
-            gammas.append(tuple(z))
-    return [_transvection_matrix(gm, g, N) for gm in gammas]
+    """Transvections generating Sp_2g(Z/NZ), one per twist curve gamma, as
+    one int64 stack (k, 2g, 2g): T v = v + omega(v, gamma) gamma, that is
+    T = I + gamma (Omega gamma)^T mod N with omega(u, v) = u^T Omega v.
+    The curves are x_i = e_(2i), y_i = e_(2i+1), then z_ij = x_i - x_j."""
+    eye = np.eye(2 * g, dtype=np.int64)
+    gammas = np.array([*eye, *(eye[2 * i] - eye[2 * j]
+                               for i in range(g) for j in range(i + 1, g))])
+    omega = np.kron(np.eye(g, dtype=np.int64), [[0, 1], [-1, 0]])
+    return (eye + gammas[:, :, None] * (gammas @ omega.T)[:, None, :]) % N
 
 
 def divisors(N):
@@ -698,6 +682,28 @@ def lattice_orbits(images, phases=None, modulus=1):
     return LatticeOrbits(labels, roots, off, free)
 
 
+def lattice_vectors(N, g):
+    """vec[:, v]: the lattice vector of index v in (Z/N)^(2g), slot 2i the
+    shift and 2i+1 the modulation of handle i, slot 0 most significant."""
+    return np.indices((N,) * (2 * g)).reshape(2 * g, -1)
+
+
+def lattice_images(Ms, N):
+    """img[k, v]: the index of Ms[k] vec[:, v] mod N, for a stack Ms
+    (k, 2g, 2g) of integer matrices and every lattice index v of
+    `lattice_vectors`.  A slot whose row of M is the unit row mod N keeps
+    its digit of v, so img starts at v and only the moved slots change it."""
+    Ms = np.asarray(Ms, dtype=np.int64)
+    n = Ms.shape[-1]
+    vec = lattice_vectors(N, n // 2)
+    weights = N ** np.arange(n - 1, -1, -1)
+    img = np.tile(np.arange(vec.shape[1]), (len(Ms), 1))
+    for k, M in enumerate(Ms):
+        for slot in np.flatnonzero((M % N != np.eye(n, dtype=np.int64)).any(axis=1)):
+            img[k] += (M[slot] @ vec % N - vec[slot]) * weights[slot]
+    return img
+
+
 def orbit_census(N, g):
     """Orbits of (Z/NZ)^(2g) under the transvection generators.
 
@@ -710,12 +716,9 @@ def orbit_census(N, g):
         raise ValueError("need level N >= 2 and genus g >= 1")
     if N ** (2 * g) > 10 ** 6:
         raise ValueError("lattice too large")
-    shape = (N,) * (2 * g)
-    vec = np.indices(shape).reshape(2 * g, -1)
-    orbits = lattice_orbits([np.ravel_multi_index(tuple(np.array(M) @ vec % N), shape)
-                             for M in sp_generators(g, N)])
+    orbits = lattice_orbits(lattice_images(sp_generators(g, N), N))
     deltas = [None] * orbits.roots.size
     for d in reversed(divisors(N)):  # the least divisor of an orbit wins
-        probe = np.ravel_multi_index((0, d % N) * g, shape)
+        probe = np.ravel_multi_index((0, d % N) * g, (N,) * (2 * g))
         deltas[orbits.labels[probe]] = d
     return len(deltas), list(zip(deltas, np.bincount(orbits.labels).tolist()))

@@ -1,7 +1,7 @@
 """Construction of the finite Weil representation data at level p, genus g.
 
 Provides Gauss sums, the symplectic generator matrices, the Hopf pairing,
-the finite Heisenberg group with its Schrodinger representation, the
+the Schrodinger representation of the finite Heisenberg group, the
 explicit genus-one lift of SL2(Z/NZ) (an integer group-ring matrix,
 CycMat, whose word folds consecutive S-factors in pairs; whole element
 sets are lifted at once) together with a fast exact trace evaluator, and
@@ -15,7 +15,6 @@ which Fourier duality S X S^{-1} reproduces the tabulated Y-matrix exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
@@ -52,38 +51,6 @@ def gauss_sum(a, b, p):
     for k in range(m):
         vec[((a * k * k + b * k) % m) * step] += 1
     return field.from_int_vector(vec)
-
-
-@dataclass(frozen=True)
-class HeisenbergElt:
-    """Element (X, z) of the finite Heisenberg group at level p.
-
-    X is a tuple (m1, n1, ..., mg, ng); all residues are reduced mod p
-    (p odd) or mod 2p (p even), as is the central coordinate z.
-    """
-
-    X: tuple
-    z: int
-    modulus: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "X", tuple(v % self.modulus for v in self.X))
-        object.__setattr__(self, "z", self.z % self.modulus)
-
-    @property
-    def genus(self):
-        return len(self.X) // 2
-
-    def omega(self, other):
-        """Symplectic pairing of the lattice parts.
-
-        Oriented so that Add(u) Add(v) Add(u)^-1 Add(v)^-1 = A^(2 omega(u,v)),
-        with omega(x_i, y_j) = delta_ij on the homology basis.
-        """
-        acc = 0
-        for i in range(self.genus):
-            acc += self.X[2 * i + 1] * other.X[2 * i] - self.X[2 * i] * other.X[2 * i + 1]
-        return acc % self.modulus
 
 
 class WeilRep:
@@ -130,10 +97,6 @@ class WeilRep:
         """a[h, t] = a_(h+1) of the tensor index t = (a1, ..., ag), a1 most
         significant."""
         return np.indices((self.p,) * self.g).reshape(self.g, -1)
-
-    def _multi_indices(self):
-        """Tensor indices (a1, ..., ag), a1 most significant."""
-        return [tuple(a) for a in self._index_array().T.tolist()]
 
     def diagonal_exponents(self, tag):
         """exps with generator = diag(A^exps[t]) over the tensor indices t:
@@ -191,22 +154,16 @@ class WeilRep:
 
     # -- Hopf pairing ------------------------------------------------------
     def hopf_cyc(self):
-        exps = [[-2 * sum(x * y for x, y in zip(a, b)) for b in self._multi_indices()]
-                for a in self._multi_indices()]
-        return CycMat.from_exponent_matrix(self.m, exps)
+        """H[a, b] = A^(-2 a.b) over the tensor indices a, b."""
+        a = self._index_array()
+        return CycMat.from_exponent_matrix(self.m, -2 * a.T @ a)
 
     def hopf_inverse_cyc(self):
-        exps = [[2 * sum(x * y for x, y in zip(a, b)) for b in self._multi_indices()]
-                for a in self._multi_indices()]
-        return CycMat.from_exponent_matrix(self.m, exps, Fraction(1, self.dim))
+        """H^-1[a, b] = A^(2 a.b) / d."""
+        a = self._index_array()
+        return CycMat.from_exponent_matrix(self.m, 2 * a.T @ a, Fraction(1, self.dim))
 
     # -- Schrodinger representation ---------------------------------------
-    def heisenberg(self, X, z=0):
-        if len(X) != 2 * self.g:
-            raise ValueError("lattice vector has length %d, expected %d"
-                             % (len(X), 2 * self.g))
-        return HeisenbergElt(tuple(X), z, self.m)
-
     def schrodinger_map(self, vecs):
         """(rows, exps) with Add(v) e_a = A^exps[k, a] e_rows[k, a] for each
         column v = vecs[:, k] (slot 2i the shift m_i, slot 2i+1 the
@@ -218,17 +175,19 @@ class WeilRep:
                                     (self.p,) * self.g)
         return rows, 2 * (X[:, 1] * a[:, None]).sum(axis=0) % self.m
 
-    def schrodinger_cyc(self, h):
-        """Add_p(h) = A^z * prod_i Shift_i^(m_i) Mod_i^(n_i).
+    def schrodinger_cyc(self, X, z=0):
+        """Add_p(X, z) = A^z * prod_i Shift_i^(m_i) Mod_i^(n_i) for the
+        lattice vector X = (m1, n1, ..., mg, ng) and the central phase z.
 
         Within each handle the modulation acts first:
         (Sh^m Mod^n) e_a = A^(2 n a) e_(a+m).
         """
-        if isinstance(h, (tuple, list)):
-            h = self.heisenberg(h)
-        (rows,), (exps,) = self.schrodinger_map(np.array(h.X)[:, None])
+        if len(X) != 2 * self.g:
+            raise ValueError("lattice vector has length %d, expected %d"
+                             % (len(X), 2 * self.g))
+        (rows,), (exps,) = self.schrodinger_map(np.array(X)[:, None])
         arr = np.zeros((self.dim, self.dim, self.m), dtype=np.int64)
-        arr[rows, np.arange(self.dim), (exps + h.z) % self.m] = 1
+        arr[rows, np.arange(self.dim), (exps + z) % self.m] = 1
         return CycMat(self.m, arr)
 
 

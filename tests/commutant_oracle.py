@@ -16,7 +16,7 @@ from math import isqrt, lcm
 import numpy as np
 
 from weildec.cycmat import _INT64_MAX, _int_einsum
-from weildec.decompose import _commutes, _same_entries, isotypic_projectors
+from weildec.decompose import _commutes, _same_entries, _symmetric, isotypic_projectors
 from weildec.modgroup import prime_factorization
 from weildec.weilrep import WeilRep
 
@@ -135,6 +135,8 @@ def _verify_projector_family(projs, rep):
         acc += (den_lcm // dk) * nk
     if not np.array_equal(acc, den_lcm * np.eye(d, dtype=object)):
         raise ValueError("idempotents do not resolve the identity")
+    if not _symmetric(rep, rep.tags()).all():  # `_commutes` reads N G as (G N^T)^T
+        raise ValueError("a generator is not symmetric")
     for tag in rep.tags():
         for nk, _ in projs:
             if not _commutes(rep, tag, nk):

@@ -28,6 +28,7 @@ from weildec.decompose import (
 from weildec.modgroup import (
     divisors,
     lattice_orbits,
+    lattice_vectors,
     prime_factorization,
     sigma0,
     sp_generators,
@@ -85,6 +86,30 @@ def test_tower_embedding(r, n):
 
 def test_tower_embedding_genus2():
     assert tower_check(2, 1, g=2).passed
+
+
+# every (r, n, g) that the tests, criterion 12 and the benchmark's certify
+# workload run
+_TOWER_CASES = [(2, 1, 1), (2, 2, 1), (3, 0, 1), (3, 1, 1), (2, 1, 2), (3, 1, 2)]
+
+
+@pytest.mark.parametrize("r,n,g", _TOWER_CASES)
+def test_tower_runs_inside_its_entry_bound(r, n, g):
+    level = r ** (n + 2)
+    assert level ** (g + 1) * WeilRep(level, g).m <= decompose.COMMUTANT_MAX_ENTRIES
+    assert tower_check(r, n, g).passed
+
+
+def test_tower_refuses_an_operand_past_the_entry_bound(monkeypatch):
+    # (5, 0, 4): level 25, d = 25^4, and the rolled Y operand would hold
+    # d p m = 25^6 int64 entries, about 2 GB; refused before any WeilRep
+    def refuse(*args):
+        raise AssertionError("built a WeilRep")
+
+    monkeypatch.setattr(decompose, "WeilRep", refuse)
+    monkeypatch.setattr(decompose, "_tower_span", refuse)
+    with pytest.raises(ValueError, match="d p m <= %d" % decompose.COMMUTANT_MAX_ENTRIES):
+        tower_check(5, 0, 4)
 
 
 @pytest.mark.parametrize(
@@ -473,7 +498,7 @@ def test_schrodinger_operators_are_a_basis(p, g):
     # lemma (a): distinct shifts have disjoint supports, and the p^(2g)
     # operators W(v) are independent: full rank mod q
     rep = WeilRep(p, g)
-    vecs = decompose._lattice(p, g)
+    vecs = lattice_vectors(p, g)
     rows, _ = rep.schrodinger_map(vecs)
     shifts = np.ravel_multi_index(tuple(vecs[::2]), (p,) * g)
     cells = rows * rep.dim + np.arange(rep.dim)
@@ -491,18 +516,24 @@ def test_basis_lemma_needs_a_squared_of_order_p():
         decompose._check_basis(types.SimpleNamespace(p=4, m=4))
 
 
+def _evaluated_rules(rep):
+    """(img, z) of rep's Egorov rules, evaluated from their stack as
+    `commutant_dimension` evaluates the stack it certified."""
+    return decompose._egorov_rules(*decompose._rule_stack(rep.tags(), rep.g), rep.p, rep.m)
+
+
 @pytest.mark.parametrize("p,g", [(2, 1), (3, 1), (4, 1), (6, 1), (8, 1), (9, 1), (2, 2), (3, 2)])
 def test_egorov_rule_holds_at_every_lattice_vector(p, g):
     # the dense oracle of check (b): U W(v) = A^z(v) W(Mv) U for every v,
     # not only the basis vectors
     rep = WeilRep(p, g)
-    img, z = decompose._egorov_rules(rep.tags(), p, g)
-    vecs = decompose._lattice(p, g)
+    img, z = _evaluated_rules(rep)
+    vecs = lattice_vectors(p, g)
     for k, tag in enumerate(rep.tags()):
         U = rep.generator_cyc(tag)
         for v in range(p ** (2 * g)):
             left = U @ rep.schrodinger_cyc(tuple(vecs[:, v]))
-            right = rep.schrodinger_cyc(rep.heisenberg(tuple(vecs[:, img[k, v]]), z[k, v])) @ U
+            right = rep.schrodinger_cyc(tuple(vecs[:, img[k, v]]), z[k, v]) @ U
             assert decompose._cyc_equal(left, right, rep.field), (tag, v)
 
 
@@ -511,10 +542,10 @@ def test_beta_form_is_the_product_law_phase(p, g):
     # W(u) W(v) = A^(u^T B v) W(u + v) for every pair: the B of the cocycle
     # identity, which a transposed B would pass on symplectic M alone
     rep, B = WeilRep(p, g), decompose._beta_form(g)
-    vecs = decompose._lattice(p, g).T
+    vecs = lattice_vectors(p, g).T
     for u, v in itertools.product(vecs, repeat=2):
         left = rep.schrodinger_cyc(tuple(u)) @ rep.schrodinger_cyc(tuple(v))
-        right = rep.schrodinger_cyc(rep.heisenberg(tuple((u + v) % p), int(u @ B @ v)))
+        right = rep.schrodinger_cyc(tuple((u + v) % p), int(u @ B @ v))
         assert decompose._cyc_equal(left, right, rep.field), (u, v)
 
 
@@ -523,7 +554,7 @@ def _branch_rules(tags, p, g):
     oracle of the arrays that `decompose._egorov_rules` evaluates from the
     rule matrices (M, Q)."""
     m = p if p % 2 else 2 * p
-    vec = decompose._lattice(p, g)
+    vec = lattice_vectors(p, g)
     imgs, phases = [], []
     for tag in tags:
         out = vec.copy()
@@ -549,9 +580,9 @@ def _branch_rules(tags, p, g):
 @pytest.mark.parametrize("p,g", [(p, 1) for p in range(2, 13)] + [(p, 2) for p in range(2, 6)]
                          + [(2, 3), (3, 3), (2, 4)])
 def test_evaluated_rules_match_the_branch_construction(p, g):
-    tags = WeilRep(p, g).tags()
-    img, z = decompose._egorov_rules(tags, p, g)
-    want_img, want_z = _branch_rules(tags, p, g)
+    rep = WeilRep(p, g)
+    img, z = _evaluated_rules(rep)
+    want_img, want_z = _branch_rules(rep.tags(), p, g)
     assert np.array_equal(img, want_img) and np.array_equal(z, want_z)
 
 
@@ -561,10 +592,10 @@ def test_egorov_maps_have_the_transvection_orbits(N, g):
     # criterion 11 counts orbits of the Egorov maps, and orbit_census
     # (criterion 13) orbits of the transvections that generate Sp_2g:
     # without phases both generator sets give the same orbits
-    vec, shape = decompose._lattice(N, g), (N,) * (2 * g)
+    vec, shape = lattice_vectors(N, g), (N,) * (2 * g)
     transvections = [np.ravel_multi_index(tuple(np.array(M) @ vec % N), shape)
                      for M in sp_generators(g, N)]
-    img, _ = decompose._egorov_rules(WeilRep(N, g).tags(), N, g)
+    img, _ = _evaluated_rules(WeilRep(N, g))
     assert np.array_equal(lattice_orbits(img).labels, lattice_orbits(transvections).labels)
 
 
@@ -699,10 +730,11 @@ def test_egorov_verify_forms_no_lattice_array(monkeypatch):
     def refuse(*args):
         raise AssertionError("formed a lattice array")
 
-    real_rules, real_lattice = decompose._egorov_rules, decompose._lattice
-    monkeypatch.setattr(decompose, "_egorov_rules", refuse)
-    monkeypatch.setattr(decompose, "_lattice", refuse)
-    assert all(report.ok for report in egorov_verify(5, 2) + egorov_verify(3, 3))
+    real_rules = decompose._egorov_rules
+    with monkeypatch.context() as patch:
+        for name in ("_egorov_rules", "lattice_images", "lattice_vectors"):
+            patch.setattr(decompose, name, refuse)
+        assert all(report.ok for report in egorov_verify(5, 2) + egorov_verify(3, 3))
     calls = []
 
     def counted(*args):
@@ -710,8 +742,35 @@ def test_egorov_verify_forms_no_lattice_array(monkeypatch):
         return real_rules(*args)
 
     monkeypatch.setattr(decompose, "_egorov_rules", counted)
-    monkeypatch.setattr(decompose, "_lattice", real_lattice)
     assert commutant_dimension(5, 2) == 2 and len(calls) == 1
+
+
+def test_commutant_builds_each_rule_once(monkeypatch):
+    # one _rule_matrices call per tag, 5 at (5, 2): the orbit count reads
+    # the very stack (M, Q) that the rule checks certified
+    built, certified, evaluated = [], [], []
+    real_matrices, real_exact, real_rules = (
+        decompose._rule_matrices, decompose._rule_exact, decompose._egorov_rules)
+
+    def matrices(tag, g):
+        built.append(tag)
+        return real_matrices(tag, g)
+
+    def exact(rep, tags, M, Q):
+        certified.append((M, Q))
+        return real_exact(rep, tags, M, Q)
+
+    def rules(M, Q, p, m):
+        evaluated.append((M, Q))
+        return real_rules(M, Q, p, m)
+
+    monkeypatch.setattr(decompose, "_rule_matrices", matrices)
+    monkeypatch.setattr(decompose, "_rule_exact", exact)
+    monkeypatch.setattr(decompose, "_egorov_rules", rules)
+    assert commutant_dimension(5, 2) == 2
+    assert built == WeilRep(5, 2).tags() and len(built) == 5
+    assert len(evaluated) == len(certified) == 1
+    assert all(a is b for a, b in zip(evaluated[0], certified[0]))
 
 
 @pytest.mark.parametrize("p,g", [(2, 1), (3, 1), (4, 1), (5, 1), (3, 2)])
@@ -767,6 +826,39 @@ def test_omega_even_level_parity_obstruction():
     assert not by_delta[1].commutes
 
 
+def test_omega_family_checks_symmetry_once(monkeypatch):
+    # every generator's G^T = G in one grouped comparison, not once per
+    # divisor and tag through `_commutes`
+    calls = []
+    real = decompose._same_entries_grouped
+
+    def counted(stacks, d, m):
+        calls.append(len(stacks))
+        return real(stacks, d, m)
+
+    monkeypatch.setattr(decompose, "_same_entries_grouped", counted)
+    report = omega_family_report(9)
+    assert report.all_commute and calls == [len(WeilRep(9).tags())]
+
+
+def test_omega_family_reads_an_asymmetric_generator_as_not_commuting(monkeypatch):
+    # `_commutes` takes N G as (G N^T)^T; with it answering True, one Y
+    # exponent bumped off the diagonal must still make every row False
+    real = WeilRep.generator_entries
+
+    def bumped(self, tag):
+        cols, exps, factor, scale = real(self, tag)
+        if tag == ("Y", 1):
+            exps = exps.copy()
+            exps[0, np.flatnonzero(cols[0] != 0)[0]] += 1
+        return cols, exps, factor, scale
+
+    monkeypatch.setattr(WeilRep, "generator_entries", bumped)
+    monkeypatch.setattr(decompose, "_commutes", lambda rep, tag, mat: True)
+    report = omega_family_report(9)
+    assert report.rows and not any(row.commutes for row in report.rows)
+
+
 def test_omega_orbit_sizes_partition():
     p = 6
     total = sum(row.orbit_size for row in omega_family_report(p).rows)
@@ -778,15 +870,15 @@ def test_orbit_sums_match_the_walked_potentials(p, g):
     # on a holonomy-free orbit the potentials anchored at the start vector
     # are unique, so Omega_delta is the sum over the walked phases
     rep = WeilRep(p, g)
-    img, z = decompose._egorov_rules(rep.tags(), p, g)
-    vecs = decompose._lattice(p, g)
+    img, z = _evaluated_rules(rep)
+    vecs = lattice_vectors(p, g)
     for delta in divisors(p):
         start = int(np.ravel_multi_index((0, delta % p) * g, (p,) * (2 * g)))
         pot, free = walk_orbit(img, z, rep.m, start)
         cyc, size, consistent = omega_cyc(delta, p, g)
         assert (size, consistent) == (len(pot), free)
         if free:
-            terms = [rep.schrodinger_cyc(rep.heisenberg(tuple(vecs[:, v]), phase))
+            terms = [rep.schrodinger_cyc(tuple(vecs[:, v]), phase)
                      for v, phase in pot.items()]
             assert np.array_equal(cyc.arr, sum(t.arr for t in terms))
 

@@ -18,7 +18,9 @@ from weildec.modgroup import (
     eval_word,
     expected_quadratic_solutions,
     hensel_lift_count,
+    lattice_images,
     lattice_orbits,
+    lattice_vectors,
     mat_inv,
     mat_mul,
     orbit_census,
@@ -218,6 +220,56 @@ def test_sp_generators_preserve_form():
             assert symplectic_form(
                 sp_apply(M, u, N), sp_apply(M, v, N), g, N
             ) == symplectic_form(u, v, g, N)
+
+
+def _column_transvection(gamma, g, N):
+    """The transvection v -> v + omega(v, gamma) gamma mod N, built column
+    by column from `symplectic_form`, as a tuple of rows."""
+    cols = []
+    for j in range(2 * g):
+        e = [int(i == j) for i in range(2 * g)]
+        w = symplectic_form(e, gamma, g, N)
+        cols.append([(e[i] + w * gamma[i]) % N for i in range(2 * g)])
+    return tuple(tuple(col[i] for col in cols) for i in range(2 * g))
+
+
+@pytest.mark.parametrize("g,N", [(1, 5), (2, 4), (3, 7)])
+def test_sp_generators_are_the_column_transvections(g, N):
+    # one int64 stack, I + gamma (Omega gamma)^T mod N, against the
+    # transvections built column by column: x_i, y_i, then x_i - x_j
+    unit = [tuple(int(i == k) for i in range(2 * g)) for k in range(2 * g)]
+    diffs = [tuple((unit[2 * i][k] - unit[2 * j][k]) % N for k in range(2 * g))
+             for i in range(g) for j in range(i + 1, g)]
+    gens = sp_generators(g, N)
+    assert gens.dtype == np.int64 and gens.shape == (len(unit) + len(diffs), 2 * g, 2 * g)
+    assert [tuple(map(tuple, M.tolist())) for M in gens] == [
+        _column_transvection(gamma, g, N) for gamma in unit + diffs]
+
+
+def _product_images(Ms, N):
+    """Each M @ vec % N over every lattice vector, raveled: the full
+    product that `lattice_images` evaluates on the moved slots only."""
+    g = len(Ms[0]) // 2
+    vec, shape = lattice_vectors(N, g), (N,) * (2 * g)
+    return np.stack([np.ravel_multi_index(tuple(np.asarray(M) @ vec % N), shape) for M in Ms])
+
+
+@pytest.mark.parametrize("g,N", [(1, 2), (1, 7), (2, 3), (2, 6), (3, 2), (3, 3)])
+def test_lattice_images_match_the_full_product(g, N):
+    # random stacks with negative entries and entries past N, some rows
+    # left as unit rows (kept, or shifted by a multiple of N), and the
+    # transvections
+    rng = np.random.default_rng(31 * N + g)
+    Ms = rng.integers(-2 * N, 3 * N, size=(6, 2 * g, 2 * g))
+    eye = np.eye(2 * g, dtype=np.int64)
+    Ms[1] = eye
+    Ms[2, 0] = eye[0] + N * rng.integers(-2, 3, size=2 * g)
+    Ms[3, ::2] = eye[::2]
+    assert (Ms < 0).any() and (Ms >= N).any()
+    for stack in (Ms, sp_generators(g, N)):
+        got = lattice_images(stack, N)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _product_images(stack, N))
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 6])

@@ -448,7 +448,7 @@ def _unit_monomials(rep):
     dim2 = 2 * rep.g
     vectors = [tuple(int(i == k) for k in range(dim2)) for i in range(dim2)]
     vectors.append(tuple(range(1, dim2 + 1)))
-    ops = [rep.schrodinger_cyc(rep.heisenberg(v, z))
+    ops = [rep.schrodinger_cyc(v, z)
            for v, z in zip(vectors, range(1, dim2 + 2))]
     return gens, ops
 

@@ -34,6 +34,19 @@ def test_tracer_targets_resolve():
     assert not missing
 
 
+def test_package_exports_exactly_its_imports():
+    # `weildec.__all__` is the set of names `__init__.py` imports, each
+    # once, and each resolves: a trimmed export cannot linger in __all__
+    import weildec
+
+    init = ROOT / "src" / "weildec" / "__init__.py"
+    imported = [alias.asname or alias.name
+                for node in ast.walk(ast.parse(init.read_text(), str(init)))
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(weildec.__all__) == sorted(set(imported)) == sorted(imported)
+    assert all(getattr(weildec, name, None) is not None for name in weildec.__all__)
+
+
 def test_library_has_no_assert_statements():
     # python -O strips assert statements, so every check in the library
     # must be an explicit raise

@@ -18,6 +18,7 @@ from weildec.modgroup import (
     mat_mul,
     sl2_column,
     sl2_enumerate,
+    symplectic_form,
     word_decompose,
 )
 from weildec.ringmat import RingMatrix
@@ -90,7 +91,7 @@ def test_heisenberg_product_cocycle(p, g):
         left = rep.schrodinger_cyc(u) @ rep.schrodinger_cyc(v)
         phase = 2 * sum(u[2 * i + 1] * v[2 * i] for i in range(g))
         total = tuple(a + b for a, b in zip(u, v))
-        right = rep.schrodinger_cyc(rep.heisenberg(total, phase))
+        right = rep.schrodinger_cyc(total, phase)
         assert _cyc_equal(left, right, rep.field)
 
 
@@ -101,18 +102,24 @@ def test_heisenberg_commutator_is_symplectic_phase(p, g):
     for _ in range(8):
         u = tuple(rng.randrange(p) for _ in range(2 * g))
         v = tuple(rng.randrange(p) for _ in range(2 * g))
-        hu, hv = rep.heisenberg(u), rep.heisenberg(v)
-        left = rep.schrodinger_cyc(hu) @ rep.schrodinger_cyc(hv)
-        right = _mul_root(rep.schrodinger_cyc(hv) @ rep.schrodinger_cyc(hu),
-                          2 * hu.omega(hv) % rep.m)
+        left = rep.schrodinger_cyc(u) @ rep.schrodinger_cyc(v)
+        right = _mul_root(rep.schrodinger_cyc(v) @ rep.schrodinger_cyc(u),
+                          -2 * symplectic_form(u, v, g, rep.m) % rep.m)
         assert _cyc_equal(left, right, rep.field)
+
+
+def test_schrodinger_refuses_a_vector_of_the_wrong_length():
+    rep = WeilRep(3, 2)
+    for X in ((1, 2, 0), (1, 2, 0, 1, 1)):
+        with pytest.raises(ValueError, match="length %d, expected 4" % len(X)):
+            rep.schrodinger_cyc(X, 1)
 
 
 @pytest.mark.parametrize("p,g", [(3, 1), (4, 1), (3, 2)])
 def test_schrodinger_center_is_scalar(p, g):
     rep = WeilRep(p, g)
     zero = (0,) * (2 * g)
-    central = rep.schrodinger_cyc(rep.heisenberg(zero, 1))
+    central = rep.schrodinger_cyc(zero, 1)
     expect = _mul_root(CycMat.identity(rep.m, p ** g), 1)
     assert _cyc_equal(central, expect, rep.field)
 
@@ -554,13 +561,13 @@ def test_generators_are_symmetric(p, g):
     for tag in rep.tags():
         arr = rep.generator_cyc(tag).arr
         assert np.array_equal(arr, arr.transpose(1, 0, 2))
-        assert _symmetric(rep, tag)
+        assert _symmetric(rep, [tag])[0]
     cols, exps, factor, scale = rep.generator_entries(("Y", 1))
     bumped = exps.copy()
     bumped[0, np.flatnonzero(cols[0] != 0)[0]] += 1
     stub = types.SimpleNamespace(dim=rep.dim, m=rep.m, generator_entries=lambda tag: (
         cols, bumped, factor, scale))
-    assert not _symmetric(stub, ("Y", 1))
+    assert not _symmetric(stub, [("Y", 1)])[0]
 
 
 def test_genus_one_y_entries_are_the_block():
@@ -793,18 +800,18 @@ def test_long_word_lift_is_unitary(p):
     assert _cyc_equal(L @ L.dagger(), CycMat.identity(L.m, p), field_for_level(p))
 
 
-def _kron_schrodinger(rep, h):
-    """Add(h) as the Kronecker product of its one-handle factors
+def _kron_schrodinger(rep, X, z):
+    """Add(X, z) as the Kronecker product of its one-handle factors
     Sh^m Mod^n (e_a -> A^(2 n a) e_(a+m)), times A^z."""
     mat = None
     for i in range(rep.g):
-        mi, ni = h.X[2 * i], h.X[2 * i + 1]
+        mi, ni = X[2 * i], X[2 * i + 1]
         arr = np.zeros((rep.p, rep.p, rep.m), dtype=np.int64)
         for a in range(rep.p):
             arr[(a + mi) % rep.p, a, (2 * ni * a) % rep.m] = 1
         one = CycMat(rep.m, arr)
         mat = one if mat is None else mat.kron(one)
-    return _mul_root(mat, h.z)
+    return _mul_root(mat, z)
 
 
 @pytest.mark.parametrize("p,g", [(2, 1), (3, 2), (4, 2), (6, 2), (5, 3)])
@@ -812,9 +819,8 @@ def test_schrodinger_matches_kron_oracle(p, g):
     rep = WeilRep(p, g)
     rng = random.Random(59 * p + g)
     for _ in range(6):
-        h = rep.heisenberg([rng.randrange(rep.m) for _ in range(2 * g)],
-                           rng.randrange(rep.m))
-        got, want = rep.schrodinger_cyc(h), _kron_schrodinger(rep, h)
+        X, z = [rng.randrange(rep.m) for _ in range(2 * g)], rng.randrange(rep.m)
+        got, want = rep.schrodinger_cyc(X, z), _kron_schrodinger(rep, X, z)
         assert got.arr.dtype == want.arr.dtype
         assert np.array_equal(got.arr, want.arr)
         assert (got.scale, got.beta) == (want.scale, want.beta)
@@ -829,7 +835,7 @@ def test_diagonal_generators_match_kron_oracle(p, g):
         assert np.array_equal(got.arr, _embed_handle(rep, one, i).arr)
     for i in range(1, g + 1):
         for j in range(i + 1, g + 1):
-            exps = [(a[i - 1] - a[j - 1]) ** 2 for a in rep._multi_indices()]
+            exps = [(a[i - 1] - a[j - 1]) ** 2 for a in rep._index_array().T]
             got = rep.generator_cyc(("Z", i, j))
             assert np.array_equal(got.arr, _loop_diag(rep.m, exps))
     with pytest.raises(ValueError):
