@@ -21,6 +21,7 @@ from operator import mul
 import numpy as np
 
 from .modgroup import (
+    _v2,
     class_representatives,
     conj_profile,
     prime_factorization,
@@ -28,10 +29,9 @@ from .modgroup import (
     sl2_order,
 )
 from .cyclo import field_for_level
-from .cycmat import _check_int64, _chunks, _max_abs, field_coords
+from .cycmat import _abs_sq, _chunks, _l1, field_coords, power_matrix
 from .weilrep import (
     WeilRep,
-    _windows,
     lift_genus1_many,
     projective_keys,
     trace_engine,
@@ -64,14 +64,6 @@ def expected_char_sum(p):
     return total
 
 
-def _exact_2_power(m):
-    n = 0
-    while m % 2 == 0:
-        m //= 2
-        n += 1
-    return n if m == 1 else None
-
-
 def char_sum(p, method=None):
     """Average of |Tr|^2 over SL2 at the level's modulus, exactly.
 
@@ -83,17 +75,18 @@ def char_sum(p, method=None):
     """
     engine = trace_engine(p)
     modulus = engine.m
-    n2 = _exact_2_power(modulus)
+    n2 = _v2(modulus)
+    two_power = modulus == 2**n2
     if method is None:
         method = (
             "census-representatives"
-            if n2 is not None and modulus >= 16
+            if two_power and modulus >= 16
             else "full-enumeration"
         )
     # sum the integer parts of |Tr|^2 = n * scale^2 per scale
     totals = defaultdict(int)
     if method == "census-representatives":
-        if n2 is None or modulus > 64:
+        if not two_power or modulus > 64:
             raise ValueError("census mode needs a 2-power modulus up to 64")
         reps = class_representatives(n2)
         rows, scales = engine.trace_vectors([rep.matrix for rep in reps])
@@ -184,13 +177,10 @@ def expected_trace_sq(n, l, x_class, s):
 
 def _unit_entries(rows, scales, field):
     """True when every entry vector scales[k] * rows[k] has absolute value
-    one.  |v|^2 = sum_s r[s] A^s with the integer autocorrelation
-    r[s] = sum_t v[t] v[t + s], so scale^2 * r must map to the field
-    coordinates (1, 0, ..., 0): one `field_coords` product for all rows,
-    behind an exact int64 bound."""
-    m = rows.shape[-1]
-    _check_int64(m * _max_abs(rows) ** 2, "|entry|^2")
-    coords = field_coords(np.einsum("kst,kt->ks", _windows(rows), rows), field, m)
+    one: scale^2 times the field coordinates of |v|^2 (`_abs_sq`, for all
+    rows at once) must be (1, 0, ..., 0)."""
+    P = power_matrix(field, rows.shape[-1])
+    coords = _abs_sq(rows, P, _l1(P))
     return not coords[:, 1:].any() and all(
         scale * scale * x == 1 for scale, x in zip(scales, coords[:, 0].tolist()))
 
@@ -256,14 +246,7 @@ def trace_table(n):
             # the closed form keys non-residual classes by the 2-adic
             # distance of the trace from 2, not from 0
             t = (rep.matrix[0] + rep.matrix[3] - 2) % 2**n
-            if t == 0:
-                s = n
-            else:
-                s = 0
-                while t % 2 == 0:
-                    t //= 2
-                    s += 1
-                s = min(s, n)
+            s = n if t == 0 else min(_v2(t), n)
         measured = engine.trace_abs_sq(rep.matrix)
         expected = expected_trace_sq(n, prof.l, prof.x_class, s)
         match = expected is not None and measured == expected

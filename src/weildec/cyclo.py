@@ -152,7 +152,7 @@ class CycloElt:
 
 
 class CycloField:
-    """Q(zeta_L) with precomputed reduction and conjugation tables."""
+    """Q(zeta_L) with precomputed power and conjugation tables."""
 
     def __init__(self, level):
         self.level = level
@@ -174,19 +174,6 @@ class CycloField:
                     nxt[j] -= top * phi[j]
             cur = nxt
         self.power_rows = rows
-        # reduction rows for X^(d+j), j = 0..d-2, used in _mul
-        red = []
-        # X^d mod Phi = -phi[:d]
-        cur = [-phi[j] for j in range(d)]
-        for _j in range(d - 1):
-            red.append(tuple(cur))
-            nxt = [0] + cur[:-1]
-            top = cur[-1]
-            if top:
-                for j in range(d):
-                    nxt[j] -= top * phi[j]
-            cur = nxt
-        self.reduction_rows = red
         # conjugation: image of basis vector zeta^i is zeta^(L-i)
         self.conj_rows = [rows[(-i) % level] for i in range(d)]
         # coefficient tuples, not elements: an element points back at its
@@ -246,7 +233,8 @@ class CycloField:
         for j in range(d, 2 * d - 1):
             c = prod[j]
             if c:
-                row = self.reduction_rows[j - d]
+                # X^j = zeta^j; j may pass L (2d - 2 >= L at a prime L >= 5)
+                row = self.power_rows[j % self.level]
                 for t in range(d):
                     if row[t]:
                         out[t] += c * row[t]

@@ -6,6 +6,13 @@ An entry is an integer vector of length m: the coefficients of powers of A.
 A is realised in the cyclotomic working field as zeta_L^(L/m), so comparing
 two CycMat values means pushing both down to canonical field coordinates.
 All arithmetic here is integer numpy work; nothing is approximated.
+
+The integer entry-vector kernels that `weilrep`, `decompose` and
+`analysis` share live here, once each: rolls and roll windows, the
+median shift and content normalisation, the batched cyclic convolution,
+the field-coordinate product and the |v|^2 autocorrelation.  Each runs
+behind an exact int64 bound that raises OverflowError before anything
+could wrap.
 """
 
 from __future__ import annotations
@@ -43,6 +50,50 @@ def _check_int64(bound, what):
 
 def _max_abs(arr):
     return max(int(arr.max()), -int(arr.min())) if arr.size else 0
+
+
+def _max_abs_each(arr):
+    """max|arr[e]| of every arr[e], as Python ints."""
+    flat = arr.reshape(len(arr), -1)
+    return [max(hi, -lo) for hi, lo in zip(flat.max(axis=1).tolist(), flat.min(axis=1).tolist())]
+
+
+def _rolls(factor, exps):
+    """v[..., t] = factor[t - exps[...]]: the entry vectors A^exps * factor."""
+    return factor[(np.arange(factor.size) - exps[..., None]) % factor.size]
+
+
+def _windows(rows):
+    """View W with W[..., s, t] = rows[..., (s + t) mod m]: both s and t
+    step one entry through the doubled rows, so nothing is copied."""
+    m = rows.shape[-1]
+    doubled = np.empty(rows.shape[:-1] + (2 * m,), rows.dtype)
+    doubled[..., :m] = doubled[..., m:] = rows
+    strides = doubled.strides[:-1] + doubled.strides[-1:] * 2
+    return np.ndarray(rows.shape + (m,), doubled.dtype, doubled, 0, strides)
+
+
+def _median_shift(arr):
+    """arr with each entry vector's median subtracted: the same field
+    values, since sum_t A^t = 0.  The int64 bound, max - min, is decided
+    for every arr[e] on its own: the range of the whole array bounds them
+    all, and only past int64 is each range taken."""
+    if arr.size and int(arr.max()) - int(arr.min()) > _INT64_MAX:
+        flat = arr.reshape(len(arr), -1)
+        _check_int64(max(hi - lo for hi, lo in zip(flat.max(axis=1).tolist(),
+                                                   flat.min(axis=1).tolist())), "median shift")
+    return arr - np.sort(arr, axis=-1)[..., arr.shape[-1] // 2, None]
+
+
+def _normalise_each(arr):
+    """(arr', g) with every entry vector of arr[e] equal to g[e] times that
+    of arr'[e] in the field: `_median_shift`, then the integer content of
+    each arr[e] moves into g[e]."""
+    out = _median_shift(arr)
+    g = [x or 1 for x in np.gcd.reduce(out.reshape(len(out), -1), axis=1).tolist()]
+    if max(g, default=1) > 1:
+        out //= np.reshape(g, (-1,) + (1,) * (out.ndim - 1))
+    return out, g
 
 
 def _l1(powers):
@@ -87,11 +138,14 @@ def _int_combo(a, x, b, y):
     return a * x + b * y
 
 
+@lru_cache(maxsize=None)
 def _conv_index(m):
     """idx[u, v] = (v - u) mod m: b[..., idx] turns the cyclic convolution
-    of entry vectors into one contraction over u."""
+    of entry vectors into one contraction over u.  Cached and read-only."""
     u = np.arange(m)
-    return (u[None, :] - u[:, None]) % m
+    idx = (u[None, :] - u[:, None]) % m
+    idx.flags.writeable = False
+    return idx
 
 
 def _unit_monomial(arr):
@@ -181,12 +235,31 @@ def power_matrix(field, m, beta=0):
     return P
 
 
-def _convolve(a, rows):
-    """Cyclic convolution of the vector a with every row of rows."""
-    # |a|_1 in Python ints: an int64 sum of large entries would wrap
-    _check_int64(sum(map(abs, a.tolist())) * _max_abs(rows), "convolution")
-    t = np.arange(len(a))
-    return rows @ a[(t[None, :] - t[:, None]) % len(a)]  # a[(v - u) mod m]
+def _convolve(vecs, rows):
+    """c with c[k, ..., v] = sum_u rows[k, ..., u] vecs[k, v - u], indices
+    mod m: the cyclic convolution of vecs[k] with every entry vector of
+    rows[k], in one batched product behind the exact bound
+    |vecs[k]|_1 max|rows[k]| < 2^63 of each k."""
+    # |vecs[k]|_1 in Python ints: an int64 sum of large entries would wrap
+    _check_int64(max((sum(map(abs, vec)) * top for vec, top in
+                      zip(vecs.tolist(), _max_abs_each(rows))), default=0), "convolution")
+    return rows @ vecs[:, _conv_index(vecs.shape[-1])]  # vecs[k, (v - u) mod m]
+
+
+def _coords(rows, P):
+    """rows @ P, P a `power_matrix`: the field coordinates of every entry
+    vector of rows, behind the exact int64 bound max|rows| |P|_1."""
+    _check_int64(_max_abs(rows) * _l1(P), "field coordinates")
+    return rows @ P
+
+
+def _abs_sq(rows, P, l1):
+    """Field coordinates of |v|^2 for every row v of rows: the
+    autocorrelation r[s] = sum_t v[t] v[t + s], the entry vector of
+    v conj(v), mapped by P, a `power_matrix` with `_l1`(P) = l1.  One
+    bound, m max|v|^2 l1 < 2^63, comes before both products."""
+    _check_int64(rows.shape[-1] * _max_abs(rows) ** 2 * l1, "|v|^2")
+    return np.einsum("nst,nt->ns", _windows(rows), rows) @ P
 
 
 def _slabs(rows, P):
@@ -199,28 +272,18 @@ def _lead_index(rows, P):
     """Index of the first entry vector of rows that is nonzero in the field
     (coordinates rows @ P), or None when all are zero; slab by slab, up to
     the first slab with a nonzero entry."""
-    _check_int64(_max_abs(rows) * _l1(P), "field coordinates")
     for part in _slabs(rows, P):
-        nonzero = (rows[part] @ P).any(axis=1)
+        nonzero = _coords(rows[part], P).any(axis=1)
         if nonzero.any():
             return part.start + int(nonzero.argmax())
     return None
 
 
-def _lead_products(vec, rows, P):
-    """Field coordinates of vec * rows[k] for every entry vector rows[k]:
-    one batched cyclic convolution, then one product with P, each behind
-    an exact int64 bound."""
-    out = _convolve(vec, rows)
-    _check_int64(_max_abs(out) * _l1(P), "field coordinates")
-    return out @ P
-
-
 def _proportional(U, V, lead, P):
-    """u_e * v_lead == u_lead * v_e in the field for every entry e: the two
-    `_lead_products`, compared slab by slab."""
-    return all(np.array_equal(_lead_products(V[lead], U[part], P),
-                              _lead_products(U[lead], V[part], P))
+    """u_e * v_lead == u_lead * v_e in the field for every entry e: both
+    sides one `_convolve` mapped by `_coords`, compared slab by slab."""
+    return all(np.array_equal(_coords(_convolve(V[None, lead], U[None, part])[0], P),
+                              _coords(_convolve(U[None, lead], V[None, part])[0], P))
                for part in _slabs(U, P))
 
 

@@ -48,6 +48,7 @@ from .cycmat import (
     _int_combo,
     _int_einsum,
     _int_matmul,
+    _rolls,
     field_coords,
 )
 from .modgroup import (
@@ -58,7 +59,7 @@ from .modgroup import (
     prime_factorization,
     sigma0,
 )
-from .weilrep import WeilRep, _heisenberg_modulus, _rolls
+from .weilrep import WeilRep, _heisenberg_modulus
 
 
 # ---------------------------------------------------------------------------

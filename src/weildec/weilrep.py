@@ -5,7 +5,9 @@ the Schrodinger representation of the finite Heisenberg group, the
 explicit genus-one lift of SL2(Z/NZ) (an integer group-ring matrix,
 CycMat, whose word folds consecutive S-factors in pairs; whole element
 sets are lifted at once) together with a fast exact trace evaluator, and
-projective comparison keys.
+projective comparison keys.  The integer entry-vector kernels these run
+on (rolls, normalisation, convolution, field coordinates, |v|^2) are
+`cycmat`'s.
 
 Conventions.  At level p the phase root A has order p (p odd) or 2p (p even);
 the working cyclotomic field also contains the 24th root used by the lift.
@@ -25,12 +27,18 @@ from .cyclo import field_for_level
 from .cycmat import (
     _INT64_MAX,
     CycMat,
+    _abs_sq,
     _check_int64,
     _chunks,
-    _conv_index,
     _convolve,
+    _coords,
     _l1,
     _max_abs,
+    _max_abs_each,
+    _median_shift,
+    _normalise_each,
+    _rolls,
+    _windows,
     power_matrix,
 )
 from .modgroup import det, sl2_column, word_decompose
@@ -191,65 +199,6 @@ class WeilRep:
         return CycMat(self.m, arr)
 
 
-# -- integer kernels -------------------------------------------------------
-
-def _rolls(factor, exps):
-    """v[..., t] = factor[t - exps[...]]: the entry vectors A^exps * factor."""
-    return factor[(np.arange(factor.size) - exps[..., None]) % factor.size]
-
-
-def _windows(rows):
-    """View W with W[..., s, t] = rows[..., (s + t) mod m]: both s and t
-    step one entry through the doubled rows, so nothing is copied."""
-    m = rows.shape[-1]
-    doubled = np.empty(rows.shape[:-1] + (2 * m,), rows.dtype)
-    doubled[..., :m] = doubled[..., m:] = rows
-    strides = doubled.strides[:-1] + doubled.strides[-1:] * 2
-    return np.ndarray(rows.shape + (m,), doubled.dtype, doubled, 0, strides)
-
-
-def _median_shift(arr):
-    """arr with each entry vector's median subtracted: the same field
-    values, since Sum_t A^t = 0."""
-    _check_int64(int(arr.max()) - int(arr.min()), "median shift")
-    return arr - np.sort(arr, axis=-1)[..., arr.shape[-1] // 2, None]
-
-
-def _bounds_each(arr):
-    """(max, min) of every arr[e], as Python ints."""
-    flat = arr.reshape(len(arr), -1)
-    return zip(flat.max(axis=1).tolist(), flat.min(axis=1).tolist())
-
-
-def _max_abs_each(arr):
-    return [max(hi, -lo) for hi, lo in _bounds_each(arr)]
-
-
-def _normalise(arr):
-    """(arr', g) with every entry vector of arr equal to g times that of arr'
-    in the field.
-
-    Sum_t A^t = 0, so subtracting each vector's median changes no field
-    value; the common integer content of what is left moves into g.
-    """
-    out = _median_shift(arr)
-    g = int(np.gcd.reduce(out, axis=None))
-    if g > 1:
-        out //= g
-    return out, max(g, 1)
-
-
-def _normalise_each(arr):
-    """`_normalise` of every arr[e] on its own: (arr', g) with g[e] the
-    content taken out of arr[e], behind the bound of each arr[e]."""
-    _check_int64(max(hi - lo for hi, lo in _bounds_each(arr)), "median shift")
-    out = arr - np.sort(arr, axis=-1)[..., arr.shape[-1] // 2, None]
-    g = [max(x, 1) for x in np.gcd.reduce(out.reshape(len(out), -1), axis=1).tolist()]
-    if max(g) > 1:
-        out //= np.reshape(g, (-1,) + (1,) * (out.ndim - 1))
-    return out, g
-
-
 # -- genus-one lift --------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -266,18 +215,17 @@ def _lift_images(p):
     m = _heisenberg_modulus(p)
     eps = 1 if p % 2 == 0 else 0
     t = np.arange(m)
-    gauss = {sign: _normalise(np.bincount(-sign * t * t % m, minlength=m))
-             for sign in (1, -1)}
-    return {"m": m, "eps": eps, "gauss": gauss, "norm": m * (1 + eps)}
+    signs = (1, -1)
+    vecs, g = _normalise_each(np.array([np.bincount(-s * t * t % m, minlength=m) for s in signs]))
+    return {"m": m, "eps": eps, "gauss": dict(zip(signs, zip(vecs, g))), "norm": m * (1 + eps)}
 
 
 @lru_cache(maxsize=None)
-def _gather_tables(p):
-    """(basis, conv) of the lift's gathers: basis[:, k p + j] = (k^2, 2 k j,
-    j^2), so a gather's shifts are (roll before, sign, roll after) @ basis,
-    and the convolution index `_conv_index` of the entry vectors."""
+def _gather_basis(p):
+    """basis[:, k p + j] = (k^2, 2 k j, j^2) of the lift's gathers: a
+    gather's shifts are (roll before, sign, roll after) @ basis."""
     k, j = np.indices((p, p)).reshape(2, -1)
-    return np.array([k * k, 2 * k * j, j * j]), _conv_index(_heisenberg_modulus(p))
+    return np.array([k * k, 2 * k * j, j * j])
 
 
 @lru_cache(maxsize=None)
@@ -289,7 +237,7 @@ def _gauss_power(p, sign, count):
     if count == 1:
         return vec, g
     prev, h = _gauss_power(p, sign, count - 1)
-    out, k = _normalise(_convolve(vec, prev[None, :])[0])
+    (out,), (k,) = _normalise_each(_convolve(vec[None], prev[None, None])[0])
     return out, g * h * k
 
 
@@ -336,7 +284,7 @@ def lift_genus1_many(p, Ms, rng=None):
     order of Ms from the one rng when it is given.
 
     Each lift is bitwise what the word gives on its own, whatever the batch:
-    every int64 bound and every on-demand `_normalise` is decided per
+    every int64 bound and every on-demand `_normalise_each` is decided per
     element.  T^k = diag(A^(-k j^2)) only rolls column j, so the T-powers
     met since the last S-factor fold into the next gather, and those left
     after the last one into the last.  S^{+-1} is (1/m) beta-root^(-+3 eps)
@@ -354,14 +302,14 @@ def lift_genus1_many(p, Ms, rng=None):
     entry: up to there, every element of a chunk is one `np.bincount` of
     exponents.  Only the third and later gathers gather rolled rows
     (`_windows`), for all elements of a chunk at once and behind the exact
-    bound p max|out| < 2^63, with `_normalise` only where that bound of the
-    next gather would fail.  The
-    Gauss sums wait until the end: with a factors S and b factors S^{-1},
-    gamma_+^a gamma_-^b = |gamma|^(2 min(a, b)) gamma_+-^|a - b|, one
-    convolution with the cached `_gauss_power` vector, with `_normalise`
-    before it and after it.  Elements go in chunks whose gather holds at
-    most `cycmat._GATHER_ENTRIES` entries, and a single element too large
-    for one gathers its k-slices in such chunks.
+    bound p max|out| < 2^63, with `_normalise_each` only where that bound
+    of the next gather would fail.  The Gauss sums wait until the end:
+    with a factors S and b factors S^{-1}, gamma_+^a gamma_-^b =
+    |gamma|^(2 min(a, b)) gamma_+-^|a - b|, one `_convolve` with the cached
+    `_gauss_power` vector, with `_normalise_each` before it and after it.
+    Elements go in chunks whose gather holds at most
+    `cycmat._GATHER_ENTRIES` entries, and a single element too large for
+    one gathers its k-slices in such chunks.
     """
     img = _lift_images(p)
     m, eps = img["m"], img["eps"]
@@ -386,7 +334,7 @@ def _lift_chunk(p, programs):
     """The lifts of `_read_word` programs sorted by falling gather count."""
     img = _lift_images(p)
     m = img["m"]
-    basis, conv_index = _gather_tables(p)
+    basis = _gather_basis(p)
     n = len(programs)
     k = np.arange(p)
     depth = [len(gathers) for gathers, *_ in programs]
@@ -429,11 +377,12 @@ def _lift_chunk(p, programs):
         """Normalise each of the first count outputs whose next gather's
         bound would not fit int64; their max|out|."""
         tops = _max_abs_each(arr[:count])
-        for e, top in enumerate(tops):
-            if p * top > _INT64_MAX:
-                arr[e], h = _normalise(arr[e])
-                content[e] *= h
-                tops[e] = _max_abs(arr[e])
+        big = [e for e, top in enumerate(tops) if p * top > _INT64_MAX]
+        if big:
+            arr[big], h = _normalise_each(arr[big])
+            for e, k in zip(big, h):
+                content[e] *= k
+            tops = _max_abs_each(arr[:count])
         return tops
 
     if n2:
@@ -461,10 +410,7 @@ def _lift_chunk(p, programs):
     if conv:
         gauss = [_gauss_power(p, 1 if nets[e] > 0 else -1, abs(nets[e])) for e in conv]
         vecs = np.array([vec for vec, _g in gauss])
-        rows = arr[conv].reshape(len(conv), p * p, m)
-        _check_int64(max(sum(map(abs, vec)) * top for vec, top in
-                         zip(vecs.tolist(), _max_abs_each(rows))), "convolution")
-        rows, h = _normalise_each(rows @ vecs[:, conv_index])  # vec[(v - u) mod m]
+        rows, h = _normalise_each(_convolve(vecs, arr[conv].reshape(len(conv), p * p, m)))
         arr[conv] = rows.reshape(len(conv), p, p, m)
         for e, (_vec, g), hk in zip(conv, gauss, h):
             content[e] *= g * hk
@@ -508,7 +454,7 @@ class _TraceEngine:
     chunk: `column_abs_sq` sweeps SL2(Z/m) one lower-left entry c at a
     time, every u-block of a non-unit column at once, and `trace_vectors`
     gives the trace vectors of any list of elements, as the census needs.
-    `trace_vector` and `trace_abs_sq_parts` stay the per-element oracle.
+    `trace_vector` and `trace_abs_sq` stay the per-element oracle.
     """
 
     def __init__(self, p):
@@ -599,7 +545,7 @@ class _TraceEngine:
             e = (x - delta) * sq[:, None] - alpha * sq[None, :]
             vec = self._gauss_sq_rolls[(e.ravel() + self._gmat(u)) % m].sum(axis=0)
             scale = self._gauss_sq_scale
-        vec, g = _normalise(vec)
+        (vec,), (g,) = _normalise_each(vec[None])
         return vec, scale * g
 
     def trace_vectors(self, Ms):
@@ -640,35 +586,20 @@ class _TraceEngine:
             e = shift[part] * sq[:, None] - alpha[part] * sq
             off = (e.reshape(-1, p * p) + gmat[which[part]]) % m
             rows[pos[part]] = self._gauss_sq_rolls[off].sum(axis=1)
-        rows = _median_shift(rows)
-        g = np.gcd.reduce(rows, axis=1)
-        g[g == 0] = 1
-        rows //= g[:, None]
+        rows, g = _normalise_each(rows)
         return rows, [(self._gauss_scale if one else self._gauss_sq_scale) * k
-                      for one, k in zip(unit.tolist(), g.tolist())]
+                      for one, k in zip(unit.tolist(), g)]
 
     def abs_sq_rows(self, rows):
         """n with n[k] = |sum_t rows[k, t] A^t|^2 for every row of trace
         vectors: n[k] = sum_s r[s] A^s, where r[s] = sum_t v[t] v[t + s] is
         the autocorrelation of the median-shifted row v.  Raises ValueError
         unless every n[k] is a rational integer."""
-        rows = _median_shift(rows)
-        _check_int64(self.m * _max_abs(rows) ** 2 * self._powers_l1, "|Tr|^2")
-        coords = np.einsum("nst,nt->ns", _windows(rows), rows) @ self._powers
+        coords = _abs_sq(_median_shift(rows), self._powers, self._powers_l1)
         irrational = coords[:, 1:].any(axis=1)
         if irrational.any():
             raise ValueError("|Tr|^2 of row %d is not rational" % irrational.argmax())
         return coords[:, 0]
-
-    def trace_abs_sq_parts(self, M):
-        """(n, scale) with |Tr|^2 = n * scale^2, by `abs_sq_rows` on the
-        trace vector of M."""
-        vec, scale = self.trace_vector(M)
-        try:
-            n = self.abs_sq_rows(vec[None, :])[0]
-        except ValueError as err:
-            raise ValueError("|Tr|^2 of %r is not rational" % (M,)) from err
-        return int(n), scale
 
     # -- batched sweep of SL2(Z/m), one lower-left entry c at a time --------
 
@@ -731,8 +662,13 @@ class _TraceEngine:
         return [(n, self._gauss_sq_scale, counts[us].ravel())]
 
     def trace_abs_sq(self, M):
-        n, scale = self.trace_abs_sq_parts(M)
-        return n * scale * scale
+        """|Tr|^2 = n scale^2, n by `abs_sq_rows` on the trace vector of M."""
+        vec, scale = self.trace_vector(M)
+        try:
+            n = self.abs_sq_rows(vec[None, :])[0]
+        except ValueError as err:
+            raise ValueError("|Tr|^2 of %r is not rational" % (M,)) from err
+        return int(n) * scale * scale
 
 
 @lru_cache(maxsize=None)
@@ -767,19 +703,14 @@ def projective_keys(mats, field):
     m, nrows, ncols = mats[0].m, mats[0].nrows, mats[0].ncols
     P = power_matrix(field, m)
     arr = np.stack([mat.arr for mat in mats]).reshape(len(mats), -1, m)
-    _check_int64(_max_abs(arr) * _l1(P), "field coordinates")
-    nonzero = (arr @ P).any(axis=2)
+    nonzero = _coords(arr, P).any(axis=2)
     live = np.flatnonzero(nonzero.any(axis=1) & np.array([bool(mat.scale) for mat in mats]))
     keys = [("zero", nrows, ncols)] * len(mats)
     if not live.size:
         return keys
     rows = arr[live]
     lead = rows[np.arange(live.size), nonzero[live].argmax(axis=1)][:, -np.arange(m) % m]
-    _check_int64(max(sum(map(abs, vec)) * top for vec, top in
-                     zip(lead.tolist(), _max_abs_each(rows))), "convolution")
-    rows = rows @ lead[:, _conv_index(m)]  # lead[(v - u) mod m]
-    _check_int64(_max_abs(rows) * _l1(P), "field coordinates")
-    coords = rows @ P
+    coords = _coords(_convolve(lead, rows), P)
     g = np.gcd.reduce(coords.reshape(live.size, -1), axis=1).tolist()
     for e, row, k in zip(live.tolist(), coords, g):
         keys[e] = (mats[e].scale ** 2 * k, nrows, ncols, (row // k).tobytes())

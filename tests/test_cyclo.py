@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from weildec.cyclo import _divide_by_xd_minus_1, cyclotomic_poly, make_field
 
 
-LEVELS = [3, 4, 8, 12, 24, 40]
+LEVELS = [3, 4, 5, 7, 8, 9, 12, 24, 40]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 12, 24])

@@ -10,11 +10,13 @@ from weildec import cycmat
 from weildec.cyclo import make_field
 from weildec.cycmat import (
     CycMat,
+    _convolve,
     _dense_product,
     _index_map_product,
     _int_combo,
     _int_einsum,
     _max_abs,
+    _normalise_each,
 )
 from weildec.decompose import _array_is_zero, _cyc_equal, _generator_product
 from weildec.ringmat import RingMatrix
@@ -116,7 +118,7 @@ def test_cycmat_equal_up_to_scalar_edge_cases(monkeypatch):
     # a non-unit lam = (3/2)(A^3 + 2), each entry vector convolved with it
     vec = np.zeros(m, dtype=np.int64)
     vec[[0, 3]] = 2, 1
-    scaled = CycMat(m, cycmat._convolve(vec, arr.reshape(-1, m)).reshape(arr.shape),
+    scaled = CycMat(m, cycmat._convolve(vec[None], arr.reshape(1, -1, m))[0].reshape(arr.shape),
                     Fraction(3, 2))
     assert scaled.equal_up_to_scalar(mat) == (A ** 3 + 2) * Fraction(3, 2)
     # the other way round <V, V> is not rational: one field division
@@ -197,6 +199,49 @@ def test_power_matrix_is_cached_and_read_only():
     assert cycmat.power_matrix(field, 9, 5) is P
     with pytest.raises(ValueError):
         P[0, 0] = 7
+
+
+def test_normalise_each_is_each_element_alone():
+    # element 0 sits near +2^62 and element 1 near -2^62: each range fits
+    # int64, the range of the stack does not
+    rng = np.random.default_rng(5)
+    m = 9
+    stack = 6 * rng.integers(-50, 50, size=(4, 3, m))
+    stack[0] += 2**62
+    stack[1] -= 2**62
+    stack[3] = 0
+    out, g = _normalise_each(stack)
+    for e in range(len(stack)):
+        alone, (h,) = _normalise_each(stack[e:e + 1])
+        assert out.dtype == alone.dtype and np.array_equal(out[e], alone[0])
+        assert g[e] == h
+        for vec, res in zip(stack[e].tolist(), out[e].tolist()):
+            median = sorted(vec)[m // 2]
+            assert [g[e] * x for x in res] == [x - median for x in vec]
+    assert g[:3] == [6, 6, 6] and g[3] == 1
+    past = np.zeros((1, 3, m), dtype=np.int64)
+    past[0, 0, :2] = 2**62, -2**62 - 1  # one element's range is 2^63 + 1
+    with pytest.raises(OverflowError):
+        _normalise_each(np.concatenate([stack[:1], past]))
+
+
+def test_batched_convolve_is_the_cyclic_convolution():
+    # element 0 pairs a vector of large |.|_1 with small rows, element 1 the
+    # reverse: each bound fits int64, the product of the two maxima does not
+    rng = np.random.default_rng(7)
+    m = 8
+    vecs = rng.integers(-9, 10, size=(2, m))
+    rows = rng.integers(-9, 10, size=(2, 5, m))
+    vecs[0, 0] = 2**58
+    rows[1, 0, 0] = 2**55
+    got = _convolve(vecs, rows)
+    for vec, block, res in zip(vecs.tolist(), rows.tolist(), got.tolist()):
+        for row, out in zip(block, res):
+            assert out == [sum(row[u] * vec[(v - u) % m] for u in range(m))
+                           for v in range(m)]
+    rows[0, 2, 3] = 2**10  # 2^58 * 2^10 passes 2^63 for element 0 alone
+    with pytest.raises(OverflowError):
+        _convolve(vecs, rows)
 
 
 def _prime_and_root(m):

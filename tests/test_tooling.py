@@ -76,6 +76,34 @@ def test_library_imports_are_used():
     assert not unused
 
 
+def _top_level_names(path):
+    """Names a module binds at its top level by def, class or assignment."""
+    names = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_private_imports_come_from_their_definitions():
+    # a private name that a module takes with `from .X import _name` is
+    # defined in X itself: a kernel that moved cannot stay reachable
+    # through the module that used to hold it
+    src = ROOT / "src" / "weildec"
+    stray = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                defined = _top_level_names(src / f"{node.module}.py")
+                stray += [f"{path.name}:{node.lineno} {alias.name} from .{node.module}"
+                          for alias in node.names
+                          if alias.name.startswith("_") and alias.name not in defined]
+    assert not stray
+
+
 def test_private_functions_are_referenced():
     # a private function or method that the library reads nowhere outside
     # its own def is a helper left behind when its callers changed

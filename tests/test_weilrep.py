@@ -11,7 +11,7 @@ import pytest
 
 from weildec import analysis, cycmat, weilrep
 from weildec.cyclo import field_for_level
-from weildec.cycmat import _INT64_MAX, CycMat, _l1, _max_abs, power_matrix
+from weildec.cycmat import _INT64_MAX, CycMat, _convolve, _l1, _max_abs, power_matrix
 from weildec.decompose import _cyc_equal, _symmetric
 from weildec.modgroup import (
     class_representatives,
@@ -24,7 +24,6 @@ from weildec.modgroup import (
 from weildec.ringmat import RingMatrix
 from weildec.weilrep import (
     WeilRep,
-    _convolve,
     gauss_sum,
     lift_genus1,
     lift_genus1_cyc,
@@ -388,7 +387,7 @@ def test_trace_overflow_guard_raises(monkeypatch):
     with pytest.raises(OverflowError):
         engine.trace_abs_sq((1, 0, 0, 1))
     with pytest.raises(OverflowError):
-        _convolve(engine._gauss, np.full((3, engine.m), 2**62, dtype=np.int64))
+        _convolve(engine._gauss[None], np.full((1, 3, engine.m), 2**62, dtype=np.int64))
 
 
 def _column_values(engine, c):
@@ -489,7 +488,7 @@ def test_chunking_leaves_the_columns_unchanged(monkeypatch, p):
 def _engine_with_rolls(p, vec):
     """A fresh engine whose every roll of g0 and of g0 * g0 is a roll of vec."""
     engine = weilrep._TraceEngine(p)
-    engine._gauss_rolls = engine._gauss_sq_rolls = weilrep._windows(vec)
+    engine._gauss_rolls = engine._gauss_sq_rolls = cycmat._windows(vec)
     return engine
 
 
@@ -727,7 +726,7 @@ def test_lift_matches_dense_products_on_every_element(p):
 
 @pytest.mark.parametrize("p", [4, 5, 9])
 def test_lift_normalised_between_gathers_is_unchanged(p, monkeypatch):
-    # a tiny threshold makes every gather's output take the on-demand _normalise
+    # a tiny threshold makes every gather's output take the on-demand _normalise_each
     N = p if p % 2 else 2 * p
     field = field_for_level(p)
     rng = random.Random(67 + p)
