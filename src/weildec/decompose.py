@@ -4,30 +4,30 @@ Parity splitting under the index flip a -> -a, coprime tensor
 factorization through a residue pairing, prime-power towers with
 orthogonal complements, the bookkeeping tree of irreducible factors,
 the Egorov rules G W(v) G^-1 = A^(v^T Q v) W(Mv) of the generators on
-the Schrodinger operators W(v) as integer matrices (M, Q), orbit-sum
-operators, and the minus-parity label audit at genus one.  The commutant
+the Schrodinger operators W(v) as integer matrices (M, Q), the orbit-sum
+family, and the minus-parity label audit at genus one.  The commutant
 dimension is the number of holonomy-free orbits of the rules, certified
 by (a) the W(v) being a basis, (b) each rule holding for every v, from
 2g x 2g identities on (M, Q), and (c) the orbit count over the p^(2g)
 lattice vectors, while p^(2g) m is at most COMMUTANT_MAX_ENTRIES.  Check
-(b) runs once for all the rules of a WeilRep: the rules stacked as
-(k, 2g, 2g) arrays, the k 2g basis identities from two Schrodinger maps
-and one sorted comparison, one verdict per tag.  Count (c) reads that same
-certified stack, evaluated over the lattice by `modgroup.lattice_images`
-(the one lattice evaluation, shared with `modgroup.orbit_census`), so each
-rule is built once.  Every certificate reads a generator as integer
-exponents on its row entries times one common factor
-(`WeilRep.generator_entries`), at most p per row, and forms no dense
-d x d x m generator; the tower's rolled Y operand, d p m entries, is
-bounded by COMMUTANT_MAX_ENTRIES too.
+(b) runs once for all the rules of a WeilRep (`_certified_rules`): the
+rules stacked as (k, 2g, 2g) arrays, the k 2g basis identities from two
+Schrodinger maps and one sorted comparison, one verdict per tag.  Count
+(c) reads that same certified stack, evaluated over the lattice by
+`modgroup.lattice_images` (shared with `modgroup.orbit_census`), and the
+orbit-sum family is read off those orbits: a sum commutes with every
+generator exactly when its orbit is holonomy-free.  Every certificate
+reads a generator as integer exponents on its row entries times one
+common factor (`WeilRep.generator_entries`), at most p per row, and
+forms no dense d x d x m generator; the tower's rolled Y operand, d p m
+entries, is bounded by COMMUTANT_MAX_ENTRIES too.
 
 The rules, the parity flip, the CRT entries and the generators' symmetry
-compare (row, column, exponent) triples as integers (`_same_entries`, and
-`_same_entries_grouped` for the rules, the flip and the symmetry of every
-tag at once);
-the CRT factor identity, the tower identity and the Omega commutators
-compare entry vectors, falling back to exact cyclotomic reduction when an
-integer residual is nonzero.  Every reported "pass" is an exact statement.
+compare (row, column, exponent) triples as integers, every tag of a
+check in one `_same_entries_grouped` call; the CRT factor identity and
+the tower identity compare entry vectors, falling back to exact
+cyclotomic reduction when an integer residual is nonzero.  Every
+reported "pass" is an exact statement.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ import numpy as np
 
 from .cycmat import (
     _INT64_MAX,
-    CycMat,
-    _conv_index,
     _int_combo,
     _int_einsum,
     _int_matmul,
@@ -52,6 +50,7 @@ from .cycmat import (
     field_coords,
 )
 from .modgroup import (
+    diagonal_index,
     divisors,
     lattice_images,
     lattice_orbits,
@@ -83,8 +82,8 @@ def _scaled_equal(field, m, x, sx, y, sy):
 
 def _same_entries_grouped(stacks, d, m):
     """One verdict per identity: whether two sides of (row, column,
-    exponent) triples are one multiset with exponents mod m, as
-    `_same_entries` decides it for one identity.
+    exponent) triples are one multiset with exponents mod m, which is when
+    two d x d matrices sharing one scale and one nonzero factor are equal.
 
     stacks is a list of (x, y), each side three arrays that broadcast
     together to a shape (s, ...) whose first axis holds s identities; the
@@ -122,18 +121,6 @@ def _same_entries_grouped(stacks, d, m):
     return held
 
 
-def _same_entries(x, y, d, m):
-    """Whether the (row, column, exponent) triples x and y, each three
-    arrays that broadcast together, are one multiset with exponents mod m:
-    the keys (r d + c) m + (e mod m) of positions in a d x d matrix, sorted,
-    agree.  Two generator-shaped matrices whose entries share one scale and
-    one nonzero factor are equal when their triples are.  The keys are
-    int64, so d^2 m must fit.  One identity of `_same_entries_grouped`."""
-    def one(side):
-        return tuple(np.asarray(a)[None] for a in side)
-    return bool(_same_entries_grouped([(one(x), one(y))], d, m)[0])
-
-
 def _moved_entries(rep, tags, move):
     """One verdict per tag: the generator's (row, column, exponent)
     triples, their positions moved by move(rows, cols), are its own.  One
@@ -164,21 +151,16 @@ def _cyc_equal(x, y, field):
 # ---------------------------------------------------------------------------
 
 def _generator_product(rep, tag, operand):
-    """gen @ operand for the generator `tag` of rep, as an exact integer
-    array with an entry axis; the generator's scale is left out.  The
-    operand is an integer matrix, or has an entry axis of length m.
+    """gen @ operand for the generator `tag` of rep and an integer matrix
+    operand (d, n), as an exact integer array (d, n, m) with an entry axis;
+    the generator's scale is left out.
 
     Row r of gen @ operand is sum_j vecs[r, j] * operand[cols[r, j]] over
     the k entries of `generator_entries`, vecs[r, j] the factor rolled by
-    exps[r, j]: a convolution of entry vectors, one batched `_int_matmul`
-    over the rows r (int64 behind its exact bound, Python ints past it)."""
+    exps[r, j]: one batched `_int_matmul` over the rows r (int64 behind its
+    exact bound, Python ints past it)."""
     cols, exps, factor, _ = rep.generator_entries(tag)
-    vecs = _rolls(factor, exps)
-    op = operand.reshape(operand.shape[:2] + (-1,))  # an integer matrix: entry axis 1
-    (d, k, m), (n, mo) = vecs.shape, op.shape[1:]
-    # conv[r, (j, x), w] = vecs[r, j, (w - x) mod m], the terms of op[..., x]
-    conv = vecs if mo == 1 else vecs[..., _conv_index(m)].reshape(d, k * m, m)
-    return _int_matmul(op[cols].transpose(0, 2, 1, 3).reshape(d, n, k * mo), conv)
+    return _int_matmul(operand[cols].transpose(0, 2, 1), _rolls(factor, exps))
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +183,6 @@ def _flip_permutation(p, g):
     """Index map of the global flip a -> -a on multi-indices (a1 most
     significant); an involution, so J = eye[flip] is symmetric."""
     return np.ravel_multi_index(tuple(-np.indices((p,) * g) % p), (p,) * g).ravel()
-
-
-def _commutes(rep, tag, mat):
-    """Exact check that mat N (an integer matrix, or one with an entry axis)
-    commutes with generator tag.  N G is taken as (G N^T)^T, which needs
-    G^T = G: the caller checks it (`_symmetric`)."""
-    comm = _int_combo(1, _generator_product(rep, tag, mat.swapaxes(0, 1)).swapaxes(0, 1),
-                      -1, _generator_product(rep, tag, mat))
-    return _array_is_zero(rep.field, rep.m, comm)
 
 
 def _flip_commutes(rep, flip):
@@ -252,6 +225,8 @@ def _parity_dims(p, g):
 
 @dataclass
 class CrtReport:
+    """The verdict of `crt_check` (the failing tags) or of `tower_check`
+    (the failing (tag, reason) pairs)."""
     passed: bool
     failures: tuple
 
@@ -297,9 +272,9 @@ def crt_check(a, b, g=1):
     (`generator_entries`).  A_a is A_ab^mult_a and A_b is A_ab^mult_b, of
     coprime orders m_a m_b = m_ab, so A_a^s A_b^t = A_ab^idx[s, t] with idx
     a bijection (checked).  Moved by psi in rows and columns, with the
-    exponents idx[ea, eb], the triples must be G_ab's (`_same_entries`),
-    and fa (x) fb scattered by idx, times sa sb, must be s_ab f_ab (one
-    field identity).
+    exponents idx[ea, eb], the triples must be G_ab's, every tag in one
+    `_same_entries_grouped` call, and fa (x) fb scattered by idx, times
+    sa sb, must be s_ab f_ab (one field identity per tag).
     """
     if gcd(a, b) != 1 or b % 2 == 0 or a < 2 or b < 2:
         raise ValueError("need coprime levels with b odd, both at least 2")
@@ -313,8 +288,9 @@ def crt_check(a, b, g=1):
     idx = (np.arange(rep_a.m)[:, None] * mult_a + np.arange(rep_b.m) * mult_b) % m_ab
     if not (np.bincount(idx.ravel(), minlength=m_ab) == 1).all():
         raise RuntimeError("A_a and A_b do not generate the level-%d roots" % (a * b))
-    failures = []
-    for tag in rep_ab.tags():
+    tags = rep_ab.tags()
+    stacks, factors = [], []
+    for tag in tags:
         cols_a, ea, fa, sa = rep_a.generator_entries(tag)
         cols_b, eb, fb, sb = rep_b.generator_entries(tag)
         cols_ab, e_ab, f_ab, s_ab = rep_ab.generator_entries(tag)
@@ -322,25 +298,20 @@ def crt_check(a, b, g=1):
         tensor = (psi.reshape(-1, d_b, 1, 1),  # row (x, y), column (j, l)
                   psi[cols_a[:, None, :, None] * d_b + cols_b[None, :, None, :]],
                   idx[ea[:, None, :, None], eb[None, :, None, :]])
+        own = (np.arange(rep_ab.dim)[:, None], cols_ab, e_ab)
+        stacks.append(tuple(tuple(arr[None] for arr in side) for side in (tensor, own)))
         outer = _int_einsum("s,t->st", fa, fb)
         ft = np.zeros(m_ab, dtype=outer.dtype)
         ft[idx] = outer
-        if not (_same_entries(tensor, (np.arange(rep_ab.dim)[:, None], cols_ab, e_ab),
-                              rep_ab.dim, m_ab)
-                and _scaled_equal(rep_ab.field, m_ab, ft, sa * sb, f_ab, s_ab)):
-            failures.append(tag)
-    return CrtReport(not failures, tuple(failures))
+        factors.append(_scaled_equal(rep_ab.field, m_ab, ft, sa * sb, f_ab, s_ab))
+    held = _same_entries_grouped(stacks, rep_ab.dim, m_ab) & factors
+    failures = tuple(tag for tag, ok in zip(tags, held) if not ok)
+    return CrtReport(not failures, failures)
 
 
 # ---------------------------------------------------------------------------
 # prime-power towers
 # ---------------------------------------------------------------------------
-
-@dataclass
-class TowerReport:
-    passed: bool
-    failures: tuple
-
 
 def _tower_handle_basis(r, n):
     """Per-handle embedding columns of U_{r^n} inside U_{r^(n+2)}: column i
@@ -408,7 +379,7 @@ def tower_check(r, n, g=1):
             failures.append((tag, "restriction mismatch"))
         if not stable:
             failures.append((tag, "complement not stable"))
-    return TowerReport(not failures, tuple(failures))
+    return CrtReport(not failures, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -709,25 +680,34 @@ def commutant_dimension(p, g=1):
     Raises ValueError when a check fails, or past p^(2g) m <=
     COMMUTANT_MAX_ENTRIES (`commutant_certifiable`).
     """
-    if not commutant_certifiable(p, g):
-        raise ValueError("commutant certificate bounded at d^2 m <= %d entries"
-                         % COMMUTANT_MAX_ENTRIES)
-    rep = WeilRep(p, g)
+    return int(_rule_orbits(p, g).free.sum())
+
+
+def _certified_rules(rep):
+    """(M, Q), the rules of rep's tags stacked (`_rule_stack`), once checks
+    (a) and (b) of `commutant_dimension` hold: the W(v) are a basis
+    (`_check_basis`) and every rule holds for every v (`_rule_cocycle`,
+    `_rule_exact`).  Raises ValueError naming the tags whose rules fail."""
     _check_basis(rep)
     tags = rep.tags()
-    M, Q = _rule_stack(tags, g)
+    M, Q = _rule_stack(tags, rep.g)
     held = _rule_cocycle(M, Q, rep.m) & _rule_exact(rep, tags, M, Q)
     failed = [tag for tag, ok in zip(tags, held) if not ok]
     if failed:
         raise ValueError(f"Egorov rules of {failed} do not hold")
-    return int(_rule_orbits(rep, M, Q).free.sum())
+    return M, Q
 
 
-def _rule_orbits(rep, M, Q):
-    """The lattice orbits of the stacked rules (M, Q) of rep's tags,
-    evaluated once as arrays (`_egorov_rules`): the only p^(2g) work of
-    the rules."""
-    return lattice_orbits(*_egorov_rules(M, Q, rep.p, rep.m), rep.m)
+def _rule_orbits(p, g):
+    """The lattice orbits of the Egorov rules of the level-p module at
+    genus g, certified (`_certified_rules`) and evaluated once as arrays
+    (`_egorov_rules`): the only p^(2g) work of the rules.  Raises
+    ValueError past `commutant_certifiable`, before anything is built."""
+    if not commutant_certifiable(p, g):
+        raise ValueError("commutant certificate bounded at d^2 m <= %d entries"
+                         % COMMUTANT_MAX_ENTRIES)
+    rep = WeilRep(p, g)
+    return lattice_orbits(*_egorov_rules(*_certified_rules(rep), p, rep.m), rep.m)
 
 
 def schrodinger_commutant_dimension(p, g=1):
@@ -749,41 +729,14 @@ def schrodinger_commutant_dimension(p, g=1):
 
 
 # ---------------------------------------------------------------------------
-# orbit-sum operators
+# the orbit-sum family
 # ---------------------------------------------------------------------------
-
-def _orbit_sum(rep, orbits, delta):
-    """(Omega_delta, orbit size, holonomy-free) for the orbit of the start
-    vector (0, delta, ..., 0, delta): the sum of A^pot(v) W(v) over the
-    orbit, the potentials anchored at the start vector with phase 0."""
-    p, g, m = rep.p, rep.g, rep.m
-    start = np.ravel_multi_index((0, delta % p) * g, (p,) * (2 * g))
-    k = orbits.labels[start]
-    members = np.flatnonzero(orbits.labels == k)
-    pot = orbits.potentials[members] - orbits.potentials[start]
-    rows, exps = rep.schrodinger_map(lattice_vectors(p, g)[:, members])
-    arr = np.zeros((rep.dim, rep.dim, m), dtype=np.int64)
-    np.add.at(arr, (rows, np.arange(rep.dim), (exps + pot[:, None]) % m), 1)
-    return CycMat(m, arr), members.size, bool(orbits.free[k])
-
-
-def omega_cyc(delta, p, g=1):
-    """Phase-corrected orbit sum of lattice translation operators.
-
-    Returns (matrix, orbit size, phases consistent).  The phase attached
-    to each orbit vector is its potential, transported along the Egorov
-    rules from the start vector (0, delta, ..., 0, delta); on some orbits
-    at even levels the transport has nontrivial holonomy, in which case
-    the potentials of a spanning forest are used and the flag is False.
-    """
-    if delta < 1 or p % delta:
-        raise ValueError("delta must divide the level")
-    rep = WeilRep(p, g)
-    return _orbit_sum(rep, _rule_orbits(rep, *_rule_stack(rep.tags(), g)), delta)
-
 
 @dataclass
 class OmegaRow:
+    """Omega_delta, summed over the orbit of (0, delta, ..., 0, delta).
+    commutes and phase_consistent are one flag, the orbit's holonomy-free
+    flag: Omega_delta commutes with every generator exactly when it holds."""
     delta: int
     orbit_size: int
     commutes: bool
@@ -808,27 +761,26 @@ class OmegaFamilyReport:
 
 
 def omega_family_report(p, g=1):
-    """Commutation and independence audit of the orbit-sum family.
+    """Commutation and independence audit of the orbit-sum family, read
+    off the lattice orbits of the certified rules (`_rule_orbits`), with
+    no operator formed.
 
-    Each commutator with a generator is tested exactly (`_commutes`), once
-    every generator is checked symmetric, all in one comparison
-    (`_symmetric`); a generator that is not reads "commutes" False.  The
-    sums on distinct orbits have disjoint supports in the basis W(v)
-    (lemma (a) of `commutant_dimension`), so the family rank is the number
-    of distinct orbits that the start vectors land in.
+    Omega_delta sums A^pot(v) W(v) over the orbit of (0, delta, ..., 0,
+    delta), pot the phase transported along the rules.  A generator
+    conjugates it to the sum of A^(pot(v) + z(v)) W(Mv), and the W(v) are
+    a basis: they commute exactly when pot(Mv) = pot(v) + z(v) mod m on
+    every edge, that is when the orbit is holonomy-free.  Sums on distinct
+    orbits have disjoint supports in that basis, so the family rank is the
+    number of distinct orbits the start vectors land in.  Raises
+    ValueError as `commutant_dimension` does.
     """
-    rep = WeilRep(p, g)
-    tags = rep.tags()
-    orbits = _rule_orbits(rep, *_rule_stack(tags, g))
-    symmetric = bool(_symmetric(rep, tags).all())
-    rows = []
-    for delta in divisors(p):
-        cyc, size, consistent = _orbit_sum(rep, orbits, delta)
-        commutes = symmetric and all(_commutes(rep, tag, cyc.arr) for tag in tags)
-        rows.append(OmegaRow(delta, size, commutes, consistent))
-    landed = {int(orbits.labels[np.ravel_multi_index((0, delta % p) * g, (p,) * (2 * g))])
-              for delta in divisors(p)}
-    return OmegaFamilyReport(p, g, tuple(rows), len(rows), len(landed))
+    orbits = _rule_orbits(p, g)
+    deltas = divisors(p)
+    starts = orbits.labels[diagonal_index(deltas, p, g)].tolist()
+    sizes = np.bincount(orbits.labels)
+    rows = tuple(OmegaRow(delta, int(sizes[k]), bool(orbits.free[k]), bool(orbits.free[k]))
+                 for delta, k in zip(deltas, starts))
+    return OmegaFamilyReport(p, g, rows, len(rows), len(set(starts)))
 
 
 @dataclass

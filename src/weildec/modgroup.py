@@ -688,6 +688,13 @@ def lattice_vectors(N, g):
     return np.indices((N,) * (2 * g)).reshape(2 * g, -1)
 
 
+def diagonal_index(delta, N, g):
+    """The index of (0, delta, ..., 0, delta), every shift 0 and every
+    modulation delta mod N, in `lattice_vectors`; delta may be an array."""
+    delta = np.asarray(delta) % N
+    return np.ravel_multi_index((np.zeros_like(delta), delta) * g, (N,) * (2 * g))
+
+
 def lattice_images(Ms, N):
     """img[k, v]: the index of Ms[k] vec[:, v] mod N, for a stack Ms
     (k, 2g, 2g) of integer matrices and every lattice index v of
@@ -719,6 +726,5 @@ def orbit_census(N, g):
     orbits = lattice_orbits(lattice_images(sp_generators(g, N), N))
     deltas = [None] * orbits.roots.size
     for d in reversed(divisors(N)):  # the least divisor of an orbit wins
-        probe = np.ravel_multi_index((0, d % N) * g, (N,) * (2 * g))
-        deltas[orbits.labels[probe]] = d
+        deltas[orbits.labels[diagonal_index(d, N, g)]] = d
     return len(deltas), list(zip(deltas, np.bincount(orbits.labels).tolist()))

@@ -8,16 +8,27 @@ verified family of orthogonal commuting idempotents of
 that `decompose.commutant_dimension` certifies.  `walk_orbit` is the
 per-vector walk that `modgroup.lattice_orbits` replaces, and
 `rule_exact_per_vector` the one-identity-at-a-time rule check that
-`decompose._rule_exact` batches.
+`decompose._rule_exact` batches.  `omega_cyc` builds an orbit sum
+Omega_delta as a dense d x d x m matrix, the operator whose commutation
+`decompose.omega_family_report` reads off the orbit's holonomy, and
+`omega_commutes` multiplies it with every generator.
 """
 
 from math import isqrt, lcm
 
 import numpy as np
 
-from weildec.cycmat import _INT64_MAX, _int_einsum
-from weildec.decompose import _commutes, _same_entries, _symmetric, isotypic_projectors
-from weildec.modgroup import prime_factorization
+from weildec.cycmat import _INT64_MAX, CycMat, _int_combo, _int_einsum
+from weildec.decompose import (
+    _array_is_zero,
+    _cyc_equal,
+    _generator_product,
+    _rule_orbits,
+    _same_entries_grouped,
+    _symmetric,
+    isotypic_projectors,
+)
+from weildec.modgroup import diagonal_index, lattice_vectors, prime_factorization
 from weildec.weilrep import WeilRep
 
 
@@ -117,6 +128,61 @@ def _commutant_nullity_mod(gens, q, omega):
         M %= q
         blocks.append(M[M.any(axis=1)])
     return cols.size - _rank_mod(np.concatenate(blocks), q)
+
+
+def _same_entries(x, y, d, m):
+    """Whether the (row, column, exponent) triples x and y, each three
+    arrays that broadcast together, are one multiset with exponents mod m:
+    one identity of `decompose._same_entries_grouped`."""
+    def one(side):
+        return tuple(np.asarray(a)[None] for a in side)
+    return bool(_same_entries_grouped([(one(x), one(y))], d, m)[0])
+
+
+def _commutes(rep, tag, mat):
+    """Exact check that the integer matrix N commutes with generator tag,
+    both products multiplied out (`decompose._generator_product`).  N G is
+    taken as (G N^T)^T, which needs G^T = G: the caller checks it
+    (`decompose._symmetric`)."""
+    comm = _int_combo(1, _generator_product(rep, tag, mat.swapaxes(0, 1)).swapaxes(0, 1),
+                      -1, _generator_product(rep, tag, mat))
+    return _array_is_zero(rep.field, rep.m, comm)
+
+
+def _orbit_sum(rep, orbits, delta):
+    """(Omega_delta, orbit size, holonomy-free) for the orbit of the start
+    vector (0, delta, ..., 0, delta): the sum of A^pot(v) W(v) over the
+    orbit, the potentials anchored at the start vector with phase 0."""
+    p, g, m = rep.p, rep.g, rep.m
+    start = diagonal_index(delta, p, g)
+    k = orbits.labels[start]
+    members = np.flatnonzero(orbits.labels == k)
+    pot = orbits.potentials[members] - orbits.potentials[start]
+    rows, exps = rep.schrodinger_map(lattice_vectors(p, g)[:, members])
+    arr = np.zeros((rep.dim, rep.dim, m), dtype=np.int64)
+    np.add.at(arr, (rows, np.arange(rep.dim), (exps + pot[:, None]) % m), 1)
+    return CycMat(m, arr), members.size, bool(orbits.free[k])
+
+
+def omega_cyc(delta, p, g=1):
+    """Phase-corrected orbit sum of lattice translation operators.
+
+    Returns (matrix, orbit size, phases consistent).  The phase attached
+    to each orbit vector is its potential, transported along the Egorov
+    rules from the start vector (0, delta, ..., 0, delta); on some orbits
+    at even levels the transport has nontrivial holonomy, in which case
+    the potentials of a spanning forest are used and the flag is False.
+    """
+    if delta < 1 or p % delta:
+        raise ValueError("delta must divide the level")
+    return _orbit_sum(WeilRep(p, g), _rule_orbits(p, g), delta)
+
+
+def omega_commutes(rep, cyc):
+    """G Omega = Omega G for every generator G of rep, both products dense
+    (`CycMat.__matmul__`) and compared exactly (`decompose._cyc_equal`)."""
+    gens = [rep.generator_cyc(tag) for tag in rep.tags()]
+    return all(_cyc_equal(gen @ cyc, cyc @ gen, rep.field) for gen in gens)
 
 
 def _verify_projector_family(projs, rep):

@@ -18,7 +18,6 @@ from weildec.decompose import (
     decomposition_tree,
     egorov_verify,
     isotypic_projectors,
-    omega_cyc,
     omega_family_report,
     parity_bases,
     schrodinger_commutant_dimension,
@@ -26,6 +25,7 @@ from weildec.decompose import (
     tower_check,
 )
 from weildec.modgroup import (
+    diagonal_index,
     divisors,
     lattice_orbits,
     lattice_vectors,
@@ -36,11 +36,15 @@ from weildec.modgroup import (
 from weildec.weilrep import WeilRep
 
 from commutant_oracle import (
+    _commutes,
     _eval_mod,
     _modular_primes,
     _rank_mod,
     _root_mod,
+    _same_entries,
     commutant_bounds,
+    omega_commutes,
+    omega_cyc,
     rule_exact_per_vector,
     walk_orbit,
 )
@@ -300,18 +304,18 @@ def _perturbed_exponent(monkeypatch, row):
 @pytest.mark.parametrize("p,g", [(6, 1), (12, 1), (4, 2), (5, 2)])
 def test_flip_identity_matches_the_dense_commutator(monkeypatch, p, g):
     # J G J = G on the integer entries against G J = J G multiplied out
-    # (`_commutes`, the oracle); row 1 is not fixed by the flip, so one
+    # (`_commutes` of the oracle); row 1 is not fixed by the flip, so one
     # perturbed exponent there breaks both, and parity_bases raises
     rep, flip = WeilRep(p, g), decompose._flip_permutation(p, g)
     J = np.eye(rep.dim, dtype=np.int64)[flip]
     for tag, flipped in zip(rep.tags(), decompose._flip_commutes(rep, flip)):
         assert flipped
-        assert decompose._commutes(rep, tag, J)
+        assert _commutes(rep, tag, J)
     _perturbed_exponent(monkeypatch, 1)
     rep = WeilRep(p, g)
     for tag, flipped in zip(rep.tags(), decompose._flip_commutes(rep, flip)):
         assert not flipped
-        assert not decompose._commutes(rep, tag, J)
+        assert not _commutes(rep, tag, J)
     with pytest.raises(ValueError, match="parity spans"):
         parity_bases(p, g)
 
@@ -826,24 +830,45 @@ def test_omega_even_level_parity_obstruction():
     assert not by_delta[1].commutes
 
 
-def test_omega_family_checks_symmetry_once(monkeypatch):
-    # every generator's G^T = G in one grouped comparison, not once per
-    # divisor and tag through `_commutes`
-    calls = []
-    real = decompose._same_entries_grouped
+@pytest.mark.parametrize("p,g", [(p, 1) for p in range(2, 17)] + [(p, 2) for p in range(2, 5)])
+def test_omega_commutes_matches_the_dense_commutators(p, g):
+    # the holonomy flag the report reads is the dense G Omega = Omega G of
+    # the oracle, over every tag, for every divisor
+    rep = WeilRep(p, g)
+    for row in omega_family_report(p, g).rows:
+        cyc, size, _ = omega_cyc(row.delta, p, g)
+        assert row.orbit_size == size
+        assert row.commutes == row.phase_consistent == omega_commutes(rep, cyc)
 
-    def counted(stacks, d, m):
-        calls.append(len(stacks))
-        return real(stacks, d, m)
 
-    monkeypatch.setattr(decompose, "_same_entries_grouped", counted)
+def test_omega_family_forms_no_operator(monkeypatch):
+    # the report reads the orbits of the certified rules: with CycMat,
+    # the dense generators and the generator product refusing, it runs
+    def refuse(*args):
+        raise AssertionError("formed an operator")
+
+    _clear_library_caches()
+    monkeypatch.setattr(CycMat, "__init__", refuse)
+    monkeypatch.setattr(WeilRep, "generator_cyc", refuse)
+    monkeypatch.setattr(decompose, "_generator_product", refuse)
     report = omega_family_report(9)
-    assert report.all_commute and calls == [len(WeilRep(9).tags())]
+    assert report.all_commute and report.independent
+    assert [row.commutes for row in omega_family_report(8).rows] == [False, True, True, True]
+    assert omega_family_report(4, 2).independent
 
 
-def test_omega_family_reads_an_asymmetric_generator_as_not_commuting(monkeypatch):
-    # `_commutes` takes N G as (G N^T)^T; with it answering True, one Y
-    # exponent bumped off the diagonal must still make every row False
+def test_omega_family_refuses_past_the_bound_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a WeilRep")
+
+    monkeypatch.setattr(decompose, "WeilRep", refuse)
+    with pytest.raises(ValueError, match="commutant certificate bounded"):
+        omega_family_report(256, 1)
+
+
+def test_omega_family_refuses_an_uncertified_rule(monkeypatch):
+    # one Y exponent bumped off the diagonal breaks the Y rule, so the
+    # orbits are not read at all
     real = WeilRep.generator_entries
 
     def bumped(self, tag):
@@ -854,9 +879,8 @@ def test_omega_family_reads_an_asymmetric_generator_as_not_commuting(monkeypatch
         return cols, exps, factor, scale
 
     monkeypatch.setattr(WeilRep, "generator_entries", bumped)
-    monkeypatch.setattr(decompose, "_commutes", lambda rep, tag, mat: True)
-    report = omega_family_report(9)
-    assert report.rows and not any(row.commutes for row in report.rows)
+    with pytest.raises(ValueError, match="Egorov rules of \\[\\('Y', 1\\)\\]"):
+        omega_family_report(9)
 
 
 def test_omega_orbit_sizes_partition():
@@ -873,8 +897,7 @@ def test_orbit_sums_match_the_walked_potentials(p, g):
     img, z = _evaluated_rules(rep)
     vecs = lattice_vectors(p, g)
     for delta in divisors(p):
-        start = int(np.ravel_multi_index((0, delta % p) * g, (p,) * (2 * g)))
-        pot, free = walk_orbit(img, z, rep.m, start)
+        pot, free = walk_orbit(img, z, rep.m, int(diagonal_index(delta, p, g)))
         cyc, size, consistent = omega_cyc(delta, p, g)
         assert (size, consistent) == (len(pot), free)
         if free:
@@ -940,7 +963,7 @@ def test_same_entries_is_a_multiset_comparison():
     # reordered entries are the same multiset; two entries' exponents
     # swapped are not, and exponents agree mod m only
     rows, cols, exps = np.array([0, 1, 2]), np.array([2, 0, 1]), np.array([1, 4, 6])
-    same = decompose._same_entries
+    same = _same_entries
     order = np.array([2, 0, 1])
     assert same((rows, cols, exps), (rows[order], cols[order], exps[order]), 3, 8)
     assert same((rows, cols, exps), (rows, cols, exps - 8), 3, 8)

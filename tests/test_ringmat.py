@@ -547,40 +547,26 @@ def test_non_unit_monomials_take_the_dense_path(monkeypatch):
 @pytest.mark.parametrize("p,g", [(3, 1), (4, 2), (5, 2), (6, 2), (2, 3), (3, 3)])
 def test_handle_product_matches_dense_generator(p, g):
     # `_generator_product` reads each generator as its row entries; on an
-    # entry-axis operand it must match the dense CycMat product, and on an
-    # integer operand (a span matrix) the dense contraction; N G is taken
-    # as (G N^T)^T, as `_commutes` does
+    # integer operand (a span matrix) it must match the dense contraction
     rep = WeilRep(p, g)
     rng = np.random.default_rng(29 * p + g)
-    d, m = rep.dim, rep.m
     for tag in rep.tags():
         gen = rep.generator_cyc(tag)
-        M = rng.integers(-3, 4, size=(d, 4, m))
-        got = _generator_product(rep, tag, M)
+        V = rng.integers(-3, 4, size=(rep.dim, 5))
+        got = _generator_product(rep, tag, V)
         assert got.dtype == np.int64
-        assert np.array_equal(got, (gen @ CycMat(m, M)).arr)
-        M = rng.integers(-3, 4, size=(4, d, m))
-        assert np.array_equal(_generator_product(rep, tag, M.swapaxes(0, 1)).swapaxes(0, 1),
-                              (CycMat(m, M) @ gen).arr)
-        V = rng.integers(-3, 4, size=(d, 5))
-        assert np.array_equal(_generator_product(rep, tag, V),
-                              _int_einsum("itk,tj->ijk", gen.arr, V))
+        assert np.array_equal(got, _int_einsum("itk,tj->ijk", gen.arr, V))
 
 
 def test_handle_product_past_the_bound_is_exact(monkeypatch):
     # Y's factor times 2^58 puts the generator product past the int64 bound:
-    # a ring operand at p = 4 gives 4 * 8 * (4 * 2^58) = 2^65 > 2^63, an
-    # integer operand at p = 8 gives 8 * (4 * 2^58) = 2^63; the product
+    # an integer operand at p = 8 gives 8 * (4 * 2^58) = 2^63; the product
     # then runs on Python ints and stays exact
-    cases = []
-    for p, op in ((4, WeilRep(4, 2).schrodinger_cyc((1, 2, 3, 1)).arr),
-                  (8, np.eye(64, 3, k=-5, dtype=np.int64))):
-        rep = WeilRep(p, 2)
-        assert _max_abs(rep.generator_entries(("Y", 1))[2]) == 4
-        for i in (1, 2):
-            small = _generator_product(rep, ("Y", i), op)
-            assert small.dtype == np.int64
-            cases.append((rep, ("Y", i), op, small))
+    rep, op = WeilRep(8, 2), np.eye(64, 3, k=-5, dtype=np.int64)
+    assert _max_abs(rep.generator_entries(("Y", 1))[2]) == 4
+    tags = [("Y", 1), ("Y", 2)]
+    small = [_generator_product(rep, tag, op) for tag in tags]
+    assert all(out.dtype == np.int64 for out in small)
     real = WeilRep.generator_entries
 
     def scaled(self, tag):
@@ -588,7 +574,7 @@ def test_handle_product_past_the_bound_is_exact(monkeypatch):
         return cols, exps, factor * 2**58, scale
 
     monkeypatch.setattr(WeilRep, "generator_entries", scaled)
-    for rep, tag, operand, small in cases:
-        big = _generator_product(rep, tag, operand)
+    for tag, want in zip(tags, small):
+        big = _generator_product(rep, tag, op)
         assert big.dtype == object
-        assert np.array_equal(big, small.astype(object) * 2**58)
+        assert np.array_equal(big, want.astype(object) * 2**58)

@@ -12,14 +12,20 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACER = ROOT / "perfbench" / "tracer.py"
+PERFBENCH = ROOT / "perfbench"
+
+
+def _load_perfbench(name):
+    """perfbench/<name>.py as a module, registered (dataclasses look their
+    module up in sys.modules)."""
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load_perfbench("tracer")
 
 
 def test_tracer_targets_resolve():
@@ -32,6 +38,28 @@ def test_tracer_targets_resolve():
         if not callable(obj):
             missing.append((name, module_name, path))
     assert not missing
+
+
+def test_small_workloads_pass_plain_and_traced():
+    # every certificate of each small benchmark workload returns True, once
+    # plain and once traced, and the traced round reports every per-layer
+    # metric: a broken workload API, or a renamed cache the tracer reads,
+    # fails here before it fails the benchmark
+    workloads, tracer = _load_perfbench("workloads"), _load_tracer()
+    for workload in workloads.WORKLOADS:
+        certs = [cert for unit in workloads.build(workload, 1, small=True) for cert in unit]
+        trace = tracer.Tracer()
+        for traced in (False, True):
+            _clear_library_caches()
+            if traced:
+                trace.install()
+            try:
+                failed = [cert.name for cert in certs if cert.run() is not True]
+            finally:
+                trace.uninstall()
+            assert not failed, (workload, traced)
+        assert set(trace.collect()) == set(tracer.METRICS) - {"trace.wall_s",
+                                                              "trace.overhead_s"}
 
 
 def test_package_exports_exactly_its_imports():

@@ -552,10 +552,10 @@ def test_y_generator_gather_matches_loop(p, g):
 
 @pytest.mark.parametrize("p,g", [(3, 1), (4, 2), (6, 2), (3, 3)])
 def test_generators_are_symmetric(p, g):
-    # `_commutes` takes operand @ G as (G operand^T)^T, and the tower's
-    # complement identity is its restriction identity transposed; the
-    # entry check `_symmetric` agrees with the dense view, and refuses one
-    # off-diagonal Y exponent bumped by 1
+    # the oracle `_commutes` takes operand @ G as (G operand^T)^T, and the
+    # tower's complement identity is its restriction identity transposed;
+    # the entry check `_symmetric` agrees with the dense view, and refuses
+    # one off-diagonal Y exponent bumped by 1
     rep = WeilRep(p, g)
     for tag in rep.tags():
         arr = rep.generator_cyc(tag).arr
