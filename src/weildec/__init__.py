@@ -5,7 +5,6 @@ tables."""
 
 from .cyclo import CycloElt, CycloField, field_for_level, make_field
 from .cycmat import CycMat
-from .ringmat import RingMatrix
 from .weilrep import (
     WeilRep,
     gauss_sum,
@@ -37,7 +36,6 @@ __all__ = [
     "field_for_level",
     "make_field",
     "CycMat",
-    "RingMatrix",
     "WeilRep",
     "gauss_sum",
     "lift_genus1",

@@ -319,19 +319,31 @@ def _normalize_monomial(monomial, g):
 
 def semiclassical_traces(p, g, monomials):
     """Normalized traces of quantized curve monomials against their
-    classical limits (1 for the empty monomial, 0 otherwise)."""
+    classical limits (1 for the empty monomial, 0 otherwise).
+
+    The monomial with exponent pairs (x_i, y_i) is W(v), v = (y_1, x_1,
+    ..., y_g, x_g) mod p, and one `schrodinger_map` call gives every W(v)
+    as an index map: Tr W(v) sums A^exps over the fixed columns (rows ==
+    a), one `np.bincount` of entry vectors mapped by one `field_coords`.
+    Raises ValueError if a trace is not rational."""
     rep = WeilRep(p, g)
-    rows = []
-    for monomial in monomials:
-        mono = _normalize_monomial(monomial, g)
-        coords = []
-        for x_exp, y_exp in mono:
-            coords.extend([y_exp % p, x_exp % p])
-        trace = rep.schrodinger_cyc(coords).trace_elt(rep.field)
-        value = trace.as_fraction() / p**g
+    monos = [_normalize_monomial(monomial, g) for monomial in monomials]
+    vecs = np.array([[e % p for x_exp, y_exp in mono for e in (y_exp, x_exp)]
+                     for mono in monos], dtype=np.int64).reshape(-1, 2 * g)
+    rows, exps = rep.schrodinger_map(vecs.T)
+    fixed = rows == np.arange(rep.dim)
+    keys = (np.arange(len(monos))[:, None] * rep.m + exps)[fixed]
+    traces = field_coords(np.bincount(keys, minlength=len(monos) * rep.m).reshape(-1, rep.m),
+                          rep.field, rep.m)
+    irrational = traces[:, 1:].any(axis=1)
+    if irrational.any():
+        raise ValueError("trace of %r is not rational" % (monos[int(irrational.argmax())],))
+    out = []
+    for mono, trace in zip(monos, traces[:, 0].tolist()):
+        value = Fraction(trace, p**g)
         target = 1 if all(x == 0 and y == 0 for x, y in mono) else 0
-        rows.append(SemiclassicalRow(p, g, mono, value, target, abs(value - target)))
-    return SemiclassicalReport(p, g, tuple(rows))
+        out.append(SemiclassicalRow(p, g, mono, value, target, abs(value - target)))
+    return SemiclassicalReport(p, g, tuple(out))
 
 
 # ---------------------------------------------------------------------------

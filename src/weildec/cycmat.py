@@ -374,10 +374,6 @@ class CycMat:
         arr = self.arr[:, :, idx].transpose(1, 0, 2)
         return CycMat(self.m, arr, self.scale, -self.beta)
 
-    def trace_vector(self):
-        n = min(self.nrows, self.ncols)
-        return self.arr[np.arange(n), np.arange(n)].sum(axis=0)
-
     def kron(self, other):
         if self.m != other.m:
             raise ValueError("mixed group-ring orders")
@@ -439,16 +435,6 @@ class CycMat:
         scale multiplies each coordinate once.
         """
         coords = field_coords(self.arr, field, self.m, self.beta)
-        return RingMatrix(field, [[self._elt(field, vec) for vec in row]
-                                  for row in coords.tolist()])
-
-    def trace_elt(self, field):
-        return self._entry(field, self.trace_vector())
-
-    def _entry(self, field, vec):
-        """The field element scale * beta-root * sum_k vec[k] A^k."""
-        return self._elt(field, field_coords(vec, field, self.m, self.beta).tolist())
-
-    def _elt(self, field, coords):
         s = self.scale
-        return CycloElt(field, [s * x if x else _ZERO for x in coords])
+        return RingMatrix(field, [[CycloElt(field, [s * x if x else _ZERO for x in vec])
+                                   for vec in row] for row in coords.tolist()])

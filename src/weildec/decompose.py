@@ -713,19 +713,18 @@ def _rule_orbits(p, g):
 def schrodinger_commutant_dimension(p, g=1):
     """Dimension of the commutant of the lattice translation operators.
 
+    One `schrodinger_map` call at the 2g unit vectors gives both facts.
     The modulation operators are diagonal with pairwise distinct joint
-    eigenvalue tuples (verified exactly), so any commuting matrix is
-    diagonal; the shift operators then force constancy along the orbit
-    of index translations, and the commutant dimension is the number of
+    eigenvalue tuples (their exponents, verified exactly), so any commuting
+    matrix is diagonal; the shift operators then force constancy along the
+    orbit of their rows, and the commutant dimension is the number of
     orbits of the unit translations (`modgroup.lattice_orbits`).
     """
     rep = WeilRep(p, g)
-    a = rep._index_array()
-    if np.unique(2 * a % rep.m, axis=1).shape[1] != rep.dim:
+    rows, exps = rep.schrodinger_map(np.eye(2 * g, dtype=np.int64))
+    if np.unique(exps[1::2], axis=1).shape[1] != rep.dim:
         raise ValueError("joint eigenvalues are not distinct")
-    steps = [np.ravel_multi_index(tuple((a + np.eye(g, dtype=np.int64)[:, [h]]) % p),
-                                  (p,) * g) for h in range(g)]
-    return int(lattice_orbits(steps).roots.size)
+    return int(lattice_orbits(rows[::2]).roots.size)
 
 
 # ---------------------------------------------------------------------------
@@ -735,12 +734,11 @@ def schrodinger_commutant_dimension(p, g=1):
 @dataclass
 class OmegaRow:
     """Omega_delta, summed over the orbit of (0, delta, ..., 0, delta).
-    commutes and phase_consistent are one flag, the orbit's holonomy-free
-    flag: Omega_delta commutes with every generator exactly when it holds."""
+    commutes is the orbit's holonomy-free flag: Omega_delta commutes with
+    every generator exactly when it holds."""
     delta: int
     orbit_size: int
     commutes: bool
-    phase_consistent: bool
 
 
 @dataclass
@@ -778,7 +776,7 @@ def omega_family_report(p, g=1):
     deltas = divisors(p)
     starts = orbits.labels[diagonal_index(deltas, p, g)].tolist()
     sizes = np.bincount(orbits.labels)
-    rows = tuple(OmegaRow(delta, int(sizes[k]), bool(orbits.free[k]), bool(orbits.free[k]))
+    rows = tuple(OmegaRow(delta, int(sizes[k]), bool(orbits.free[k]))
                  for delta, k in zip(deltas, starts))
     return OmegaFamilyReport(p, g, rows, len(rows), len(set(starts)))
 

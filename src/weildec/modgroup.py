@@ -64,32 +64,14 @@ SL2_ENUMERATE_MAX = 64
 
 
 def sl2_enumerate(N):
-    """Stream every element of SL2(Z/NZ) exactly once."""
+    """Stream every element of SL2(Z/NZ) exactly once, one lower-left entry
+    c at a time (`sl2_column`)."""
     if N > SL2_ENUMERATE_MAX:
         raise ValueError("modulus %d exceeds enumeration bound %d"
                          % (N, SL2_ENUMERATE_MAX))
-    if N == 1:
-        yield (0, 0, 0, 0)
-        return
-    units_inv = {a: pow(a, -1, N) for a in range(N) if gcd(a, N) == 1}
-    for a in range(N):
-        inv_a = units_inv.get(a)
-        if inv_a is not None:
-            for b in range(N):
-                for c in range(N):
-                    yield (a, b, c, (inv_a * (1 + b * c)) % N)
-        else:
-            g = gcd(a, N)
-            for b in range(N):
-                for c in range(N):
-                    r = (1 + b * c) % N
-                    if r % g:
-                        continue
-                    # solve a*d = r (mod N): d0 mod N/g, g solutions
-                    ag, rg, Ng = a // g, r // g, N // g
-                    d0 = (rg * pow(ag, -1, Ng)) % Ng
-                    for k in range(g):
-                        yield (a, b, c, d0 + k * Ng)
+    for c in range(N):
+        for a, b, d in zip(*(col.tolist() for col in sl2_column(N, c))):
+            yield (a, b, c, d)
 
 
 def sl2_column(N, c):
@@ -527,14 +509,10 @@ def count_quadratic_solutions(A, B, C, D, n, even_cross=False):
         if A % 2 == 0 or B % 2 == 0 or D % 2 == 0:
             raise ValueError("odd-cross form needs A, B, D odd")
     N = 2 ** n
-    Beff = 2 * B if even_cross else B
-    count = 0
-    for x in range(N):
-        ax2 = A * x * x
-        for y in range(N):
-            if (ax2 + Beff * x * y + C * y * y - D) % N == 0:
-                count += 1
-    return count
+    x, y = np.indices((N, N), dtype=np.int64)
+    # coefficients reduced mod N: every term stays below N^3 <= 2^30
+    A, B, C, D = (k % N for k in (A, 2 * B if even_cross else B, C, D))
+    return int(np.count_nonzero((A * x * x + B * x * y + C * y * y - D) % N == 0))
 
 
 def expected_quadratic_solutions(A, B, C, D, n, even_cross=False):

@@ -176,27 +176,18 @@ class WeilRep:
         """(rows, exps) with Add(v) e_a = A^exps[k, a] e_rows[k, a] for each
         column v = vecs[:, k] (slot 2i the shift m_i, slot 2i+1 the
         modulation n_i): column a = (a_1, ..., a_g) goes to row
-        a + (m_1, ..., m_g) with A^(2 sum n_h a_h) mod m."""
+        a + (m_1, ..., m_g) with A^(2 sum n_h a_h) mod m.  Within each
+        handle the modulation acts first: (Sh^m Mod^n) e_a = A^(2 n a)
+        e_(a+m).  vecs must be 2-D with 2g rows (ValueError otherwise)."""
+        X = np.asarray(vecs, dtype=np.int64)
+        if X.ndim != 2 or len(X) != 2 * self.g:
+            raise ValueError("lattice vectors of shape %s, expected (%d, k)"
+                             % (X.shape, 2 * self.g))
         a = self._index_array()
-        X = np.asarray(vecs, dtype=np.int64).reshape(self.g, 2, -1, 1)
+        X = X.reshape(self.g, 2, -1, 1)
         rows = np.ravel_multi_index(tuple((a[:, None] + X[:, 0]) % self.p),
                                     (self.p,) * self.g)
         return rows, 2 * (X[:, 1] * a[:, None]).sum(axis=0) % self.m
-
-    def schrodinger_cyc(self, X, z=0):
-        """Add_p(X, z) = A^z * prod_i Shift_i^(m_i) Mod_i^(n_i) for the
-        lattice vector X = (m1, n1, ..., mg, ng) and the central phase z.
-
-        Within each handle the modulation acts first:
-        (Sh^m Mod^n) e_a = A^(2 n a) e_(a+m).
-        """
-        if len(X) != 2 * self.g:
-            raise ValueError("lattice vector has length %d, expected %d"
-                             % (len(X), 2 * self.g))
-        (rows,), (exps,) = self.schrodinger_map(np.array(X)[:, None])
-        arr = np.zeros((self.dim, self.dim, self.m), dtype=np.int64)
-        arr[rows, np.arange(self.dim), (exps + z) % self.m] = 1
-        return CycMat(self.m, arr)
 
 
 # -- genus-one lift --------------------------------------------------------

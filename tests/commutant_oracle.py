@@ -11,14 +11,17 @@ per-vector walk that `modgroup.lattice_orbits` replaces, and
 `decompose._rule_exact` batches.  `omega_cyc` builds an orbit sum
 Omega_delta as a dense d x d x m matrix, the operator whose commutation
 `decompose.omega_family_report` reads off the orbit's holonomy, and
-`omega_commutes` multiplies it with every generator.
+`omega_commutes` multiplies it with every generator.  `schrodinger_cyc`
+is the dense W(v), one scatter of `WeilRep.schrodinger_map`, and
+`trace_elt` the trace of a `CycMat` as a field element.
 """
 
 from math import isqrt, lcm
 
 import numpy as np
 
-from weildec.cycmat import _INT64_MAX, CycMat, _int_combo, _int_einsum
+from weildec.cyclo import CycloElt
+from weildec.cycmat import _INT64_MAX, CycMat, _int_combo, _int_einsum, field_coords
 from weildec.decompose import (
     _array_is_zero,
     _cyc_equal,
@@ -68,6 +71,23 @@ def _eval_mod(cyc, q, omega):
     s = cyc.scale
     factor = s.numerator % q * pow(s.denominator % q, q - 2, q) % q
     return vals * factor % q
+
+
+def schrodinger_cyc(rep, X, z=0):
+    """A^z W(X) for one lattice vector X = (m1, n1, ..., mg, ng) as a dense
+    d x d x m CycMat: one scatter of `WeilRep.schrodinger_map`."""
+    (rows,), (exps,) = rep.schrodinger_map(np.array(X)[:, None])
+    arr = np.zeros((rep.dim, rep.dim, rep.m), dtype=np.int64)
+    arr[rows, np.arange(rep.dim), (exps + z) % rep.m] = 1
+    return CycMat(rep.m, arr)
+
+
+def trace_elt(mat, field):
+    """Tr mat as an element of field: its diagonal entry vectors summed,
+    scale and beta-root applied as `CycMat.to_ring` applies them."""
+    n = min(mat.nrows, mat.ncols)
+    vec = mat.arr[np.arange(n), np.arange(n)].sum(axis=0)
+    return CycloElt(field, [mat.scale * x for x in field_coords(vec, field, mat.m, mat.beta).tolist()])
 
 
 def _rank_mod(rows, q):

@@ -19,8 +19,13 @@ from weildec.analysis import (
 )
 from weildec.cyclo import CycloField
 from weildec.cycmat import CycMat
+from weildec.decompose import schrodinger_commutant_dimension
+from weildec.modgroup import lattice_vectors
 from weildec.ringmat import RingMatrix
+from weildec.weilrep import WeilRep
 
+from commutant_oracle import schrodinger_cyc, trace_elt
+from test_tooling import _clear_library_caches
 from test_weilrep import _random_sl2
 
 
@@ -230,6 +235,46 @@ def test_semiclassical_values():
 def test_semiclassical_normalization_is_exact():
     report = semiclassical_traces(7, 2, [((0, 0), (0, 0))])
     assert report.rows[0].value == Fraction(1)
+
+
+@pytest.mark.parametrize("p,g", [(p, 1) for p in range(2, 10)] + [(p, 2) for p in range(2, 5)])
+def test_fixed_point_trace_matches_the_dense_trace(p, g):
+    # every lattice vector v = (y_1, x_1, ..., y_g, x_g) as a monomial: the
+    # trace read off the fixed columns is the trace of the dense W(v)
+    rep = WeilRep(p, g)
+    vecs = lattice_vectors(p, g).T.tolist()
+    report = semiclassical_traces(p, g, [tuple(zip(v[1::2], v[::2])) for v in vecs])
+    for v, row in zip(vecs, report.rows):
+        assert row.value == trace_elt(schrodinger_cyc(rep, v), rep.field).as_fraction() / p**g
+
+
+def test_schrodinger_paths_build_no_cycmat(monkeypatch):
+    # the semiclassical traces and the irreducibility certificate read W(v)
+    # as index maps only
+    def refuse(*args):
+        raise AssertionError("built a CycMat")
+
+    _clear_library_caches()
+    monkeypatch.setattr(CycMat, "__init__", refuse)
+    report = semiclassical_traces(6, 1, [(0, 0), (1, 2), (0, 6)])
+    assert [row.value for row in report.rows] == [1, 0, 1]
+    assert semiclassical_traces(3, 2, [((0, 0), (1, 0))]).rows[0].value == 0
+    assert schrodinger_commutant_dimension(6, 1) == schrodinger_commutant_dimension(3, 2) == 1
+
+
+def test_semiclassical_refuses_an_irrational_trace(monkeypatch):
+    # every Tr W(v) is rational; a coordinate map that says otherwise must
+    # raise, not be read off its rational part
+    real = analysis.field_coords
+
+    def skewed(arr, field, m, beta=0):
+        out = real(arr, field, m, beta).copy()
+        out[-1, 1] += 1
+        return out
+
+    monkeypatch.setattr(analysis, "field_coords", skewed)
+    with pytest.raises(ValueError, match=r"trace of \(\(2, 1\),\) is not rational"):
+        semiclassical_traces(5, 1, [(0, 0), (2, 1)])
 
 
 def test_csv_and_json_emitters():

@@ -46,6 +46,7 @@ from commutant_oracle import (
     omega_commutes,
     omega_cyc,
     rule_exact_per_vector,
+    schrodinger_cyc,
     walk_orbit,
 )
 from test_tooling import _clear_library_caches
@@ -510,7 +511,7 @@ def test_schrodinger_operators_are_a_basis(p, g):
         assert not np.isin(cells[shifts == s], cells[shifts != s]).any()
     q = _modular_primes(rep.m, 1)[0]
     omega = _root_mod(q, rep.m)
-    stacked = [_eval_mod(rep.schrodinger_cyc(tuple(v)), q, omega).ravel() for v in vecs.T]
+    stacked = [_eval_mod(schrodinger_cyc(rep, tuple(v)), q, omega).ravel() for v in vecs.T]
     assert _rank_mod(np.stack(stacked), q) == rep.dim**2
 
 
@@ -536,8 +537,8 @@ def test_egorov_rule_holds_at_every_lattice_vector(p, g):
     for k, tag in enumerate(rep.tags()):
         U = rep.generator_cyc(tag)
         for v in range(p ** (2 * g)):
-            left = U @ rep.schrodinger_cyc(tuple(vecs[:, v]))
-            right = rep.schrodinger_cyc(tuple(vecs[:, img[k, v]]), z[k, v]) @ U
+            left = U @ schrodinger_cyc(rep, tuple(vecs[:, v]))
+            right = schrodinger_cyc(rep, tuple(vecs[:, img[k, v]]), z[k, v]) @ U
             assert decompose._cyc_equal(left, right, rep.field), (tag, v)
 
 
@@ -548,8 +549,8 @@ def test_beta_form_is_the_product_law_phase(p, g):
     rep, B = WeilRep(p, g), decompose._beta_form(g)
     vecs = lattice_vectors(p, g).T
     for u, v in itertools.product(vecs, repeat=2):
-        left = rep.schrodinger_cyc(tuple(u)) @ rep.schrodinger_cyc(tuple(v))
-        right = rep.schrodinger_cyc(tuple((u + v) % p), int(u @ B @ v))
+        left = schrodinger_cyc(rep, tuple(u)) @ schrodinger_cyc(rep, tuple(v))
+        right = schrodinger_cyc(rep, tuple((u + v) % p), int(u @ B @ v))
         assert decompose._cyc_equal(left, right, rep.field), (u, v)
 
 
@@ -824,9 +825,7 @@ def test_omega_even_level_parity_obstruction():
     report = omega_family_report(8)
     by_delta = {row.delta: row for row in report.rows}
     for delta in (2, 4, 8):
-        assert by_delta[delta].phase_consistent
         assert by_delta[delta].commutes
-    assert not by_delta[1].phase_consistent
     assert not by_delta[1].commutes
 
 
@@ -836,9 +835,9 @@ def test_omega_commutes_matches_the_dense_commutators(p, g):
     # the oracle, over every tag, for every divisor
     rep = WeilRep(p, g)
     for row in omega_family_report(p, g).rows:
-        cyc, size, _ = omega_cyc(row.delta, p, g)
+        cyc, size, consistent = omega_cyc(row.delta, p, g)
         assert row.orbit_size == size
-        assert row.commutes == row.phase_consistent == omega_commutes(rep, cyc)
+        assert row.commutes == consistent == omega_commutes(rep, cyc)
 
 
 def test_omega_family_forms_no_operator(monkeypatch):
@@ -901,7 +900,7 @@ def test_orbit_sums_match_the_walked_potentials(p, g):
         cyc, size, consistent = omega_cyc(delta, p, g)
         assert (size, consistent) == (len(pot), free)
         if free:
-            terms = [rep.schrodinger_cyc(tuple(vecs[:, v]), phase)
+            terms = [schrodinger_cyc(rep, tuple(vecs[:, v]), phase)
                      for v, phase in pot.items()]
             assert np.array_equal(cyc.arr, sum(t.arr for t in terms))
 

@@ -46,15 +46,19 @@ def test_group_order_formula_matches_enumeration(N):
     assert sum(1 for _ in sl2_enumerate(N)) == sl2_order(N)
 
 
-@pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 8, 9, 12, 16])
+@pytest.mark.parametrize("N", list(range(1, 13)) + [16])
 def test_sl2_column_matches_enumeration(N):
+    # the oracle is a brute-force determinant filter over all N^4 tuples;
+    # sl2_enumerate streams the columns, so it must give the same set
+    t = np.indices((N,) * 4).reshape(4, -1)  # every (a, b, c, d)
+    brute = sorted(zip(*t[:, (t[0] * t[3] - t[1] * t[2]) % N == 1 % N].tolist()))
     swept = []
     for c in range(N):
         a, b, d = sl2_column(N, c)
         assert a.dtype == b.dtype == d.dtype == np.int64
         swept += [(A, B, c, D) for A, B, D in zip(a.tolist(), b.tolist(), d.tolist())]
     assert len(swept) == sl2_order(N)
-    assert sorted(swept) == sorted(sl2_enumerate(N))
+    assert sorted(swept) == brute == sorted(sl2_enumerate(N))
 
 
 def test_enumeration_has_no_duplicates():
@@ -193,6 +197,22 @@ def test_quadratic_counting_small(even_cross):
                             A, B, C, D, n, even_cross=even_cross
                         )
                         assert got == want, (A, B, C, D, n, even_cross)
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_quadratic_count_matches_the_loop(n):
+    # the array count against the per-pair loop it replaced, with
+    # coefficients far past int64: they must be reduced mod 2^n first
+    N = 2 ** n
+    rng = random.Random(n)
+    for _ in range(10):
+        A, B, D = (rng.randrange(-2**70, 2**70) | 1 for _ in range(3))
+        C = rng.randrange(-2**70, 2**70)
+        for even_cross in (False, True):
+            cross = 2 * B if even_cross else B
+            loop = sum((A * x * x + cross * x * y + C * y * y - D) % N == 0
+                       for x in range(N) for y in range(N))
+            assert count_quadratic_solutions(A, B, C, D, n, even_cross) == loop
 
 
 def test_divisor_helpers():

@@ -40,12 +40,41 @@ def test_tracer_targets_resolve():
     assert not missing
 
 
+# The per-layer metrics each small traced workload reports as zero: a span
+# name stands for all of its metrics, a full metric name for itself.
+ZERO_METRICS = {
+    "charsum": ("analysis.kernel_check", "analysis.lemma_diag_check", "cyclo.inverse",
+                "cyclo.mul", "cyclo.norm_sq", "cycmat.kron", "cycmat.matmul",
+                "cycmat.max_entry_bits", "cycmat.to_ring", "decompose.commutant_dimension",
+                "decompose.crt_check", "decompose.egorov_verify",
+                "decompose.isotypic_projectors", "decompose.tower_check", "modgroup.census",
+                "modgroup.sl2_enumerate", "modgroup.word_decompose",
+                "ringmat.equal_up_to_scalar", "weilrep.generator", "weilrep.lift",
+                "weilrep.projective_key", "weilrep.trace.build_s"),
+    "faithful": ("analysis.char_sum", "cyclo.inverse", "cycmat.kron", "cycmat.matmul",
+                 "cycmat.to_ring", "decompose.commutant_dimension", "decompose.crt_check",
+                 "decompose.egorov_verify", "decompose.isotypic_projectors",
+                 "decompose.tower_check", "modgroup.census", "modgroup.class_representatives",
+                 "ringmat.equal_up_to_scalar", "weilrep.generator", "weilrep.projective_key",
+                 "weilrep.trace"),
+    "certify": ("analysis.char_sum", "analysis.kernel_check", "analysis.lemma_diag_check",
+                "cyclo.inverse", "cyclo.mul", "cyclo.norm_sq", "cycmat.kron", "cycmat.matmul",
+                "cycmat.max_entry_bits", "cycmat.to_ring", "decompose.isotypic_projectors",
+                "modgroup.class_representatives", "modgroup.sl2_enumerate",
+                "modgroup.word_decompose", "ringmat.equal_up_to_scalar", "weilrep.generator",
+                "weilrep.lift", "weilrep.projective_key", "weilrep.trace"),
+}
+
+
 def test_small_workloads_pass_plain_and_traced():
     # every certificate of each small benchmark workload returns True, once
     # plain and once traced, and the traced round reports every per-layer
     # metric: a broken workload API, or a renamed cache the tracer reads,
-    # fails here before it fails the benchmark
+    # fails here before it fails the benchmark.  The metrics it reports as
+    # zero are pinned: a change that stops (or starts) reaching a traced
+    # function fails here, not only in a hand-run benchmark self-test
     workloads, tracer = _load_perfbench("workloads"), _load_tracer()
+    assert set(ZERO_METRICS) == set(workloads.WORKLOADS)
     for workload in workloads.WORKLOADS:
         certs = [cert for unit in workloads.build(workload, 1, small=True) for cert in unit]
         trace = tracer.Tracer()
@@ -58,8 +87,11 @@ def test_small_workloads_pass_plain_and_traced():
             finally:
                 trace.uninstall()
             assert not failed, (workload, traced)
-        assert set(trace.collect()) == set(tracer.METRICS) - {"trace.wall_s",
-                                                              "trace.overhead_s"}
+        metrics = trace.collect()
+        assert set(metrics) == set(tracer.METRICS) - {"trace.wall_s", "trace.overhead_s"}
+        zero = {name for name in metrics for pinned in ZERO_METRICS[workload]
+                if pinned in (name, name.rpartition(".")[0])}
+        assert {name for name, value in metrics.items() if not value} == zero, workload
 
 
 def test_package_exports_exactly_its_imports():

@@ -34,6 +34,8 @@ from weildec.weilrep import (
     trace_engine,
 )
 
+from commutant_oracle import schrodinger_cyc, trace_elt
+
 
 def _mul_root(mat, e):
     """mat times A^e: every entry vector rolled by e."""
@@ -87,10 +89,10 @@ def test_heisenberg_product_cocycle(p, g):
     for _ in range(8):
         u = tuple(rng.randrange(p) for _ in range(2 * g))
         v = tuple(rng.randrange(p) for _ in range(2 * g))
-        left = rep.schrodinger_cyc(u) @ rep.schrodinger_cyc(v)
+        left = schrodinger_cyc(rep, u) @ schrodinger_cyc(rep, v)
         phase = 2 * sum(u[2 * i + 1] * v[2 * i] for i in range(g))
         total = tuple(a + b for a, b in zip(u, v))
-        right = rep.schrodinger_cyc(total, phase)
+        right = schrodinger_cyc(rep, total, phase)
         assert _cyc_equal(left, right, rep.field)
 
 
@@ -101,24 +103,27 @@ def test_heisenberg_commutator_is_symplectic_phase(p, g):
     for _ in range(8):
         u = tuple(rng.randrange(p) for _ in range(2 * g))
         v = tuple(rng.randrange(p) for _ in range(2 * g))
-        left = rep.schrodinger_cyc(u) @ rep.schrodinger_cyc(v)
-        right = _mul_root(rep.schrodinger_cyc(v) @ rep.schrodinger_cyc(u),
+        left = schrodinger_cyc(rep, u) @ schrodinger_cyc(rep, v)
+        right = _mul_root(schrodinger_cyc(rep, v) @ schrodinger_cyc(rep, u),
                           -2 * symplectic_form(u, v, g, rep.m) % rep.m)
         assert _cyc_equal(left, right, rep.field)
 
 
 def test_schrodinger_refuses_a_vector_of_the_wrong_length():
-    rep = WeilRep(3, 2)
-    for X in ((1, 2, 0), (1, 2, 0, 1, 1)):
-        with pytest.raises(ValueError, match="length %d, expected 4" % len(X)):
-            rep.schrodinger_cyc(X, 1)
+    # vecs must be 2-D with 2g rows: a (4, 1) array at genus 1 is refused,
+    # not read as two vectors
+    for (p, g), shape in [((3, 2), (3, 1)), ((3, 2), (5, 1)), ((5, 1), (4, 1)),
+                          ((5, 1), (2,)), ((3, 2), (4, 1, 1))]:
+        vecs = np.arange(1, np.prod(shape) + 1).reshape(shape)
+        with pytest.raises(ValueError, match=r"expected \(%d, k\)" % (2 * g)):
+            WeilRep(p, g).schrodinger_map(vecs)
 
 
 @pytest.mark.parametrize("p,g", [(3, 1), (4, 1), (3, 2)])
 def test_schrodinger_center_is_scalar(p, g):
     rep = WeilRep(p, g)
     zero = (0,) * (2 * g)
-    central = rep.schrodinger_cyc(zero, 1)
+    central = schrodinger_cyc(rep, zero, 1)
     expect = _mul_root(CycMat.identity(rep.m, p ** g), 1)
     assert _cyc_equal(central, expect, rep.field)
 
@@ -208,7 +213,7 @@ def test_trace_engine_matches_word_evaluation(p):
     field = field_for_level(p)
     for _ in range(10):
         M = elts[rng.randrange(len(elts))]
-        direct = lift_genus1(p, M, rng=random.Random(6)).trace_elt(field)
+        direct = trace_elt(lift_genus1(p, M, rng=random.Random(6)), field)
         want = (direct * direct.conj()).as_fraction()
         assert engine.trace_abs_sq(M) == want
 
@@ -375,7 +380,7 @@ def test_trace_at_level_32_matches_word_evaluation():
     # all three share the engine's cached dilation for diag(-1, -1)
     assert trace_abs_sq(32, (1, 0, 0, 1)) == 1024
     for M in [(1, 0, 63, 1), (1, 0, 4, 1)]:  # unit c, then non-unit c
-        direct = lift_genus1(32, M).trace_elt(field_for_level(32))
+        direct = trace_elt(lift_genus1(32, M), field_for_level(32))
         assert trace_abs_sq(32, M) == (direct * direct.conj()).as_fraction()
 
 
@@ -819,7 +824,7 @@ def test_schrodinger_matches_kron_oracle(p, g):
     rng = random.Random(59 * p + g)
     for _ in range(6):
         X, z = [rng.randrange(rep.m) for _ in range(2 * g)], rng.randrange(rep.m)
-        got, want = rep.schrodinger_cyc(X, z), _kron_schrodinger(rep, X, z)
+        got, want = schrodinger_cyc(rep, X, z), _kron_schrodinger(rep, X, z)
         assert got.arr.dtype == want.arr.dtype
         assert np.array_equal(got.arr, want.arr)
         assert (got.scale, got.beta) == (want.scale, want.beta)
