@@ -325,11 +325,12 @@ def semiclassical_traces(p, g, monomials):
     ..., y_g, x_g) mod p, and one `schrodinger_map` call gives every W(v)
     as an index map: Tr W(v) sums A^exps over the fixed columns (rows ==
     a), one `np.bincount` of entry vectors mapped by one `field_coords`.
-    Raises ValueError if a trace is not rational."""
+    Raises ValueError if an exponent is not an integer or a trace is not
+    rational."""
     rep = WeilRep(p, g)
     monos = [_normalize_monomial(monomial, g) for monomial in monomials]
     vecs = np.array([[e % p for x_exp, y_exp in mono for e in (y_exp, x_exp)]
-                     for mono in monos], dtype=np.int64).reshape(-1, 2 * g)
+                     for mono in monos]).reshape(-1, 2 * g)
     rows, exps = rep.schrodinger_map(vecs.T)
     fixed = rows == np.arange(rep.dim)
     keys = (np.arange(len(monos))[:, None] * rep.m + exps)[fixed]

@@ -194,18 +194,6 @@ class CycloField:
         c[0] = Fraction(q)
         return CycloElt(self, c)
 
-    def from_int_vector(self, vec):
-        """Element sum_k vec[k] * zeta^k for any iterable indexed mod L."""
-        d = self.degree
-        acc = [Fraction(0)] * d
-        for k, v in enumerate(vec):
-            if v:
-                row = self.power_rows[k % self.level]
-                for j in range(d):
-                    if row[j]:
-                        acc[j] += v * row[j]
-        return CycloElt(self, acc)
-
     def root_of_unity(self, k):
         """zeta_L^k."""
         row = self.power_rows[k % self.level]

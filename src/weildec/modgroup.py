@@ -96,21 +96,6 @@ def sl2_column(N, c):
 # words in the generators
 # ---------------------------------------------------------------------------
 
-def eval_word(word, N):
-    """word: list of tokens ('S', e) with e = +-1 or ('T', k)."""
-    cur = IDENTITY
-    for tok in word:
-        kind, val = tok
-        if kind == "S":
-            g = S_MAT if val == 1 else mat_inv(S_MAT, N)
-        elif kind == "T":
-            g = t_power(val, N)
-        else:
-            raise ValueError("bad token %r" % (tok,))
-        cur = mat_mul(cur, tuple(x % N for x in g), N)
-    return cur
-
-
 def _rep(x, N):
     """Representative of x mod N in (-N/2, N/2]."""
     x %= N
@@ -540,14 +525,6 @@ def expected_quadratic_solutions(A, B, C, D, n, even_cross=False):
 # ---------------------------------------------------------------------------
 # symplectic groups of higher genus: transvection generators, orbit census
 # ---------------------------------------------------------------------------
-
-def symplectic_form(u, v, g, N):
-    """omega(u, v) in coordinates (m1, n1, ..., mg, ng)."""
-    acc = 0
-    for i in range(g):
-        acc += u[2 * i] * v[2 * i + 1] - u[2 * i + 1] * v[2 * i]
-    return acc % N
-
 
 def sp_generators(g, N):
     """Transvections generating Sp_2g(Z/NZ), one per twist curve gamma, as

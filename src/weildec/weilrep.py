@@ -23,7 +23,7 @@ from math import gcd
 
 import numpy as np
 
-from .cyclo import field_for_level
+from .cyclo import CycloElt, field_for_level
 from .cycmat import (
     _INT64_MAX,
     CycMat,
@@ -39,6 +39,7 @@ from .cycmat import (
     _normalise_each,
     _rolls,
     _windows,
+    field_coords,
     power_matrix,
 )
 from .modgroup import det, sl2_column, word_decompose
@@ -54,11 +55,9 @@ def gauss_sum(a, b, p):
         raise ValueError("need level p >= 1")
     field = field_for_level(p)
     m = _heisenberg_modulus(p)
-    step = field.level // m
-    vec = [0] * field.level
-    for k in range(m):
-        vec[((a * k * k + b * k) % m) * step] += 1
-    return field.from_int_vector(vec)
+    k = np.arange(m)
+    vec = np.bincount((a % m * k * k + b % m * k) % m, minlength=m)
+    return CycloElt(field, [Fraction(x) for x in field_coords(vec, field, m).tolist()])
 
 
 class WeilRep:
@@ -178,13 +177,16 @@ class WeilRep:
         modulation n_i): column a = (a_1, ..., a_g) goes to row
         a + (m_1, ..., m_g) with A^(2 sum n_h a_h) mod m.  Within each
         handle the modulation acts first: (Sh^m Mod^n) e_a = A^(2 n a)
-        e_(a+m).  vecs must be 2-D with 2g rows (ValueError otherwise)."""
-        X = np.asarray(vecs, dtype=np.int64)
+        e_(a+m).  vecs must be 2-D with 2g rows and an integer dtype
+        (ValueError otherwise: a fraction is refused, not truncated)."""
+        X = np.asarray(vecs)
+        if X.size and not np.issubdtype(X.dtype, np.integer):
+            raise ValueError("lattice vectors of dtype %s, expected integers" % X.dtype)
         if X.ndim != 2 or len(X) != 2 * self.g:
             raise ValueError("lattice vectors of shape %s, expected (%d, k)"
                              % (X.shape, 2 * self.g))
         a = self._index_array()
-        X = X.reshape(self.g, 2, -1, 1)
+        X = X.astype(np.int64).reshape(self.g, 2, -1, 1)
         rows = np.ravel_multi_index(tuple((a[:, None] + X[:, 0]) % self.p),
                                     (self.p,) * self.g)
         return rows, 2 * (X[:, 1] * a[:, None]).sum(axis=0) % self.m
@@ -306,8 +308,6 @@ def lift_genus1_many(p, Ms, rng=None):
     m, eps = img["m"], img["eps"]
     programs = []
     for M in Ms:
-        if det(M, m) != 1:
-            raise ValueError("matrix %r is not in SL2(Z/%d)" % (M, m))
         word = word_decompose(tuple(v % m for v in M), m, rng=rng)
         programs.append(_read_word(word, eps, m))
     # deepest words first: in every chunk the elements a gather acts on
@@ -440,12 +440,12 @@ class _TraceEngine:
     |Tr|^2 is the integer autocorrelation of the trace vector mapped to
     field coordinates.  No field arithmetic happens per element.
 
-    Two sweeps batch this work, both in chunks whose gathers hold at most
-    `cycmat._GATHER_ENTRIES` int64 entries, with one `abs_sq_rows` call per
-    chunk: `column_abs_sq` sweeps SL2(Z/m) one lower-left entry c at a
-    time, every u-block of a non-unit column at once, and `trace_vectors`
-    gives the trace vectors of any list of elements, as the census needs.
-    `trace_vector` and `trace_abs_sq` stay the per-element oracle.
+    Two sweeps batch this work in chunks whose gathers hold at most
+    `cycmat._GATHER_ENTRIES` int64 entries, both reading the keys (u, s) of
+    `_keys` and the tables of `_tables`: `column_abs_sq` sweeps all rows of
+    a column's tables, `trace_vectors` gathers the rows of any elements, as
+    the census needs.  `trace_vector` and `trace_abs_sq` stay the
+    per-element reference.
     """
 
     def __init__(self, p):
@@ -543,43 +543,33 @@ class _TraceEngine:
         """(rows, scales) with (rows[k], scales[k]) = `trace_vector`(Ms[k])
         for every element of Ms, in chunked gathers.
 
-        The sums are `trace_vector`'s: for a unit c, row t is
-        sum_i g0[t + (a + d)/c sq_i - 2 i perm_c[i]], one roll of g0 per i;
-        otherwise x is the least shift that makes u = a + x c a unit (read
-        off the `_inv` table, as in `_column_keys`), and the row sums the
-        p^2 rolls of g0 * g0 at the cached offsets of G_u moved by the
-        element's keys.  The median shift and the content come off each row
-        on its own, so the rows equal `trace_vector`'s exactly."""
+        The elements go one lower-left entry c at a time, and each one's
+        row is row s of the sweep (`_sweep_rows`) of table u of `_tables`,
+        with (u, s) from `_keys`: the sum `trace_vector` forms.  The tables
+        are built in chunks of u, and only the rows asked for are gathered.
+        The median shift and the content come off each row on its own, so
+        the rows equal `trace_vector`'s exactly."""
         m, p, sq = self.m, self.p, self._sq
         a, b, c, d = (np.asarray(Ms, dtype=np.int64).reshape(-1, 4) % m).T
         bad = np.flatnonzero((a * d - b * c) % m != 1)
         if bad.size:
             raise ValueError("matrix %r is not in SL2(Z/%d)" % (tuple(Ms[bad[0]]), m))
         rows = np.empty((a.size, m), np.int64)
-        unit = self._inv[c] > 0
-        pos = np.flatnonzero(unit)
-        cinv = self._inv[c[pos]]
         i = self._rows[:p]
-        for part in _chunks(pos.size, p * m):
-            k = cinv[part, None]
-            off = ((a[pos[part], None] + d[pos[part], None]) * k * sq - 2 * i * (k * i % p)) % m
-            rows[pos[part]] = self._gauss_rolls[off].sum(axis=1)
-        pos = np.flatnonzero(~unit)
-        a, b, c, d = a[pos], b[pos], c[pos], d[pos]
-        t = np.arange(m)
-        x = (self._inv[(a[:, None] + t * c[:, None]) % m] > 0).argmax(axis=1)
-        u = (a + x * c) % m
-        alpha = (-c * self._inv[u] % m)[:, None, None]
-        shift = ((x - (b + x * d) * self._inv[u]) % m)[:, None, None]
-        us, which = np.unique(u, return_inverse=True)
-        gmat = np.array([self._gmat(v) for v in us.tolist()], np.int64).reshape(-1, p * p)
-        for part in _chunks(pos.size, p * p * m):
-            e = shift[part] * sq[:, None] - alpha[part] * sq
-            off = (e.reshape(-1, p * p) + gmat[which[part]]) % m
-            rows[pos[part]] = self._gauss_sq_rolls[off].sum(axis=1)
+        for col in np.unique(c).tolist():
+            pos = np.flatnonzero(c == col)
+            u, s = self._keys(col, a[pos], b[pos], d[pos])
+            us, which = np.unique(u, return_inverse=True)
+            for part in _chunks(us.size, p * p * m):
+                W = self._tables(col, us[part])
+                sel = np.flatnonzero((which >= part.start) & (which < part.stop))
+                for chunk in _chunks(sel.size, p * m):
+                    e = sel[chunk]
+                    rows[pos[e]] = W[which[e, None] - part.start, i,
+                                     s[e, None] * sq % m].sum(axis=1)
         rows, g = _normalise_each(rows)
         return rows, [(self._gauss_scale if one else self._gauss_sq_scale) * k
-                      for one, k in zip(unit.tolist(), g)]
+                      for one, k in zip((self._inv[c] > 0).tolist(), g)]
 
     def abs_sq_rows(self, rows):
         """n with n[k] = |sum_t rows[k, t] A^t|^2 for every row of trace
@@ -602,55 +592,61 @@ class _TraceEngine:
         s = np.arange(self.m)
         return W[..., self._rows[:self.p], s[:, None] * self._sq % self.m, :].sum(axis=-2)
 
-    def _column_keys(self, c):
-        """(a, b, d, u, X) over the elements (a, b, c, d), c not a unit:
-        `trace_vector` writes each with u = a + x c for the least x that makes
-        it a unit, and X = x - (b + x d) / u."""
+    def _keys(self, c, a, b, d):
+        """(u, s) of the elements (a, b, c, d) of one lower-left entry c: the
+        trace vector of each is row s of the sweep of its table u of
+        `_tables`.  A unit c gives u = 0 and s = (a + d) / c; otherwise
+        `trace_vector` writes each with u = a + x c for the least x that
+        makes it a unit, and s = x - (b + x d) / u."""
         m = self.m
-        a, b, d = sl2_column(m, c)
+        if self._inv[c]:
+            return np.zeros_like(a), (a + d) * self._inv[c] % m
         t = np.arange(m)
         x = (self._inv[(t[:, None] + t * c) % m] > 0).argmax(axis=1)[a]
         u = (a + x * c) % m
-        return a, b, d, u, (x - (b + x * d) * self._inv[u]) % m
+        return u, (x - (b + x * d) * self._inv[u]) % m
 
-    def _nonunit_rows(self, c, u):
-        """rows[k, X] is the trace vector, up to the scale of g0 * g0 and a
-        unit scalar, of every element of column c with keys (u[k], X).  With
-        alpha = -c / u it is sum_ij G_u[i, j, X sq_i - alpha sq_j + t] =
-        sum_i H[i, X sq_i + t], H[i, t] = sum_j G_u[i, j, t - alpha sq_j]:
-        one gather for the H of every u, then one sweep of them all."""
+    def _tables(self, c, us):
+        """Windows of the tables of column c, one per u of us: for a unit c
+        K_c (`_kvec`), otherwise H_u with alpha = -c / u.  The trace vector
+        of keys (u, s) is, up to the scale of g0 * g0 and a unit scalar,
+        sum_ij G_u[i, j, s sq_i - alpha sq_j + t] = sum_i H_u[i, s sq_i + t]:
+        H_u[i, t] = sum_j G_u[i, j, t - alpha sq_j], one gather for all u."""
+        if self._inv[c]:
+            return self._kvec(c)[None]
         p, m = self.p, self.m
-        alpha = -c * self._inv[u] % m
-        shifts = np.stack([self._gmat(v) for v in u.tolist()])
+        alpha = -c * self._inv[us] % m
+        shifts = np.stack([self._gmat(v) for v in us.tolist()])
         shifts -= alpha[:, None] * self._sq[self._rows % p]
-        H = self._gauss_sq_rolls[shifts % m].reshape(u.size, p, p, m).sum(axis=2)
-        return self._sweep_rows(_windows(H))
+        return _windows(self._gauss_sq_rolls[shifts % m].reshape(us.size, p, p, m).sum(axis=2))
 
     def column_abs_sq(self, c):
         """Blocks (n, scale, count) over the elements of SL2(Z/m) with
         lower-left entry c: count[k] of them have |Tr|^2 = n[k] scale^2.
 
         For a unit c the trace vector depends only on s = (a + d) / c, and
-        each s is hit by m elements: one block, row s = sum_i K_c[i, s sq_i].
-        Otherwise the one block holds row X of `_nonunit_rows` for every u
-        met, with counts from `_column_keys`.  The u's are swept together in
-        chunks, as many per chunk as keep the largest gather, the m x p x m
-        sweep of each u, within `cycmat._GATHER_ENTRIES` (at least one), and
-        each chunk's rows go through one `abs_sq_rows` call, so no row escapes
-        the bound or the rationality check.  The block does not depend on
-        the chunking.
+        each s is hit by m elements: one block, the m rows of the sweep of
+        K_c.  Otherwise the one block holds the m rows of the sweep of the
+        table of every u met, with counts from `_keys`.  The tables are
+        swept together in chunks, as many per chunk as keep the largest
+        gather, the m x p x m sweep of each u, within
+        `cycmat._GATHER_ENTRIES` (at least one), and each chunk's rows go
+        through one `abs_sq_rows` call, so no row escapes the bound or the
+        rationality check.  The block does not depend on the chunking.
         """
         p, m = self.p, self.m
         c %= m
         if self._inv[c]:
-            rows = self._sweep_rows(self._kvec(c))
-            return [(self.abs_sq_rows(rows), self._gauss_scale, np.full(m, m))]
-        _a, _b, _d, u, X = self._column_keys(c)
-        counts = np.bincount(u * m + X, minlength=m * m).reshape(m, m)
-        us = np.flatnonzero(counts.any(axis=1))
-        n = np.concatenate([self.abs_sq_rows(self._nonunit_rows(c, us[part]).reshape(-1, m))
+            us, counts, scale = np.zeros(1, np.int64), np.full(m, m), self._gauss_scale
+        else:
+            u, s = self._keys(c, *sl2_column(m, c))
+            counts = np.bincount(u * m + s, minlength=m * m).reshape(m, m)
+            us = np.flatnonzero(counts.any(axis=1))
+            counts, scale = counts[us].ravel(), self._gauss_sq_scale
+        n = np.concatenate([self.abs_sq_rows(self._sweep_rows(self._tables(c, us[part]))
+                                             .reshape(-1, m))
                             for part in _chunks(us.size, m * p * m)])
-        return [(n, self._gauss_sq_scale, counts[us].ravel())]
+        return [(n, scale, counts)]
 
     def trace_abs_sq(self, M):
         """|Tr|^2 = n scale^2, n by `abs_sq_rows` on the trace vector of M."""

@@ -12,8 +12,10 @@ per-vector walk that `modgroup.lattice_orbits` replaces, and
 Omega_delta as a dense d x d x m matrix, the operator whose commutation
 `decompose.omega_family_report` reads off the orbit's holonomy, and
 `omega_commutes` multiplies it with every generator.  `schrodinger_cyc`
-is the dense W(v), one scatter of `WeilRep.schrodinger_map`, and
-`trace_elt` the trace of a `CycMat` as a field element.
+is the dense W(v), one scatter of `WeilRep.schrodinger_map`,
+`trace_elt` the trace of a `CycMat` as a field element, and
+`symplectic_form` the form omega(u, v) of the Heisenberg commutator
+and transvection tests.
 """
 
 from math import isqrt, lcm
@@ -80,6 +82,14 @@ def schrodinger_cyc(rep, X, z=0):
     arr = np.zeros((rep.dim, rep.dim, rep.m), dtype=np.int64)
     arr[rows, np.arange(rep.dim), (exps + z) % rep.m] = 1
     return CycMat(rep.m, arr)
+
+
+def symplectic_form(u, v, g, N):
+    """omega(u, v) in coordinates (m1, n1, ..., mg, ng)."""
+    acc = 0
+    for i in range(g):
+        acc += u[2 * i] * v[2 * i + 1] - u[2 * i + 1] * v[2 * i]
+    return acc % N
 
 
 def trace_elt(mat, field):

@@ -232,6 +232,13 @@ def test_semiclassical_values():
     assert values[((2, 1),)] == 0
 
 
+def test_semiclassical_refuses_a_fractional_exponent():
+    # (0, 0.5) was read as (0, 0), the empty monomial with value 1
+    with pytest.raises(ValueError, match="expected integers"):
+        semiclassical_traces(5, 1, [(0, 0.5)])
+    assert semiclassical_traces(5, 1, [((np.int32(2), np.int32(5)),)]).rows[0].value == 0
+
+
 def test_semiclassical_normalization_is_exact():
     report = semiclassical_traces(7, 2, [((0, 0), (0, 0))])
     assert report.rows[0].value == Fraction(1)

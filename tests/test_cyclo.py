@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weildec.cyclo import _divide_by_xd_minus_1, cyclotomic_poly, make_field
+from weildec.cyclo import CycloElt, _divide_by_xd_minus_1, cyclotomic_poly, make_field
 
 
 LEVELS = [3, 4, 5, 7, 8, 9, 12, 24, 40]
@@ -79,8 +79,8 @@ def test_primitive_root_has_full_order(level):
 def _elt_strategy(field):
     coeff = st.integers(min_value=-9, max_value=9)
     return st.lists(
-        coeff, min_size=field.level, max_size=field.level
-    ).map(field.from_int_vector)
+        coeff, min_size=field.degree, max_size=field.degree
+    ).map(lambda coeffs: CycloElt(field, [Fraction(c) for c in coeffs]))
 
 
 @settings(max_examples=40, deadline=None)

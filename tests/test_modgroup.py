@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weildec.modgroup import (
+    IDENTITY,
+    S_MAT,
     _profile_counts,
     census,
     class_representatives,
@@ -15,7 +17,6 @@ from weildec.modgroup import (
     conj_profile,
     count_quadratic_solutions,
     divisors,
-    eval_word,
     expected_quadratic_solutions,
     hensel_lift_count,
     lattice_images,
@@ -29,11 +30,27 @@ from weildec.modgroup import (
     sl2_enumerate,
     sl2_order,
     sp_generators,
-    symplectic_form,
+    t_power,
     word_decompose,
 )
 
-from commutant_oracle import walk_orbit
+from commutant_oracle import symplectic_form, walk_orbit
+
+
+def eval_word(word, N):
+    """The value of a word of tokens ('S', e), e = +-1, and ('T', k) in
+    SL2(Z/NZ), one factor at a time."""
+    cur = IDENTITY
+    for tok in word:
+        kind, val = tok
+        if kind == "S":
+            g = S_MAT if val == 1 else mat_inv(S_MAT, N)
+        elif kind == "T":
+            g = t_power(val, N)
+        else:
+            raise ValueError("bad token %r" % (tok,))
+        cur = mat_mul(cur, tuple(x % N for x in g), N)
+    return cur
 
 
 def sp_apply(M, v, N):

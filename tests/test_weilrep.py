@@ -2,7 +2,7 @@ import copy
 import random
 import tracemalloc
 import types
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from math import gcd
 
@@ -10,15 +10,22 @@ import numpy as np
 import pytest
 
 from weildec import analysis, cycmat, weilrep
-from weildec.cyclo import field_for_level
-from weildec.cycmat import _INT64_MAX, CycMat, _convolve, _l1, _max_abs, power_matrix
+from weildec.cyclo import CycloElt, field_for_level
+from weildec.cycmat import (
+    _INT64_MAX,
+    CycMat,
+    _convolve,
+    _l1,
+    _max_abs,
+    field_coords,
+    power_matrix,
+)
 from weildec.decompose import _cyc_equal, _symmetric
 from weildec.modgroup import (
     class_representatives,
     mat_mul,
     sl2_column,
     sl2_enumerate,
-    symplectic_form,
     word_decompose,
 )
 from weildec.ringmat import RingMatrix
@@ -34,7 +41,7 @@ from weildec.weilrep import (
     trace_engine,
 )
 
-from commutant_oracle import schrodinger_cyc, trace_elt
+from commutant_oracle import schrodinger_cyc, symplectic_form, trace_elt
 
 
 def _mul_root(mat, e):
@@ -67,6 +74,17 @@ def test_gauss_sum_modulus(p):
     field = field_for_level(p)
     # |G|^2 = p at odd levels; the doubled modulus at even levels gives 4p
     assert g.norm_sq() == field.coerce(p if p % 2 else 4 * p)
+
+
+@pytest.mark.parametrize("p", range(1, 25))
+def test_gauss_sum_is_a_sum_of_roots_of_unity(p):
+    field = field_for_level(p)
+    m = p if p % 2 else 2 * p
+    roots = [field.root_of_unity(field.level // m * t) for t in range(m)]
+    for a in range(-3, 4):
+        for b in range(-3, 4):
+            want = sum((roots[(a * k * k + b * k) % m] for k in range(m)), field.zero())
+            assert gauss_sum(a, b, p) == want
 
 
 def test_gauss_sum_shift_invariance():
@@ -117,6 +135,16 @@ def test_schrodinger_refuses_a_vector_of_the_wrong_length():
         vecs = np.arange(1, np.prod(shape) + 1).reshape(shape)
         with pytest.raises(ValueError, match=r"expected \(%d, k\)" % (2 * g)):
             WeilRep(p, g).schrodinger_map(vecs)
+
+
+def test_schrodinger_refuses_a_fractional_vector_and_reads_int32():
+    # a float column was truncated: (0.5, 2.7) gave the map of shift 0
+    rep = WeilRep(5, 1)
+    with pytest.raises(ValueError, match="expected integers"):
+        rep.schrodinger_map(np.array([[0.5], [2.7]]))
+    vecs = np.array([[0, 1, 4, 7], [0, 3, 2, -1]])
+    for got, want in zip(rep.schrodinger_map(vecs.astype(np.int32)), rep.schrodinger_map(vecs)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("p,g", [(3, 1), (4, 1), (3, 2)])
@@ -396,19 +424,19 @@ def test_trace_overflow_guard_raises(monkeypatch):
 
 
 def _column_values(engine, c):
-    """|Tr|^2 of every element of column c, read off the batched rows."""
+    """|Tr|^2 of every element of column c, read off the swept tables, one
+    table at a time."""
     m = engine.m
+    a, b, d = sl2_column(m, c)
+    u, s = engine._keys(c, a, b, d)
     if gcd(c, m) == 1:
         # one row per s = (a + d) / c, shared by the m elements that have it
-        n = engine.abs_sq_rows(engine._sweep_rows(engine._kvec(c)))
-        scale = engine._gauss_scale
-        cinv = pow(c, -1, m)
-        return {(a, b, c, d): int(n[(a + d) * cinv % m]) * scale**2
-                for a, b, d in zip(*(col.tolist() for col in sl2_column(m, c)))}
-    a, b, d, u, X = (col.tolist() for col in engine._column_keys(c))
-    n = {v: engine.abs_sq_rows(engine._nonunit_rows(c, np.array([v]))[0]) for v in set(u)}
-    return {(A, B, c, D): int(n[U][x]) * engine._gauss_sq_scale ** 2
-            for A, B, D, U, x in zip(a, b, d, u, X)}
+        assert not u.any() and np.array_equal(s, (a + d) * pow(c, -1, m) % m)
+    scale = engine._gauss_scale if gcd(c, m) == 1 else engine._gauss_sq_scale
+    n = {v: engine.abs_sq_rows(engine._sweep_rows(engine._tables(c, np.array([v])))[0])
+         for v in set(u.tolist())}
+    return {(A, B, c, D): int(n[U][S]) * scale**2
+            for A, B, D, U, S in zip(*(col.tolist() for col in (a, b, d, u, s)))}
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7, 8, 9, 12])
@@ -472,6 +500,38 @@ def test_trace_vectors_match_per_element_on_the_group(p):
 def test_trace_vectors_refuse_a_non_sl2_matrix():
     with pytest.raises(ValueError, match="not in SL2"):
         trace_engine(5).trace_vectors([(1, 0, 0, 1), (2, 0, 0, 1)])
+
+
+def _word_lift_abs_sq(p, Ms):
+    """|Tr|^2 of the word lift of every M of Ms: the diagonal entry vectors
+    of its `lift_genus1_many` lift summed into v, and |v|^2 the
+    autocorrelation of v in Python ints, mapped by `field_coords`."""
+    field = field_for_level(p)
+    out = []
+    for lift in lift_genus1_many(p, Ms):
+        v = lift.arr[np.arange(p), np.arange(p)].sum(axis=0).astype(object)
+        coords = field_coords(np.array([v @ np.roll(v, -s) for s in range(lift.m)]),
+                              field, lift.m).tolist()
+        assert not any(coords[1:])
+        out.append(coords[0] * lift.scale**2)
+    return out
+
+
+@pytest.mark.parametrize("p", range(2, 10))
+def test_both_sweeps_match_the_word_lift_on_the_group(p):
+    # an oracle that shares no key and no table with the engine: the word
+    # lift of every element of SL2(Z/m)
+    engine = trace_engine(p)
+    Ms = list(sl2_enumerate(engine.m))
+    want = _word_lift_abs_sq(p, Ms)
+    rows, scales = engine.trace_vectors(Ms)
+    assert [n * scale**2 for n, scale in zip(engine.abs_sq_rows(rows).tolist(), scales)] == want
+    for c in range(engine.m):
+        got = Counter()
+        for n, scale, count in engine.column_abs_sq(c):
+            for x, k in zip(n.tolist(), count.tolist()):
+                got[x * scale**2] += k
+        assert +got == Counter(v for M, v in zip(Ms, want) if M[2] == c)
 
 
 @pytest.mark.parametrize("p", [9, 12, 16, 32])
@@ -745,15 +805,12 @@ def test_lift_normalised_between_gathers_is_unchanged(p, monkeypatch):
 def test_gauss_power_matches_field_powers(p):
     field = field_for_level(p)
     m = p if p % 2 else 2 * p
-    step = field.level // m
     for sign in (1, -1):
         gamma = gauss_sum(-sign, 0, p)
         for count in range(1, 9):
             vec, g = weilrep._gauss_power(p, sign, count)
-            spread = [0] * field.level
-            for t, v in enumerate(vec.tolist()):
-                spread[t * step] = v
-            assert field.from_int_vector(spread) * g == gamma ** count
+            elt = CycloElt(field, [Fraction(x) for x in field_coords(vec, field, m).tolist()])
+            assert elt * g == gamma ** count
     norm = weilrep._lift_images(p)["norm"]
     assert gauss_sum(-1, 0, p) * gauss_sum(1, 0, p) == field.from_rational(norm)
 
