@@ -4,10 +4,13 @@ faithfulness checks, and semiclassical trace limits.
 The character sum of a level counts irreducible summands: averaging
 |Tr|^2 over the finite matrix group gives an integer whenever the module
 is multiplicity-free, and the expected values factor over coprime
-levels.  Full enumeration sweeps the group one lower-left entry c at a
-time through the trace engine's batched rows.  Even moduli admit a census
-shortcut: traces are evaluated on one representative per conjugacy class,
-all in one batch, and weighted by the class size.
+levels.  |Tr|^2 takes the same values on every lower-left entry c of one
+orbit c W, W = {+-t^2 : t a unit} (`modgroup.column_orbits`), so full
+enumeration sweeps one column per orbit through the trace engine's
+batched rows, weighted by the orbit's size, at every modulus up to 128.
+2-power moduli admit a census shortcut: traces are evaluated on one
+representative per conjugacy class, each moved into its orbit's least
+column, all in one batch, and weighted by the class size.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from operator import mul
 
 import numpy as np
@@ -23,6 +27,7 @@ import numpy as np
 from .modgroup import (
     _v2,
     class_representatives,
+    column_orbits,
     conj_profile,
     prime_factorization,
     sl2_enumerate,
@@ -50,6 +55,7 @@ class CharSumReport:
     expected: int
     method: str
     class_count: int | None
+    columns: int
 
     @property
     def match(self):
@@ -64,14 +70,38 @@ def expected_char_sum(p):
     return total
 
 
+def _least_columns(Ms, m):
+    """The elements Ms of SL2(Z/m), each moved into its orbit's least column
+    (`column_orbits`) with its trace mod m and its |Tr|^2 kept: conjugated
+    by diag(t, 1/t), (a, b, c, d) -> (a, b t^2, c t^-2, d), then, where
+    sign = -1, inverted, -> (d, -b, -c, a).  Either way the new lower-left
+    entry is sign c t^-2 = rep[c]."""
+    a, b, c, d = np.asarray(Ms, dtype=np.int64).reshape(-1, 4).T % m
+    rep, t, sign = column_orbits(m)
+    flip = sign[c] < 0
+    return np.stack([np.where(flip, d, a), sign[c] * b * t[c] ** 2 % m, rep[c],
+                     np.where(flip, a, d)], axis=1)
+
+
 def char_sum(p, method=None):
     """Average of |Tr|^2 over SL2 at the level's modulus, exactly.
 
-    "full-enumeration" takes one `column_abs_sq` block per lower-left entry
-    c; "census-representatives" (the default for 2-power moduli from 16
-    to 64) takes the trace vectors of every class representative in one
-    `trace_vectors` call and their |Tr|^2 in one `abs_sq_rows` call.  Both
-    gather in chunks of at most `cycmat._GATHER_ENTRIES` int64 entries.
+    Column-orbit lemma: for a unit t, conjugation by diag(t, 1/t) maps the
+    elements of lower-left entry c one-to-one onto those of c t^-2, and
+    inversion maps them onto those of -c.  pi is projective unitary, so
+    |Tr pi(g M g^-1)|^2 = |Tr pi(M)|^2 = |Tr pi(M^-1)|^2, and |Tr|^2 takes
+    the same multiset of values on every column of the orbit c W,
+    W = {+-t^2 : t a unit} (`modgroup.column_orbits`).
+
+    "full-enumeration" (moduli up to 128) takes one `column_abs_sq` block
+    per orbit, at its least column, weighted by the orbit's size;
+    "census-representatives" (the default for 2-power moduli from 16 to
+    64) moves every class representative into its orbit's least column
+    (`_least_columns`), takes their trace vectors in one `trace_vectors`
+    call and their |Tr|^2 in one `abs_sq_rows` call.  Both gather in
+    chunks of at most `cycmat._GATHER_ENTRIES` int64 entries, and every
+    column swept passes the bound and the rationality check.  The report's
+    `columns` counts the lower-left entries swept.
     """
     engine = trace_engine(p)
     modulus = engine.m
@@ -80,7 +110,7 @@ def char_sum(p, method=None):
     if method is None:
         method = (
             "census-representatives"
-            if two_power and modulus >= 16
+            if two_power and 16 <= modulus <= 64
             else "full-enumeration"
         )
     # sum the integer parts of |Tr|^2 = n * scale^2 per scale
@@ -89,24 +119,26 @@ def char_sum(p, method=None):
         if not two_power or modulus > 64:
             raise ValueError("census mode needs a 2-power modulus up to 64")
         reps = class_representatives(n2)
-        rows, scales = engine.trace_vectors([rep.matrix for rep in reps])
+        moved = _least_columns([rep.matrix for rep in reps], modulus)
+        rows, scales = engine.trace_vectors(moved)
         for rep, n, scale in zip(reps, engine.abs_sq_rows(rows).tolist(), scales):
             totals[scale] += rep.size * n
         order = sl2_order(modulus)
-        count = len(reps)
+        count, columns = len(reps), np.unique(moved[:, 2]).size
     elif method == "full-enumeration":
-        if modulus > 64:
-            raise ValueError("full enumeration bounded at modulus 64")
+        if modulus > 128:
+            raise ValueError("full enumeration bounded at modulus 128")
+        cols, sizes = np.unique(column_orbits(modulus)[0], return_counts=True)
         order = 0
-        for c in range(modulus):
+        for c, size in zip(cols.tolist(), sizes.tolist()):
             for n, scale, weight in engine.column_abs_sq(c):
-                totals[scale] += sum(map(mul, n.tolist(), weight.tolist()))
-                order += int(weight.sum())
-        count = None
+                totals[scale] += size * sum(map(mul, n.tolist(), weight.tolist()))
+                order += size * int(weight.sum())
+        count, columns = None, cols.size
     else:
         raise ValueError(f"unknown method {method!r}")
     value = sum(n * scale * scale for scale, n in totals.items()) / order
-    return CharSumReport(p, modulus, value, expected_char_sum(p), method, count)
+    return CharSumReport(p, modulus, value, expected_char_sum(p), method, count, columns)
 
 
 def char_sum_multiplicativity(a, b):
@@ -309,7 +341,7 @@ class SemiclassicalReport:
 
 
 def _normalize_monomial(monomial, g):
-    if monomial and isinstance(monomial[0], int):
+    if monomial and isinstance(monomial[0], Integral):
         monomial = (tuple(monomial),)
     monomial = tuple(tuple(pair) for pair in monomial)
     if len(monomial) != g:
@@ -359,6 +391,7 @@ def charsum_json(report):
         "expected": report.expected,
         "method": report.method,
         "class_count": report.class_count,
+        "columns": report.columns,
         "match": report.match,
     }
     return json.dumps(payload, separators=(",", ":"))

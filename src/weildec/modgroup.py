@@ -92,6 +92,22 @@ def sl2_column(N, c):
     return np.repeat(a, g), b, np.repeat(d, g)
 
 
+def column_orbits(N):
+    """(rep, t, sign), int64 arrays indexed by the lower-left entry c mod N:
+    rep[c] is the least element of the orbit c W, W = {+-t^2 : t a unit
+    mod N}, and rep[c] = sign[c] c t[c]^(-2) mod N.
+
+    Conjugation by diag(t, 1/t) maps the elements of column c one-to-one
+    onto column c t^(-2), and inversion maps column c onto column -c.  The
+    N x 2 phi(N) images c (+-t^(-2)) give every orbit's least element at
+    once, with +1 preferred to -1 among the moves reaching it."""
+    t = np.array([x for x in range(N) if gcd(x, N) == 1])
+    w = np.array([pow(x, -2, N) for x in t.tolist()])
+    images = np.arange(N)[:, None] * np.concatenate([w, -w % N]) % N
+    k = images.argmin(axis=1)
+    return images[np.arange(N), k], np.tile(t, 2)[k], np.where(k < t.size, 1, -1)
+
+
 # ---------------------------------------------------------------------------
 # words in the generators
 # ---------------------------------------------------------------------------

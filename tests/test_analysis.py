@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -20,9 +21,9 @@ from weildec.analysis import (
 from weildec.cyclo import CycloField
 from weildec.cycmat import CycMat
 from weildec.decompose import schrodinger_commutant_dimension
-from weildec.modgroup import lattice_vectors
+from weildec.modgroup import class_representatives, column_orbits, lattice_vectors, sl2_order
 from weildec.ringmat import RingMatrix
-from weildec.weilrep import WeilRep
+from weildec.weilrep import WeilRep, trace_engine
 
 from commutant_oracle import schrodinger_cyc, trace_elt
 from test_tooling import _clear_library_caches
@@ -50,11 +51,67 @@ def test_char_sum_methods_agree(p):
     assert full.value == cen.value
 
 
-def test_full_enumeration_refuses_modulus_past_64():
+def test_full_enumeration_refuses_modulus_past_128():
     with pytest.raises(ValueError):
-        char_sum(34, method="full-enumeration")  # modulus 68
+        char_sum(66, method="full-enumeration")  # modulus 132
     with pytest.raises(ValueError):
-        char_sum(65)
+        char_sum(129)
+
+
+def _column_values(engine, c):
+    """Counter of |Tr|^2 over the elements of lower-left entry c."""
+    got = Counter()
+    for n, scale, count in engine.column_abs_sq(c):
+        for x, k in zip(n.tolist(), count.tolist()):
+            got[x * scale**2] += k
+    return +got
+
+
+@pytest.mark.parametrize("p", [*range(2, 17), 21, 25, 27, 32])
+def test_every_column_matches_its_orbit_representative(p):
+    # the column-orbit lemma against the every-column sweep: each column's
+    # |Tr|^2 multiset is its orbit's least column's (`column_orbits` is
+    # checked against brute force in test_modgroup), and the average over
+    # all columns is char_sum's value, by either method where both apply
+    engine = trace_engine(p)
+    m = engine.m
+    columns = [_column_values(engine, c) for c in range(m)]
+    assert all(columns[c] == columns[r] for c, r in enumerate(column_orbits(m)[0].tolist()))
+    total = sum(columns, Counter())
+    assert sum(total.values()) == sl2_order(m)
+    value = Fraction(sum(v * k for v, k in total.items()), sl2_order(m))
+    assert value == char_sum(p).value == char_sum(p, method="full-enumeration").value
+
+
+def test_columns_of_different_orbits_differ():
+    # negative control: at m = 9, column 3 is not in the orbit of column 1
+    engine = trace_engine(9)
+    least = column_orbits(9)[0]
+    assert least[3] != least[1]
+    assert _column_values(engine, 1) != _column_values(engine, 3)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_census_moves_keep_det_trace_and_abs_sq(n):
+    m = 2**n
+    engine = trace_engine(m // 2)
+    least = column_orbits(m)[0]
+    reps = [rep.matrix for rep in class_representatives(n)]
+    for M, moved in zip(reps, analysis._least_columns(reps, m).tolist()):
+        a, b, c, d = moved
+        assert (a * d - b * c) % m == 1
+        assert (a + d - M[0] - M[3]) % m == 0
+        assert c == least[M[2] % m]
+        assert engine.trace_abs_sq(tuple(moved)) == engine.trace_abs_sq(M)
+
+
+def test_report_counts_the_columns_swept():
+    # full enumeration at modulus 24 sweeps one column per orbit; the census
+    # at modulus 32 keys its 168 moved representatives in 9 columns
+    assert char_sum(12).columns == len(set(column_orbits(24)[0].tolist())) == 13
+    report = char_sum(16)
+    assert report.method == "census-representatives" and report.columns == 9
+    assert '"columns":9' in charsum_json(report)
 
 
 def test_char_sum_builds_no_word_lift(monkeypatch):
@@ -237,6 +294,8 @@ def test_semiclassical_refuses_a_fractional_exponent():
     with pytest.raises(ValueError, match="expected integers"):
         semiclassical_traces(5, 1, [(0, 0.5)])
     assert semiclassical_traces(5, 1, [((np.int32(2), np.int32(5)),)]).rows[0].value == 0
+    # a flat pair of numpy integers is the one-handle monomial too
+    assert semiclassical_traces(5, 1, [(np.int32(2), np.int32(5))]).rows[0].value == 0
 
 
 def test_semiclassical_normalization_is_exact():

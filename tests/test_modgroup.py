@@ -14,6 +14,7 @@ from weildec.modgroup import (
     census,
     class_representatives,
     class_size_bruteforce,
+    column_orbits,
     conj_profile,
     count_quadratic_solutions,
     divisors,
@@ -61,6 +62,18 @@ def sp_apply(M, v, N):
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 8, 9, 12])
 def test_group_order_formula_matches_enumeration(N):
     assert sum(1 for _ in sl2_enumerate(N)) == sl2_order(N)
+
+
+@pytest.mark.parametrize("N", [*range(1, 41), 64, 96, 128])
+def test_column_orbits_match_brute_force(N):
+    # rep[c] is the least of c * (+-u^2) over the units u, and the move
+    # (t, sign) reaches it: rep[c] t^2 = sign c mod N
+    rep, t, sign = column_orbits(N)
+    units = [u for u in range(N) if gcd(u, N) == 1]
+    for c in range(N):
+        assert rep[c] == min(s * c * u * u % N for u in units for s in (1, -1))
+        assert gcd(int(t[c]), N) == 1 and sign[c] in (1, -1)
+        assert (rep[c] * t[c] ** 2 - sign[c] * c) % N == 0
 
 
 @pytest.mark.parametrize("N", list(range(1, 13)) + [16])

@@ -50,7 +50,7 @@ ZERO_METRICS = {
                 "decompose.isotypic_projectors", "decompose.tower_check", "modgroup.census",
                 "modgroup.sl2_enumerate", "modgroup.word_decompose",
                 "ringmat.equal_up_to_scalar", "weilrep.generator", "weilrep.lift",
-                "weilrep.projective_key", "weilrep.trace.build_s"),
+                "weilrep.projective_key"),
     "faithful": ("analysis.char_sum", "cyclo.inverse", "cycmat.kron", "cycmat.matmul",
                  "cycmat.to_ring", "decompose.commutant_dimension", "decompose.crt_check",
                  "decompose.egorov_verify", "decompose.isotypic_projectors",
