@@ -429,12 +429,29 @@ def census_expected(n, l, x_class, s):
 def _profile_counts(n):
     """Number of elements of SL2(Z/2^nZ) with each profile (l, x, s).
 
-    The same invariants as `conj_profile`, computed elementwise on int64
-    arrays one row value a at a time.  For odd a the chunk is every
-    (b, c) with d = a^-1 (1 + bc); for even a, b is odd and the chunk is
-    every (b, d) with c = b^-1 (ad - 1).  Every intermediate is below
-    2^(3n) <= 2^24, and reductions mod 2^k are masks, which are exact on
-    negative int64 values too.
+    The lemma: if M != I (mod 2), then l = 0 and the profile is
+    (0, 0, min(v2(a + d), n)), as `conj_profile` reads it at l = 0, where
+    the parities of (a, b, c, d) are those of M itself.  So those elements
+    are counted by their trace t alone, with no per-element work:
+
+    - even a: b is odd, and each (a, d) stands for one c per odd b, 2^(n-1)
+      elements; the N/2 pairs (a, t - a) give every trace N^2 / 4 of them;
+    - odd a with (b, c) not both even: d = a^-1 (1 + k), k = bc, so the
+      trace is t exactly when k = a (t - a) - 1.  With r0[k] the number of
+      such (b, c) with bc = k (one `bincount`), trace t gets the sum of
+      r0[a (t - a) - 1] over the odd a, one (N/2, N) gather.
+
+    Only Gamma(2), the elements with M = I (mod 2) (a odd, b and c even,
+    N^3 / 8 of them, a sixth of the group), go through the invariants of
+    `conj_profile` elementwise on int64 arrays, a block of odd a at a time.
+    There l >= 1, since b, c and a - d are even, and l = v2(b | c | (a - d))
+    is one lookup; tau = ((a - x)(d - x) - bc) / 4^l mod 2^(n-l), the
+    determinant of U = (M - xI) / 2^l, and s of (l, tau) is a table.  A
+    block holds at most N^2 elements, and at most 2^14 (128 KiB per int64
+    array).  Every count is an exact int64 integer (no weighted `bincount`,
+    which is float64), every intermediate is below 2^(3n) <= 2^24, and
+    reductions mod 2^k are masks, which are exact on negative int64 values
+    too.
     """
     N = 2 ** n
     mask = N - 1
@@ -442,26 +459,31 @@ def _profile_counts(n):
                   dtype=np.int64)  # v2[0] = n: the cap on l and s
     inv = np.zeros(N, dtype=np.int64)
     inv[1::2] = [pow(u, -1, N) for u in range(1, N, 2)]
-    rows, cols = np.divmod(np.arange(N * N, dtype=np.int64), N)  # every (b, c)
-    half = N * N // 2
-    odd_rows, odd_cols = 2 * rows[:half] + 1, cols[:half]  # every (b odd, d)
+    t = np.arange(N, dtype=np.int64)
+    odd = t[1::2, None]
     shape = (n + 1, N, 2 * n + 1)
     counts = np.zeros(np.prod(shape), dtype=np.int64)
-    for a in range(N):
-        if a % 2:
-            b, c = rows, cols
-            d = (inv[a] * (1 + b * c)) & mask
-        else:
-            b, d = odd_rows, odd_cols
-            c = (inv[b] * (a * d - 1)) & mask
-        l = np.minimum(np.minimum(v2[b], v2[c]), v2[(a - d) & mask])
+    # l = 0: the elements with M != I (mod 2), by trace
+    not_both_even = ((t[:, None] | t) & 1).astype(bool)
+    r0 = np.bincount((np.multiply.outer(t, t) & mask)[not_both_even], minlength=N)
+    traces = r0[(odd * (t - odd) - 1) & mask].sum(axis=0) + N * N // 4
+    np.add.at(counts, np.ravel_multi_index((0, 0, v2), shape), traces)
+    # Gamma(2): every even (b, c), d = a^-1 (1 + bc), for a block of odd a
+    ls, taus = np.divmod(np.arange((n + 1) * N, dtype=np.int64), N)
+    s_of = np.where(taus == 0, ls + n, 2 * ls + v2[taus])  # s at index l N + tau
+    b, c = np.divmod(np.arange(N * N // 4, dtype=np.int64), N // 2)
+    b, c = 2 * b, 2 * c
+    bc = b * c
+    block = max(1, min(N * N, 1 << 14) // bc.size)
+    for start in range(0, N // 2, block):
+        a = odd[start:start + block]
+        d = (inv[a] * (1 + bc)) & mask
+        l = v2[b | c | ((a - d) & mask)]
         x = a & ((1 << l) - 1)
-        u0, u1, u2, u3 = (a - x) >> l, b >> l, c >> l, (d - x) >> l
-        tau = (u0 * u3 - u1 * u2) & ((1 << (n - l)) - 1)
-        s = np.where(tau == 0, l + n, 2 * l + v2[tau])
-        s = np.where(l == 0, v2[(a + d) & mask], s)  # at l = 0, tau is the trace
-        counts += np.bincount(np.ravel_multi_index((l, x, s), shape),
-                              minlength=counts.size)
+        tau = (((a - x) * (d - x) - bc) >> (l << 1)) & (mask >> l)
+        lN = l << n
+        key = (lN + x) * shape[2] + s_of[lN | tau]
+        counts += np.bincount(key.ravel(), minlength=counts.size)
     counts = counts.reshape(shape)
     return {tuple(map(int, key)): int(counts[key]) for key in zip(*np.nonzero(counts))}
 

@@ -575,12 +575,13 @@ class _TraceEngine:
         """n with n[k] = |sum_t rows[k, t] A^t|^2 for every row of trace
         vectors: n[k] = sum_s r[s] A^s, where r[s] = sum_t v[t] v[t + s] is
         the autocorrelation of the median-shifted row v.  Raises ValueError
-        unless every n[k] is a rational integer."""
+        unless every n[k] is a rational integer.  n owns its data, so the
+        coordinate array is freed on return."""
         coords = _abs_sq(_median_shift(rows), self._powers, self._powers_l1)
         irrational = coords[:, 1:].any(axis=1)
         if irrational.any():
             raise ValueError("|Tr|^2 of row %d is not rational" % irrational.argmax())
-        return coords[:, 0]
+        return coords[:, 0].copy()
 
     # -- batched sweep of SL2(Z/m), one lower-left entry c at a time --------
 

@@ -167,6 +167,51 @@ def _census_by_elements(n):
     return tallies
 
 
+def _profile_counts_by_rows(n):
+    """The whole-group sweep: the invariants of conj_profile on every
+    element, one row value a at a time.  For odd a the chunk is every
+    (b, c) with d = a^-1 (1 + bc); for even a, b is odd and the chunk is
+    every (b, d) with c = b^-1 (ad - 1)."""
+    N = 2 ** n
+    mask = N - 1
+    v2 = np.array([n] + [(t & -t).bit_length() - 1 for t in range(1, N)],
+                  dtype=np.int64)  # v2[0] = n: the cap on l and s
+    inv = np.zeros(N, dtype=np.int64)
+    inv[1::2] = [pow(u, -1, N) for u in range(1, N, 2)]
+    rows, cols = np.divmod(np.arange(N * N, dtype=np.int64), N)  # every (b, c)
+    half = N * N // 2
+    odd_rows, odd_cols = 2 * rows[:half] + 1, cols[:half]  # every (b odd, d)
+    shape = (n + 1, N, 2 * n + 1)
+    counts = np.zeros(np.prod(shape), dtype=np.int64)
+    for a in range(N):
+        if a % 2:
+            b, c = rows, cols
+            d = (inv[a] * (1 + b * c)) & mask
+        else:
+            b, d = odd_rows, odd_cols
+            c = (inv[b] * (a * d - 1)) & mask
+        l = np.minimum(np.minimum(v2[b], v2[c]), v2[(a - d) & mask])
+        x = a & ((1 << l) - 1)
+        u0, u1, u2, u3 = (a - x) >> l, b >> l, c >> l, (d - x) >> l
+        tau = (u0 * u3 - u1 * u2) & ((1 << (n - l)) - 1)
+        s = np.where(tau == 0, l + n, 2 * l + v2[tau])
+        s = np.where(l == 0, v2[(a + d) & mask], s)  # at l = 0, tau is the trace
+        counts += np.bincount(np.ravel_multi_index((l, x, s), shape),
+                              minlength=counts.size)
+    counts = counts.reshape(shape)
+    return {tuple(map(int, key)): int(counts[key]) for key in zip(*np.nonzero(counts))}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_profile_counts_match_the_whole_group_sweep(n):
+    # the l = 0 trace count plus the Gamma(2) sweep against every element
+    counts = _profile_counts(n)
+    want = _profile_counts_by_rows(n)
+    assert counts == want
+    assert all(type(v) is int for key, count in counts.items() for v in key + (count,))
+    assert sum(counts.values()) == 3 * 2 ** (3 * n - 2)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_census_matches_per_element_oracle(n):
     profiles = Counter()

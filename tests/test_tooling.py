@@ -377,3 +377,17 @@ def test_cold_commutant_stays_in_its_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak < (_COMMUTANT_128_PEAK_MIB + 2) * 2**20
+
+
+# traced peak (MiB) of a cold census(8), measured at 1.89; the budget adds
+# 0.5 MiB.  The whole-group sweep, one row value a at a time in chunks of
+# N^2 = 2^16 elements, peaked at 7.37; the l = 0 elements are now counted
+# by trace and the Gamma(2) sweep goes in blocks of at most 2^14 elements.
+_CENSUS_8_PEAK_MIB = 1.89
+
+
+def test_cold_census_stays_in_its_memory_budget():
+    from weildec.modgroup import census
+
+    peak = _traced_peak(lambda: all(row.match for row in census(8)))
+    assert peak < (_CENSUS_8_PEAK_MIB + 0.5) * 2**20

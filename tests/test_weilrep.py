@@ -473,6 +473,15 @@ def test_abs_sq_rows_rejects_irrational_row():
         engine.abs_sq_rows(rows)
 
 
+def test_abs_sq_rows_owns_its_data():
+    # a view of the coordinate array would keep the whole array of every
+    # chunk alive until column_abs_sq concatenates the results
+    engine = trace_engine(9)
+    rows, _ = engine.trace_vectors([(1, 1, 0, 1), (0, 8, 1, 0)])
+    n = engine.abs_sq_rows(rows)
+    assert n.base is None and n.flags.owndata
+
+
 def _assert_batch_is_the_oracle(engine, Ms):
     rows, scales = engine.trace_vectors(Ms)
     assert len(scales) == len(Ms)
