@@ -34,12 +34,13 @@ from .modgroup import (
     sl2_order,
 )
 from .cyclo import field_for_level
-from .cycmat import _abs_sq, _chunks, _l1, field_coords, power_matrix
+from .cycmat import _abs_sq, _chunks, _l1, _normalise_each, field_coords, power_matrix
 from .weilrep import (
     WeilRep,
-    lift_genus1_many,
+    _lift_images,
     projective_keys,
     trace_engine,
+    word_products,
 )
 
 
@@ -207,38 +208,47 @@ def expected_trace_sq(n, l, x_class, s):
     return None
 
 
-def _unit_entries(rows, scales, field):
-    """True when every entry vector scales[k] * rows[k] has absolute value
-    one: scale^2 times the field coordinates of |v|^2 (`_abs_sq`, for all
-    rows at once) must be (1, 0, ..., 0)."""
+def _unit_entries(rows, scales_sq, field):
+    """True when every entry vector v of rows has scales_sq[k] |v|^2 = 1:
+    scales_sq[k] times the field coordinates of |v|^2 (`_abs_sq`, for all
+    rows at once, each row normalised first) must be (1, 0, ..., 0)."""
+    rows, g = _normalise_each(rows)
     P = power_matrix(field, rows.shape[-1])
     coords = _abs_sq(rows, P, _l1(P))
     return not coords[:, 1:].any() and all(
-        scale * scale * x == 1 for scale, x in zip(scales, coords[:, 0].tolist()))
+        sq * k * k * x == 1 for sq, k, x in zip(scales_sq, g, coords[:, 0].tolist()))
 
 
-def _unit_monomials(lifts, a, field):
-    """True when every lifts[k] is lam_k times the permutation matrix with
-    entry (i, a[k] i) equal to 1, with lam_k conj(lam_k) = 1.
+def _unit_monomials(products, nets, a, field, norm):
+    """True when every lift gamma^|nets[k]| * products[k] is lam_k times the
+    permutation matrix with entry (i, a[k] i) equal to 1, with
+    lam_k conj(lam_k) = 1.
 
-    One `field_coords` product takes the entries (i, a[k] i) of every lift
-    and every other entry that is not the zero vector: the others must
-    vanish in the field, and the entries (i, a[k] i) of each lift agree;
-    `_unit_entries` takes the norms."""
-    p, m = lifts[0].nrows, lifts[0].m
+    The Gauss power is a nonzero scalar, so the lift is such a monomial
+    exactly when the product is one, with lam_k = gamma^|n| scale lam'_k
+    for its entry lam'_k, and gamma_+ gamma_- = norm (`word_products`)
+    makes the condition scale^2 norm^|n| |lam'_k|^2 = 1.  At the even
+    modulus m = 2^n, A^(m/2) = -1, so an entry whose two halves agree is
+    zero.  One `field_coords` product takes the entries (i, a[k] i) of
+    every product and every other entry whose halves differ: the others
+    must vanish in the field, and the entries (i, a[k] i) of each product
+    agree; `_unit_entries` takes the norms."""
+    p, m = products[0].nrows, products[0].m
     i = np.arange(p)
     on, off = [], []
-    for lift, cols in zip(lifts, a[:, None] * i % p):
-        on.append(lift.arr[i, cols])
-        rest = lift.arr.any(axis=-1)
+    for product, cols in zip(products, a[:, None] * i % p):
+        arr = product.arr
+        on.append(arr[i, cols])
+        rest = (arr[..., :m // 2] != arr[..., m // 2:]).any(axis=-1)
         rest[i, cols] = False
-        off.append(lift.arr[rest])
+        off.append(arr[rest])
     coords = field_coords(np.concatenate(on + off), field, m)
     diag = coords[:len(on) * p].reshape(len(on), p, -1)
     if coords[len(on) * p:].any() or (diag != diag[:, :1]).any():
         return False
     return _unit_entries(np.array([entries[0] for entries in on]),
-                         [lift.scale for lift in lifts], field)
+                         [product.scale ** 2 * norm ** abs(n)
+                          for product, n in zip(products, nets)], field)
 
 
 def lemma_diag_check(n):
@@ -247,19 +257,25 @@ def lemma_diag_check(n):
     mod 2^n: then lift @ perm^dagger is a scalar matrix whose scalar has
     absolute value one.
 
-    The odd a go in the chunks `lift_genus1_many` gathers at once, each
-    lifted by one call and checked by one `_unit_monomials` call, so no
-    more lifts are held than one gather takes."""
+    The check reads the word products (`word_products`), never the lifts:
+    lift = gamma_sign(n)^|n| * product, and since gamma_+ gamma_- =
+    |gamma_+-|^2 = norm, the lift's scalar has absolute value one exactly
+    when the product is monomial with scale^2 norm^|n| |lam'|^2 = 1
+    (`_unit_monomials`).  The odd a go in the chunks `word_products`
+    gathers at once, each taken by one call and checked by one
+    `_unit_monomials` call, so no more products are held than one gather
+    takes."""
     if n < 2:
         raise ValueError("need n >= 2")
     p = 2 ** (n - 1)
     field = field_for_level(p)
+    norm = _lift_images(p)["norm"]
     modulus = 2**n
     odd = np.arange(1, modulus, 2)
     for part in _chunks(odd.size, p ** 3 * modulus):
         a = odd[part]
-        lifts = lift_genus1_many(p, [(x, 0, 0, pow(x, -1, modulus)) for x in a.tolist()])
-        if not _unit_monomials(lifts, a, field):
+        products, nets = word_products(p, [(x, 0, 0, pow(x, -1, modulus)) for x in a.tolist()])
+        if not _unit_monomials(products, nets, a, field, norm):
             return False
     return True
 
@@ -305,17 +321,30 @@ class FaithfulnessReport:
         return self.group_order == self.distinct_classes
 
 
+def _lift_keys(products, nets, field, norm):
+    """The `projective_keys` of the lifts gamma^|n| U of the word products
+    U (`word_products`), without a Gauss convolution: with lead the lead
+    entry of U, conj(gamma lead) gamma U = |gamma|^2 conj(lead) U, and
+    gamma_+ gamma_- = |gamma_+-|^2 = norm, so the lift's key is U's with
+    its scale^2 slot times norm^|n|."""
+    return [key if key[0] == "zero" else (key[0] * norm ** abs(n),) + key[1:]
+            for key, n in zip(projective_keys(products, field), nets)]
+
+
 def kernel_check(p):
     """Pairwise projective distinctness of the lift across SL2(Z/pZ): the
-    elements are lifted and keyed in chunks, one `lift_genus1_many` and one
-    `projective_keys` call each."""
+    elements go in chunks, one `word_products` and one `_lift_keys` call
+    each.  The lifts' keys are read off the word products, with no Gauss
+    convolution: since gamma_+ gamma_- = |gamma_+-|^2 = norm, the key of
+    gamma^|n| U is U's with norm^|n| in its scale^2 slot."""
     if p not in (3, 5, 7):
         raise ValueError("bounded to levels 3, 5, 7")
     field = field_for_level(p)
+    norm = _lift_images(p)["norm"]
     elements = list(sl2_enumerate(p))
     keys = set()
     for part in _chunks(len(elements), p * p * field.degree):
-        keys.update(projective_keys(lift_genus1_many(p, elements[part]), field))
+        keys.update(_lift_keys(*word_products(p, elements[part]), field, norm))
     return FaithfulnessReport(p, len(elements), len(keys))
 
 

@@ -271,21 +271,23 @@ def _read_word(word, eps, m):
     return gathers, roll % m, flip, pairs, factors, beta
 
 
-def lift_genus1_many(p, Ms, rng=None):
-    """The lifts of every M in Ms, each in SL2(Z/NZ), N = p (odd) or 2p
-    (even), as CycMat; the words come from `word_decompose`, drawn in the
-    order of Ms from the one rng when it is given.
+def word_products(p, Ms, rng=None):
+    """(products, nets): for every M in Ms, each in SL2(Z/NZ), N = p (odd)
+    or 2p (even), its word product as a CycMat and its signed Gauss
+    exponent n = #S - #S^{-1}, with lift = gamma_sign(n)^|n| * product;
+    the words come from `word_decompose`, drawn in the order of Ms from the
+    one rng when it is given.  `lift_genus1_many` is `_gauss_step` of these.
 
-    Each lift is bitwise what the word gives on its own, whatever the batch:
-    every int64 bound and every on-demand `_normalise_each` is decided per
-    element.  T^k = diag(A^(-k j^2)) only rolls column j, so the T-powers
-    met since the last S-factor fold into the next gather, and those left
-    after the last one into the last.  S^{+-1} is (1/m) beta-root^(-+3 eps)
-    gamma_+- F_+-, with F_+-[k, j] = A^(-+2kj) and the Gauss sum gamma_+- a
-    central scalar, so an S-factor applies only F_+-: the gather
-    W[i, j] = sum_k A^(-+2kj) out[i, k].  Two consecutive S-factors need no
-    gather: F_a F_b[k, j] = sum_n A^(-2n(a k + b j)) is p where
-    a k + b j = 0 mod p and 0 elsewhere, since A^2 has order p, so
+    Each product is bitwise what the word gives on its own, whatever the
+    batch: every int64 bound and every on-demand `_normalise_each` is
+    decided per element.  T^k = diag(A^(-k j^2)) only rolls column j, so the
+    T-powers met since the last S-factor fold into the next gather, and
+    those left after the last one into the last.  S^{+-1} is (1/m)
+    beta-root^(-+3 eps) gamma_+- F_+-, with F_+-[k, j] = A^(-+2kj) and the
+    Gauss sum gamma_+- a central scalar, so an S-factor applies only F_+-:
+    the gather W[i, j] = sum_k A^(-+2kj) out[i, k].  Two consecutive
+    S-factors need no gather: F_a F_b[k, j] = sum_n A^(-2n(a k + b j)) is
+    p where a k + b j = 0 mod p and 0 elsewhere, since A^2 has order p, so
     F_+-F_+- = p J with J e_j = e_(-j) and F_+-F_-+ = p I (`_read_word`).
     J commutes with every F_+- and every T-power, (-j)^2 = j^2, so all the
     J's of a word act at once, on the identity the word starts from.
@@ -296,13 +298,13 @@ def lift_genus1_many(p, Ms, rng=None):
     exponents.  Only the third and later gathers gather rolled rows
     (`_windows`), for all elements of a chunk at once and behind the exact
     bound p max|out| < 2^63, with `_normalise_each` only where that bound
-    of the next gather would fail.  The Gauss sums wait until the end:
-    with a factors S and b factors S^{-1}, gamma_+^a gamma_-^b =
-    |gamma|^(2 min(a, b)) gamma_+-^|a - b|, one `_convolve` with the cached
-    `_gauss_power` vector, with `_normalise_each` before it and after it.
-    Elements go in chunks whose gather holds at most
-    `cycmat._GATHER_ENTRIES` entries, and a single element too large for
-    one gathers its k-slices in such chunks.
+    of the next gather would fail; the product is not normalised after its
+    last gather.  Of the Gauss sums, with a factors S and b factors
+    S^{-1}, gamma_+^a gamma_-^b = norm^min(a, b) gamma_+-^|a - b|, since
+    gamma_+ gamma_- = norm (`_lift_images`): the product's scale takes
+    norm^min(a, b) and n = a - b is left to `_gauss_step`.  Elements go in
+    chunks whose gather holds at most `cycmat._GATHER_ENTRIES` entries, and
+    a single element too large for one gathers its k-slices in such chunks.
     """
     img = _lift_images(p)
     m, eps = img["m"], img["eps"]
@@ -313,16 +315,66 @@ def lift_genus1_many(p, Ms, rng=None):
     # deepest words first: in every chunk the elements a gather acts on
     # are then a prefix
     order = sorted(range(len(programs)), key=lambda e: -len(programs[e][0]))
-    out = [None] * len(programs)
+    products = [None] * len(programs)
     for part in _chunks(len(order), p ** 3 * m):
         chunk = order[part]
-        for e, lift in zip(chunk, _lift_chunk(p, [programs[e] for e in chunk])):
-            out[e] = lift
+        for e, product in zip(chunk, _lift_chunk(p, [programs[e] for e in chunk])):
+            products[e] = product
+    nets = [factors[1] - factors[-1] for *_, factors, _beta in programs]
+    return products, nets
+
+
+def _gauss_step(p, products, nets):
+    """The lifts gamma_sign(n)^|n| * product of `word_products` output,
+    normalised: one `_convolve` of each product with n != 0 by the cached
+    `_gauss_power` vector, then `_normalise_each` of every element.
+
+    Only an element whose convolution bound 2 |vec|_1 max|arr| would not
+    fit int64 is normalised before it.  Both parts of `_normalise_each`
+    commute with the convolution: the all-ones vector goes to |vec|_1
+    times itself, so the median shift after it takes out what one before
+    it would, and the integer content factors out.  So the lifts are
+    bitwise the same either way; the factor 2 keeps the range max - min of
+    each convolved entry, which the median shift after it bounds, below
+    2^63.  Elements go in chunks of at most `cycmat._GATHER_ENTRIES`
+    entries.
+    """
+    m = _lift_images(p)["m"]
+    out = []
+    for part in _chunks(len(products), products[0].arr.size if products else 1):
+        mats, ns = products[part], nets[part]
+        arr = np.stack([mat.arr for mat in mats])
+        content = [1] * len(mats)
+        conv = [e for e, n in enumerate(ns) if n]
+        if conv:
+            gauss = [_gauss_power(p, 1 if ns[e] > 0 else -1, abs(ns[e])) for e in conv]
+            vecs = np.array([vec for vec, _g in gauss])
+            rows = arr[conv].reshape(len(conv), -1, m)
+            big = [k for k, (vec, top) in enumerate(zip(vecs.tolist(), _max_abs_each(rows)))
+                   if 2 * sum(map(abs, vec)) * top > _INT64_MAX]
+            if big:
+                rows[big], h = _normalise_each(rows[big])
+                for k, hk in zip(big, h):
+                    content[conv[k]] *= hk
+            arr[conv] = _convolve(vecs, rows).reshape((len(conv),) + arr.shape[1:])
+            for e, (_vec, g) in zip(conv, gauss):
+                content[e] *= g
+        arr, h = _normalise_each(arr)
+        out += [CycMat(m, arr[e], mat.scale * (content[e] * h[e]), mat.beta)
+                for e, mat in enumerate(mats)]
     return out
 
 
+def lift_genus1_many(p, Ms, rng=None):
+    """The lifts of every M in Ms, each in SL2(Z/NZ), N = p (odd) or 2p
+    (even), as CycMat: `_gauss_step` of `word_products`(p, Ms, rng).  Each
+    lift is bitwise what its word gives on its own, whatever the batch."""
+    return _gauss_step(p, *word_products(p, Ms, rng))
+
+
 def _lift_chunk(p, programs):
-    """The lifts of `_read_word` programs sorted by falling gather count."""
+    """The word products of `_read_word` programs sorted by falling gather
+    count."""
     img = _lift_images(p)
     m = img["m"]
     basis = _gather_basis(p)
@@ -392,20 +444,8 @@ def _lift_chunk(p, programs):
             else:
                 arr[:count] = part
         tops = settle(count)
-    arr, h = _normalise_each(arr)
-    nets = []
-    for e, (*_, factors, _beta) in enumerate(programs):
-        content[e] *= h[e] * img["norm"] ** min(factors.values())
-        nets.append(factors[1] - factors[-1])
-    conv = [e for e, net in enumerate(nets) if net]
-    if conv:
-        gauss = [_gauss_power(p, 1 if nets[e] > 0 else -1, abs(nets[e])) for e in conv]
-        vecs = np.array([vec for vec, _g in gauss])
-        rows, h = _normalise_each(_convolve(vecs, arr[conv].reshape(len(conv), p * p, m)))
-        arr[conv] = rows.reshape(len(conv), p, p, m)
-        for e, (_vec, g), hk in zip(conv, gauss, h):
-            content[e] *= g * hk
-    return [CycMat(m, arr[e], Fraction(content[e], m ** (factors[1] + factors[-1])), beta)
+    return [CycMat(m, arr[e], Fraction(content[e] * img["norm"] ** min(factors.values()),
+                                       m ** (factors[1] + factors[-1])), beta)
             for e, (*_, factors, beta) in enumerate(programs)]
 
 

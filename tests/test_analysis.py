@@ -18,10 +18,11 @@ from weildec.analysis import (
     semiclassical_traces,
     trace_table,
 )
-from weildec.cyclo import CycloField
+from weildec.cyclo import CycloField, field_for_level
 from weildec.cycmat import CycMat
 from weildec.decompose import schrodinger_commutant_dimension
-from weildec.modgroup import class_representatives, column_orbits, lattice_vectors, sl2_order
+from weildec.modgroup import (class_representatives, column_orbits, lattice_vectors, sl2_enumerate,
+                              sl2_order)
 from weildec.ringmat import RingMatrix
 from weildec.weilrep import WeilRep, trace_engine
 
@@ -161,44 +162,82 @@ def test_lemma_diag():
 
 
 def test_lemma_diag_check_rejects_wrong_lifts(monkeypatch):
-    many = weilrep.lift_genus1_many
+    # each wrapper passes every element's Gauss exponent through unchanged
+    products = weilrep.word_products
 
     def shear(p, Ms, rng=None):  # (a, 1, 0, 1/a), not monomial
-        return many(p, [(M[0], 1, 0, M[3]) for M in Ms], rng)
+        return products(p, [(M[0], 1, 0, M[3]) for M in Ms], rng)
 
     def inverse(p, Ms, rng=None):  # diag(1/a, a), the dilation i -> i/a
-        return many(p, [(M[3], 0, 0, M[0]) for M in Ms], rng)
+        return products(p, [(M[3], 0, 0, M[0]) for M in Ms], rng)
 
     def doubled(p, Ms, rng=None):  # the right dilation, times |2| != 1
-        return [lift.scaled(2) for lift in many(p, Ms, rng)]
+        mats, nets = products(p, Ms, rng)
+        return [mat.scaled(2) for mat in mats], nets
 
-    monkeypatch.setattr(analysis, "lift_genus1_many", shear)
+    monkeypatch.setattr(analysis, "word_products", shear)
     assert not lemma_diag_check(5)
-    monkeypatch.setattr(analysis, "lift_genus1_many", doubled)
+    monkeypatch.setattr(analysis, "word_products", doubled)
     assert not lemma_diag_check(5)
-    monkeypatch.setattr(analysis, "lift_genus1_many", inverse)
+    monkeypatch.setattr(analysis, "word_products", inverse)
     assert lemma_diag_check(4)  # a = 1/a mod 8 for every odd a
     assert not lemma_diag_check(5)  # 3 != 1/3 = 11 mod 16
 
 
 def test_lemma_diag_check_rejects_a_non_unit_entry_in_one_chunk(monkeypatch):
-    # one lift of the last chunk gets a unit scalar times (1 + A^2), whose
-    # absolute value is not one; the other lifts are left as they are
-    many = weilrep.lift_genus1_many
+    # one product of the last chunk gets a unit scalar times (1 + A^2), whose
+    # absolute value is not one; the other products are left as they are
+    products = weilrep.word_products
 
     def bumped(p, Ms, rng=None):
-        lifts = many(p, Ms, rng)
+        mats, nets = products(p, Ms, rng)
         if Ms[-1][0] == 2 * p - 1:  # the chunk that holds a = -1
-            last = lifts[-1]
+            last = mats[-1]
             arr = last.arr + np.roll(last.arr, 2, axis=-1)
-            lifts[-1] = CycMat(last.m, arr, last.scale, last.beta)
-        return lifts
+            mats[-1] = CycMat(last.m, arr, last.scale, last.beta)
+        return mats, nets
 
     for n in (3, 5, 6):
         assert lemma_diag_check(n)
-        monkeypatch.setattr(analysis, "lift_genus1_many", bumped)
+        monkeypatch.setattr(analysis, "word_products", bumped)
         assert not lemma_diag_check(n)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("sign,passes", [(1, True), (-1, False)])
+def test_lemma_diag_check_reads_off_diagonal_entries_in_the_field(monkeypatch, sign, passes):
+    # one off-diagonal entry of the product of a = -1 gains 1 + sign A^(m/2):
+    # 0 in the field for sign = 1, where the halves agree, and 2 for -1
+    products = weilrep.word_products
+
+    def touched(p, Ms, rng=None):
+        mats, nets = products(p, Ms, rng)
+        if Ms[-1][0] == 2 * p - 1:
+            last = mats[-1]
+            arr = last.arr.copy()
+            arr[0, 1, 0] += 1
+            arr[0, 1, last.m // 2] += sign
+            mats[-1] = CycMat(last.m, arr, last.scale, last.beta)
+        return mats, nets
+
+    monkeypatch.setattr(analysis, "word_products", touched)
+    assert lemma_diag_check(5) is passes
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_lemma_diag_check_rejects_a_wrong_gauss_exponent(monkeypatch, delta):
+    # one product, of a = -1, reports its Gauss exponent one off: its lift's
+    # scalar then has absolute value norm^(+-1/2) != 1
+    products = weilrep.word_products
+
+    def misreported(p, Ms, rng=None):
+        mats, nets = products(p, Ms, rng)
+        if Ms[-1][0] == 2 * p - 1:
+            nets[-1] += delta  # |n + delta| != |n| for every integer n
+        return mats, nets
+
+    monkeypatch.setattr(analysis, "word_products", misreported)
+    assert not lemma_diag_check(5)
 
 
 def _spy_per_element_calls(monkeypatch):
@@ -225,22 +264,52 @@ def test_faithfulness_checks_make_no_per_element_call(monkeypatch):
 
 
 def test_kernel_check_counts_a_repeated_lift(monkeypatch):
-    # a batched lift that returns one element's lift for the next element
-    # too loses exactly one class
-    many = weilrep.lift_genus1_many
+    # a batch of word products that returns one element's product for the
+    # next element too, with every Gauss exponent (both 0 there) passed
+    # through unchanged, loses exactly one class
+    products = weilrep.word_products
     done = []
 
     def repeated(p, Ms, rng=None):
-        lifts = many(p, Ms, rng)
+        mats, nets = products(p, Ms, rng)
         if not done:
-            lifts[1] = lifts[0]
+            assert nets[0] == nets[1]
+            mats[1] = mats[0]
             done.append(True)
-        return lifts
+        return mats, nets
 
-    monkeypatch.setattr(analysis, "lift_genus1_many", repeated)
+    monkeypatch.setattr(analysis, "word_products", repeated)
     report = kernel_check(5)
     assert report.distinct_classes == report.group_order - 1 == 119
     assert not report.injective
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_kernel_check_keys_are_the_full_lifts_keys(p):
+    # the keys folded from the word products, norm^|n| in the scale^2
+    # slot, are bitwise the keys of the convolved lifts
+    field = field_for_level(p)
+    elements = list(sl2_enumerate(p))
+    products, nets = weilrep.word_products(p, elements)
+    assert {abs(n) for n in nets} > {0, 1}
+    keys = analysis._lift_keys(products, nets, field, weilrep._lift_images(p)["norm"])
+    assert keys == weilrep.projective_keys(weilrep.lift_genus1_many(p, elements), field)
+
+
+def test_faithfulness_checks_take_no_gauss_power(monkeypatch):
+    real = weilrep._gauss_power
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(weilrep, "_gauss_power", counted)
+    assert kernel_check(5).injective
+    assert lemma_diag_check(5)
+    assert calls == []
+    weilrep.lift_genus1_cyc(5, (0, 4, 1, 0))  # the spy does count: S has a Gauss factor
+    assert calls
 
 
 def test_faithfulness_path_builds_no_field_matrix(monkeypatch):

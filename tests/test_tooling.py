@@ -346,9 +346,10 @@ def test_cold_faithfulness_checks_stay_in_their_memory_budget():
     # the lifts and the checks go in chunks of cycmat._GATHER_ENTRIES
     # int64 entries (512 KiB).  kernel_check(7) keeps one key per element,
     # a p^2 x deg(field) int64 block each (6.0 MiB), and works in at most
-    # four chunks on top (measured 6.8 MiB in all); lemma_diag_check(6)
-    # lifts at level 32, where one lift is one chunk and its gathers,
-    # windows and normalisations hold about ten (measured 5.1 MiB).
+    # four chunks on top (measured 6.7 MiB in all); lemma_diag_check(6)
+    # takes word products at level 32, where one product is one chunk and
+    # its gathers, windows and normalisations hold about ten (measured
+    # 4.0 MiB).
     # Lifting the whole group, or every odd a, at once took 15 and 39 MiB.
     from weildec import analysis, cycmat
     from weildec.cyclo import field_for_level

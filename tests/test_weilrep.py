@@ -17,6 +17,7 @@ from weildec.cycmat import (
     _convolve,
     _l1,
     _max_abs,
+    _normalise_each,
     field_coords,
     power_matrix,
 )
@@ -820,8 +821,66 @@ def test_gauss_power_matches_field_powers(p):
             vec, g = weilrep._gauss_power(p, sign, count)
             elt = CycloElt(field, [Fraction(x) for x in field_coords(vec, field, m).tolist()])
             assert elt * g == gamma ** count
-    norm = weilrep._lift_images(p)["norm"]
-    assert gauss_sum(-1, 0, p) * gauss_sum(1, 0, p) == field.from_rational(norm)
+
+
+def test_gauss_sums_multiply_to_the_lift_norm_at_every_level():
+    # gamma_+ gamma_- = norm, which the lift's S-pairs and both
+    # faithfulness checks fold in place of a Gauss convolution
+    for p in range(2, 65):
+        norm = weilrep._lift_images(p)["norm"]
+        product = gauss_sum(-1, 0, p) * gauss_sum(1, 0, p)
+        assert product == field_for_level(p).from_rational(norm), p
+
+
+def _gauss_reference(p, products, nets):
+    """The lifts of word products as the Gauss step took them with every
+    normalisation done: each product normalised, convolved by its Gauss
+    power vector where n != 0, and normalised again."""
+    m = weilrep._lift_images(p)["m"]
+    out = []
+    for mat, n in zip(products, nets):
+        (arr,), (h,) = _normalise_each(mat.arr[None])
+        scale = mat.scale * h
+        if n:
+            vec, g = weilrep._gauss_power(p, 1 if n > 0 else -1, abs(n))
+            rows = _convolve(vec[None], arr.reshape(1, -1, m))
+            (arr,), (k,) = _normalise_each(rows.reshape((1,) + arr.shape))
+            scale *= g * k
+        out.append(CycMat(m, arr, scale, mat.beta))
+    return out
+
+
+def _gauss_step_elements(case):
+    if case == "all-sl2-5":
+        return 5, list(sl2_enumerate(5))
+    if case == "diag-16":
+        return 16, [(a, 0, 0, pow(a, -1, 32)) for a in range(1, 32, 2)]
+    p = int(case.split("-")[1])
+    rng = random.Random(107 + p)
+    N = p if p % 2 else 2 * p
+    return p, [_random_sl2(rng, N) for _ in range(40)]
+
+
+@pytest.mark.parametrize("content", [1, 3, 2**50])
+@pytest.mark.parametrize("case", ["all-sl2-5", "diag-16", "random-9", "random-12"])
+def test_gauss_step_of_word_products_is_the_lift(case, content):
+    # bitwise: arr, scale and beta.  Each product is also handed over as
+    # content * arr + 7 with scale / content, the same field matrix; 2^50
+    # takes the larger products' convolutions past their int64 bound (14
+    # of the 15 with n != 0 at diag-16), so those are normalised before
+    # it, and 1 and 3 leave every one to the median shift and the content
+    # taken after it
+    p, elements = _gauss_step_elements(case)
+    products, nets = weilrep.word_products(p, elements)
+    assert any(nets) and len(nets) == len(elements)
+    m = products[0].m
+    rewritten = [CycMat(m, content * mat.arr + 7, mat.scale / content, mat.beta)
+                 for mat in products]
+    lifts = weilrep._gauss_step(p, rewritten, nets)
+    for lift, reference, whole in zip(lifts, _gauss_reference(p, products, nets),
+                                      lift_genus1_many(p, elements)):
+        _assert_same_lift(lift, reference)
+        _assert_same_lift(lift, whole)
 
 
 def test_deferred_gauss_convolution_overflow_raises(monkeypatch):
