@@ -132,9 +132,9 @@ def char_sum(p, method=None):
         cols, sizes = np.unique(column_orbits(modulus)[0], return_counts=True)
         order = 0
         for c, size in zip(cols.tolist(), sizes.tolist()):
-            for n, scale, weight in engine.column_abs_sq(c):
-                totals[scale] += size * sum(map(mul, n.tolist(), weight.tolist()))
-                order += size * int(weight.sum())
+            n, scale, weight = engine.column_abs_sq(c)
+            totals[scale] += size * sum(map(mul, n.tolist(), weight.tolist()))
+            order += size * int(weight.sum())
         count, columns = None, cols.size
     else:
         raise ValueError(f"unknown method {method!r}")

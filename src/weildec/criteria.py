@@ -21,7 +21,10 @@ from .analysis import (
 )
 from .cycmat import CycMat
 from .decompose import (
-    _cyc_equal,
+    _conjugate,
+    _entries_product,
+    _scaled_equal,
+    _symmetric,
     commutant_dimension,
     crt_check,
     decomposition_tree,
@@ -114,21 +117,28 @@ def criterion_04_counting_lemmas():
 
 
 def criterion_05_unitarity_and_hopf():
+    """Every generator G is unitary and H X_i H^-1 = Y_i, on row entries
+    (`generator_entries`, `hopf_entries`): as G^T = G (`_symmetric`),
+    G G^dagger = G conj(G) = I, and as H conj(H) = d I, the duality is
+    H X_i = Y_i H.  Each product is one `_entries_product`."""
     bad = []
     for g in (1, 2):
         for p in range(2, 10):
             rep = WeilRep(p, g)
-            ident = CycMat.identity(rep.m, p**g)
-            for tag in rep.tags():
-                U = rep.generator_cyc(tag)
-                if not _cyc_equal(U @ U.dagger(), ident, rep.field):
+            d, m, tags = rep.dim, rep.m, rep.tags()
+            ident = CycMat.identity(m, d).arr
+            for tag, symmetric in zip(tags, _symmetric(rep, tags)):
+                G = rep.generator_entries(tag)
+                if not (symmetric and _scaled_equal(
+                        rep.field, m, *_entries_product(G, _conjugate(G, m), d, m), ident, 1)):
                     bad.append((p, g, tag, "unitary"))
-            H = rep.hopf_cyc()
-            Hinv = rep.hopf_inverse_cyc()
+            H = rep.hopf_entries()
+            if not _scaled_equal(rep.field, m, *_entries_product(H, _conjugate(H, m), d, m), ident, d):
+                bad.append((p, g, "H conj(H) = d I"))
             for i in range(1, g + 1):
-                X = rep.generator_cyc(("X", i))
-                Y = rep.generator_cyc(("Y", i))
-                if not _cyc_equal((H @ X) @ Hinv, Y, rep.field):
+                if not _scaled_equal(rep.field, m,
+                                     *_entries_product(H, rep.generator_entries(("X", i)), d, m),
+                                     *_entries_product(rep.generator_entries(("Y", i)), H, d, m)):
                     bad.append((p, g, i, "hopf"))
     return not bad, repr(bad[:3])
 

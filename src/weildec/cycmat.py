@@ -148,54 +148,6 @@ def _conv_index(m):
     return idx
 
 
-def _unit_monomial(arr):
-    """(cols, exps) when arr is a square matrix with one nonzero entry in
-    each row and each column, every such entry a single power A^e with
-    coefficient 1: row i holds A^exps[i] in column cols[i].  None
-    otherwise."""
-    n = arr.shape[0]
-    if arr.shape[1] != n or np.count_nonzero(arr) != n:
-        return None
-    rows, cols, exps = np.nonzero(arr)
-    if (not np.array_equal(rows, np.arange(n))
-            or np.count_nonzero(np.bincount(cols, minlength=n)) != n
-            or (arr[rows, cols, exps] != 1).any()):
-        return None
-    return cols, exps
-
-
-def _index_map_product(a, b):
-    """a @ b as a gather plus a per-row (or per-column) roll of the entry
-    vectors, when a or b is a unit monomial (see `_unit_monomial`); None
-    otherwise.  The other operand's entries are only moved, never
-    multiplied or added, so the result is exact and already int64."""
-    m = a.shape[-1]
-    u = np.arange(m)
-    mono = _unit_monomial(a)
-    if mono is not None:
-        # (a @ b)[i] = A^exps[i] * b[cols[i]]
-        cols, exps = mono
-        shift = (u[None, :] - exps[:, None]) % m
-        return b[cols[:, None, None], np.arange(b.shape[1])[None, :, None],
-                 shift[:, None, :]]
-    mono = _unit_monomial(b)
-    if mono is not None:
-        # column cols[k] of a @ b is A^exps[k] * a[:, k]
-        cols, exps = mono
-        src = np.argsort(cols)
-        shift = (u[None, :] - exps[src][:, None]) % m
-        return a[np.arange(a.shape[0])[:, None, None], src[None, :, None],
-                 shift[None, :, :]]
-    return None
-
-
-def _dense_product(a, b):
-    """a @ b of two entry-vector arrays by one exact contraction with the
-    cyclic convolution index, fitted to int64 by `_fit_int64`."""
-    bsh = b[:, :, _conv_index(a.shape[-1])]  # (k, j, u, v)
-    return _fit_int64(_int_einsum("iku,kjuv->ijv", a, bsh), "CycMat product")
-
-
 def _fit_int64(arr, what):
     """An exact product of entry vectors (last axis, length m) as int64.
 
@@ -353,17 +305,14 @@ class CycMat:
 
     # -- arithmetic -------------------------------------------------------
     def __matmul__(self, other):
-        """Exact product.  When either operand is a unit monomial (a
-        permutation whose entries are roots of unity, such as a translation
-        operator or a diagonal generator) the product is an index map;
-        otherwise it is one dense contraction."""
+        """Exact product: one dense contraction, fitted to int64 by
+        `_fit_int64`.  No certificate forms one; tests use it as an oracle."""
         if self.m != other.m:
             raise ValueError("mixed group-ring orders")
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in CycMat product")
-        arr = _index_map_product(self.arr, other.arr)
-        if arr is None:
-            arr = _dense_product(self.arr, other.arr)
+        bsh = other.arr[:, :, _conv_index(self.m)]  # (k, j, u, v)
+        arr = _fit_int64(_int_einsum("iku,kjuv->ijv", self.arr, bsh), "CycMat product")
         return CycMat(self.m, arr, self.scale * other.scale, self.beta + other.beta)
 
     def scaled(self, c):

@@ -43,6 +43,7 @@ import numpy as np
 
 from .cycmat import (
     _INT64_MAX,
+    _convolve,
     _int_combo,
     _int_einsum,
     _int_matmul,
@@ -139,13 +140,6 @@ def _symmetric(rep, tags):
     return _moved_entries(rep, tags, lambda rows, cols: (cols, rows))
 
 
-def _cyc_equal(x, y, field):
-    """Exact equality of two CycMat values (beta phases must agree)."""
-    if x.m != y.m or x.arr.shape != y.arr.shape or x.beta != y.beta:
-        return False
-    return _scaled_equal(field, x.m, x.arr, x.scale, y.arr, y.scale)
-
-
 # ---------------------------------------------------------------------------
 # generator products
 # ---------------------------------------------------------------------------
@@ -161,6 +155,26 @@ def _generator_product(rep, tag, operand):
     exact bound, Python ints past it)."""
     cols, exps, factor, _ = rep.generator_entries(tag)
     return _int_matmul(operand[cols].transpose(0, 2, 1), _rolls(factor, exps))
+
+
+def _entries_product(x, y, d, m):
+    """(arr, scale) with scale * arr = G_x G_y, (d, d, m) int64 entry
+    vectors, for two d x d matrices in the row-entry form (cols, exps,
+    factor, scale) of `WeilRep.generator_entries`: one `np.bincount` of
+    the summed exponents into (row, column, exponent mod m) bins, then one
+    `_convolve` of the bins by the product of the two factors."""
+    cols_x, exps_x, fx, sx = x
+    cols_y, exps_y, fy, sy = y
+    keys = ((np.arange(d)[:, None, None] * d + cols_y[cols_x]) * m
+            + (exps_x[:, :, None] + exps_y[cols_x]) % m)
+    bins = np.bincount(keys.ravel(), minlength=d * d * m).reshape(1, d * d, m)
+    return _convolve(_convolve(fx[None], fy[None, None])[0], bins).reshape(d, d, m), sx * sy
+
+
+def _conjugate(x, m):
+    """conj(G) of a row-entry form: exponents and factor index negated."""
+    cols, exps, factor, scale = x
+    return cols, -exps % m, factor[-np.arange(m) % m], scale
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Construction of the finite Weil representation data at level p, genus g.
 
-Provides Gauss sums, the symplectic generator matrices, the Hopf pairing,
-the Schrodinger representation of the finite Heisenberg group, the
+Provides Gauss sums, the generator matrices and Hopf pairing as row
+entries (integer exponents times one common factor), the Schrodinger representation of the finite Heisenberg group, the
 explicit genus-one lift of SL2(Z/NZ) (an integer group-ring matrix,
 CycMat, whose word folds consecutive S-factors in pairs; whole element
 sets are lifted at once) together with a fast exact trace evaluator, and
@@ -65,10 +65,10 @@ class WeilRep:
 
     Immutable; generators are cached on first use, as integer exponents
     on their row entries times one common factor (`generator_entries`,
-    the form every certificate reads) and as the dense `generator_cyc`.
-    All matrices are integer group-ring matrices (CycMat), as is the
-    genus-one lift; they are compared exactly in field coordinates, and
-    `CycMat.to_ring` converts one to a field matrix when a test wants it.
+    the form every certificate reads, as `hopf_entries` is the Hopf
+    pairing's) and as the dense `generator_cyc`, kept for the tests and
+    the tracer.  The genus-one lift is an integer group-ring matrix
+    (CycMat), compared exactly in field coordinates.
     """
 
     def __init__(self, p, g=1):
@@ -160,15 +160,12 @@ class WeilRep:
         return self._cyc_cache[tag]
 
     # -- Hopf pairing ------------------------------------------------------
-    def hopf_cyc(self):
-        """H[a, b] = A^(-2 a.b) over the tensor indices a, b."""
+    def hopf_entries(self):
+        """H[a, b] = A^(-2 a.b) over the tensor indices a, b, in the form
+        of `generator_entries`: all d columns in every row, factor 1."""
         a = self._index_array()
-        return CycMat.from_exponent_matrix(self.m, -2 * a.T @ a)
-
-    def hopf_inverse_cyc(self):
-        """H^-1[a, b] = A^(2 a.b) / d."""
-        a = self._index_array()
-        return CycMat.from_exponent_matrix(self.m, 2 * a.T @ a, Fraction(1, self.dim))
+        return (np.broadcast_to(np.arange(self.dim), (self.dim, self.dim)),
+                -2 * a.T @ a % self.m, (np.arange(self.m) == 0).astype(np.int64), Fraction(1))
 
     # -- Schrodinger representation ---------------------------------------
     def schrodinger_map(self, vecs):
@@ -662,13 +659,13 @@ class _TraceEngine:
         return _windows(self._gauss_sq_rolls[shifts % m].reshape(us.size, p, p, m).sum(axis=2))
 
     def column_abs_sq(self, c):
-        """Blocks (n, scale, count) over the elements of SL2(Z/m) with
+        """The block (n, scale, count) over the elements of SL2(Z/m) with
         lower-left entry c: count[k] of them have |Tr|^2 = n[k] scale^2.
 
         For a unit c the trace vector depends only on s = (a + d) / c, and
-        each s is hit by m elements: one block, the m rows of the sweep of
-        K_c.  Otherwise the one block holds the m rows of the sweep of the
-        table of every u met, with counts from `_keys`.  The tables are
+        each s is hit by m elements: the block is the m rows of the sweep
+        of K_c.  Otherwise it holds the m rows of the sweep of the table of
+        every u met, with counts from `_keys`.  The tables are
         swept together in chunks, as many per chunk as keep the largest
         gather, the m x p x m sweep of each u, within
         `cycmat._GATHER_ENTRIES` (at least one), and each chunk's rows go
@@ -687,7 +684,7 @@ class _TraceEngine:
         n = np.concatenate([self.abs_sq_rows(self._sweep_rows(self._tables(c, us[part]))
                                              .reshape(-1, m))
                             for part in _chunks(us.size, m * p * m)])
-        return [(n, scale, counts)]
+        return n, scale, counts
 
     def trace_abs_sq(self, M):
         """|Tr|^2 = n scale^2, n by `abs_sq_rows` on the trace vector of M."""

@@ -13,9 +13,10 @@ Omega_delta as a dense d x d x m matrix, the operator whose commutation
 `decompose.omega_family_report` reads off the orbit's holonomy, and
 `omega_commutes` multiplies it with every generator.  `schrodinger_cyc`
 is the dense W(v), one scatter of `WeilRep.schrodinger_map`,
-`trace_elt` the trace of a `CycMat` as a field element, and
-`symplectic_form` the form omega(u, v) of the Heisenberg commutator
-and transvection tests.
+`trace_elt` the trace of a `CycMat` as a field element, `dense_entries`
+the dense view of a row-entry form, `cyc_equal` the exact equality of
+two `CycMat` values, and `symplectic_form` the form omega(u, v) of the
+Heisenberg commutator and transvection tests.
 """
 
 from math import isqrt, lcm
@@ -23,13 +24,13 @@ from math import isqrt, lcm
 import numpy as np
 
 from weildec.cyclo import CycloElt
-from weildec.cycmat import _INT64_MAX, CycMat, _int_combo, _int_einsum, field_coords
+from weildec.cycmat import _INT64_MAX, CycMat, _int_combo, _int_einsum, _rolls, field_coords
 from weildec.decompose import (
     _array_is_zero,
-    _cyc_equal,
     _generator_product,
     _rule_orbits,
     _same_entries_grouped,
+    _scaled_equal,
     _symmetric,
     isotypic_projectors,
 )
@@ -73,6 +74,24 @@ def _eval_mod(cyc, q, omega):
     s = cyc.scale
     factor = s.numerator % q * pow(s.denominator % q, q - 2, q) % q
     return vals * factor % q
+
+
+def dense_entries(rep, entries):
+    """The dense d x d x m CycMat of a row-entry form (cols, exps, factor,
+    scale), as `WeilRep.generator_entries` and `WeilRep.hopf_entries`
+    give them: one scatter of the factor rolled by each exponent."""
+    cols, exps, factor, scale = entries
+    arr = np.zeros((rep.dim, rep.dim, rep.m), dtype=np.int64)
+    arr[np.arange(rep.dim)[:, None], cols] = _rolls(factor, exps)
+    return CycMat(rep.m, arr, scale)
+
+
+def cyc_equal(x, y, field):
+    """Exact equality of two CycMat values (beta phases must agree), by
+    `decompose._scaled_equal` on their entry vectors and scales."""
+    if x.m != y.m or x.arr.shape != y.arr.shape or x.beta != y.beta:
+        return False
+    return _scaled_equal(field, x.m, x.arr, x.scale, y.arr, y.scale)
 
 
 def schrodinger_cyc(rep, X, z=0):
@@ -210,9 +229,9 @@ def omega_cyc(delta, p, g=1):
 
 def omega_commutes(rep, cyc):
     """G Omega = Omega G for every generator G of rep, both products dense
-    (`CycMat.__matmul__`) and compared exactly (`decompose._cyc_equal`)."""
+    (`CycMat.__matmul__`) and compared exactly (`cyc_equal`)."""
     gens = [rep.generator_cyc(tag) for tag in rep.tags()]
-    return all(_cyc_equal(gen @ cyc, cyc @ gen, rep.field) for gen in gens)
+    return all(cyc_equal(gen @ cyc, cyc @ gen, rep.field) for gen in gens)
 
 
 def _verify_projector_family(projs, rep):

@@ -62,9 +62,9 @@ def test_full_enumeration_refuses_modulus_past_128():
 def _column_values(engine, c):
     """Counter of |Tr|^2 over the elements of lower-left entry c."""
     got = Counter()
-    for n, scale, count in engine.column_abs_sq(c):
-        for x, k in zip(n.tolist(), count.tolist()):
-            got[x * scale**2] += k
+    n, scale, count = engine.column_abs_sq(c)
+    for x, k in zip(n.tolist(), count.tolist()):
+        got[x * scale**2] += k
     return +got
 
 

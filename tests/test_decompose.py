@@ -43,6 +43,8 @@ from commutant_oracle import (
     _root_mod,
     _same_entries,
     commutant_bounds,
+    cyc_equal,
+    dense_entries,
     omega_commutes,
     omega_cyc,
     rule_exact_per_vector,
@@ -539,7 +541,7 @@ def test_egorov_rule_holds_at_every_lattice_vector(p, g):
         for v in range(p ** (2 * g)):
             left = U @ schrodinger_cyc(rep, tuple(vecs[:, v]))
             right = schrodinger_cyc(rep, tuple(vecs[:, img[k, v]]), z[k, v]) @ U
-            assert decompose._cyc_equal(left, right, rep.field), (tag, v)
+            assert cyc_equal(left, right, rep.field), (tag, v)
 
 
 @pytest.mark.parametrize("p,g", [(3, 1), (4, 1), (2, 2)])
@@ -551,7 +553,7 @@ def test_beta_form_is_the_product_law_phase(p, g):
     for u, v in itertools.product(vecs, repeat=2):
         left = schrodinger_cyc(rep, tuple(u)) @ schrodinger_cyc(rep, tuple(v))
         right = schrodinger_cyc(rep, tuple((u + v) % p), int(u @ B @ v))
-        assert decompose._cyc_equal(left, right, rep.field), (u, v)
+        assert cyc_equal(left, right, rep.field), (u, v)
 
 
 def _branch_rules(tags, p, g):
@@ -925,23 +927,42 @@ def test_genus2_certificates_take_the_handle_local_path(monkeypatch):
     # and no dense 64 x 64 generator operand
     dense_calls = []
     operands = []
-    real_dense, real_matmul = cycmat._dense_product, decompose._int_matmul
+    real_dense, real_matmul = CycMat.__matmul__, decompose._int_matmul
 
     def dense_spy(a, b):
-        dense_calls.append((a.shape, b.shape))
+        dense_calls.append((a.nrows, b.ncols))
         return real_dense(a, b)
 
     def matmul_spy(a, b):
         operands.append(b.shape)
         return real_matmul(a, b)
 
-    monkeypatch.setattr(cycmat, "_dense_product", dense_spy)
+    monkeypatch.setattr(CycMat, "__matmul__", dense_spy)
     monkeypatch.setattr(decompose, "_int_matmul", matmul_spy)
     assert all(report.ok for report in egorov_verify(5, 2))
     assert dense_calls == [] and operands == []
     assert tower_check(2, 1, 2).passed
     assert operands and {shape[0] for shape in operands} == {64}
     assert max(shape[1] for shape in operands) == 8
+
+
+@pytest.mark.parametrize("p,g", [(4, 1), (5, 1), (6, 1), (3, 2), (4, 2)])
+def test_entries_product_matches_dense_product(p, g):
+    # every pair of row-entry forms that criterion 5 could multiply (the
+    # generators, H and their conjugates) against the dense CycMat product
+    # of their dense views: bitwise, scale included; and each conjugate is
+    # the dense G^dagger, transposed
+    rep = WeilRep(p, g)
+    forms = [rep.generator_entries(tag) for tag in rep.tags()] + [rep.hopf_entries()]
+    for form in list(forms):
+        forms.append(decompose._conjugate(form, rep.m))
+        assert np.array_equal(dense_entries(rep, forms[-1]).arr,
+                              dense_entries(rep, form).dagger().arr.swapaxes(0, 1))
+    for x, y in itertools.product(forms, repeat=2):
+        arr, scale = decompose._entries_product(x, y, rep.dim, rep.m)
+        want = dense_entries(rep, x) @ dense_entries(rep, y)
+        assert arr.dtype == np.int64
+        assert np.array_equal(arr, want.arr) and scale == want.scale
 
 
 @pytest.mark.parametrize("p,g", [(4, 1), (3, 2), (4, 2)])

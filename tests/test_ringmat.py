@@ -11,14 +11,12 @@ from weildec.cyclo import make_field
 from weildec.cycmat import (
     CycMat,
     _convolve,
-    _dense_product,
-    _index_map_product,
     _int_combo,
     _int_einsum,
     _max_abs,
     _normalise_each,
 )
-from weildec.decompose import _array_is_zero, _cyc_equal, _generator_product
+from weildec.decompose import _array_is_zero, _generator_product, _scaled_equal
 from weildec.ringmat import RingMatrix
 from weildec.weilrep import WeilRep, lift_genus1
 
@@ -28,7 +26,6 @@ from commutant_oracle import (
     _modular_primes,
     _rank_mod,
     _root_mod,
-    schrodinger_cyc,
 )
 from test_weilrep import _loop_diag, _mul_root
 
@@ -466,78 +463,21 @@ def test_beta_phase_needs_a_24th_root():
 def test_cyc_equal_is_exact_on_both_paths():
     field = make_field(3)
 
-    def mat(vec, scale=1):
-        return CycMat(3, np.array([[vec]], dtype=np.int64), Fraction(scale))
+    def vec(*entries):
+        return np.array([[entries]], dtype=np.int64)
 
     # 1 + A + A^2 = 0, so 2^62 + 2^61 (A + A^2) = 2^61
-    x = mat([2**62, 2**61, 2**61])
+    x = vec(2**62, 2**61, 2**61)
     # bound 2^62 + 2^61 fits: int64 difference
-    assert _int_combo(1, x.arr, -1, mat([2**61, 0, 0]).arr).dtype == np.int64
-    assert _cyc_equal(x, mat([2**61, 0, 0]), field)
-    assert not _cyc_equal(x, mat([2**61 - 1, 0, 0]), field)
+    assert _int_combo(1, x, -1, vec(2**61, 0, 0)).dtype == np.int64
+    assert _scaled_equal(field, 3, x, 1, vec(2**61, 0, 0), 1)
+    assert not _scaled_equal(field, 3, x, 1, vec(2**61 - 1, 0, 0), 1)
     # bound 2^62 + 2^62 does not: Python-int difference
-    y = mat([2**62, 0, 0])
-    assert _int_combo(1, y.arr, -1, y.arr).dtype == object
-    assert _cyc_equal(y, mat([2**62, 0, 0]), field)
-    assert _cyc_equal(y, mat([2**61, 0, 0], 2), field)
-    assert not _cyc_equal(y, mat([2**62, 1, 1]), field)
-
-
-def _unit_monomials(rep):
-    """Every generator, plus translation operators with nonzero phases."""
-    gens = [rep.generator_cyc(tag) for tag in rep.tags()]
-    dim2 = 2 * rep.g
-    vectors = [tuple(int(i == k) for k in range(dim2)) for i in range(dim2)]
-    vectors.append(tuple(range(1, dim2 + 1)))
-    ops = [schrodinger_cyc(rep, v, z)
-           for v, z in zip(vectors, range(1, dim2 + 2))]
-    return gens, ops
-
-
-@pytest.mark.parametrize("p,g", [(5, 1), (4, 2), (6, 2)])
-def test_index_map_product_matches_dense(p, g):
-    rep = WeilRep(p, g)
-    gens, ops = _unit_monomials(rep)
-    pairs = [(a, b) for gen in gens for op in ops for a, b in ((gen, op), (op, gen))]
-    pairs += [(a, b) for a in ops for b in ops]
-    # (U Add(v)) U^dagger, as in the Egorov check: dense for Y generators
-    pairs += [(gen @ op, gen.dagger()) for gen, tag in zip(gens, rep.tags())
-              for op in ops if tag[0] != "Y"]
-    for a, b in pairs:
-        got = _index_map_product(a.arr, b.arr)
-        assert got is not None
-        want = _dense_product(a.arr, b.arr)
-        assert got.dtype == want.dtype == np.int64
-        assert np.array_equal(got, want)
-        assert np.array_equal((a @ b).arr, want)
-
-
-def test_non_unit_monomials_take_the_dense_path(monkeypatch):
-    calls = []
-
-    def spy(a, b):
-        calls.append(1)
-        return _dense_product(a, b)
-
-    monkeypatch.setattr(cycmat, "_dense_product", spy)
-    rng = np.random.default_rng(23)
-    dense = CycMat(8, rng.integers(-3, 4, size=(3, 3, 8)))
-    unit = CycMat.zero(8, 3, 3)
-    unit.arr[[0, 1, 2], [1, 2, 0], [5, 2, 7]] = 1  # A^5, A^2, A^7 in a 3-cycle
-    assert _index_map_product(unit.arr, dense.arr) is not None
-    doubled = CycMat(8, 2 * unit.arr)
-    two_in_a_row = CycMat(8, unit.arr.copy())
-    two_in_a_row.arr[0, 0, 3] = 1
-    for op in (doubled, two_in_a_row):
-        assert _index_map_product(op.arr, dense.arr) is None
-        for a, b in ((op, dense), (dense, op)):
-            calls.clear()
-            assert np.array_equal((a @ b).arr, _dense_product(a.arr, b.arr))
-            assert calls == [1]
-    calls.clear()
-    unit @ dense
-    dense @ unit
-    assert calls == []
+    y = vec(2**62, 0, 0)
+    assert _int_combo(1, y, -1, y).dtype == object
+    assert _scaled_equal(field, 3, y, 1, vec(2**62, 0, 0), 1)
+    assert _scaled_equal(field, 3, y, 1, vec(2**61, 0, 0), 2)
+    assert not _scaled_equal(field, 3, y, 1, vec(2**62, 1, 1), 1)
 
 
 @pytest.mark.parametrize("p,g", [(3, 1), (4, 2), (5, 2), (6, 2), (2, 3), (3, 3)])

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -305,6 +306,78 @@ def test_integer_certificates_make_no_field_call(monkeypatch):
         assert decompose.tower_check(r, n, g).passed
         tags = len(WeilRep(r ** (n + 2), g).tags())
         assert calls.count("_array_is_zero") == tags and calls.count("field_coords") <= tags
+
+
+def test_criteria_form_no_dense_product(monkeypatch):
+    # every criterion reads the generators and the Hopf pairing as row
+    # entries: no dense CycMat product and no dense generator anywhere in
+    # the registry (criterion 5 multiplied dense generators, 104 products)
+    from weildec import criteria
+    from weildec.cycmat import CycMat
+    from weildec.weilrep import WeilRep
+
+    calls = []
+
+    def spy(cls, name):
+        real = getattr(cls, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(cls, name, counted)
+
+    spy(CycMat, "__matmul__")
+    spy(WeilRep, "generator_cyc")
+    _clear_library_caches()
+    for criterion in criteria.REGISTRY:
+        criterion.check()
+    assert calls == []
+
+
+@pytest.mark.parametrize("name,level,key,change,failures", [
+    # a diagonal Y entry moved by A: still symmetric, no longer unitary
+    ("generator_entries", (5, 2), (("Y", 2),), "exps",
+     [(5, 2, ("Y", 2), "unitary"), (5, 2, 2, "hopf")]),
+    # an off-diagonal Y entry: not symmetric either
+    ("generator_entries", (5, 1), (("Y", 1),), "exps-off",
+     [(5, 1, ("Y", 1), "unitary"), (5, 1, 1, "hopf")]),
+    # X stays a unitary diagonal, but H X H^-1 is no longer Y
+    ("generator_entries", (4, 1), (("X", 1),), "exps", [(4, 1, 1, "hopf")]),
+    # H doubled: H X = Y H still holds, H conj(H) = 4 d I does not
+    ("hopf_entries", (3, 1), (), "scale", [(3, 1, "H conj(H) = d I")]),
+])
+def test_criterion_5_reports_exactly_a_perturbed_entry(monkeypatch, name, level, key, change,
+                                                       failures):
+    from weildec import criteria
+    from weildec.weilrep import WeilRep
+
+    real = getattr(WeilRep, name)
+
+    def perturbed(self, *args):
+        cols, exps, factor, scale = real(self, *args)
+        if ((self.p, self.g), args) == (level, key):
+            if change == "scale":
+                scale *= 2
+            else:
+                exps = exps.copy()
+                j = 1 if change == "exps-off" else 0
+                exps[0, j] = (exps[0, j] + 1) % self.m
+        return cols, exps, factor, scale
+
+    assert criteria.criterion_05_unitarity_and_hopf() == (True, "[]")
+    monkeypatch.setattr(WeilRep, name, perturbed)
+    assert criteria.criterion_05_unitarity_and_hopf() == (False, repr(failures))
+
+
+def test_criterion_5_reads_unitarity_only_off_symmetric_generators(monkeypatch):
+    # G conj(G) = I is G G^dagger = I only when G^T = G: a generator whose
+    # symmetry is refused fails "unitary", however its product comes out
+    from weildec import criteria
+
+    monkeypatch.setattr(criteria, "_symmetric", lambda rep, tags: np.zeros(len(tags), bool))
+    ok, detail = criteria.criterion_05_unitarity_and_hopf()
+    assert not ok and detail == repr([(2, 1, ("X", 1), "unitary"), (2, 1, ("Y", 1), "unitary"),
+                                      (3, 1, ("X", 1), "unitary")])
 
 
 @pytest.mark.parametrize("p,g", [(4, 1), (5, 2), (3, 3)])

@@ -21,7 +21,7 @@ from weildec.cycmat import (
     field_coords,
     power_matrix,
 )
-from weildec.decompose import _cyc_equal, _symmetric
+from weildec.decompose import _symmetric
 from weildec.modgroup import (
     class_representatives,
     mat_mul,
@@ -42,7 +42,7 @@ from weildec.weilrep import (
     trace_engine,
 )
 
-from commutant_oracle import schrodinger_cyc, symplectic_form, trace_elt
+from commutant_oracle import cyc_equal, dense_entries, schrodinger_cyc, symplectic_form, trace_elt
 
 
 def _mul_root(mat, e):
@@ -112,7 +112,7 @@ def test_heisenberg_product_cocycle(p, g):
         phase = 2 * sum(u[2 * i + 1] * v[2 * i] for i in range(g))
         total = tuple(a + b for a, b in zip(u, v))
         right = schrodinger_cyc(rep, total, phase)
-        assert _cyc_equal(left, right, rep.field)
+        assert cyc_equal(left, right, rep.field)
 
 
 @pytest.mark.parametrize("p,g", [(3, 1), (4, 1), (5, 1), (3, 2)])
@@ -125,7 +125,7 @@ def test_heisenberg_commutator_is_symplectic_phase(p, g):
         left = schrodinger_cyc(rep, u) @ schrodinger_cyc(rep, v)
         right = _mul_root(schrodinger_cyc(rep, v) @ schrodinger_cyc(rep, u),
                           -2 * symplectic_form(u, v, g, rep.m) % rep.m)
-        assert _cyc_equal(left, right, rep.field)
+        assert cyc_equal(left, right, rep.field)
 
 
 def test_schrodinger_refuses_a_vector_of_the_wrong_length():
@@ -154,7 +154,7 @@ def test_schrodinger_center_is_scalar(p, g):
     zero = (0,) * (2 * g)
     central = schrodinger_cyc(rep, zero, 1)
     expect = _mul_root(CycMat.identity(rep.m, p ** g), 1)
-    assert _cyc_equal(central, expect, rep.field)
+    assert cyc_equal(central, expect, rep.field)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 8, 9])
@@ -163,17 +163,26 @@ def test_generators_unitary_genus1(p):
     ident = CycMat.identity(rep.m, p)
     for tag in rep.tags():
         U = rep.generator_cyc(tag)
-        assert _cyc_equal(U @ U.dagger(), ident, rep.field)
+        assert cyc_equal(U @ U.dagger(), ident, rep.field)
 
 
 @pytest.mark.parametrize("p", [3, 4, 5, 8])
 def test_hopf_duality_genus1(p):
+    # the dense H[a, b] = A^(-2ab) and H^-1 = A^(2ab) / p, built here, give
+    # H X H^-1 = Y; `hopf_entries` is that H, bitwise, at genus 1 and 2
     rep = WeilRep(p, 1)
-    S = rep.hopf_cyc()
-    Sinv = rep.hopf_inverse_cyc()
+    a = np.arange(p)
+    S = CycMat.from_exponent_matrix(rep.m, -2 * np.outer(a, a))
+    Sinv = CycMat.from_exponent_matrix(rep.m, 2 * np.outer(a, a), Fraction(1, p))
     X = rep.generator_cyc(("X", 1))
     Y = rep.generator_cyc(("Y", 1))
-    assert _cyc_equal((S @ X) @ Sinv, Y, rep.field)
+    assert cyc_equal((S @ X) @ Sinv, Y, rep.field)
+    assert cyc_equal(S @ Sinv, CycMat.identity(rep.m, p), rep.field)
+    dense = dense_entries(rep, rep.hopf_entries())
+    assert np.array_equal(dense.arr, S.arr) and dense.scale == S.scale
+    rep2, b = WeilRep(p, 2), np.indices((p, p)).reshape(2, -1)
+    dense = dense_entries(rep2, rep2.hopf_entries())
+    assert np.array_equal(dense.arr, CycMat.from_exponent_matrix(rep.m, -2 * b.T @ b).arr)
 
 
 @pytest.mark.parametrize("p", [3, 4, 5])
@@ -346,7 +355,7 @@ def test_genus2_generators_unitary(p, g):
     ident = CycMat.identity(rep.m, p ** g)
     for tag in rep.tags():
         U = rep.generator_cyc(tag)
-        assert _cyc_equal(U @ U.dagger(), ident, rep.field)
+        assert cyc_equal(U @ U.dagger(), ident, rep.field)
 
 
 def _fixed_vectors(M, N):
@@ -449,11 +458,10 @@ def test_batched_abs_sq_matches_per_element(p):
         columns[M[2]][M] = engine.trace_abs_sq(M)
     for c, want in columns.items():
         assert _column_values(engine, c) == want
-        # the blocks char_sum adds up cover the column with the same total
-        blocks = engine.column_abs_sq(c)
-        assert sum(int(w.sum()) for _n, _s, w in blocks) == len(want)
-        assert sum(int(x) * int(w) * scale**2 for n, scale, weight in blocks
-                   for x, w in zip(n, weight)) == sum(want.values())
+        # the block char_sum adds up covers the column with the same total
+        n, scale, weight = engine.column_abs_sq(c)
+        assert int(weight.sum()) == len(want)
+        assert sum(int(x) * int(w) * scale**2 for x, w in zip(n, weight)) == sum(want.values())
 
 
 def test_abs_sq_rows_bound_raises():
@@ -538,9 +546,9 @@ def test_both_sweeps_match_the_word_lift_on_the_group(p):
     assert [n * scale**2 for n, scale in zip(engine.abs_sq_rows(rows).tolist(), scales)] == want
     for c in range(engine.m):
         got = Counter()
-        for n, scale, count in engine.column_abs_sq(c):
-            for x, k in zip(n.tolist(), count.tolist()):
-                got[x * scale**2] += k
+        n, scale, count = engine.column_abs_sq(c)
+        for x, k in zip(n.tolist(), count.tolist()):
+            got[x * scale**2] += k
         assert +got == Counter(v for M, v in zip(Ms, want) if M[2] == c)
 
 
@@ -553,11 +561,9 @@ def test_chunking_leaves_the_columns_unchanged(monkeypatch, p):
     monkeypatch.setattr(cycmat, "_GATHER_ENTRIES", 1)
     assert analysis.char_sum(p).value == value
     got = [engine.column_abs_sq(c) for c in range(engine.m)]
-    for blocks, wanted in zip(got, want):
-        assert len(blocks) == len(wanted)
-        for (n, scale, count), (n0, scale0, count0) in zip(blocks, wanted):
-            assert np.array_equal(n, n0) and scale == scale0
-            assert np.array_equal(count, count0)
+    for (n, scale, count), (n0, scale0, count0) in zip(got, want):
+        assert np.array_equal(n, n0) and scale == scale0
+        assert np.array_equal(count, count0)
 
 
 def _engine_with_rolls(p, vec):
@@ -693,7 +699,7 @@ def test_structured_lift_matches_dense_products(p):
             structured, dense = (
                 lift(p, M, rng=None if word_seed is None else random.Random(word_seed))
                 for lift in (lift_genus1_cyc, _dense_lift))
-            assert _cyc_equal(structured, dense, field)
+            assert cyc_equal(structured, dense, field)
 
 
 def _gather_count(p, M):
@@ -759,7 +765,7 @@ def test_batched_lift_matches_dense_products_on_every_element(p):
     field = field_for_level(p)
     elements = list(sl2_enumerate(N))
     for M, lift in zip(elements, lift_genus1_many(p, elements)):
-        assert _cyc_equal(lift, _dense_lift(p, M), field)
+        assert cyc_equal(lift, _dense_lift(p, M), field)
 
 
 def test_batched_lift_refuses_a_non_sl2_matrix():
@@ -785,18 +791,18 @@ def test_batched_keys_are_the_single_keys(p):
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
 def test_lift_matches_dense_products_on_every_element(p):
-    # scale and beta-root phase included: _cyc_equal compares both
+    # scale and beta-root phase included: cyc_equal compares both
     N = p if p % 2 else 2 * p
     field = field_for_level(p)
     elements = list(sl2_enumerate(N))
     for M in elements:
-        assert _cyc_equal(lift_genus1_cyc(p, M), _dense_lift(p, M), field)
+        assert cyc_equal(lift_genus1_cyc(p, M), _dense_lift(p, M), field)
     rng = random.Random(61 + p)
     for M in rng.sample(elements, 12):
         word_seed = rng.randrange(2**32)
         structured, dense = (lift(p, M, rng=random.Random(word_seed))
                              for lift in (lift_genus1_cyc, _dense_lift))
-        assert _cyc_equal(structured, dense, field)
+        assert cyc_equal(structured, dense, field)
 
 
 @pytest.mark.parametrize("p", [4, 5, 9])
@@ -808,7 +814,7 @@ def test_lift_normalised_between_gathers_is_unchanged(p, monkeypatch):
     elements = [_random_sl2(rng, N) for _ in range(6)]
     monkeypatch.setattr(weilrep, "_INT64_MAX", p)
     for M in elements:
-        assert _cyc_equal(lift_genus1_cyc(p, M), _dense_lift(p, M), field)
+        assert cyc_equal(lift_genus1_cyc(p, M), _dense_lift(p, M), field)
 
 
 @pytest.mark.parametrize("p", [3, 4, 5, 8, 9, 12, 16])
@@ -926,7 +932,7 @@ def test_long_word_lift_is_unitary(p):
     # int64 and compared unequal to I although L is unitary
     L = _worst_lift(p)
     assert _max_abs(L.arr).bit_length() < 32
-    assert _cyc_equal(L @ L.dagger(), CycMat.identity(L.m, p), field_for_level(p))
+    assert cyc_equal(L @ L.dagger(), CycMat.identity(L.m, p), field_for_level(p))
 
 
 def _kron_schrodinger(rep, X, z):
