@@ -34,7 +34,7 @@ from .modgroup import (
     sl2_order,
 )
 from .cyclo import field_for_level
-from .cycmat import _abs_sq, _chunks, _l1, _normalise_each, field_coords, power_matrix
+from .cycmat import _abs_sq, _chunks, _coords, _normalise_each, field_coords
 from .weilrep import (
     WeilRep,
     _lift_images,
@@ -208,18 +208,7 @@ def expected_trace_sq(n, l, x_class, s):
     return None
 
 
-def _unit_entries(rows, scales_sq, field):
-    """True when every entry vector v of rows has scales_sq[k] |v|^2 = 1:
-    scales_sq[k] times the field coordinates of |v|^2 (`_abs_sq`, for all
-    rows at once, each row normalised first) must be (1, 0, ..., 0)."""
-    rows, g = _normalise_each(rows)
-    P = power_matrix(field, rows.shape[-1])
-    coords = _abs_sq(rows, P, _l1(P))
-    return not coords[:, 1:].any() and all(
-        sq * k * k * x == 1 for sq, k, x in zip(scales_sq, g, coords[:, 0].tolist()))
-
-
-def _unit_monomials(products, nets, a, field, norm):
+def _unit_monomials(products, nets, a, norm):
     """True when every lift gamma^|nets[k]| * products[k] is lam_k times the
     permutation matrix with entry (i, a[k] i) equal to 1, with
     lam_k conj(lam_k) = 1.
@@ -227,28 +216,36 @@ def _unit_monomials(products, nets, a, field, norm):
     The Gauss power is a nonzero scalar, so the lift is such a monomial
     exactly when the product is one, with lam_k = gamma^|n| scale lam'_k
     for its entry lam'_k, and gamma_+ gamma_- = norm (`word_products`)
-    makes the condition scale^2 norm^|n| |lam'_k|^2 = 1.  At the even
-    modulus m = 2^n, A^(m/2) = -1, so an entry whose two halves agree is
-    zero.  One `field_coords` product takes the entries (i, a[k] i) of
-    every product and every other entry whose halves differ: the others
-    must vanish in the field, and the entries (i, a[k] i) of each product
-    agree; `_unit_entries` takes the norms."""
+    makes the condition scale^2 norm^|n| |lam'_k|^2 = 1.
+
+    Lemma: at the modulus m = 2^n, A^(m/2) = -1 and 1, A, ..., A^(m/2 - 1)
+    are a basis of Q(A), so the entry vector v has the coordinates
+    v[:m/2] - v[m/2:] in it, v @ P with P = [I; -I], and v is zero exactly
+    when its two halves agree.  So the check needs no cyclotomic field:
+    every other entry has equal halves, the entries (i, a[k] i) of each
+    product have equal coordinates, and |lam'_k|^2 comes off `_abs_sq`
+    under P (|P|_1 = 2) of one normalised entry per product."""
     p, m = products[0].nrows, products[0].m
     i = np.arange(p)
-    on, off = [], []
+    on = []
     for product, cols in zip(products, a[:, None] * i % p):
         arr = product.arr
-        on.append(arr[i, cols])
         rest = (arr[..., :m // 2] != arr[..., m // 2:]).any(axis=-1)
         rest[i, cols] = False
-        off.append(arr[rest])
-    coords = field_coords(np.concatenate(on + off), field, m)
-    diag = coords[:len(on) * p].reshape(len(on), p, -1)
-    if coords[len(on) * p:].any() or (diag != diag[:, :1]).any():
+        if rest.any():
+            return False
+        on.append(arr[i, cols])
+    on = np.array(on)
+    unit = np.eye(m // 2, dtype=np.int64)
+    P = np.concatenate([unit, -unit])
+    coords = _coords(on, P)
+    if (coords != coords[:, :1]).any():
         return False
-    return _unit_entries(np.array([entries[0] for entries in on]),
-                         [product.scale ** 2 * norm ** abs(n)
-                          for product, n in zip(products, nets)], field)
+    rows, g = _normalise_each(on[:, 0])
+    sq = _abs_sq(rows, P, 2)
+    return not sq[:, 1:].any() and all(
+        product.scale ** 2 * norm ** abs(n) * k * k * x == 1
+        for product, n, k, x in zip(products, nets, g, sq[:, 0].tolist()))
 
 
 def lemma_diag_check(n):
@@ -261,21 +258,21 @@ def lemma_diag_check(n):
     lift = gamma_sign(n)^|n| * product, and since gamma_+ gamma_- =
     |gamma_+-|^2 = norm, the lift's scalar has absolute value one exactly
     when the product is monomial with scale^2 norm^|n| |lam'|^2 = 1
-    (`_unit_monomials`).  The odd a go in the chunks `word_products`
+    (`_unit_monomials`), in integers: at m = 2^n an entry is zero exactly
+    when its two halves agree.  The odd a go in the chunks `word_products`
     gathers at once, each taken by one call and checked by one
     `_unit_monomials` call, so no more products are held than one gather
     takes."""
     if n < 2:
         raise ValueError("need n >= 2")
     p = 2 ** (n - 1)
-    field = field_for_level(p)
     norm = _lift_images(p)["norm"]
     modulus = 2**n
     odd = np.arange(1, modulus, 2)
     for part in _chunks(odd.size, p ** 3 * modulus):
         a = odd[part]
         products, nets = word_products(p, [(x, 0, 0, pow(x, -1, modulus)) for x in a.tolist()])
-        if not _unit_monomials(products, nets, a, field, norm):
+        if not _unit_monomials(products, nets, a, norm):
             return False
     return True
 

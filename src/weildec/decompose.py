@@ -245,20 +245,9 @@ class CrtReport:
     failures: tuple
 
 
-def _bezout(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_s, old_t
-
-
 def _crt_maps(a, b, g):
-    """Bezout pair (u, v) and the genus-g basis permutation psi.
+    """Bezout pair (u, v), a' u + b v = 1 with u = a'^-1 mod b, and the
+    genus-g basis permutation psi.
 
     The residue pairing f(x, y) = (x v b + y a' u) mod ab, a' = 2a for even
     a and a otherwise, must be the CRT bijection: f(x, y) = x mod a and
@@ -267,9 +256,8 @@ def _crt_maps(a, b, g):
     holds f(x_h, y_h).
     """
     a2 = 2 * a if a % 2 == 0 else a
-    u, v = _bezout(a2, b)
-    if a2 * u + b * v != 1:
-        raise RuntimeError("no Bezout pair for (%d, %d)" % (a2, b))
+    u = pow(a2, -1, b)
+    v = (1 - a2 * u) // b
     x, y = np.indices((a, b))
     f = (x * (v * b) + y * (a2 * u)) % (a * b)
     if not (np.array_equal(f % a, x) and np.array_equal(f % b, y)):

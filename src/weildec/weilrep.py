@@ -1,13 +1,15 @@
 """Construction of the finite Weil representation data at level p, genus g.
 
 Provides Gauss sums, the generator matrices and Hopf pairing as row
-entries (integer exponents times one common factor), the Schrodinger representation of the finite Heisenberg group, the
-explicit genus-one lift of SL2(Z/NZ) (an integer group-ring matrix,
-CycMat, whose word folds consecutive S-factors in pairs; whole element
-sets are lifted at once) together with a fast exact trace evaluator, and
-projective comparison keys.  The integer entry-vector kernels these run
-on (rolls, normalisation, convolution, field coordinates, |v|^2) are
-`cycmat`'s.
+entries (integer exponents times one common factor), the Schrodinger
+representation of the finite Heisenberg group, the explicit genus-one
+lift of SL2(Z/NZ) (an integer group-ring matrix, CycMat, whose word folds
+consecutive S-factors in pairs: `word_products` takes the word products
+of whole element sets at once, and `lift_genus1` lifts one element from
+its product and one Gauss power) together with a fast exact trace
+evaluator, and projective comparison keys.  The integer entry-vector
+kernels these run on (rolls, normalisation, convolution, field
+coordinates, |v|^2) are `cycmat`'s.
 
 Conventions.  At level p the phase root A has order p (p odd) or 2p (p even);
 the working cyclotomic field also contains the 24th root used by the lift.
@@ -273,7 +275,8 @@ def word_products(p, Ms, rng=None):
     or 2p (even), its word product as a CycMat and its signed Gauss
     exponent n = #S - #S^{-1}, with lift = gamma_sign(n)^|n| * product;
     the words come from `word_decompose`, drawn in the order of Ms from the
-    one rng when it is given.  `lift_genus1_many` is `_gauss_step` of these.
+    one rng when it is given.  `lift_genus1` is one element's product
+    times its Gauss power.  ValueError for a level p < 2.
 
     Each product is bitwise what the word gives on its own, whatever the
     batch: every int64 bound and every on-demand `_normalise_each` is
@@ -299,10 +302,12 @@ def word_products(p, Ms, rng=None):
     last gather.  Of the Gauss sums, with a factors S and b factors
     S^{-1}, gamma_+^a gamma_-^b = norm^min(a, b) gamma_+-^|a - b|, since
     gamma_+ gamma_- = norm (`_lift_images`): the product's scale takes
-    norm^min(a, b) and n = a - b is left to `_gauss_step`.  Elements go in
+    norm^min(a, b) and n = a - b is left to `lift_genus1`.  Elements go in
     chunks whose gather holds at most `cycmat._GATHER_ENTRIES` entries, and
     a single element too large for one gathers its k-slices in such chunks.
     """
+    if p < 2:
+        raise ValueError("need level p >= 2")
     img = _lift_images(p)
     m, eps = img["m"], img["eps"]
     programs = []
@@ -319,54 +324,6 @@ def word_products(p, Ms, rng=None):
             products[e] = product
     nets = [factors[1] - factors[-1] for *_, factors, _beta in programs]
     return products, nets
-
-
-def _gauss_step(p, products, nets):
-    """The lifts gamma_sign(n)^|n| * product of `word_products` output,
-    normalised: one `_convolve` of each product with n != 0 by the cached
-    `_gauss_power` vector, then `_normalise_each` of every element.
-
-    Only an element whose convolution bound 2 |vec|_1 max|arr| would not
-    fit int64 is normalised before it.  Both parts of `_normalise_each`
-    commute with the convolution: the all-ones vector goes to |vec|_1
-    times itself, so the median shift after it takes out what one before
-    it would, and the integer content factors out.  So the lifts are
-    bitwise the same either way; the factor 2 keeps the range max - min of
-    each convolved entry, which the median shift after it bounds, below
-    2^63.  Elements go in chunks of at most `cycmat._GATHER_ENTRIES`
-    entries.
-    """
-    m = _lift_images(p)["m"]
-    out = []
-    for part in _chunks(len(products), products[0].arr.size if products else 1):
-        mats, ns = products[part], nets[part]
-        arr = np.stack([mat.arr for mat in mats])
-        content = [1] * len(mats)
-        conv = [e for e, n in enumerate(ns) if n]
-        if conv:
-            gauss = [_gauss_power(p, 1 if ns[e] > 0 else -1, abs(ns[e])) for e in conv]
-            vecs = np.array([vec for vec, _g in gauss])
-            rows = arr[conv].reshape(len(conv), -1, m)
-            big = [k for k, (vec, top) in enumerate(zip(vecs.tolist(), _max_abs_each(rows)))
-                   if 2 * sum(map(abs, vec)) * top > _INT64_MAX]
-            if big:
-                rows[big], h = _normalise_each(rows[big])
-                for k, hk in zip(big, h):
-                    content[conv[k]] *= hk
-            arr[conv] = _convolve(vecs, rows).reshape((len(conv),) + arr.shape[1:])
-            for e, (_vec, g) in zip(conv, gauss):
-                content[e] *= g
-        arr, h = _normalise_each(arr)
-        out += [CycMat(m, arr[e], mat.scale * (content[e] * h[e]), mat.beta)
-                for e, mat in enumerate(mats)]
-    return out
-
-
-def lift_genus1_many(p, Ms, rng=None):
-    """The lifts of every M in Ms, each in SL2(Z/NZ), N = p (odd) or 2p
-    (even), as CycMat: `_gauss_step` of `word_products`(p, Ms, rng).  Each
-    lift is bitwise what its word gives on its own, whatever the batch."""
-    return _gauss_step(p, *word_products(p, Ms, rng))
 
 
 def _lift_chunk(p, programs):
@@ -447,8 +404,25 @@ def _lift_chunk(p, programs):
 
 
 def lift_genus1_cyc(p, M, rng=None):
-    """The lift of one M in SL2(Z/NZ): `lift_genus1_many`(p, [M], rng)[0]."""
-    return lift_genus1_many(p, [M], rng)[0]
+    """The lift of one M in SL2(Z/NZ), N = p (odd) or 2p (even), as a
+    normalised CycMat: gamma_sign(n)^|n| * product, with the word product
+    and its Gauss exponent n from `word_products`(p, [M], rng).
+
+    The product is normalised (`_normalise_each`), convolved where n != 0
+    by the cached `_gauss_power` vector, and normalised again.  Both parts
+    of the normalisation commute with the convolution: a constant vector
+    c 1 goes to c sum(vec) 1, which the median shift after it takes out,
+    and the integer content factors out.  So normalising first changes no
+    bit of the lift, and it keeps the convolution's int64 bound
+    |vec|_1 max|arr| (`_convolve`) as small as it can be."""
+    (product,), (n,) = word_products(p, [M], rng)
+    (arr,), (h,) = _normalise_each(product.arr[None])
+    scale = product.scale * h
+    if n:
+        vec, g = _gauss_power(p, 1 if n > 0 else -1, abs(n))
+        (arr,), (k,) = _normalise_each(_convolve(vec[None], arr[None]))
+        scale *= g * k
+    return CycMat(product.m, arr, scale, product.beta)
 
 
 # the public name of the lift; the definition keeps its own name, which

@@ -161,6 +161,17 @@ def test_lemma_diag():
         assert lemma_diag_check(n)
 
 
+def test_lemma_diag_check_builds_no_field(monkeypatch):
+    # at m = 2^n the check reads every entry in the basis 1, A, ...,
+    # A^(m/2 - 1) of Q(A), in integers
+    def no_field(self, level):
+        raise AssertionError("Q(zeta_%d) built" % level)
+
+    _clear_library_caches()
+    monkeypatch.setattr(CycloField, "__init__", no_field)
+    assert lemma_diag_check(5)
+
+
 def test_lemma_diag_check_rejects_wrong_lifts(monkeypatch):
     # each wrapper passes every element's Gauss exponent through unchanged
     products = weilrep.word_products
@@ -293,7 +304,8 @@ def test_kernel_check_keys_are_the_full_lifts_keys(p):
     products, nets = weilrep.word_products(p, elements)
     assert {abs(n) for n in nets} > {0, 1}
     keys = analysis._lift_keys(products, nets, field, weilrep._lift_images(p)["norm"])
-    assert keys == weilrep.projective_keys(weilrep.lift_genus1_many(p, elements), field)
+    assert keys == weilrep.projective_keys([weilrep.lift_genus1(p, M) for M in elements],
+                                           field)
 
 
 def test_faithfulness_checks_take_no_gauss_power(monkeypatch):

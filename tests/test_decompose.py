@@ -331,10 +331,23 @@ def test_parity_bases_match_the_loop_construction(g):
         assert np.array_equal(bases.plus, plus) and np.array_equal(bases.minus, minus)
 
 
+def _euclid(a, b):
+    """(s, t) with a s + b t = gcd(a, b), by the extended Euclidean algorithm."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_s, old_t
+
+
 def _loop_crt_maps(a, b, g):
     """(u, v, psi) by the loop construction over the residue table f."""
     a2 = 2 * a if a % 2 == 0 else a
-    u, v = decompose._bezout(a2, b)
+    u, v = _euclid(a2, b)
     f_table = [(x * v * b + y * a2 * u) % (a * b) for x in range(a) for y in range(b)]
     assert all(f_table[x * b + y] % a == x and f_table[x * b + y] % b == y
                for x in range(a) for y in range(b))
@@ -351,9 +364,14 @@ def _loop_crt_maps(a, b, g):
 @pytest.mark.parametrize("a,b", [(2, 3), (3, 5), (4, 3), (8, 3), (4, 5), (3, 7), (8, 9)])
 @pytest.mark.parametrize("g", [1, 2])
 def test_crt_maps_match_the_loop_construction(a, b, g):
+    # the Bezout pair may differ from Euclid's; the residues crt_check
+    # reads, v b and a' u mod m_ab, and psi may not
     u, v, psi = decompose._crt_maps(a, b, g)
     lu, lv, lpsi = _loop_crt_maps(a, b, g)
-    assert (u, v) == (lu, lv)
+    a2 = 2 * a if a % 2 == 0 else a
+    m_ab = WeilRep(a * b).m
+    assert a2 * u + b * v == 1
+    assert (v * b % m_ab, a2 * u % m_ab) == (lv * b % m_ab, a2 * lu % m_ab)
     assert psi.tolist() == lpsi
 
 

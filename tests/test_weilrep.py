@@ -35,11 +35,11 @@ from weildec.weilrep import (
     gauss_sum,
     lift_genus1,
     lift_genus1_cyc,
-    lift_genus1_many,
     projective_key,
     projective_keys,
     trace_abs_sq,
     trace_engine,
+    word_products,
 )
 
 from commutant_oracle import cyc_equal, dense_entries, schrodinger_cyc, symplectic_form, trace_elt
@@ -522,11 +522,11 @@ def test_trace_vectors_refuse_a_non_sl2_matrix():
 
 def _word_lift_abs_sq(p, Ms):
     """|Tr|^2 of the word lift of every M of Ms: the diagonal entry vectors
-    of its `lift_genus1_many` lift summed into v, and |v|^2 the
-    autocorrelation of v in Python ints, mapped by `field_coords`."""
+    of its `lift_genus1` lift summed into v, and |v|^2 the autocorrelation
+    of v in Python ints, mapped by `field_coords`."""
     field = field_for_level(p)
     out = []
-    for lift in lift_genus1_many(p, Ms):
+    for lift in (lift_genus1(p, M) for M in Ms):
         v = lift.arr[np.arange(p), np.arange(p)].sum(axis=0).astype(object)
         coords = field_coords(np.array([v @ np.roll(v, -s) for s in range(lift.m)]),
                               field, lift.m).tolist()
@@ -718,7 +718,7 @@ def test_lift_overflow_guard_raises(monkeypatch):
     with pytest.raises(OverflowError, match="lift gather"):
         lift_genus1_cyc(5, M)
     with pytest.raises(OverflowError, match="lift gather"):
-        lift_genus1_many(5, [(1, 0, 0, 1), M])
+        word_products(5, [(1, 0, 0, 1), M])
 
 
 def _assert_same_lift(a, b):
@@ -728,22 +728,28 @@ def _assert_same_lift(a, b):
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 8, 9, 12])
 def test_batched_lift_is_each_lift_alone(monkeypatch, p):
-    # bitwise, whatever the batch: arr, scale and beta of every element
+    # the word products, the batched part of the lift, are bitwise the same
+    # whatever the batch: arr, scale and beta of every element, and its
+    # Gauss exponent
     N = p if p % 2 else 2 * p
     elements = list(sl2_enumerate(N))
     if len(elements) > 600:
         elements = random.Random(83 + p).sample(elements, 600)
-    batch = lift_genus1_many(p, elements)
+    batch, nets = word_products(p, elements)
     # every kind of word meets: no gather, one, two, and from p = 4 on three or more
     assert {0, 1} <= {_gather_count(p, M) for M in elements}
     assert p < 4 or max(_gather_count(p, M) for M in elements) >= 3
-    for M, lift in zip(elements, batch):
-        _assert_same_lift(lift, lift_genus1_many(p, [M])[0])
+    for M, product, n in zip(elements, batch, nets):
+        (alone,), (n_alone,) = word_products(p, [M])
+        _assert_same_lift(product, alone)
+        assert n == n_alone
     # a budget of one entry puts every element in a chunk of its own and
     # every k-slice of a gather in a block of its own
     monkeypatch.setattr(cycmat, "_GATHER_ENTRIES", 1)
-    for lift, alone in zip(batch, lift_genus1_many(p, elements)):
-        _assert_same_lift(lift, alone)
+    chunked, chunked_nets = word_products(p, elements)
+    assert chunked_nets == nets
+    for product, alone in zip(batch, chunked):
+        _assert_same_lift(product, alone)
 
 
 @pytest.mark.parametrize("p", [4, 9])
@@ -752,26 +758,39 @@ def test_batched_random_words_draw_in_order(p):
     N = p if p % 2 else 2 * p
     rng = random.Random(89 + p)
     elements = [_random_sl2(rng, N) for _ in range(24)]
-    batch = lift_genus1_many(p, elements, rng=random.Random(5))
-    word_rng = random.Random(5)
-    for M, lift in zip(elements, batch):
-        _assert_same_lift(lift, lift_genus1_cyc(p, M, rng=word_rng))
+    batch, nets = word_products(p, elements, rng=random.Random(5))
+    word_rng, lift_rng = random.Random(5), random.Random(5)
+    for M, product, n in zip(elements, batch, nets):
+        (alone,), (n_alone,) = word_products(p, [M], rng=word_rng)
+        _assert_same_lift(product, alone)
+        assert n == n_alone
+        _assert_same_lift(lift_genus1_cyc(p, M, rng=lift_rng),
+                          _gauss_reference(p, [product], [n])[0])
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
 def test_batched_lift_matches_dense_products_on_every_element(p):
-    # the whole group through one batch, scale and beta-root phase included
+    # the whole group's word products through one batch, each times its
+    # Gauss power; scale and beta-root phase included
     N = p if p % 2 else 2 * p
     field = field_for_level(p)
     elements = list(sl2_enumerate(N))
-    for M, lift in zip(elements, lift_genus1_many(p, elements)):
+    for M, lift in zip(elements, _gauss_reference(p, *word_products(p, elements))):
         assert cyc_equal(lift, _dense_lift(p, M), field)
 
 
 def test_batched_lift_refuses_a_non_sl2_matrix():
     with pytest.raises(ValueError, match="not in SL2"):
-        lift_genus1_many(5, [(1, 0, 0, 1), (2, 0, 0, 1)])
-    assert lift_genus1_many(5, []) == []
+        word_products(5, [(1, 0, 0, 1), (2, 0, 0, 1)])
+    assert word_products(5, []) == ([], [])
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1])
+def test_lift_refuses_a_level_below_two(p):
+    with pytest.raises(ValueError, match="need level p >= 2"):
+        word_products(p, [(1, 0, 0, 1)])
+    with pytest.raises(ValueError, match="need level p >= 2"):
+        lift_genus1(p, (1, 0, 0, 1))
 
 
 @pytest.mark.parametrize("p", [3, 4, 5])
@@ -779,7 +798,7 @@ def test_batched_keys_are_the_single_keys(p):
     N = p if p % 2 else 2 * p
     field = field_for_level(p)
     elements = list(sl2_enumerate(N))[::7]
-    lifts = lift_genus1_many(p, elements)
+    lifts = [lift_genus1(p, M) for M in elements]
     lifts += [lifts[0].scaled(0), lifts[1].scaled(2), _mul_root(lifts[2], 1),
               CycMat.zero(lifts[0].m, p, p)]
     keys = projective_keys(lifts, field)
@@ -839,9 +858,9 @@ def test_gauss_sums_multiply_to_the_lift_norm_at_every_level():
 
 
 def _gauss_reference(p, products, nets):
-    """The lifts of word products as the Gauss step took them with every
-    normalisation done: each product normalised, convolved by its Gauss
-    power vector where n != 0, and normalised again."""
+    """The lifts of word products, one loop step each: the product
+    normalised, convolved by its Gauss power vector where n != 0, and
+    normalised again."""
     m = weilrep._lift_images(p)["m"]
     out = []
     for mat, n in zip(products, nets):
@@ -870,23 +889,23 @@ def _gauss_step_elements(case):
 @pytest.mark.parametrize("content", [1, 3, 2**50])
 @pytest.mark.parametrize("case", ["all-sl2-5", "diag-16", "random-9", "random-12"])
 def test_gauss_step_of_word_products_is_the_lift(case, content):
-    # bitwise: arr, scale and beta.  Each product is also handed over as
-    # content * arr + 7 with scale / content, the same field matrix; 2^50
-    # takes the larger products' convolutions past their int64 bound (14
-    # of the 15 with n != 0 at diag-16), so those are normalised before
-    # it, and 1 and 3 leave every one to the median shift and the content
-    # taken after it
+    # bitwise: arr, scale and beta.  Each lift is the reference step of its
+    # own word product.  Each product handed over as content * arr + 7 with
+    # scale / content, the same field matrix, has the same reference lift:
+    # the normalisation before the convolution takes the offset and the
+    # content out, and 2^50 would take the larger products' convolutions
+    # past their int64 bound (14 of the 15 with n != 0 at diag-16) without it
     p, elements = _gauss_step_elements(case)
-    products, nets = weilrep.word_products(p, elements)
+    products, nets = word_products(p, elements)
     assert any(nets) and len(nets) == len(elements)
+    references = _gauss_reference(p, products, nets)
+    for M, reference in zip(elements, references):
+        _assert_same_lift(lift_genus1(p, M), reference)
     m = products[0].m
     rewritten = [CycMat(m, content * mat.arr + 7, mat.scale / content, mat.beta)
                  for mat in products]
-    lifts = weilrep._gauss_step(p, rewritten, nets)
-    for lift, reference, whole in zip(lifts, _gauss_reference(p, products, nets),
-                                      lift_genus1_many(p, elements)):
+    for lift, reference in zip(_gauss_reference(p, rewritten, nets), references):
         _assert_same_lift(lift, reference)
-        _assert_same_lift(lift, whole)
 
 
 def test_deferred_gauss_convolution_overflow_raises(monkeypatch):
